@@ -23,6 +23,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .flows import RHS, IntegrationBlowupError, rk4_path, rk4_step
+
 
 class DegenerateSpectrumWarning(RuntimeWarning):
     pass
@@ -70,21 +72,22 @@ def chain_rhs(state: ChainState, g: GFun) -> tuple[np.ndarray, np.ndarray]:
     return _rhs_raw(state.t, np.asarray(state.s), np.asarray(state.r), g)
 
 
-def _rk4_step(state: ChainState, g: GFun, dt: float) -> ChainState:
-    def f(t, y):
+def _packed_rhs(g: GFun) -> RHS:
+    """The flow as f(t, y) on y = (s, r); NaN once some r_i <= 0, which the
+    RK4 kernel's non-finite check reports as a blow-up."""
+    def f(t: float, y: np.ndarray) -> np.ndarray:
         d = len(y) // 2
+        if y[d:].min() <= 0:
+            return np.full_like(y, np.nan)
         ds, dr = _rhs_raw(t, y[:d], y[d:], g)
         return np.concatenate([ds, dr])
+    return f
 
-    y = np.concatenate([state.s, state.r])
-    t = state.t
-    k1 = f(t, y)
-    k2 = f(t + dt / 2, y + dt / 2 * k1)
-    k3 = f(t + dt / 2, y + dt / 2 * k2)
-    k4 = f(t + dt, y + dt * k3)
-    y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    d = state.d
-    return ChainState(t + dt, tuple(y[:d]), tuple(y[d:]))
+
+def _advance(state: ChainState, g: GFun, h: float) -> ChainState:
+    """The state one RK4 step of signed size h away (centred differences)."""
+    y = rk4_step(_packed_rhs(g), state.t, np.concatenate([state.s, state.r]), h)
+    return ChainState(state.t + h, tuple(y[:state.d]), tuple(y[state.d:]))
 
 
 @dataclass(frozen=True)
@@ -102,22 +105,21 @@ class ChainTrajectory:
 
 def integrate_chain(state0: ChainState, g: GFun, dt: float, t_end: float,
                     record_every: int = 1) -> ChainTrajectory:
-    """Fixed-step RK4 for the chain flow."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round((t_end - state0.t) / dt))
-    ts = [state0.t]
-    ss = [state0.s]
-    rs = [state0.r]
-    cur = state0
-    for i in range(n_steps):
-        cur = _rk4_step(cur, g, dt)
-        cur = ChainState(state0.t + (i + 1) * dt, cur.s, cur.r)
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            ts.append(cur.t)
-            ss.append(cur.s)
-            rs.append(cur.r)
-    return ChainTrajectory(np.array(ts), np.array(ss), np.array(rs))
+    """Fixed-step RK4 (``rk4_path``) for the chain flow.  A step that
+    overflows or leaves some r_i <= 0, at a stage or at its end, raises
+    IntegrationBlowupError carrying the last recorded good ChainState."""
+    d = state0.d
+    try:
+        t, y = rk4_path(_packed_rhs(g), state0.t, np.concatenate([state0.s, state0.r]),
+                        dt, t_end, record_every)
+        if (y[-1, d:] <= 0).any():  # the last step never reaches the rhs check
+            raise IntegrationBlowupError(f"chain left r_i > 0 at t = {t[-1]:.6g}", (t, y))
+    except IntegrationBlowupError as exc:
+        t, y = exc.last_state
+        i = np.flatnonzero((y[:, d:] > 0).all(axis=1))[-1]
+        exc.last_state = ChainState(float(t[i]), tuple(y[i, :d]), tuple(y[i, d:]))
+        raise
+    return ChainTrajectory(t, y[:, :d], y[:, d:])
 
 
 # --------------------------------------------------------------------------
@@ -209,10 +211,7 @@ def trace_invariants(state: ChainState) -> TraceInvariants:
     coefficient on the off-diagonal sum; it differs from the true trace by
     sum r_i^2 and exists so callers can *detect* that discrepancy.
     """
-    s = np.asarray(state.s)
-    r = np.asarray(state.r)
-    ds = np.concatenate(([s[0]], np.diff(s), [-s[-1]])) if state.d > 1 \
-        else np.array([s[0], -s[0]])
+    ds, r = build_chain_L(state)
     # ds[i] is the diagonal at row i; r[i-1] couples rows i-1 and i
     lo = ds[:-1]   # ds_{i-1} aligned with r_i
     hi = ds[1:]    # ds_i aligned with r_i
@@ -269,14 +268,11 @@ def pn_time_derivative_check(state: ChainState, g: GFun,
     O(1); it is kept as a diagnostic.
     """
     eig_mode = lam is None
-    if eig_mode:
-        lam_v = float(chain_spectrum(state)[state.d // 2])
-    else:
-        lam_v = float(lam)
+    lam_v = float(chain_spectrum(state)[state.d // 2] if eig_mode else lam)
 
     def residuals(step: float) -> tuple[float, float]:
-        p_plus, _ = eigen_polys(_rk4_step(state, g, step), lam_v)
-        p_minus, _ = eigen_polys(_rk4_step(state, g, -step), lam_v)
+        p_plus, _ = eigen_polys(_advance(state, g, step), lam_v)
+        p_minus, _ = eigen_polys(_advance(state, g, -step), lam_v)
         pdot = (p_plus - p_minus) / (2.0 * step)
         p, _ = eigen_polys(state, lam_v)
         u = _g_at(g, state.t) * np.asarray(state.r)
@@ -295,8 +291,5 @@ def pn_time_derivative_check(state: ChainState, g: GFun,
 
     res_h, flip_h = residuals(h)
     res_h2, _ = residuals(h / 2.0)
-    if res_h2 > 0:
-        order = float(np.log2(res_h / res_h2))
-    else:
-        order = float("inf")
+    order = float(np.log2(res_h / res_h2)) if res_h2 > 0 else float("inf")
     return PnDerivativeReport(res_h, order, flip_h)

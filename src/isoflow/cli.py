@@ -29,8 +29,8 @@ from .config import ConfigError, load_config
 from .families import FamilyTag, parameter_map
 from .flows import (IntegrationBlowupError, check_sign_conditions, integrate,
                     modification_report, write_trajectory_csv)
-from .mvk import (mvk_orthogonality_check, mvk_recurrence_check, mvk_table,
-                  write_mvk_csv)
+from .mvk import (degree_one_residual, mvk_orthogonality_check,
+                  mvk_recurrence_check, mvk_table, write_mvk_csv)
 from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, write_report_csv,
                      write_spectrum_csv)
@@ -80,6 +80,15 @@ def _print_results(results) -> None:
         if res.note:
             line += f"  ({res.note})"
         print(line)
+
+
+def _report_blowup(outdir: str, exc: IntegrationBlowupError) -> int:
+    """One failed ``integration`` row in place of the configured checks."""
+    results = [CheckResult("integration", float("inf"), 0.0, False,
+                           f"{exc}; last good sample at t={exc.last_state.t:.6g}")]
+    write_report_csv(os.path.join(outdir, "report.csv"), results)
+    _print_results(results)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -182,32 +191,20 @@ def _cmd_run(path: str) -> int:
     checks = cfgmod.check_list(cfg, RUN_CHECKS)
     outdir = cfgmod.output_dir(cfg)
 
-    results = []
     try:
         traj = integrate(alg, state0, policy, dt, t_end, record_every=record_every)
     except IntegrationBlowupError as exc:
-        last = exc.last_state
-        results.append(CheckResult(
-            "integration", float("inf"), 0.0, False,
-            f"state became non-finite near t={last.t:.6g}"))
-        write_report_csv(os.path.join(outdir, "report.csv"), results)
-        _print_results(results)
-        return 1
+        return _report_blowup(outdir, exc)
 
     write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj)
     if rep is not None:
-        spectra = []
-        for i in range(len(traj.t)):
-            st = traj.state(i)
-            op = build_L(rep, alg, st.r, st.s)
-            spectra.append(eigs_sym_tridiag(op).eigenvalues)
-        write_spectrum_csv(os.path.join(outdir, "spectrum.csv"),
-                           traj.t, spectra)
+        spectra = [eigs_sym_tridiag(build_L(rep, alg, st.r, st.s)).eigenvalues
+                   for st in map(traj.state, range(len(traj)))]
+        write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
 
-    for ccfg in checks:
-        results.append(_run_check(ccfg["name"], ccfg, alg=alg, rep=rep,
-                                  state0=state0, policy=policy, traj=traj,
-                                  dt=dt, t_end=t_end))
+    results = [_run_check(c["name"], c, alg=alg, rep=rep, state0=state0,
+                          policy=policy, traj=traj, dt=dt, t_end=t_end)
+               for c in checks]
     write_report_csv(os.path.join(outdir, "report.csv"), results)
     _print_results(results)
     return 0 if all_passed(results) else 1
@@ -292,7 +289,10 @@ def _cmd_chain(path: str) -> int:
     checks = cfgmod.check_list(cfg, CHAIN_CHECKS)
     outdir = cfgmod.output_dir(cfg)
 
-    traj = integrate_chain(state0, g, dt, t_end, record_every=record_every)
+    try:
+        traj = integrate_chain(state0, g, dt, t_end, record_every=record_every)
+    except IntegrationBlowupError as exc:
+        return _report_blowup(outdir, exc)
     _write_chain_csv(os.path.join(outdir, "chain_trajectory.csv"), traj)
     spectra = [chain_spectrum(traj.state(i)) for i in range(len(traj.t))]
     write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
@@ -323,17 +323,9 @@ def _mvk_check(name, ccfg, *, table, state0):
         value = mvk_recurrence_check(table, state0)
         return CheckResult(name, value, tol, value <= tol)
     if name == "degree_one_match":
-        from .chain import eigen_polys
-        from .mvk import mvk_table as build_table, unit_index
-        t1 = build_table(state0, 1) if table.N != 1 else table
-        lam = t1.eigenvalues
-        worst = 0.0
-        for i in range(state0.d + 1):
-            polys, _ = eigen_polys(state0, lam[i])
-            for jj in range(state0.d + 1):
-                lhs = t1.P(unit_index(state0.d + 1, jj), unit_index(state0.d + 1, i))
-                worst = max(worst, abs(lhs - polys[jj]))
-        return CheckResult(name, worst, tol, worst <= tol)
+        t1 = mvk_table(state0, 1) if table.N != 1 else table
+        value = degree_one_residual(t1, state0)
+        return CheckResult(name, value, tol, value <= tol)
     raise ConfigError(f"unknown check '{name}'")
 
 

@@ -132,13 +132,7 @@ def build_flow(cfg: dict) -> tuple[FlowState, UPolicy, float, float, int]:
     t0 = _number(cfg, "t0", "flow", default=0.0)
     dt = _number(cfg, "dt", "flow")
     t_end = _number(cfg, "t_end", "flow")
-    if dt <= 0:
-        raise ConfigError("flow.dt must be positive")
-    if t_end < t0:
-        raise ConfigError("flow.t_end must not precede flow.t0")
     record_every = int(_number(cfg, "record_every", "flow", default=1))
-    if record_every < 1:
-        raise ConfigError("flow.record_every must be >= 1")
     policy = build_policy(_require(cfg, "policy", "flow"))
     return FlowState(t0, r0, s0), policy, dt, t_end, record_every
 
@@ -164,14 +158,8 @@ def build_chain_flow(cfg: dict):
     state = build_chain_state(block)
     g = _number(block, "g", "chain", default=1.0)
     dt = _number(block, "dt", "chain", default=1e-3)
-    if dt <= 0:
-        raise ConfigError("chain.dt must be positive")
     t_end = _number(block, "t_end", "chain", default=state.t)
-    if t_end < state.t:
-        raise ConfigError("chain.t_end must not precede chain.t0")
     record_every = int(_number(block, "record_every", "chain", default=1))
-    if record_every < 1:
-        raise ConfigError("chain.record_every must be >= 1")
     return state, g, dt, t_end, record_every
 
 
@@ -191,13 +179,6 @@ def check_list(cfg: dict, allowed: set[str]) -> list[dict]:
             raise ConfigError(f"check {name}: tolerance must be positive")
         out.append(item)
     return out
-
-
-def seed_of(cfg: dict) -> int:
-    seed = cfg.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    return seed
 
 
 def output_dir(cfg: dict) -> str:

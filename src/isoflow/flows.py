@@ -9,7 +9,8 @@ The function I(r,s) = epsilon r^2 + (a s + 2c) s is conserved.  Along a flow
 the orthogonality weight of the diagonalizing family picks up a factor
 m(t)^x with m(t) = exp(K * int_0^t u/r); per family m(t) also has a closed
 form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
-g(t) = r (ln m)' / u and its constancy.
+g(t) = r (ln m)' / u and its constancy.  ``rk4_step``/``rk4_path`` are the
+one RK4 kernel, shared with the chain flow.
 """
 from __future__ import annotations
 
@@ -23,9 +24,10 @@ from .algebra import AlgebraSpec
 
 
 class IntegrationBlowupError(RuntimeError):
-    """Non-finite state encountered; carries the last good sample."""
+    """Non-finite state encountered; carries the last good sample (rk4_path:
+    the (t, y) samples recorded so far)."""
 
-    def __init__(self, message: str, last_state: "FlowState"):
+    def __init__(self, message: str, last_state):
         super().__init__(message)
         self.last_state = last_state
 
@@ -71,6 +73,8 @@ class SignedScaled:
             ts, vals = self.gamma
             if len(ts) != len(vals) or len(ts) < 2:
                 raise ValueError("gamma table needs matching t/value samples")
+            if any(b <= a for a, b in zip(ts, ts[1:])):
+                raise ValueError("gamma table t samples must be strictly increasing")
             if any(v <= 0 for v in vals):
                 raise ValueError("gamma must be positive")
 
@@ -122,53 +126,75 @@ class Trajectory:
         return FlowState(float(self.t[i]), float(self.r[i]), float(self.s[i]))
 
 
-def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
-              dt: float, t_end: float, record_every: int = 1) -> Trajectory:
-    """Classical fixed-step RK4 for (r, s); u is re-sampled at every stage.
+RHS = Callable[[float, np.ndarray], np.ndarray]
 
-    Records every ``record_every``-th step (always including the first and
-    last sample).  Raises IntegrationBlowupError on non-finite state.
+
+def rk4_step(f: RHS, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of y' = f(t, y) over a float64 vector."""
+    k1 = f(t, y)
+    k2 = f(t + dt / 2, y + dt / 2 * k1)
+    k3 = f(t + dt / 2, y + dt / 2 * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_path(f: RHS, t0: float, y0: np.ndarray, dt: float, t_end: float,
+             record_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 of y' = f(t, y) on the grid t0 + (i+1) dt up to t_end.
+
+    Returns (t, y) with one row of y per sample: t0, every
+    ``record_every``-th step and the last step.  ``dt`` must divide
+    ``t_end - t0`` (relative tolerance 1e-9).  Raises IntegrationBlowupError
+    on a non-finite state; its ``last_state`` holds the (t, y) samples
+    recorded before the failing step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if t_end < state0.t:
+    if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    n_steps = int(round((t_end - t0) / dt))
+    if not math.isclose(n_steps * dt, t_end - t0, rel_tol=1e-9):
+        raise ValueError(f"dt = {dt!r} does not divide t_end - t0 = "
+                         f"{t_end - t0!r} into whole steps")
 
-    n_steps = int(round((t_end - state0.t) / dt))
+    ts, ys = [t0], [y0]
+    t, y = t0, y0
+    # overflow on the way to a detected blow-up is expected; the non-finite
+    # check turns it into IntegrationBlowupError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            y = rk4_step(f, t, y, dt)
+            t = t0 + (i + 1) * dt
+            if not np.all(np.isfinite(y)):
+                raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
+                                             (np.array(ts), np.array(ys)))
+            if (i + 1) % record_every == 0 or i == n_steps - 1:
+                ts.append(t)
+                ys.append(y)
+    return np.array(ts), np.array(ys)
+
+
+def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
+              dt: float, t_end: float, record_every: int = 1) -> Trajectory:
+    """Classical fixed-step RK4 (``rk4_path``) for (r, s); u is re-sampled
+    at every stage.  Raises IntegrationBlowupError, carrying the last
+    recorded FlowState, on non-finite state."""
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         r, s = y
-        u = policy(t, r)
-        sd, rd = flow_rhs(alg, FlowState(t, r, s), u)
+        sd, rd = flow_rhs(alg, FlowState(t, r, s), policy(t, r))
         return np.array([rd, sd])
 
-    ts, rs, ss = [state0.t], [state0.r], [state0.s]
-    y = np.array([state0.r, state0.s], dtype=float)
-    t = state0.t
-    for i in range(n_steps):
-        # overflow on the way to a detected blow-up is expected; the
-        # non-finite check below turns it into IntegrationBlowupError
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(t, y)
-            k2 = rhs(t + dt / 2, y + dt / 2 * k1)
-            k3 = rhs(t + dt / 2, y + dt / 2 * k2)
-            k4 = rhs(t + dt, y + dt * k3)
-            y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = state0.t + (i + 1) * dt
-        if not np.all(np.isfinite(y)):
-            raise IntegrationBlowupError(
-                f"flow blew up near t = {t:.6g}",
-                FlowState(float(ts[-1]), float(rs[-1]), float(ss[-1])))
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            ts.append(t)
-            rs.append(float(y[0]))
-            ss.append(float(y[1]))
-
-    t_arr = np.array(ts)
-    r_arr = np.array(rs)
-    s_arr = np.array(ss)
+    try:
+        t_arr, y = rk4_path(rhs, state0.t, np.array([state0.r, state0.s], dtype=float),
+                            dt, t_end, record_every)
+    except IntegrationBlowupError as exc:
+        t, y = exc.last_state
+        exc.last_state = FlowState(float(t[-1]), float(y[-1, 0]), float(y[-1, 1]))
+        raise
+    r_arr, s_arr = y[:, 0], y[:, 1]
     u_arr = np.array([policy(ti, ri) for ti, ri in zip(t_arr, r_arr)])
     i_arr = np.array([invariant(alg, FlowState(ti, ri, si))
                       for ti, ri, si in zip(t_arr, r_arr, s_arr)])

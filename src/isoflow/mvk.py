@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (ChainState, GFun, _g_at, _rk4_step, chain_spectrum,
+from .chain import (ChainState, GFun, _advance, _g_at, chain_spectrum,
                     christoffel_weights, eigen_polys)
 from .families import FamilyTag, KrawtchoukParams, eval_hyper
 
@@ -180,6 +180,19 @@ def mvk_recurrence_check(table: MVKTable, state: ChainState) -> float:
     return worst
 
 
+def degree_one_residual(table1: MVKTable, state: ChainState) -> float:
+    """max |P(e_j', e_i') - p_j(lam_i)| of a degree-one table against the
+    eigenvector polynomials of ``state``."""
+    parts = state.d + 1
+    worst = 0.0
+    for i, lam in enumerate(table1.eigenvalues):
+        p, _ = eigen_polys(state, float(lam))
+        for j in range(parts):
+            lhs = table1.P(unit_index(parts, j), unit_index(parts, i))
+            worst = max(worst, abs(lhs - p[j]))
+    return worst
+
+
 # --------------------------------------------------------------------------
 # time derivative along the chain flow
 
@@ -227,8 +240,8 @@ def mvk_time_derivative_check(state: ChainState, g: GFun, N: int,
         return acc
 
     def residuals(step: float) -> tuple[float, float]:
-        tp = mvk_table(_rk4_step(state, g, step), N)
-        tm = mvk_table(_rk4_step(state, g, -step), N)
+        tp = mvk_table(_advance(state, g, step), N)
+        tm = mvk_table(_advance(state, g, -step), N)
         worst = worst_disp = 0.0
         for rho in idx:
             W0 = table0.W(rho)

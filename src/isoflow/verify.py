@@ -27,9 +27,8 @@ import numpy as np
 
 from .algebra import e2, oscillator, su2, su11
 from .chain import (ChainState, build_chain_L, chain_isospectrality_drift,
-                    chain_spectrum, christoffel_weights, eigen_polys,
-                    integrate_chain, pn_time_derivative_check,
-                    trace_invariants)
+                    chain_spectrum, christoffel_weights, integrate_chain,
+                    pn_time_derivative_check, trace_invariants)
 from .operators import TridiagonalOperator
 from .config import DEFAULT_SEED
 from .families import (FamilyTag, MeixnerFunctionParams, meixner_function,
@@ -37,9 +36,9 @@ from .families import (FamilyTag, MeixnerFunctionParams, meixner_function,
                        weight)
 from .flows import (FlowState, SignedScaled, Toda, integrate, invariant,
                     modification_report)
-from .mvk import (krawtchouk_reduction_check, mvk_orthogonality_check,
-                  mvk_recurrence_check, mvk_table, mvk_time_derivative_check,
-                  unit_index)
+from .mvk import (degree_one_residual, krawtchouk_reduction_check,
+                  mvk_orthogonality_check, mvk_recurrence_check, mvk_table,
+                  mvk_time_derivative_check)
 from .report import CheckResult
 from .representations import (E2, DiscreteSeriesPlus, Oscillator,
                               PrincipalSeries, SU2, build_L, lax_residual)
@@ -314,15 +313,8 @@ def _grp_mvk(rng) -> list[CheckResult]:
         out.append(_res(f"mvk_recurrence_d{d}N{N}",
                         mvk_recurrence_check(table, st), 1e-9))
 
-        table1 = mvk_table(st, 1)
-        lam = table1.eigenvalues
-        worst = 0.0
-        for i in range(d + 1):
-            p_i = [eigen_polys(st, float(lam[jj]))[0][i] for jj in range(d + 1)]
-            for jj in range(d + 1):
-                worst = max(worst, abs(table1.P(unit_index(d + 1, i),
-                                                unit_index(d + 1, jj)) - p_i[jj]))
-        out.append(_res(f"mvk_degree_one_match_d{d}", worst, 1e-12))
+        out.append(_res(f"mvk_degree_one_match_d{d}N{N}",
+                        degree_one_residual(mvk_table(st, 1), st), 1e-12))
     return out
 
 

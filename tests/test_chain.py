@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from isoflow import (ChainState, DegenerateSpectrumWarning, build_chain_L,
-                     chain_dense_L, chain_isospectrality_drift, chain_rhs,
-                     chain_spectrum, christoffel_weights, eigen_polys,
-                     integrate_chain, pn_time_derivative_check,
-                     trace_invariants)
+from isoflow import (ChainState, DegenerateSpectrumWarning,
+                     IntegrationBlowupError, build_chain_L, chain_dense_L,
+                     chain_isospectrality_drift, chain_rhs, chain_spectrum,
+                     christoffel_weights, eigen_polys, integrate_chain,
+                     pn_time_derivative_check, trace_invariants)
 
 
 def test_single_cell_worked_example():
@@ -103,6 +103,34 @@ def test_isospectral_flow():
     trN = trace_invariants(traj.state(len(traj) - 1))
     assert abs(trN.tr2 - tr0.tr2) <= 1e-9 * (1.0 + abs(tr0.tr2))
     assert abs(trN.tr3 - tr0.tr3) <= 1e-9 * (1.0 + abs(tr0.tr3))
+
+
+def test_chain_step_control_guards():
+    with pytest.raises(ValueError, match="dt = 0.3 .*t_end - t0 = 1.0"):
+        integrate_chain(STATES[3], 1.0, 0.3, 1.0)
+    with pytest.raises(ValueError, match="precede"):
+        integrate_chain(STATES[3], 1.0, 1e-3, -1.0)
+    with pytest.raises(ValueError, match="record_every"):
+        integrate_chain(STATES[3], 1.0, 1e-3, 1.0, record_every=0)
+    assert len(integrate_chain(STATES[3], 1.0, 1e-3, 0.0)) == 1
+
+
+def test_chain_blowup_carries_last_good_state():
+    with pytest.raises(IntegrationBlowupError) as info:
+        integrate_chain(STATES[3], 60.0, 0.05, 2.0)
+    last = info.value.last_state
+    assert isinstance(last, ChainState)
+    assert 0.0 <= last.t < 2.0
+    assert np.all(np.isfinite(last.s)) and min(last.r) > 0
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 5])
+def test_chain_refuses_step_leaving_positive_r(n_steps):
+    # one RK4 step of this state ends with r_1 <= 0 (its stages stay positive)
+    state = ChainState(0.0, (-2.41,), (0.18,))
+    with pytest.raises(IntegrationBlowupError) as info:
+        integrate_chain(state, 7.72, 0.2, 0.2 * n_steps)
+    assert info.value.last_state == state
 
 
 def test_pn_time_derivative_law():

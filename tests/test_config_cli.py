@@ -6,6 +6,7 @@ import json
 import pytest
 
 from isoflow.cli import main
+from isoflow.verify import run_verify
 
 RUN_CFG = {
     "algebra": {"class": "su2"},
@@ -121,6 +122,34 @@ def test_chain_demo(tmp_path, capsys):
     assert len(lines) == 1 + 11
 
 
+def test_chain_blowup_is_a_failed_check(tmp_path, capsys):
+    cfg = {"chain": {"s": [0.3, -0.2, 0.4], "r": [1.0, 0.8, 1.2], "g": 60.0,
+                     "dt": 0.05, "t_end": 2.0, "record_every": 1},
+           "checks": [{"name": "spectrum_sum", "tolerance": 1e-12}]}
+    code = main(["chain", _write(tmp_path, _with_out(cfg, tmp_path))])
+    assert code == 1
+    assert _report_rows(tmp_path) == {"integration": (float("inf"), 0.0, "false")}
+    assert not (tmp_path / "out" / "chain_trajectory.csv").exists()
+    assert "FAIL  integration" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, cfg, block", [("run", RUN_CFG, "flow"),
+                                                 ("chain", CHAIN_CFG, "chain")])
+def test_non_dividing_dt_exits_2(tmp_path, capsys, command, cfg, block):
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    cfg[block].update({"dt": 0.3, "t_end": 1.0})
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    assert "does not divide" in capsys.readouterr().err
+
+
+def test_unsorted_gamma_table_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["flow"]["policy"] = {"type": "signed_scaled", "sigma": 1,
+                             "gamma": {"t": [0.0, 1.0, 0.5], "values": [1.0, 2.0, 3.0]}}
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert "strictly increasing" in capsys.readouterr().err
+
+
 def test_mvk_demo(tmp_path):
     code = main(["mvk", _write(tmp_path, _with_out(MVK_CFG, tmp_path))])
     assert code == 0
@@ -192,3 +221,10 @@ def test_verify_deterministic_report(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert filecmp.cmp(tmp_path / "a" / "report.csv",
                        tmp_path / "b" / "report.csv", shallow=False)
+
+
+def test_verify_row_names_unique():
+    names = [r.name for r in run_verify()]
+    assert len(names) == 81
+    assert len(set(names)) == len(names)
+    assert len(run_verify(only="mvk")) == 15

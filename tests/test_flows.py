@@ -40,6 +40,15 @@ def test_policy_validation():
         SignedScaled(1, -2.0)
 
 
+def test_unsorted_gamma_table_rejected():
+    # np.interp would silently return 3.0 at t = 0.75 (the sorted table gives 2.5)
+    with pytest.raises(ValueError, match="increasing"):
+        SignedScaled(1, ((0.0, 1.0, 0.5), (1.0, 2.0, 3.0)))
+    with pytest.raises(ValueError, match="increasing"):
+        SignedScaled(1, ((0.0, 0.5, 0.5), (1.0, 2.0, 3.0)))
+    assert SignedScaled(1, ((0.0, 0.5, 1.0), (1.0, 3.0, 2.0))).gamma_at(0.75) == 2.5
+
+
 def test_su2_closed_form_orbit():
     """From (r, s) = (1, 0) the Toda flow follows sech/tanh exactly."""
     traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), Toda(), 1e-3, 2.0,
@@ -79,6 +88,16 @@ def test_recording_grid():
     assert len(traj) == 4
     single = integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.01, 0.0)
     assert len(single) == 1
+
+
+def test_dt_must_divide_horizon():
+    with pytest.raises(ValueError, match="dt = 0.3 .*t_end - t0 = 1.0"):
+        integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.3, 1.0)
+    with pytest.raises(ValueError, match="t_end - t0"):
+        integrate(su2(), FlowState(0.5, 1.0, 0.5), Toda(), 0.3, 0.7)
+    # whole step counts within rounding are accepted
+    assert len(integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.1, 0.3)) == 4
+    assert len(integrate(su2(), FlowState(0.2, 1.0, 0.5), Toda(), 0.1, 0.2)) == 1
 
 
 def test_blowup_carries_last_state():
