@@ -16,6 +16,7 @@ time-derivative law for the eigenvector polynomials.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -58,35 +59,35 @@ def _g_at(g: GFun, t: float) -> float:
     return g(t) if callable(g) else float(g)
 
 
-def _rhs_raw(t: float, s: np.ndarray, r: np.ndarray, g: GFun) -> tuple[np.ndarray, np.ndarray]:
-    gv = _g_at(g, t)
-    u = gv * r
-    s_pad = np.concatenate(([0.0], s, [0.0]))
-    ds = 2.0 * r * u
-    dr = u * (s_pad[:-2] - 2.0 * s_pad[1:-1] + s_pad[2:])
-    return ds, dr
+def _chain_eqs(gv: float, s, r) -> list[float]:
+    """(sdot_1..sdot_d, rdot_1..rdot_d) as one list, for the coupling value gv."""
+    u = [gv * ri for ri in r]
+    sp = [0.0, *s, 0.0]
+    return ([2.0 * ri * ui for ri, ui in zip(r, u)]
+            + [ui * (a - 2.0 * b + c) for ui, a, b, c in zip(u, sp, sp[1:], sp[2:])])
 
 
 def chain_rhs(state: ChainState, g: GFun) -> tuple[np.ndarray, np.ndarray]:
     """(sdot, rdot) with u_i = g(t) r_i and s_0 = s_{d+1} = 0."""
-    return _rhs_raw(state.t, np.asarray(state.s), np.asarray(state.r), g)
+    y = _chain_eqs(_g_at(g, state.t), state.s, state.r)
+    return np.array(y[:state.d]), np.array(y[state.d:])
 
 
 def _packed_rhs(g: GFun) -> RHS:
     """The flow as f(t, y) on y = (s, r); NaN once some r_i <= 0, which the
     RK4 kernel's non-finite check reports as a blow-up."""
-    def f(t: float, y: np.ndarray) -> np.ndarray:
+    def f(t: float, y: list[float]) -> list[float]:
         d = len(y) // 2
-        if y[d:].min() <= 0:
-            return np.full_like(y, np.nan)
-        ds, dr = _rhs_raw(t, y[:d], y[d:], g)
-        return np.concatenate([ds, dr])
+        r = y[d:]
+        if min(r) <= 0:
+            return [math.nan] * len(y)
+        return _chain_eqs(_g_at(g, t), y[:d], r)
     return f
 
 
 def _advance(state: ChainState, g: GFun, h: float) -> ChainState:
     """The state one RK4 step of signed size h away (centred differences)."""
-    y = rk4_step(_packed_rhs(g), state.t, np.concatenate([state.s, state.r]), h)
+    y = rk4_step(_packed_rhs(g), state.t, [*state.s, *state.r], h)
     return ChainState(state.t + h, tuple(y[:state.d]), tuple(y[state.d:]))
 
 
@@ -110,7 +111,7 @@ def integrate_chain(state0: ChainState, g: GFun, dt: float, t_end: float,
     IntegrationBlowupError carrying the last recorded good ChainState."""
     d = state0.d
     try:
-        t, y = rk4_path(_packed_rhs(g), state0.t, np.concatenate([state0.s, state0.r]),
+        t, y = rk4_path(_packed_rhs(g), state0.t, [*state0.s, *state0.r],
                         dt, t_end, record_every)
         if (y[-1, d:] <= 0).any():  # the last step never reaches the rhs check
             raise IntegrationBlowupError(f"chain left r_i > 0 at t = {t[-1]:.6g}", (t, y))

@@ -34,7 +34,8 @@ from .mvk import (degree_one_residual, mvk_orthogonality_check,
 from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, write_report_csv,
                      write_spectrum_csv)
-from .representations import build_L, check_compatible, lax_residual
+from .representations import (ConfigurationError, ParameterError, build_L,
+                              check_compatible, lax_residual)
 from .spectral import (_rep_labels, eigs_sym_tridiag, isospectrality_drift,
                        recurrence_residual)
 from .verify import GROUPS, run_verify
@@ -118,7 +119,35 @@ def _check_rows(op: TridiagonalOperator, limit: int = 24):
     return picked
 
 
-def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, dt, t_end):
+def _guarded(check, name, ccfg, **inputs) -> CheckResult:
+    """``check(name, ccfg, **inputs)``; a numerical error raised while it
+    computes is a failed row with value NaN and the reason in its note.
+    Errors in the input (ConfigError, ParameterError, ConfigurationError)
+    still propagate, to exit 2."""
+    try:
+        return check(name, ccfg, **inputs)
+    except (ConfigError, ParameterError, ConfigurationError):
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        return CheckResult(name, float("nan"), float(ccfg["tolerance"]), False,
+                           f"{type(exc).__name__}: {exc}")
+
+
+def _int_option(ccfg, key, default):
+    """A positive integer option of a check (``None`` stays ``None``)."""
+    value = ccfg.get(key, default)
+    if value is None:
+        return None
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        value = 0
+    if value < 1:
+        raise ConfigError(f"check '{ccfg['name']}': {key} must be a positive integer")
+    return value
+
+
+def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, full, dt, t_end):
     tol = float(ccfg["tolerance"])
     if name == "lax_residual":
         if rep is None:
@@ -131,7 +160,8 @@ def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, dt, t_end):
         value = float(np.max(np.abs(inv - inv[0]))) / max(1.0, abs(inv[0]))
         return CheckResult(name, value, tol, value <= tol)
     if name == "sign_conditions":
-        rep_report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end)
+        rep_report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end,
+                                           traj=full)
         value = 0.0 if rep_report.passed else 1.0
         note = (f"sigma_required={rep_report.sigma_required:+d} "
                 f"sigma_given={rep_report.sigma_given:+d} "
@@ -141,9 +171,9 @@ def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, dt, t_end):
         if rep is None:
             raise ConfigError("check 'isospectrality_drift' needs a representation block")
         mode = ccfg.get("mode", "all")
-        count = ccfg.get("count")
-        if count is not None:
-            count = int(count)
+        if mode not in ("all", "lowest", "central"):
+            raise ConfigError(f"check '{name}': unknown mode {mode!r}")
+        count = _int_option(ccfg, "count", None)
         value = isospectrality_drift(traj, rep, alg, mode=mode, count=count)
         return CheckResult(name, value, tol, value <= tol, f"mode={mode}")
     if name == "modification":
@@ -164,7 +194,7 @@ def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, dt, t_end):
         if fam_name not in _FAMILY_NAMES:
             raise ConfigError("check 'diagonalization' needs a known 'family' name")
         family = _FAMILY_NAMES[fam_name]
-        count = int(ccfg.get("points", 10))
+        count = _int_option(ccfg, "points", 10)
         labels = _rep_labels(rep)
         params, smap = parameter_map(family, alg, state0.r, state0.s, **labels)
         op = build_L(rep, alg, state0.r, state0.s)
@@ -191,10 +221,17 @@ def _cmd_run(path: str) -> int:
     checks = cfgmod.check_list(cfg, RUN_CHECKS)
     outdir = cfgmod.output_dir(cfg)
 
+    # sign_conditions reads the flow at every step: integrate it once at
+    # that resolution and take the recorded samples from its rows
+    every_step = any(c["name"] == "sign_conditions" for c in checks)
     try:
-        traj = integrate(alg, state0, policy, dt, t_end, record_every=record_every)
+        traj = integrate(alg, state0, policy, dt, t_end,
+                         record_every=1 if every_step else record_every)
     except IntegrationBlowupError as exc:
         return _report_blowup(outdir, exc)
+    full = None
+    if every_step:
+        full, traj = traj, traj.every(record_every)
 
     write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj)
     if rep is not None:
@@ -202,8 +239,8 @@ def _cmd_run(path: str) -> int:
                    for st in map(traj.state, range(len(traj)))]
         write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
 
-    results = [_run_check(c["name"], c, alg=alg, rep=rep, state0=state0,
-                          policy=policy, traj=traj, dt=dt, t_end=t_end)
+    results = [_guarded(_run_check, c["name"], c, alg=alg, rep=rep, state0=state0,
+                        policy=policy, traj=traj, full=full, dt=dt, t_end=t_end)
                for c in checks]
     write_report_csv(os.path.join(outdir, "report.csv"), results)
     _print_results(results)
@@ -297,7 +334,7 @@ def _cmd_chain(path: str) -> int:
     spectra = [chain_spectrum(traj.state(i)) for i in range(len(traj.t))]
     write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
 
-    results = [_chain_check(c["name"], c, state0=state0, traj=traj)
+    results = [_guarded(_chain_check, c["name"], c, state0=state0, traj=traj)
                for c in checks]
     write_report_csv(os.path.join(outdir, "report.csv"), results)
     _print_results(results)
@@ -340,7 +377,7 @@ def _cmd_mvk(path: str) -> int:
 
     table = mvk_table(state0, degree)
     write_mvk_csv(os.path.join(outdir, "mvk.csv"), table)
-    results = [_mvk_check(c["name"], c, table=table, state0=state0)
+    results = [_guarded(_mvk_check, c["name"], c, table=table, state0=state0)
                for c in checks]
     write_report_csv(os.path.join(outdir, "report.csv"), results)
     _print_results(results)

@@ -427,6 +427,40 @@ class SpectralMap:
         return self.slope * x + self.intercept
 
 
+def check_regime(fam: FamilyTag, alg: AlgebraSpec, r: float, s: float) -> None:
+    """Raise ParameterError unless the family matches the algebra class and
+    the sign regime of (r, s) (e.g. a negative-binomial lattice needs
+    s + c > |r| while the hyperbolic axis needs |s + c| < r)."""
+    se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
+
+    if fam is FamilyTag.KRAWTCHOUK:
+        _need(alg.clas == "su2", f"family {fam.value} needs the compact class")
+        _need(math.hypot(se, r) > 0, "zero operator has no spectral map")
+    elif fam in (FamilyTag.MEIXNER, FamilyTag.LAGUERRE, FamilyTag.MEIXNER_POLLACZEK,
+                 FamilyTag.MEIXNER_FUNCTION):
+        _need(alg.clas == "su11", f"family {fam.value} needs the non-compact class")
+        if fam is FamilyTag.MEIXNER:
+            _need(r > 0 and se > r, "negative-binomial case needs s + c > r > 0")
+        elif fam is FamilyTag.LAGUERRE:
+            _need(r > 0 and math.isclose(se, r, rel_tol=1e-12),
+                  "gamma case needs s + c = r > 0")
+        elif fam is FamilyTag.MEIXNER_POLLACZEK:
+            _need(r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r")
+        else:
+            _need(r > 0 and se > r, "bilateral case needs s + c > r > 0")
+    elif fam is FamilyTag.CHARLIER:
+        _need(alg.clas == "oscillator", f"family {fam.value} needs the oscillator class")
+        _need(alg.c_param != 0.0, "Poisson case needs c != 0")
+        _need(r != 0.0, "Poisson case needs r != 0")
+    elif fam is FamilyTag.HERMITE:
+        _need(alg.clas == "oscillator", f"family {fam.value} needs the oscillator class")
+        _need(alg.c_param == 0.0, "Gaussian case needs c = 0")
+        _need(r > 0, "Gaussian case needs r > 0")
+    else:
+        _need(alg.clas == "e2", f"family {fam.value} needs the flat class")
+        _need(alg.c_param != 0.0, "flat spectral map needs c != 0")
+
+
 def parameter_map(family: FamilyTag, alg: AlgebraSpec, r: float, s: float, *,
                   j: float | None = None, k: float | None = None,
                   h: float | None = None, rho: float | None = None,
@@ -435,75 +469,54 @@ def parameter_map(family: FamilyTag, alg: AlgebraSpec, r: float, s: float, *,
     parameters and the spectral change of variable.
 
     Raises ParameterError when the requested family does not match the
-    algebra class or the sign regime of (r, s) (e.g. a negative-binomial
-    lattice needs s + c > |r| while the hyperbolic axis needs |s + c| < r).
+    algebra class or the sign regime of (r, s) (``check_regime``), or a
+    representation label it needs is missing.
     """
     fam = FamilyTag(family)
+    check_regime(fam, alg, r, s)
     se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
 
     if fam is FamilyTag.KRAWTCHOUK:
-        _need(alg.clas == "su2", f"family {fam.value} needs the compact class")
         _need(j is not None, "label j required")
         C = math.hypot(se, r)
-        _need(C > 0, "zero operator has no spectral map")
         p = 0.5 + se / (2.0 * C)
         return KrawtchoukParams(p, int(round(2 * j))), SpectralMap(-2.0 * C, 2.0 * C * j, C)
 
     if fam is FamilyTag.MEIXNER:
-        _need(alg.clas == "su11", f"family {fam.value} needs the non-compact class")
         _need(k is not None, "label k required")
-        _need(r > 0 and se > r, "negative-binomial case needs s + c > r > 0")
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
         return MeixnerParams(2.0 * k, c), SpectralMap(2.0 * C, 2.0 * C * k, C)
 
     if fam is FamilyTag.LAGUERRE:
-        _need(alg.clas == "su11", f"family {fam.value} needs the non-compact class")
         _need(k is not None, "label k required")
-        _need(r > 0 and math.isclose(se, r, rel_tol=1e-12),
-              "gamma case needs s + c = r > 0")
         return LaguerreParams(2.0 * k - 1.0, r), SpectralMap(1.0, 0.0, 0.0)
 
     if fam is FamilyTag.MEIXNER_POLLACZEK:
-        _need(alg.clas == "su11", f"family {fam.value} needs the non-compact class")
         _need(k is not None, "label k required")
-        _need(r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r")
         C = math.sqrt(r * r - se * se)
         phi = math.acos(-se / r)
         return MeixnerPollaczekParams(k, phi), SpectralMap(2.0 * C, 0.0, C)
 
     if fam is FamilyTag.MEIXNER_FUNCTION:
-        _need(alg.clas == "su11", f"family {fam.value} needs the non-compact class")
         _need(rho is not None and eps is not None, "labels rho, eps required")
-        _need(r > 0 and se > r, "bilateral case needs s + c > r > 0")
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
         return MeixnerFunctionParams(rho, eps, c), SpectralMap(2.0 * C, 2.0 * C * eps, C)
 
     if fam is FamilyTag.CHARLIER:
-        _need(alg.clas == "oscillator", f"family {fam.value} needs the oscillator class")
         _need(k is not None and h is not None, "labels k, h required")
         cpar = alg.c_param
-        _need(cpar != 0.0, "Poisson case needs c != 0")
-        _need(r != 0.0, "Poisson case needs r != 0")
         a = h * r * r / (4.0 * cpar * cpar)
         big = r * r / (2.0 * cpar) + s
         return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * k - big * h, big)
 
     if fam is FamilyTag.HERMITE:
-        _need(alg.clas == "oscillator", f"family {fam.value} needs the oscillator class")
         _need(k is not None and h is not None, "labels k, h required")
-        _need(alg.c_param == 0.0, "Gaussian case needs c = 0")
-        _need(r > 0, "Gaussian case needs r > 0")
         return HermiteParams(-h * s, r * math.sqrt(2.0 * h)), SpectralMap(1.0, 0.0, 0.0)
 
-    if fam is FamilyTag.BESSEL:
-        _need(alg.clas == "e2", f"family {fam.value} needs the flat class")
-        _need(k is not None, "label k required")
-        _need(alg.c_param != 0.0, "flat spectral map needs c != 0")
-        return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0, 0.0)
-
-    raise ParameterError(f"unknown family {family!r}")
+    _need(k is not None, "label k required")  # Bessel
+    return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0, 0.0)
 
 
 def _need(cond: bool, msg: str) -> None:

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import AlgebraSpec
+from .families import FamilyTag, check_regime
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -99,9 +100,13 @@ def policy_sigma(policy: UPolicy) -> int:
 # the flow
 
 
+def _flow_eqs(alg: AlgebraSpec, r: float, s: float, u: float) -> tuple[float, float]:
+    return 2.0 * alg.epsilon * r * u, -2.0 * (alg.a * s + alg.c_param) * u
+
+
 def flow_rhs(alg: AlgebraSpec, state: FlowState, u: float) -> tuple[float, float]:
     """(sdot, rdot) = (2 epsilon r u, -2 (a s + c) u)."""
-    return 2.0 * alg.epsilon * state.r * u, -2.0 * (alg.a * state.s + alg.c_param) * u
+    return _flow_eqs(alg, state.r, state.s, u)
 
 
 def invariant(alg: AlgebraSpec, state: FlowState) -> float:
@@ -125,24 +130,42 @@ class Trajectory:
     def state(self, i: int) -> FlowState:
         return FlowState(float(self.t[i]), float(self.r[i]), float(self.s[i]))
 
+    def every(self, k: int) -> "Trajectory":
+        """Rows 0, k, 2k, ... and the last: from a run recorded at every
+        step, the samples ``integrate(..., record_every=k)`` records."""
+        if k < 1:
+            raise ValueError("record_every must be >= 1")
+        n = len(self) - 1
+        rows = list(range(0, n + 1, k)) + ([n] if n % k else [])
+        return Trajectory(self.t[rows], self.r[rows], self.s[rows],
+                          self.u[rows], self.invariant[rows])
 
-RHS = Callable[[float, np.ndarray], np.ndarray]
+
+RHS = Callable[[float, list[float]], list[float]]
 
 
-def rk4_step(f: RHS, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of y' = f(t, y) over a float64 vector."""
+def rk4_step(f: RHS, t: float, y: list[float], dt: float) -> list[float]:
+    """One classical RK4 step of y' = f(t, y) over a list of floats.
+
+    Component by component the arithmetic is that of the vector expressions
+    ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``,
+    so the result is bit-identical to them.
+    """
+    h = dt / 2
     k1 = f(t, y)
-    k2 = f(t + dt / 2, y + dt / 2 * k1)
-    k3 = f(t + dt / 2, y + dt / 2 * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
+    k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
+    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
+    w = dt / 6
+    return [a + w * (b1 + 2 * b2 + 2 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def rk4_path(f: RHS, t0: float, y0: np.ndarray, dt: float, t_end: float,
+def rk4_path(f: RHS, t0: float, y0: list[float], dt: float, t_end: float,
              record_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 of y' = f(t, y) on the grid t0 + (i+1) dt up to t_end.
 
-    Returns (t, y) with one row of y per sample: t0, every
+    Returns (t, y) arrays with one row of y per sample: t0, every
     ``record_every``-th step and the last step.  ``dt`` must divide
     ``t_end - t0`` (relative tolerance 1e-9).  Raises IntegrationBlowupError
     on a non-finite state; its ``last_state`` holds the (t, y) samples
@@ -161,18 +184,16 @@ def rk4_path(f: RHS, t0: float, y0: np.ndarray, dt: float, t_end: float,
 
     ts, ys = [t0], [y0]
     t, y = t0, y0
-    # overflow on the way to a detected blow-up is expected; the non-finite
-    # check turns it into IntegrationBlowupError
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            y = rk4_step(f, t, y, dt)
-            t = t0 + (i + 1) * dt
-            if not np.all(np.isfinite(y)):
-                raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
-                                             (np.array(ts), np.array(ys)))
-            if (i + 1) % record_every == 0 or i == n_steps - 1:
-                ts.append(t)
-                ys.append(y)
+    isfinite = math.isfinite
+    for i in range(n_steps):
+        y = rk4_step(f, t, y, dt)
+        t = t0 + (i + 1) * dt
+        if not all(map(isfinite, y)):
+            raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
+                                         (np.array(ts), np.array(ys)))
+        if (i + 1) % record_every == 0 or i == n_steps - 1:
+            ts.append(t)
+            ys.append(y)
     return np.array(ts), np.array(ys)
 
 
@@ -182,13 +203,13 @@ def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
     at every stage.  Raises IntegrationBlowupError, carrying the last
     recorded FlowState, on non-finite state."""
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: list[float]) -> list[float]:
         r, s = y
-        sd, rd = flow_rhs(alg, FlowState(t, r, s), policy(t, r))
-        return np.array([rd, sd])
+        sd, rd = _flow_eqs(alg, r, s, policy(t, r))
+        return [rd, sd]
 
     try:
-        t_arr, y = rk4_path(rhs, state0.t, np.array([state0.r, state0.s], dtype=float),
+        t_arr, y = rk4_path(rhs, state0.t, [float(state0.r), float(state0.s)],
                             dt, t_end, record_every)
     except IntegrationBlowupError as exc:
         t, y = exc.last_state
@@ -216,15 +237,20 @@ class SignConditionReport:
 
 
 def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
-                          dt: float = 1e-3, t_end: float = 1.0) -> SignConditionReport:
+                          dt: float = 1e-3, t_end: float = 1.0,
+                          traj: Trajectory | None = None) -> SignConditionReport:
     """Positivity diagnostic: requires r(0) > 0, s(0) > 0 and the policy sign
-    sgn(u) = epsilon * sgn(r); then integrates and reports min r, min s."""
+    sgn(u) = epsilon * sgn(r); then reports min r, min s over the flow
+    integrated at every step to t_end (at least one step).  ``traj``, when
+    it holds that flow already, is read instead of integrating again."""
     sigma_req = alg.required_sign()
     sigma_given = policy_sigma(policy)
     initial_ok = state0.r > 0 and state0.s > 0
     hypotheses = initial_ok and sigma_given == sigma_req
     try:
-        traj = integrate(alg, state0, policy, dt, state0.t + max(t_end - state0.t, dt))
+        if traj is None or len(traj) < 2:
+            traj = integrate(alg, state0, policy, dt,
+                             state0.t + max(t_end - state0.t, dt))
         min_r = float(traj.r.min())
         min_s = float(traj.s.min())
     except IntegrationBlowupError:
@@ -271,10 +297,12 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     g_i = r_i * (ln m)'_i / u_i by centered differences, the empirical
     constant K = mean(g), the worst deviation of g from K, and the worst
     relative error of m(t)/m(0) against exp(K * int_0^t u/r d tau)
-    (trapezoid quadrature on the same grid).
+    (trapezoid quadrature on the same grid).  Raises ParameterError when the
+    initial state lies outside the family's regime (``check_regime``).
     """
     if family not in _CLOSED_FORMS:
         raise KeyError(f"no closed-form modification for family {family!r}")
+    check_regime(FamilyTag(family), alg, float(traj.r[0]), float(traj.s[0]))
     if len(traj) < 3:
         raise ValueError("trajectory too short for centered differences")
     if np.any(np.abs(traj.r) < 1e-300) or np.any(np.abs(traj.u) < 1e-300):

@@ -150,6 +150,58 @@ def test_unsorted_gamma_table_exits_2(tmp_path, capsys):
     assert "strictly increasing" in capsys.readouterr().err
 
 
+def test_run_integrates_once_with_sign_conditions(tmp_path, monkeypatch):
+    import isoflow.cli as cli
+    import isoflow.flows as flows
+    calls, integrate = [], flows.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("record_every"))
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(flows, "integrate", counted)
+    assert main(["run", _write(tmp_path, _with_out(RUN_CFG, tmp_path, "a"))]) == 0
+    assert calls == [1]
+
+    # the samples taken from the every-step run are the recorded run's
+    no_sign = dict(RUN_CFG, checks=[c for c in RUN_CFG["checks"]
+                                    if c["name"] != "sign_conditions"])
+    assert main(["run", _write(tmp_path, _with_out(no_sign, tmp_path, "b"))]) == 0
+    assert calls == [1, 100]
+    for name in ("trajectory.csv", "spectrum.csv"):
+        assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+    rows_a, rows_b = _report_rows(tmp_path, "a"), _report_rows(tmp_path, "b")
+    assert rows_a.pop("sign_conditions") == (0.0, 0.5, "true")
+    assert rows_a == rows_b
+
+
+def test_numerical_error_in_a_check_is_a_failed_row(tmp_path, capsys):
+    # 1000 steps recorded every 300: the last sample is off the uniform grid
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["flow"]["record_every"] = 300
+    assert main(["run", _write(tmp_path, cfg)]) == 1
+    rows = _report_rows(tmp_path)
+    value, tol, ok = rows.pop("modification")
+    assert value != value and tol == 1e-5 and ok == "false"
+    assert all(ok == "true" for _, _, ok in rows.values())
+    out = capsys.readouterr().out
+    assert "FAIL  modification  value=nan" in out
+    assert "needs a uniform grid" in out
+
+
+def test_family_outside_its_regime_exits_2(tmp_path, capsys):
+    # r = s on su(1,1) is the Laguerre boundary, not the Meixner regime
+    cfg = {"algebra": {"class": "su11"},
+           "flow": {"r0": 1.0, "s0": 1.0, "dt": 1e-4, "t_end": 0.2,
+                    "policy": {"type": "signed_scaled", "sigma": -1}},
+           "checks": [{"name": "modification", "tolerance": 1e-6,
+                       "family": "meixner"}]}
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 2
+    assert "s + c > r > 0" in capsys.readouterr().err
+    cfg["checks"][0]["family"] = "laguerre"
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 0
+
+
 def test_mvk_demo(tmp_path):
     code = main(["mvk", _write(tmp_path, _with_out(MVK_CFG, tmp_path))])
     assert code == 0
@@ -181,6 +233,9 @@ def test_isoflow_out_overrides(tmp_path, monkeypatch):
     lambda c: c["checks"][0].update({"tolerance": -1.0}),
     lambda c: c["flow"].update({"dt": 0.0}),
     lambda c: c["flow"].update({"r0": "one"}),
+    lambda c: c["flow"].update({"record_every": 0}),
+    lambda c: c["checks"][3].update({"mode": "bogus"}),
+    lambda c: c["checks"][5].update({"points": 0}),
 ])
 def test_bad_run_configs_exit_2(tmp_path, capsys, mangle):
     cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))

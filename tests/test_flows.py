@@ -8,7 +8,7 @@ import pytest
 from isoflow import (DegenerateRatioError, FlowState, IntegrationBlowupError,
                      SignedScaled, Toda, Trajectory, check_sign_conditions,
                      flow_rhs, integrate, invariant, modification_report,
-                     oscillator, policy_sigma, su2, su11,
+                     ParameterError, oscillator, policy_sigma, su2, su11,
                      write_trajectory_csv)
 
 
@@ -145,6 +145,18 @@ def test_modification_laguerre_slope_not_asserted():
     assert rep.max_constancy_deviation < 1e-6
     assert rep.K_expected is None
     assert rep.K_empirical == pytest.approx(-2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("family, state", [
+    ("meixner", FlowState(0.0, 1.0, 1.0)),            # the Laguerre boundary
+    ("meixner", FlowState(0.0, 2.0, 1.0)),            # the hyperbolic axis
+    ("meixner_pollaczek", FlowState(0.0, 1.0, 1.25)),
+    ("laguerre", FlowState(0.0, 1.0, 1.25)),
+])
+def test_modification_rejects_state_outside_family_regime(family, state):
+    traj = integrate(su11(), state, SignedScaled(-1, 1.0), 1e-3, 0.1)
+    with pytest.raises(ParameterError):
+        modification_report(su11(), traj, family)
 
 
 def test_modification_rejects_degenerate_ratio():

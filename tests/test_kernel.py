@@ -1,15 +1,53 @@
-"""The shared RK4 kernel against two independent routes: the two separate
-RK4 loops the rank-1 and chain flows used before they shared one kernel
-(bit-for-bit), and the exact QR solution of the finite Toda lattice."""
+"""The shared RK4 kernel against two independent routes: numpy RK4 code
+(the two separate loops the rank-1 and chain flows used before they shared
+one kernel, and that kernel as it stood on numpy vectors), bit-for-bit, and
+the exact QR solution of the finite Toda lattice."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from isoflow import (ChainState, FlowState, SignedScaled, Toda, chain_dense_L,
-                     integrate, integrate_chain, invariant, oscillator, su2,
-                     su11)
-from isoflow.chain import _rhs_raw
+from isoflow import (ChainState, FlowState, IntegrationBlowupError,
+                     SignedScaled, Toda, chain_dense_L, integrate,
+                     integrate_chain, invariant, oscillator, su2, su11)
+from isoflow.chain import _advance
 from isoflow.flows import flow_rhs
+
+
+def np_chain_rhs(t, y, g):
+    """The chain flow on a numpy vector y = (s, r)."""
+    d = len(y) // 2
+    s, r = y[:d], y[d:]
+    u = (g(t) if callable(g) else float(g)) * r
+    s_pad = np.concatenate(([0.0], s, [0.0]))
+    ds = 2.0 * r * u
+    dr = u * (s_pad[:-2] - 2.0 * s_pad[1:-1] + s_pad[2:])
+    return np.concatenate([ds, dr])
+
+
+def np_rk4_step(f, t, y, dt):
+    k1 = f(t, y)
+    k2 = f(t + dt / 2, y + dt / 2 * k1)
+    k3 = f(t + dt / 2, y + dt / 2 * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def np_rk4_samples(f, t0, y0, dt, t_end, record_every):
+    """The samples the numpy kernel recorded before its first non-finite
+    step, or None when it reaches t_end."""
+    ts, ys = [t0], [y0]
+    t, y = t0, y0
+    n_steps = int(round((t_end - t0) / dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            y = np_rk4_step(f, t, y, dt)
+            t = t0 + (i + 1) * dt
+            if not np.all(np.isfinite(y)):
+                return np.array(ts), np.array(ys)
+            if (i + 1) % record_every == 0 or i == n_steps - 1:
+                ts.append(t)
+                ys.append(y)
+    return None
 
 
 def reference_integrate(alg, state0, policy, dt, t_end, record_every):
@@ -47,9 +85,7 @@ def reference_integrate_chain(state0, g, dt, t_end, record_every):
     """The chain RK4 loop (with its per-step state) as it stood before the
     shared kernel."""
     def f(t, y):
-        d = len(y) // 2
-        ds, dr = _rhs_raw(t, y[:d], y[d:], g)
-        return np.concatenate([ds, dr])
+        return np_chain_rhs(t, y, g)
 
     def step(state, dt):
         y = np.concatenate([state.s, state.r])
@@ -110,6 +146,55 @@ def test_integrate_chain_matches_reference_loop_bitwise(case, record_every):
     assert np.array_equal(traj.t, t)
     assert np.array_equal(traj.s, s)
     assert np.array_equal(traj.r, r)
+
+
+@pytest.mark.parametrize("h", [1e-4, -1e-4, 0.05, -0.05])
+@pytest.mark.parametrize("case", sorted(CHAIN_COUPLINGS))
+def test_advance_matches_numpy_step_bitwise(case, h):
+    g = CHAIN_COUPLINGS[case]
+    st = ChainState(0.3, CHAIN_STATE.s, CHAIN_STATE.r)
+    got = _advance(st, g, h)
+    want = np_rk4_step(lambda t, y: np_chain_rhs(t, y, g), st.t,
+                       np.array([*st.s, *st.r]), h)
+    assert got.t == st.t + h
+    assert np.array_equal(np.array([*got.s, *got.r]), want)
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+@pytest.mark.parametrize("case", sorted(RANK1_CASES))
+def test_every_kth_row_of_full_run_is_the_recorded_run(case, k):
+    alg, st0, pol, dt, t_end = RANK1_CASES[case]
+    full = integrate(alg, st0, pol, dt, t_end).every(k)
+    sparse = integrate(alg, st0, pol, dt, t_end, record_every=k)
+    for name in ("t", "r", "s", "u", "invariant"):
+        assert np.array_equal(getattr(full, name), getattr(sparse, name)), name
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_rank1_blowup_state_matches_numpy_kernel(record_every):
+    alg, st0, pol = su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 1.0)
+
+    def f(t, y):
+        sd, rd = flow_rhs(alg, FlowState(t, y[0], y[1]), pol(t, y[0]))
+        return np.array([rd, sd])
+
+    t, y = np_rk4_samples(f, st0.t, np.array([st0.r, st0.s]), 1e-3, 5.0, record_every)
+    with pytest.raises(IntegrationBlowupError) as info:
+        integrate(alg, st0, pol, 1e-3, 5.0, record_every=record_every)
+    assert info.value.last_state == FlowState(t[-1], y[-1, 0], y[-1, 1])
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_chain_blowup_state_matches_numpy_kernel(record_every):
+    st0 = ChainState(0.0, (0.3, -0.2, 0.4), (1.0, 0.8, 1.2))
+
+    def f(t, y):  # the kernel's guard: NaN once some r_i <= 0
+        return np.full_like(y, np.nan) if y[3:].min() <= 0 else np_chain_rhs(t, y, 60.0)
+
+    t, y = np_rk4_samples(f, st0.t, np.array([*st0.s, *st0.r]), 0.05, 2.0, record_every)
+    with pytest.raises(IntegrationBlowupError) as info:
+        integrate_chain(st0, 60.0, 0.05, 2.0, record_every=record_every)
+    assert info.value.last_state == ChainState(t[-1], tuple(y[-1, :3]), tuple(y[-1, 3:]))
 
 
 def exact_toda_L(state0, g, t):
