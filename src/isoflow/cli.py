@@ -26,7 +26,7 @@ from . import config as cfgmod
 from .chain import (chain_isospectrality_drift, chain_spectrum,
                     christoffel_weights, integrate_chain, trace_invariants)
 from .config import ConfigError, load_config
-from .families import FamilyTag, parameter_map
+from .families import FamilyTag
 from .flows import (IntegrationBlowupError, check_sign_conditions, integrate,
                     modification_report, write_trajectory_csv)
 from .mvk import (degree_one_residual, mvk_orthogonality_check,
@@ -36,8 +36,7 @@ from .report import (CheckResult, all_passed, write_report_csv,
                      write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
                               check_compatible, lax_residual)
-from .spectral import (_rep_labels, eigs_sym_tridiag, isospectrality_drift,
-                       recurrence_residual)
+from .spectral import eigs_sym_tridiag, isospectrality_drift, recurrence_residual
 from .verify import GROUPS, run_verify
 
 RUN_CHECKS = (
@@ -96,27 +95,24 @@ def _report_blowup(outdir: str, exc: IntegrationBlowupError) -> int:
 # isoflow run
 
 
-def _spectral_points(family: FamilyTag, smap, count: int):
-    """Family-appropriate spectral sample points (in the operator variable)."""
+def _spectral_points(family: FamilyTag, count: int) -> np.ndarray:
+    """Family-appropriate spectral sample points (in the family variable)."""
     if family in (FamilyTag.KRAWTCHOUK, FamilyTag.MEIXNER, FamilyTag.CHARLIER):
-        xs = np.arange(count, dtype=float)
-    elif family is FamilyTag.LAGUERRE:
-        xs = np.linspace(0.3, 9.0, count)
-    elif family is FamilyTag.BESSEL:
-        xs = np.arange(count, dtype=float) - count // 2
-    else:  # Meixner-Pollaczek, Hermite, Meixner functions
-        xs = np.linspace(-4.0, 4.0, count)
-    return [smap.eigenvalue(x) for x in xs]
+        return np.arange(count, dtype=float)
+    if family is FamilyTag.LAGUERRE:
+        return np.linspace(0.3, 9.0, count)
+    if family is FamilyTag.BESSEL:
+        return np.arange(count, dtype=float) - count // 2
+    return np.linspace(-4.0, 4.0, count)  # Meixner-Pollaczek, Hermite, Meixner functions
 
 
-def _check_rows(op: TridiagonalOperator, limit: int = 24):
-    rows = op.interior_rows()
-    lo = rows[0] if not op.lo_exact else op.base_index
-    hi = rows[-1] if not op.hi_exact else op.base_index + op.size - 1
-    picked = [n for n in range(lo, hi + 1)]
-    if len(picked) > limit:
-        picked = picked[: limit // 2] + picked[-limit // 2:]
-    return picked
+def _check_rows(op: TridiagonalOperator, limit: int = 24) -> list[int]:
+    """The interior rows of the window, the first and last ``limit // 2``
+    of them when there are more than ``limit``."""
+    rows = list(op.interior_rows())
+    if len(rows) > limit:
+        rows = rows[: limit // 2] + rows[-limit // 2:]
+    return rows
 
 
 def _guarded(check, name, ccfg, **inputs) -> CheckResult:
@@ -195,15 +191,9 @@ def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, full, dt, t_end):
             raise ConfigError("check 'diagonalization' needs a known 'family' name")
         family = _FAMILY_NAMES[fam_name]
         count = _int_option(ccfg, "points", 10)
-        labels = _rep_labels(rep)
-        params, smap = parameter_map(family, alg, state0.r, state0.s, **labels)
         op = build_L(rep, alg, state0.r, state0.s)
-        worst = 0.0
-        for lam in _spectral_points(family, smap, count):
-            for n in _check_rows(op):
-                res = recurrence_residual(family, params, rep, alg,
-                                          state0.r, state0.s, n, lam)
-                worst = max(worst, res)
+        worst = recurrence_residual(family, rep, alg, state0.r, state0.s,
+                                    _check_rows(op), _spectral_points(family, count))
         scaled = tol * (1.0 + op.inf_norm())
         return CheckResult(name, worst, scaled, worst <= scaled,
                            f"family={fam_name}; tolerance scaled by 1+|L|_inf")

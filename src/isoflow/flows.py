@@ -259,14 +259,15 @@ def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
     return SignConditionReport(passed, sigma_req, sigma_given, initial_ok, min_r, min_s)
 
 
-_CLOSED_FORMS: dict[str, Callable[[float, float, float], float]] = {
-    # family -> F(r, s, C) with m(t) = A0 * F
-    "krawtchouk": lambda r, s, C: (C + s) / (C - s),
-    "meixner": lambda r, s, C: math.exp(-2.0 * math.acosh(s / r)),
-    "laguerre": lambda r, s, C: math.exp(-1.0 / r),
-    "meixner_pollaczek": lambda r, s, C: math.exp(2.0 * math.acos(s / r)),
-    "charlier": lambda r, s, C: r * r,
-    "hermite": lambda r, s, C: math.exp(s / r),
+_CLOSED_FORMS: dict[str, Callable[[float, float, float, float], float]] = {
+    # family -> F(r, s, se, C) with m(t) = A0 * F, se = a s + c the
+    # coefficient of the grading element (the regimes of check_regime)
+    "krawtchouk": lambda r, s, se, C: (C + se) / (C - se),
+    "meixner": lambda r, s, se, C: math.exp(-2.0 * math.acosh(se / r)),
+    "laguerre": lambda r, s, se, C: math.exp(-1.0 / r),
+    "meixner_pollaczek": lambda r, s, se, C: math.exp(2.0 * math.acos(se / r)),
+    "charlier": lambda r, s, se, C: r * r,
+    "hermite": lambda r, s, se, C: math.exp(s / r),
 }
 
 # K = g(t) predicted from the flow equations; None where the derivation in
@@ -308,10 +309,12 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     if np.any(np.abs(traj.r) < 1e-300) or np.any(np.abs(traj.u) < 1e-300):
         raise DegenerateRatioError("r or u vanishes on the grid")
 
-    i0 = invariant(alg, traj.state(0))
+    # C^2 = |I + a c^2|: r^2 + se^2 on su(2), |se^2 - r^2| on su(1,1)
+    i0 = invariant(alg, traj.state(0)) + alg.a * alg.c_param ** 2
     C = math.sqrt(abs(i0)) if abs(i0) > 0 else 0.0
     f = _CLOSED_FORMS[family]
-    ln_m = np.array([math.log(f(r, s, C)) for r, s in zip(traj.r, traj.s)])
+    ln_m = np.array([math.log(f(r, s, alg.a * s + alg.c_param, C))
+                     for r, s in zip(traj.r, traj.s)])
     dt = np.diff(traj.t)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("modification check needs a uniform grid")

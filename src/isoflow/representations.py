@@ -244,10 +244,10 @@ def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, 
     ldot_off = r_dot * g.e_coeff
     ldot = TridiagonalOperator(g.base_index, ldot_diag, ldot_off,
                                g.lo_exact, g.hi_exact).to_dense()
-    ld = build_L(rep, alg, r, s).to_dense()
+    op = build_L(rep, alg, r, s)
+    ld = op.to_dense()
     md = build_M(rep, alg, u).to_dense()
     comm = md @ ld - ld @ md
-    op = build_L(rep, alg, r, s)
     rows = op.interior_rows()
     if len(rows) == 0:
         raise ConfigurationError("window too small: no interior rows survive truncation")

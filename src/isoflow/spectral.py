@@ -15,8 +15,7 @@ from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
                        parameter_map)
 from .flows import Trajectory
 from .operators import TridiagonalOperator
-from .representations import (ConfigurationError, RepresentationSpec, build_L,
-                              build_generators)
+from .representations import ConfigurationError, RepresentationSpec, build_L
 from .specfun import bessel_j
 
 
@@ -49,28 +48,36 @@ def _rep_labels(rep: RepresentationSpec) -> dict:
 
 
 def eigenfunction(family: FamilyTag, params, smap: SpectralMap,
-                  alg: AlgebraSpec, r: float, n_label: int, lam: float) -> float:
+                  alg: AlgebraSpec, r: float, n_label: int, lam):
     """Component psi_n of the closed-form eigenvector of the operator at
-    eigenvalue ``lam``, in the operator's orthonormal basis."""
+    eigenvalue ``lam``, in the operator's orthonormal basis.  ``lam`` may be
+    an ndarray of eigenvalues; the components are then evaluated at each."""
     fam = FamilyTag(family)
     x = smap.to_family_variable(lam)
     if fam is FamilyTag.BESSEL:
-        return bessel_j(int(round(x)) - n_label, params.z)
+        return _each(lambda xi: bessel_j(int(round(xi)) - n_label, params.z), x)
     if fam is FamilyTag.MEIXNER_FUNCTION:
-        return meixner_function(n_label, x, params)
+        return _each(lambda xi: meixner_function(n_label, xi, params), x)
     sign = 1.0
     if fam is FamilyTag.CHARLIER:
         sign = -math.copysign(1.0, r / alg.c_param)
     return sign ** n_label * eval_rec(fam, params, n_label, x)
 
 
-def recurrence_residual(family: FamilyTag, params, rep: RepresentationSpec,
-                        alg: AlgebraSpec, r: float, s: float, n: int,
-                        spectral_point: float) -> float:
-    """Absolute residual of row ``n`` (0-based within the realized window)
-    of L psi = Lambda psi with the family's closed-form eigenfunction.
+def _each(f, x):
+    """``f`` at a scalar ``x``, or at every element of an ndarray ``x``."""
+    return f(x) if np.ndim(x) == 0 else np.array([f(xi) for xi in x.tolist()])
 
-    The value is the plain |row sum|, analytically zero.  Note that the
+
+def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
+                        alg: AlgebraSpec, r: float, s: float, rows,
+                        points) -> float:
+    """Worst absolute residual of L psi = Lambda psi over the ``rows``
+    (0-based within the realized window) and the spectral ``points`` (in the
+    family's own variable x, Lambda = smap.eigenvalue(x)), with the family's
+    closed-form eigenfunction.  NaN when any row evaluates to NaN.
+
+    Each row is the plain |row sum|, analytically zero.  Note that the
     closed-form eigenfunctions are not unit vectors: their components grow
     like the inverse square root of the spectral weight near lattice tails,
     so on wide windows with a strongly tilted weight (e.g. a large
@@ -85,25 +92,32 @@ def recurrence_residual(family: FamilyTag, params, rep: RepresentationSpec,
     fam = FamilyTag(family)
     L = build_L(rep, alg, r, s)
     size = L.size
-    if not (0 <= n < size):
-        raise ConfigurationError(f"row {n} outside window of size {size}")
-    _, smap = parameter_map(fam, alg, r, s, **_rep_labels(rep))
-    base = build_generators(rep).base_index
-
-    def psi(row: int) -> float:
-        return eigenfunction(fam, params, smap, alg, r, base + row, spectral_point)
-
-    lam = float(spectral_point)
-    acc = (L.diag[n] - lam) * psi(n)
-    if n >= 1:
-        acc += L.off[n - 1] * psi(n - 1)
-    elif not L.lo_exact:
+    rows, points = np.asarray(rows, dtype=int), np.asarray(points, dtype=float)
+    if rows.size == 0 or points.size == 0:
+        raise ConfigurationError("residual needs at least one row and one point")
+    bad = rows[(rows < 0) | (rows >= size)]
+    if bad.size:
+        raise ConfigurationError(f"row {bad[0]} outside window of size {size}")
+    params, smap = parameter_map(fam, alg, r, s, **_rep_labels(rep))
+    if not L.lo_exact and (rows == 0).any():
         raise ConfigurationError("row touches the truncated lower edge")
-    if n <= size - 2:
-        acc += L.off[n] * psi(n + 1)
-    elif not L.hi_exact:
+    if not L.hi_exact and (rows == size - 1).any():
         raise ConfigurationError("row touches the truncated upper edge")
-    return abs(acc)
+
+    # one row of psi per component the rows reach, psi_m at row at[m + 1];
+    # past an exact edge at[] points to the last row, which stays zero
+    lam = smap.eigenvalue(points)
+    comps = np.unique(np.clip(np.concatenate([rows - 1, rows, rows + 1]), 0, size - 1))
+    psi = np.zeros((len(comps) + 1, len(points)))
+    at = np.full(size + 2, len(comps))
+    for i, m in enumerate(comps.tolist()):
+        psi[i] = eigenfunction(fam, params, smap, alg, r, L.base_index + m, lam)
+        at[m + 1] = i
+    off = np.concatenate(([0.0], L.off, [0.0]))  # off[n] couples rows n - 1 and n
+    acc = (L.diag[rows][:, None] - lam) * psi[at[rows + 1]]
+    acc += off[rows][:, None] * psi[at[rows]]
+    acc += off[rows + 1][:, None] * psi[at[rows + 2]]
+    return float(np.abs(acc).max())
 
 
 # --------------------------------------------------------------------------

@@ -119,18 +119,11 @@ def _grp_closed_form(rng) -> list[CheckResult]:
 def _grp_diagonalization(rng) -> list[CheckResult]:
     out = []
 
-    def run_family(tag, fam, rep, alg, r, s, points, rows, labels):
-        params, smap = parameter_map(fam, alg, r, s, **labels)
+    def run_family(tag, fam, rep, alg, r, s, points, rows):
         L = build_L(rep, alg, r, s)
-        tol = 1e-11 * (1.0 + L.inf_norm())
-        worst = 0.0
-        for x in points:
-            lam = smap.eigenvalue(x)
-            for n in rows:
-                worst = max(worst, recurrence_residual(
-                    fam, params, rep, alg, r, s, n, lam))
-        out.append(_res(f"diag_residual_{tag}", worst, tol))
-        return params, smap, L
+        worst = recurrence_residual(fam, rep, alg, r, s, rows, points)
+        out.append(_res(f"diag_residual_{tag}", worst, 1e-11 * (1.0 + L.inf_norm())))
+        return L
 
     # compact class: finite lattice, exact spectrum.  s = 0 keeps the
     # lattice weight balanced over the 21-point window; a tilted weight
@@ -139,29 +132,27 @@ def _grp_diagonalization(rng) -> list[CheckResult]:
     rep = SU2(10.0)
     alg = su2()
     r, s = 1.0, 0.0
-    _, smap, L = run_family("krawtchouk", FamilyTag.KRAWTCHOUK, rep, alg, r, s,
-                            range(20), range(21), {"j": 10.0})
+    L = run_family("krawtchouk", FamilyTag.KRAWTCHOUK, rep, alg, r, s,
+                   range(20), range(21))
     dec = eigs_sym_tridiag(L)
+    _, smap = parameter_map(FamilyTag.KRAWTCHOUK, alg, r, s, j=rep.j)
     expected = np.sort([smap.eigenvalue(x) for x in range(21)])
     out.append(_res("su2_spectrum_match",
                     float(np.abs(dec.eigenvalues - expected).max()), 1e-10))
 
     run_family("meixner", FamilyTag.MEIXNER, DiscreteSeriesPlus(1.0, 60),
-               su11(), 1.0, 1.025, range(20), range(31), {"k": 1.0})
+               su11(), 1.0, 1.025, range(20), range(31))
     run_family("laguerre", FamilyTag.LAGUERRE, DiscreteSeriesPlus(0.8, 50),
-               su11(), 1.3, 1.3, np.linspace(0.3, 12.0, 20), range(26),
-               {"k": 0.8})
+               su11(), 1.3, 1.3, np.linspace(0.3, 12.0, 20), range(26))
     run_family("meixner_pollaczek", FamilyTag.MEIXNER_POLLACZEK,
                DiscreteSeriesPlus(1.2, 50), su11(), 2.0, 1.0,
-               np.linspace(-4.0, 4.0, 20), range(26), {"k": 1.2})
+               np.linspace(-4.0, 4.0, 20), range(26))
     run_family("charlier", FamilyTag.CHARLIER, Oscillator(0.5, 1.0, 60),
-               oscillator(1.0), 6.0, 0.5, range(20), range(31),
-               {"k": 0.5, "h": 1.0})
+               oscillator(1.0), 6.0, 0.5, range(20), range(31))
     run_family("hermite", FamilyTag.HERMITE, Oscillator(0.5, 2.0, 60),
-               oscillator(0.0), 1.1, 0.7, np.linspace(-5.0, 5.0, 20),
-               range(31), {"k": 0.5, "h": 2.0})
+               oscillator(0.0), 1.1, 0.7, np.linspace(-5.0, 5.0, 20), range(31))
     run_family("bessel", FamilyTag.BESSEL, E2(2.0, -40, 40), e2(1.0),
-               1.3, 0.4, range(-9, 11), range(30, 51), {"k": 2.0})
+               1.3, 0.4, range(-9, 11), range(30, 51))
 
     out.append(_res("flat_fourier_identity", degenerate_e2_check(2.0, 1.3), 1e-13))
     return out

@@ -3,6 +3,7 @@ exit codes, and determinism of the verification suite."""
 import filecmp
 import json
 
+import numpy as np
 import pytest
 
 from isoflow.cli import main
@@ -200,6 +201,22 @@ def test_family_outside_its_regime_exits_2(tmp_path, capsys):
     assert "s + c > r > 0" in capsys.readouterr().err
     cfg["checks"][0]["family"] = "laguerre"
     assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 0
+
+
+def test_nan_diagonalization_rows_fail(tmp_path, capsys):
+    # on the tilted j = 400 window the closed-form components overflow and
+    # 101 row residuals are NaN: the check reports NaN and fails
+    cfg = {"algebra": {"class": "su2"},
+           "representation": {"type": "su2", "j": 400},
+           "flow": {"r0": 1.0, "s0": 0.9, "dt": 1e-3, "t_end": 1e-3,
+                    "policy": {"type": "toda"}},
+           "checks": [{"name": "diagonalization", "tolerance": 1e-11,
+                       "family": "krawtchouk", "points": 10}]}
+    with np.errstate(all="ignore"):
+        assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 1
+    value, _, ok = _report_rows(tmp_path)["diagonalization"]
+    assert value != value and ok == "false"
+    assert "FAIL  diagonalization  value=nan" in capsys.readouterr().out
 
 
 def test_mvk_demo(tmp_path):

@@ -135,6 +135,22 @@ def test_modification_su2():
     assert rep.K_expected == pytest.approx(4.0 * c_val)
 
 
+@pytest.mark.parametrize("family, alg, state, policy, dt, t_end", [
+    ("krawtchouk", su2(0.5), FlowState(0.0, 1.0, 0.0), Toda(), 1e-3, 1.0),
+    ("meixner", su11(0.5), FlowState(0.0, 1.0, 0.8), SignedScaled(-1, 1.0), 1e-4, 0.2),
+    ("meixner_pollaczek", su11(0.5), FlowState(0.0, 2.0, 1.0),
+     SignedScaled(-1, 1.0), 1e-4, 0.2),
+])
+def test_modification_with_central_shift(family, alg, state, policy, dt, t_end):
+    """With c != 0 the closed forms read se = s + c, the variable the
+    family regimes use, and C^2 = |I + c^2|."""
+    traj = integrate(alg, state, policy, dt, t_end)
+    rep = modification_report(alg, traj, family)
+    assert rep.max_constancy_deviation < 1e-9
+    assert rep.closed_form_max_error < 1e-9
+    assert rep.K_empirical == pytest.approx(rep.K_expected, abs=1e-9)
+
+
 def test_modification_laguerre_slope_not_asserted():
     """The equal-parameter stratum is preserved; the measured slope runs
     against the circulated derivation, so it is reported, not gated."""

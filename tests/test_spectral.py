@@ -4,14 +4,58 @@ import numpy as np
 import pytest
 
 from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
-                     FlowState, Oscillator, PrincipalSeries, SU2, Toda,
-                     TridiagonalOperator, build_L, degenerate_e2_check,
-                     eigenfunction, eigs_sym_tridiag, eval_rec, e2, integrate,
-                     isospectrality_drift, oscillator, parameter_map,
-                     recurrence_residual, su2, su11)
+                     FlowState, Oscillator, ParameterError, PrincipalSeries,
+                     SU2, Toda, TridiagonalOperator, build_L,
+                     degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
+                     eval_rec, e2, integrate, isospectrality_drift, oscillator,
+                     parameter_map, recurrence_residual, su2, su11)
+from isoflow.cli import _check_rows, _spectral_points
 from isoflow.specfun import bessel_j
 
 F = FamilyTag
+
+
+def reference_row_residual(family, params, smap, rep, alg, r, s, n, lam):
+    """Row ``n`` of L psi = Lambda psi at one eigenvalue, as the residual
+    was computed before it was batched: psi_{n-1}, psi_n, psi_{n+1} one
+    scalar eigenfunction call each, summed in the order
+    (diag[n] - Lambda) psi_n + off[n-1] psi_{n-1} + off[n] psi_{n+1}."""
+    L = build_L(rep, alg, r, s)
+    size = L.size
+    if not (0 <= n < size):
+        raise ConfigurationError(f"row {n} outside window of size {size}")
+
+    def psi(row):
+        return eigenfunction(family, params, smap, alg, r, L.base_index + row, lam)
+
+    lam = float(lam)
+    acc = (L.diag[n] - lam) * psi(n)
+    if n >= 1:
+        acc += L.off[n - 1] * psi(n - 1)
+    elif not L.lo_exact:
+        raise ConfigurationError("row touches the truncated lower edge")
+    if n <= size - 2:
+        acc += L.off[n] * psi(n + 1)
+    elif not L.hi_exact:
+        raise ConfigurationError("row touches the truncated upper edge")
+    return abs(acc)
+
+
+def reference_residuals(family, rep, alg, r, s, labels, points, rows):
+    """Every row residual at every point, from the scalar reference."""
+    params, smap = parameter_map(family, alg, r, s, **labels)
+    return [reference_row_residual(family, params, smap, rep, alg, r, s, n,
+                                   smap.eigenvalue(x))
+            for x in points for n in rows]
+
+
+def reference_worst(*args):
+    """The reference's worst row: Python's max, which skips a NaN that
+    follows a number."""
+    worst = 0.0
+    for res in reference_residuals(*args):
+        worst = max(worst, res)
+    return worst
 
 
 def test_two_by_two_decomposition():
@@ -56,16 +100,66 @@ CASES = [
 
 @pytest.mark.parametrize("family,rep,alg,r,s,labels,points,rows", CASES)
 def test_recurrence_residual_rows(family, rep, alg, r, s, labels, points, rows):
-    params, smap = parameter_map(family, alg, r, s, **labels)
     L = build_L(rep, alg, r, s)
     tol = 1e-11 * (1.0 + L.inf_norm())
-    worst = 0.0
-    for x in points:
-        lam = smap.eigenvalue(x)
-        for n in rows:
-            worst = max(worst, recurrence_residual(
-                family, params, rep, alg, r, s, n, lam))
+    worst = recurrence_residual(family, rep, alg, r, s, rows, points)
     assert worst <= tol
+    assert worst == reference_worst(family, rep, alg, r, s, labels, points, rows)
+
+
+def _capped_su2(j, s=0.2):
+    """The su2 window j at (r, s) = (1, s) with the rows and points that
+    ``isoflow run``'s diagonalization check picks (10 points)."""
+    rep = SU2(j)
+    return (F.KRAWTCHOUK, rep, su2(), 1.0, s, {"j": j},
+            _spectral_points(F.KRAWTCHOUK, 10),
+            _check_rows(build_L(rep, su2(), 1.0, s)))
+
+
+BIT_CASES = {
+    # the seven families of isoflow verify's diagonalization group
+    "krawtchouk": (F.KRAWTCHOUK, SU2(10.0), su2(), 1.0, 0.0, {"j": 10.0},
+                   range(20), range(21)),
+    "meixner": (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025,
+                {"k": 1.0}, range(20), range(31)),
+    "laguerre": (F.LAGUERRE, DiscreteSeriesPlus(0.8, 50), su11(), 1.3, 1.3,
+                 {"k": 0.8}, np.linspace(0.3, 12.0, 20), range(26)),
+    "meixner_pollaczek": (F.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 50),
+                          su11(), 2.0, 1.0, {"k": 1.2},
+                          np.linspace(-4.0, 4.0, 20), range(26)),
+    "charlier": (F.CHARLIER, Oscillator(0.5, 1.0, 60), oscillator(1.0), 6.0,
+                 0.5, {"k": 0.5, "h": 1.0}, range(20), range(31)),
+    "hermite": (F.HERMITE, Oscillator(0.5, 2.0, 60), oscillator(0.0), 1.1, 0.7,
+                {"k": 0.5, "h": 2.0}, np.linspace(-5.0, 5.0, 20), range(31)),
+    "bessel": (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, {"k": 2.0},
+               range(-9, 11), range(30, 51)),
+    # a bilateral window, its truncated edges left out
+    "meixner_function": (F.MEIXNER_FUNCTION, PrincipalSeries(0.7, 0.3, -25, 25),
+                         su11(), 1.0, 1.2, {"rho": 0.7, "eps": 0.3},
+                         np.linspace(-4.0, 4.0, 10), range(2, 49)),
+    # tilted su2 windows, where the absolute residual is large
+    "su2_j10": _capped_su2(10.0),
+    "su2_j30": _capped_su2(30.0),
+    "su2_j60": _capped_su2(60.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIT_CASES))
+def test_batched_residual_matches_scalar_reference(case):
+    family, rep, alg, r, s, labels, points, rows = BIT_CASES[case]
+    got = recurrence_residual(family, rep, alg, r, s, rows, points)
+    assert got == reference_worst(family, rep, alg, r, s, labels, points, rows)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_residual_reports_nan_rows():
+    # on the wide tilted su2 window the closed-form components overflow
+    # and some rows are inf - inf; the scalar loop's max skipped them
+    family, rep, alg, r, s, labels, points, rows = _capped_su2(400.0, 0.9)
+    per_row = reference_residuals(family, rep, alg, r, s, labels, points, rows)
+    assert np.isnan(per_row).sum() == 101
+    assert np.isfinite(reference_worst(family, rep, alg, r, s, labels, points, rows))
+    assert np.isnan(recurrence_residual(family, rep, alg, r, s, rows, points))
 
 
 def test_truncated_window_lowest_eigenvalues():
@@ -95,19 +189,41 @@ def test_eigenfunction_routing():
 
 def test_residual_rejects_bad_rows():
     alg = su11()
-    params, _ = parameter_map(F.MEIXNER, alg, 1.0, 1.025, k=1.0)
     rep = DiscreteSeriesPlus(1.0, 40)
+    points = [0.0, 3.0]
+    # the truncated upper edge, and a row past the window
     with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER, params, rep, alg, 1.0, 1.025, 40, 3.0)
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [0, 20, 40], points)
     with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER, params, rep, alg, 1.0, 1.025, 41, 3.0)
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [39, 41], points)
     # doubly truncated window rejects the bottom row as well
     rep2 = PrincipalSeries(0.7, 0.3, -25, 25)
-    params2, _ = parameter_map(F.MEIXNER_FUNCTION, su11(), 1.0, 1.2, rho=0.7,
-                               eps=0.3)
     with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER_FUNCTION, params2, rep2, su11(),
-                            1.0, 1.2, 0, 1.0)
+        recurrence_residual(F.MEIXNER_FUNCTION, rep2, su11(), 1.0, 1.2,
+                            [10, 0], [1.0])
+    # no rows or no points would be a vacuous pass
+    with pytest.raises(ConfigurationError):
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [], points)
+    with pytest.raises(ConfigurationError):
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [3], [])
+    # a state outside the family's regime
+    with pytest.raises(ParameterError):
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 0.5, [3], points)
+
+
+def test_eigenfunction_on_an_array_of_eigenvalues():
+    # each element equals the scalar call, for the recurrence families and
+    # the two that evaluate element by element
+    for family, alg, r, s, labels, xs in [
+            (F.CHARLIER, oscillator(1.0), 6.0, 0.5, {"k": 0.5, "h": 1.0}, [0.0, 4.0, 9.0]),
+            (F.BESSEL, e2(1.0), 1.3, 0.4, {"k": 2.0}, [-3.0, 5.0]),
+            (F.MEIXNER_FUNCTION, su11(), 1.0, 1.2, {"rho": 0.7, "eps": 0.3}, [-2.0, 1.5])]:
+        params, smap = parameter_map(family, alg, r, s, **labels)
+        lam = smap.eigenvalue(np.array(xs))
+        got = eigenfunction(family, params, smap, alg, r, 3, lam)
+        want = [eigenfunction(family, params, smap, alg, r, 3, float(v)) for v in lam]
+        assert got.shape == lam.shape
+        assert list(got) == want
 
 
 def test_isospectrality_along_flow():
