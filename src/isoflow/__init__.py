@@ -12,8 +12,8 @@ from .chain import (ChainState, ChainTrajectory, ChainWeights,
                     DegenerateSpectrumWarning, TraceInvariants, build_chain_L,
                     chain_dense_L, chain_isospectrality_drift, chain_rhs,
                     chain_spectrum, christoffel_weights, eigen_polys,
-                    integrate_chain, pn_time_derivative_check,
-                    trace_invariants)
+                    integrate_chain, pn_time_derivative_check, spectrum_sum,
+                    trace_flow_drift, trace_invariants)
 from .families import (BesselParams, CharlierParams, FamilyTag,
                        HermiteParams, KrawtchoukParams, LaguerreParams,
                        MeixnerFunctionParams, MeixnerParams,
@@ -26,22 +26,23 @@ from .flows import (DegenerateRatioError, FlowState, IntegrationBlowupError,
                     Toda, Trajectory, check_sign_conditions, flow_rhs,
                     integrate, invariant, modification_report, policy_sigma,
                     write_trajectory_csv)
-from .mvk import (MVKTable, krawtchouk_reduction_check, multi_indices,
+from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
+                  krawtchouk_reduction_check, multi_indices,
                   multinom, mvk_orthogonality_check, mvk_recurrence_check,
                   mvk_table, mvk_time_derivative_check, symmetric_chain_state,
                   unit_index, write_mvk_csv)
 from .operators import SkewTridiagonalOperator, TridiagonalOperator
-from .report import CheckResult, all_passed, write_report_csv, write_spectrum_csv
+from .report import (CheckResult, all_passed, check_result, guarded,
+                     relative_error, write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               Generators, Oscillator, ParameterError,
                               PrincipalSeries, RepresentationSpec, SU2,
                               build_generators, build_L, build_M,
                               check_compatible, lax_residual)
-from .specfun import (PoleError, PrecisionError, bessel_j, complex_log_gamma,
-                      gauss_legendre_panels, regularized_2f1)
+from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, degenerate_e2_check,
                        eigenfunction, eigs_sym_tridiag, isospectrality_drift,
-                       recurrence_residual)
+                       recurrence_residual, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

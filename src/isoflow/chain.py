@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .flows import RHS, IntegrationBlowupError, rk4_path, rk4_step
+from .report import relative_error
 
 
 class DegenerateSpectrumWarning(RuntimeWarning):
@@ -170,11 +171,22 @@ def chain_spectrum(state: ChainState) -> np.ndarray:
     return lam
 
 
+def spectrum_sum(state: ChainState) -> float:
+    """|sum of the eigenvalues|, zero for the traceless operator."""
+    return abs(float(np.sum(chain_spectrum(state))))
+
+
 @dataclass(frozen=True)
 class ChainWeights:
     eigenvalues: np.ndarray
     weights: np.ndarray
     Q: np.ndarray  # Q[n, r] = p_n(lam_r) sqrt(w_r), orthogonal
+
+    def orthogonality(self) -> tuple[float, float]:
+        """(primal, dual): max |Q^T Q - 1| and max |Q Q^T - 1|."""
+        eye = np.eye(len(self.Q))
+        return (float(np.abs(self.Q.T @ self.Q - eye).max()),
+                float(np.abs(self.Q @ self.Q.T - eye).max()))
 
 
 def christoffel_weights(state: ChainState) -> ChainWeights:
@@ -204,6 +216,21 @@ class TraceInvariants:
     tr4_dense: float
     tr2_unit_variant: float  # closed form lacking the factor 2 on sum r_i^2
 
+    @property
+    def dense(self) -> np.ndarray:
+        return np.array([self.tr2_dense, self.tr3_dense, self.tr4_dense])
+
+    @property
+    def closed_vs_dense(self) -> np.ndarray:
+        """``relative_error`` of the closed-form traces of L^2, L^3, L^4
+        against the dense ones."""
+        return relative_error(np.array([self.tr2, self.tr3, self.tr4]), self.dense)
+
+    @property
+    def variant_gap(self) -> float:
+        """|tr2_unit_variant - tr L^2|, which must stay visibly nonzero."""
+        return abs(self.tr2_unit_variant - self.tr2_dense)
+
 
 def trace_invariants(state: ChainState) -> TraceInvariants:
     """Closed-form traces of L^2, L^3, L^4 against dense matrix powers.
@@ -228,6 +255,13 @@ def trace_invariants(state: ChainState) -> TraceInvariants:
     tr3_d = float(np.trace(L2 @ L))
     tr4_d = float(np.trace(L2 @ L2))
     return TraceInvariants(tr2, tr3, tr4, tr2_d, tr3_d, tr4_d, tr2_unit)
+
+
+def trace_flow_drift(traj: ChainTrajectory) -> np.ndarray:
+    """Worst ``relative_error`` of the dense traces of L^2, L^3, L^4 along
+    the trajectory against its first sample, one value per power."""
+    dense = np.array([trace_invariants(traj.state(i)).dense for i in range(len(traj))])
+    return relative_error(dense, dense[0]).max(axis=0)
 
 
 def chain_isospectrality_drift(traj: ChainTrajectory) -> float:

@@ -16,6 +16,7 @@ seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -24,48 +25,26 @@ import numpy as np
 
 from . import config as cfgmod
 from .chain import (chain_isospectrality_drift, chain_spectrum,
-                    christoffel_weights, integrate_chain, trace_invariants)
+                    christoffel_weights, integrate_chain, spectrum_sum,
+                    trace_flow_drift, trace_invariants)
 from .config import ConfigError, load_config
 from .families import FamilyTag
 from .flows import (IntegrationBlowupError, check_sign_conditions, integrate,
                     modification_report, write_trajectory_csv)
-from .mvk import (degree_one_residual, mvk_orthogonality_check,
-                  mvk_recurrence_check, mvk_table, write_mvk_csv)
+from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .operators import TridiagonalOperator
-from .report import (CheckResult, all_passed, write_report_csv,
-                     write_spectrum_csv)
+from .report import (CheckResult, all_passed, check_result, guarded,
+                     write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
                               check_compatible, lax_residual)
-from .spectral import eigs_sym_tridiag, isospectrality_drift, recurrence_residual
+from .spectral import (eigs_sym_tridiag, isospectrality_drift,
+                       recurrence_residual, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
-RUN_CHECKS = (
-    "lax_residual",
-    "invariant_drift",
-    "sign_conditions",
-    "isospectrality_drift",
-    "modification",
-    "diagonalization",
-)
-
-CHAIN_CHECKS = (
-    "spectrum_sum",
-    "orthogonality",
-    "trace_closed_vs_dense",
-    "trace_flow_drift",
-    "tr2_variant_detected",
-    "isospectrality_drift",
-)
-
-MVK_CHECKS = (
-    "base_entry",
-    "orthogonality",
-    "dual_orthogonality",
-    "recurrence",
-    "degree_one_match",
-)
-
 _FAMILY_NAMES = {tag.value: tag for tag in FamilyTag}
+
+# errors in the input: they exit 2 instead of becoming failed rows
+_INPUT_ERRORS = (ConfigError, ParameterError, ConfigurationError)
 
 
 def _fail(msg: str) -> int:
@@ -73,22 +52,52 @@ def _fail(msg: str) -> int:
     return 2
 
 
-def _print_results(results) -> None:
+def _finish(outdir: str, results: list[CheckResult]) -> int:
+    """Write report.csv, print one PASS/FAIL line per row, return the exit
+    code."""
+    write_report_csv(os.path.join(outdir, "report.csv"), results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         line = f"{status}  {res.name}  value={res.value:.6g}  tol={res.tolerance:.6g}"
         if res.note:
             line += f"  ({res.note})"
         print(line)
+    return 0 if all_passed(results) else 1
 
 
 def _report_blowup(outdir: str, exc: IntegrationBlowupError) -> int:
     """One failed ``integration`` row in place of the configured checks."""
-    results = [CheckResult("integration", float("inf"), 0.0, False,
-                           f"{exc}; last good sample at t={exc.last_state.t:.6g}")]
-    write_report_csv(os.path.join(outdir, "report.csv"), results)
-    _print_results(results)
-    return 1
+    return _finish(outdir, [check_result(
+        "integration", math.inf, 0.0,
+        note=f"{exc}; last good sample at t={exc.last_state.t:.6g}")])
+
+
+def _row(ccfg, value, note="", direction="<=") -> CheckResult:
+    """The row of the configured check ``ccfg``."""
+    return check_result(ccfg["name"], value, float(ccfg["tolerance"]), direction, note)
+
+
+def _results(checks, registry, **inputs) -> list[CheckResult]:
+    """One row per configured check, computed by its ``registry`` entry
+    under ``guarded``: a numerical error is a failed row, an input error
+    exits 2."""
+    return [row for c in checks
+            for row in guarded(lambda: [registry[c["name"]](c, **inputs)], c["name"],
+                               float(c["tolerance"]), _INPUT_ERRORS)]
+
+
+def _int_option(ccfg, key, default):
+    """A positive integer option of a check (``None`` stays ``None``)."""
+    value = ccfg.get(key, default)
+    if value is None:
+        return None
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        value = 0
+    if value < 1:
+        raise ConfigError(f"check '{ccfg['name']}': {key} must be a positive integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -115,89 +124,75 @@ def _check_rows(op: TridiagonalOperator, limit: int = 24) -> list[int]:
     return rows
 
 
-def _guarded(check, name, ccfg, **inputs) -> CheckResult:
-    """``check(name, ccfg, **inputs)``; a numerical error raised while it
-    computes is a failed row with value NaN and the reason in its note.
-    Errors in the input (ConfigError, ParameterError, ConfigurationError)
-    still propagate, to exit 2."""
-    try:
-        return check(name, ccfg, **inputs)
-    except (ConfigError, ParameterError, ConfigurationError):
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        return CheckResult(name, float("nan"), float(ccfg["tolerance"]), False,
-                           f"{type(exc).__name__}: {exc}")
+def _need_rep(ccfg, rep) -> None:
+    if rep is None:
+        raise ConfigError(f"check '{ccfg['name']}' needs a representation block")
 
 
-def _int_option(ccfg, key, default):
-    """A positive integer option of a check (``None`` stays ``None``)."""
-    value = ccfg.get(key, default)
-    if value is None:
-        return None
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        value = 0
-    if value < 1:
-        raise ConfigError(f"check '{ccfg['name']}': {key} must be a positive integer")
-    return value
+def _family(ccfg) -> FamilyTag:
+    if ccfg.get("family") not in _FAMILY_NAMES:
+        raise ConfigError(f"check '{ccfg['name']}' needs a known 'family' name")
+    return _FAMILY_NAMES[ccfg["family"]]
 
 
-def _run_check(name, ccfg, *, alg, rep, state0, policy, traj, full, dt, t_end):
-    tol = float(ccfg["tolerance"])
-    if name == "lax_residual":
-        if rep is None:
-            raise ConfigError("check 'lax_residual' needs a representation block")
-        u0 = policy(state0.t, state0.r)
-        value = lax_residual(rep, alg, state0.r, state0.s, u0)
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "invariant_drift":
-        inv = np.asarray(traj.invariant)
-        value = float(np.max(np.abs(inv - inv[0]))) / max(1.0, abs(inv[0]))
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "sign_conditions":
-        rep_report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end,
-                                           traj=full)
-        value = 0.0 if rep_report.passed else 1.0
-        note = (f"sigma_required={rep_report.sigma_required:+d} "
-                f"sigma_given={rep_report.sigma_given:+d} "
-                f"min_r={rep_report.min_r:.3g} min_s={rep_report.min_s:.3g}")
-        return CheckResult(name, value, tol, rep_report.passed, note)
-    if name == "isospectrality_drift":
-        if rep is None:
-            raise ConfigError("check 'isospectrality_drift' needs a representation block")
-        mode = ccfg.get("mode", "all")
-        if mode not in ("all", "lowest", "central"):
-            raise ConfigError(f"check '{name}': unknown mode {mode!r}")
-        count = _int_option(ccfg, "count", None)
-        value = isospectrality_drift(traj, rep, alg, mode=mode, count=count)
-        return CheckResult(name, value, tol, value <= tol, f"mode={mode}")
-    if name == "modification":
-        fam_name = ccfg.get("family")
-        if fam_name not in _FAMILY_NAMES:
-            raise ConfigError("check 'modification' needs a known 'family' name")
-        rep_report = modification_report(alg, traj, _FAMILY_NAMES[fam_name])
-        value = max(rep_report.max_constancy_deviation,
-                    rep_report.closed_form_max_error)
-        note = f"K_empirical={rep_report.K_empirical:.9g}"
-        if rep_report.K_expected is not None:
-            note += f" K_expected={rep_report.K_expected:.9g}"
-        return CheckResult(name, value, tol, value <= tol, note)
-    if name == "diagonalization":
-        if rep is None:
-            raise ConfigError("check 'diagonalization' needs a representation block")
-        fam_name = ccfg.get("family")
-        if fam_name not in _FAMILY_NAMES:
-            raise ConfigError("check 'diagonalization' needs a known 'family' name")
-        family = _FAMILY_NAMES[fam_name]
-        count = _int_option(ccfg, "points", 10)
-        op = build_L(rep, alg, state0.r, state0.s)
-        worst = recurrence_residual(family, rep, alg, state0.r, state0.s,
-                                    _check_rows(op), _spectral_points(family, count))
-        scaled = tol * (1.0 + op.inf_norm())
-        return CheckResult(name, worst, scaled, worst <= scaled,
-                           f"family={fam_name}; tolerance scaled by 1+|L|_inf")
-    raise ConfigError(f"unknown check '{name}'")
+def _lax_residual(ccfg, *, alg, rep, state0, policy, **_):
+    _need_rep(ccfg, rep)
+    u0 = policy(state0.t, state0.r)
+    return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0))
+
+
+def _sign_conditions(ccfg, *, alg, state0, policy, full, dt, t_end, **_):
+    report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end, traj=full)
+    note = (f"sigma_required={report.sigma_required:+d} "
+            f"sigma_given={report.sigma_given:+d} "
+            f"min_r={report.min_r:.3g} min_s={report.min_s:.3g}")
+    # the verdict is the sign report's; the value only records it
+    return CheckResult(ccfg["name"], 0.0 if report.passed else 1.0,
+                       float(ccfg["tolerance"]), report.passed, note)
+
+
+def _isospectrality_drift(ccfg, *, alg, rep, traj, **_):
+    _need_rep(ccfg, rep)
+    mode = ccfg.get("mode", "all")
+    if mode not in ("all", "lowest", "central"):
+        raise ConfigError(f"check '{ccfg['name']}': unknown mode {mode!r}")
+    count = _int_option(ccfg, "count", None)
+    value = isospectrality_drift(traj, rep, alg, mode=mode, count=count)
+    return _row(ccfg, value, f"mode={mode}")
+
+
+def _modification(ccfg, *, alg, traj, **_):
+    report = modification_report(alg, traj, _family(ccfg))
+    note = f"K_empirical={report.K_empirical:.9g}"
+    if report.K_expected is not None:
+        note += f" K_expected={report.K_expected:.9g}"
+    return _row(ccfg, max(report.max_constancy_deviation,
+                          report.closed_form_max_error), note)
+
+
+def _diagonalization(ccfg, *, alg, rep, state0, **_):
+    _need_rep(ccfg, rep)
+    family = _family(ccfg)
+    count = _int_option(ccfg, "points", 10)
+    op = build_L(rep, alg, state0.r, state0.s)
+    worst = recurrence_residual(family, rep, alg, state0.r, state0.s,
+                                _check_rows(op), _spectral_points(family, count))
+    note = f"family={family.value}; tolerance scaled by 1+|L|_inf"
+    if not math.isfinite(worst):
+        note += "; residual non-finite because the closed-form components overflowed"
+    return check_result(ccfg["name"], worst,
+                        scaled_tolerance(float(ccfg["tolerance"]), op), note=note)
+
+
+_RUN = {
+    "lax_residual": _lax_residual,
+    "invariant_drift": lambda ccfg, *, traj, **_: _row(ccfg, traj.invariant_drift()),
+    "sign_conditions": _sign_conditions,
+    "isospectrality_drift": _isospectrality_drift,
+    "modification": _modification,
+    "diagonalization": _diagonalization,
+}
+RUN_CHECKS = tuple(_RUN)
 
 
 def _cmd_run(path: str) -> int:
@@ -229,12 +224,9 @@ def _cmd_run(path: str) -> int:
                    for st in map(traj.state, range(len(traj)))]
         write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
 
-    results = [_guarded(_run_check, c["name"], c, alg=alg, rep=rep, state0=state0,
-                        policy=policy, traj=traj, full=full, dt=dt, t_end=t_end)
-               for c in checks]
-    write_report_csv(os.path.join(outdir, "report.csv"), results)
-    _print_results(results)
-    return 0 if all_passed(results) else 1
+    return _finish(outdir, _results(checks, _RUN, alg=alg, rep=rep, state0=state0,
+                                    policy=policy, traj=traj, full=full,
+                                    dt=dt, t_end=t_end))
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +237,10 @@ def _cmd_verify(only, seed) -> int:
     t0 = time.perf_counter()
     results = run_verify(only=only, seed=seed)
     elapsed = time.perf_counter() - t0
-    outdir = cfgmod.output_dir({})
-    write_report_csv(os.path.join(outdir, "report.csv"), results)
-    _print_results(results)
-    n_fail = sum(1 for r in results if not r.passed)
-    print(f"{len(results) - n_fail}/{len(results)} checks passed "
+    code = _finish(cfgmod.output_dir({}), results)
+    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed "
           f"in {elapsed:.2f}s")
-    return 0 if n_fail == 0 else 1
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -269,45 +258,20 @@ def _write_chain_csv(path: str, traj) -> None:
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def _chain_check(name, ccfg, *, state0, traj):
-    tol = float(ccfg["tolerance"])
-    if name == "spectrum_sum":
-        value = abs(float(np.sum(chain_spectrum(state0))))
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "orthogonality":
-        cw = christoffel_weights(state0)
-        q = cw.Q
-        eye = np.eye(q.shape[0])
-        value = max(float(np.max(np.abs(q.T @ q - eye))),
-                    float(np.max(np.abs(q @ q.T - eye))))
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "trace_closed_vs_dense":
-        ti = trace_invariants(state0)
-        value = max(
-            abs(ti.tr2 - ti.tr2_dense) / max(1.0, abs(ti.tr2_dense)),
-            abs(ti.tr3 - ti.tr3_dense) / max(1.0, abs(ti.tr3_dense)),
-            abs(ti.tr4 - ti.tr4_dense) / max(1.0, abs(ti.tr4_dense)))
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "trace_flow_drift":
-        base = trace_invariants(state0)
-        ref = (base.tr2_dense, base.tr3_dense, base.tr4_dense)
-        value = 0.0
-        for i in range(len(traj.t)):
-            ti = trace_invariants(traj.state(i))
-            now = (ti.tr2_dense, ti.tr3_dense, ti.tr4_dense)
-            for a, b in zip(now, ref):
-                value = max(value, abs(a - b) / max(1.0, abs(b)))
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "tr2_variant_detected":
-        ti = trace_invariants(state0)
-        value = abs(ti.tr2_unit_variant - ti.tr2_dense)
-        return CheckResult(
-            name, value, tol, value > tol,
-            "variant lacking the factor 2 on sum r_i^2; pass iff value > tolerance")
-    if name == "isospectrality_drift":
-        value = chain_isospectrality_drift(traj)
-        return CheckResult(name, value, tol, value <= tol)
-    raise ConfigError(f"unknown check '{name}'")
+_CHAIN = {
+    "spectrum_sum": lambda ccfg, *, state0, **_: _row(ccfg, spectrum_sum(state0)),
+    "orthogonality": lambda ccfg, *, state0, **_: _row(
+        ccfg, max(christoffel_weights(state0).orthogonality())),
+    "trace_closed_vs_dense": lambda ccfg, *, state0, **_: _row(
+        ccfg, trace_invariants(state0).closed_vs_dense.max()),
+    "trace_flow_drift": lambda ccfg, *, traj, **_: _row(ccfg, trace_flow_drift(traj).max()),
+    "tr2_variant_detected": lambda ccfg, *, state0, **_: _row(
+        ccfg, trace_invariants(state0).variant_gap,
+        "variant lacking the factor 2 on sum r_i^2", ">"),
+    "isospectrality_drift": lambda ccfg, *, traj, **_: _row(
+        ccfg, chain_isospectrality_drift(traj)),
+}
+CHAIN_CHECKS = tuple(_CHAIN)
 
 
 def _cmd_chain(path: str) -> int:
@@ -323,37 +287,19 @@ def _cmd_chain(path: str) -> int:
     _write_chain_csv(os.path.join(outdir, "chain_trajectory.csv"), traj)
     spectra = [chain_spectrum(traj.state(i)) for i in range(len(traj.t))]
     write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
-
-    results = [_guarded(_chain_check, c["name"], c, state0=state0, traj=traj)
-               for c in checks]
-    write_report_csv(os.path.join(outdir, "report.csv"), results)
-    _print_results(results)
-    return 0 if all_passed(results) else 1
+    return _finish(outdir, _results(checks, _CHAIN, state0=state0, traj=traj))
 
 
 # ---------------------------------------------------------------------------
 # isoflow mvk
 
 
-def _mvk_check(name, ccfg, *, table, state0):
-    tol = float(ccfg["tolerance"])
-    if name == "base_entry":
-        base = tuple([table.N] + [0] * table.d)
-        worst = max(abs(table.P(base, rho) - 1.0) for rho in table.indices)
-        return CheckResult(name, worst, tol, worst <= tol,
-                           "leading entry fixed to one")
-    if name in ("orthogonality", "dual_orthogonality"):
-        primal, dual = mvk_orthogonality_check(table)
-        value = primal if name == "orthogonality" else dual
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "recurrence":
-        value = mvk_recurrence_check(table, state0)
-        return CheckResult(name, value, tol, value <= tol)
-    if name == "degree_one_match":
-        t1 = mvk_table(state0, 1) if table.N != 1 else table
-        value = degree_one_residual(t1, state0)
-        return CheckResult(name, value, tol, value <= tol)
-    raise ConfigError(f"unknown check '{name}'")
+def _mvk_row(ccfg, *, table, state0):
+    return _row(ccfg, TABLE_CHECKS[ccfg["name"]](table, state0))
+
+
+_MVK = dict.fromkeys(TABLE_CHECKS, _mvk_row)
+MVK_CHECKS = tuple(_MVK)
 
 
 def _cmd_mvk(path: str) -> int:
@@ -367,11 +313,7 @@ def _cmd_mvk(path: str) -> int:
 
     table = mvk_table(state0, degree)
     write_mvk_csv(os.path.join(outdir, "mvk.csv"), table)
-    results = [_guarded(_mvk_check, c["name"], c, table=table, state0=state0)
-               for c in checks]
-    write_report_csv(os.path.join(outdir, "report.csv"), results)
-    _print_results(results)
-    return 0 if all_passed(results) else 1
+    return _finish(outdir, _results(checks, _MVK, table=table, state0=state0))
 
 
 # ---------------------------------------------------------------------------

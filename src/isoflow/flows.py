@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec
 from .families import FamilyTag, check_regime
+from .report import relative_error
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -139,6 +140,10 @@ class Trajectory:
         rows = list(range(0, n + 1, k)) + ([n] if n % k else [])
         return Trajectory(self.t[rows], self.r[rows], self.s[rows],
                           self.u[rows], self.invariant[rows])
+
+    def invariant_drift(self) -> float:
+        """Worst ``relative_error`` of I along the samples against I_0."""
+        return float(relative_error(self.invariant, self.invariant[0]).max())
 
 
 RHS = Callable[[float, list[float]], list[float]]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -78,6 +79,11 @@ class MVKTable:
     @property
     def indices(self) -> list[tuple[int, ...]]:
         return list(multi_indices(self.d + 1, self.N))
+
+    @cached_property
+    def orthogonality(self) -> tuple[float, float]:
+        """``mvk_orthogonality_check`` of this table, computed once."""
+        return mvk_orthogonality_check(self)
 
 
 def _mul_linear(poly: dict, coeffs: np.ndarray) -> dict:
@@ -180,6 +186,13 @@ def mvk_recurrence_check(table: MVKTable, state: ChainState) -> float:
     return worst
 
 
+def base_entry_error(table: MVKTable) -> float:
+    """max |P((N, 0, ..., 0)', rho') - 1| over rho: the leading entry is one
+    by construction."""
+    base = (table.N,) + (0,) * table.d
+    return max(abs(table.P(base, rho) - 1.0) for rho in table.indices)
+
+
 def degree_one_residual(table1: MVKTable, state: ChainState) -> float:
     """max |P(e_j', e_i') - p_j(lam_i)| of a degree-one table against the
     eigenvector polynomials of ``state``."""
@@ -191,6 +204,18 @@ def degree_one_residual(table1: MVKTable, state: ChainState) -> float:
             lhs = table1.P(unit_index(parts, j), unit_index(parts, i))
             worst = max(worst, abs(lhs - p[j]))
     return worst
+
+
+# name -> residual(table, state) of a degree-N table built from ``state``:
+# the checks of ``isoflow mvk`` and of verify's mvk group
+TABLE_CHECKS = {
+    "base_entry": lambda table, state: base_entry_error(table),
+    "orthogonality": lambda table, state: table.orthogonality[0],
+    "dual_orthogonality": lambda table, state: table.orthogonality[1],
+    "recurrence": lambda table, state: mvk_recurrence_check(table, state),
+    "degree_one_match": lambda table, state: degree_one_residual(
+        table if table.N == 1 else mvk_table(state, 1), state),
+}
 
 
 # --------------------------------------------------------------------------

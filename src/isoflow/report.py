@@ -1,6 +1,9 @@
-"""Check results and the CSV artifacts every entry point writes."""
+"""Check results, the one guard that turns a numerical error into a failed
+row, and the CSV artifacts every entry point writes."""
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +16,43 @@ class CheckResult:
     tolerance: float
     passed: bool
     note: str = ""
+
+
+_PASSES = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
+
+
+def check_result(name: str, value: float, tolerance: float,
+                 direction: str = "<=", note: str = "") -> CheckResult:
+    """The row of a check that passes iff ``value <direction> tolerance``
+    (``<=``, ``>=`` or ``>``; NaN never passes).  A direction other than
+    ``<=`` is named in the note."""
+    value, tolerance = float(value), float(tolerance)
+    if direction != "<=":
+        rule = f"pass iff value {direction} tolerance"
+        note = f"{note}; {rule}" if note else rule
+    return CheckResult(name, value, tolerance,
+                       bool(_PASSES[direction](value, tolerance)), note)
+
+
+def guarded(compute, name: str, tolerance: float,
+            passthrough: tuple = ()) -> list[CheckResult]:
+    """The rows ``compute()`` returns.  A numerical error (ArithmeticError
+    or ValueError) raised while it runs is instead one failed row ``name``
+    with value NaN and the exception in its note; the ``passthrough``
+    exceptions (input errors) propagate."""
+    try:
+        return compute()
+    except passthrough:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        return [check_result(name, math.nan, tolerance,
+                             note=f"{type(exc).__name__}: {exc}")]
+
+
+def relative_error(value, ref):
+    """|value - ref| / max(1, |ref|), elementwise: the relative rule of
+    every drift and closed-vs-dense check."""
+    return np.abs(np.subtract(value, ref)) / np.maximum(1.0, np.abs(ref))
 
 
 def fmt(v: float) -> str:

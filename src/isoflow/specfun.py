@@ -1,5 +1,5 @@
-"""Special-function kernels: complex log-gamma, regularized Gauss series,
-Bessel J by backward recurrence, and panel Gauss-Legendre quadrature.
+"""Special-function kernels: the regularized Gauss series and Bessel J by
+backward recurrence.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -14,24 +14,8 @@ import numpy as np
 from scipy import special as sp
 
 
-class PoleError(ArithmeticError):
-    """log-gamma requested at a non-positive integer."""
-
-
 class PrecisionError(ArithmeticError):
     """A series failed to converge to working precision."""
-
-
-def complex_log_gamma(z: complex | float) -> complex | float:
-    """Principal branch of log Gamma.  Real in, real out (when positive);
-    raises PoleError at the poles 0, -1, -2, ..."""
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == round(zc.real):
-        raise PoleError(f"log-gamma pole at {z}")
-    out = complex(sp.loggamma(zc))
-    if isinstance(z, (int, float)) and z > 0:
-        return out.real
-    return out
 
 
 def _is_nonpositive_int(x) -> bool:
@@ -155,29 +139,3 @@ def bessel_j(n: int, z: float) -> float:
         warnings.warn(f"bessel_j({n}, {z:g}) underflowed to zero", RuntimeWarning)
     return val
 
-
-def gauss_legendre_panels(f, a: float, b: float, n_panels: int = 64,
-                          n_nodes: int = 32) -> float:
-    """Integrate a callable over [a, b] with composite Gauss-Legendre
-    panels.  ``f`` may be vectorized over an ndarray of abscissae or
-    scalar-only; the vectorized path is tried once and the verdict reused
-    for the remaining panels."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    vectorized = True
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        x = mid + half * nodes
-        if vectorized:
-            try:
-                fx = np.asarray(f(x), dtype=float)
-                if fx.shape != x.shape:
-                    raise ValueError
-            except (TypeError, ValueError):
-                vectorized = False
-        if not vectorized:
-            fx = np.array([f(xi) for xi in x])
-        total += half * float(np.sum(weights * fx))
-    return total

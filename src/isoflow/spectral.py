@@ -110,14 +110,23 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     comps = np.unique(np.clip(np.concatenate([rows - 1, rows, rows + 1]), 0, size - 1))
     psi = np.zeros((len(comps) + 1, len(points)))
     at = np.full(size + 2, len(comps))
-    for i, m in enumerate(comps.tolist()):
-        psi[i] = eigenfunction(fam, params, smap, alg, r, L.base_index + m, lam)
-        at[m + 1] = i
     off = np.concatenate(([0.0], L.off, [0.0]))  # off[n] couples rows n - 1 and n
-    acc = (L.diag[rows][:, None] - lam) * psi[at[rows + 1]]
-    acc += off[rows][:, None] * psi[at[rows]]
-    acc += off[rows + 1][:, None] * psi[at[rows + 2]]
+    # components that overflow make the residual non-finite, which the
+    # caller reports; numpy's warnings would only repeat that on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, m in enumerate(comps.tolist()):
+            psi[i] = eigenfunction(fam, params, smap, alg, r, L.base_index + m, lam)
+            at[m + 1] = i
+        acc = (L.diag[rows][:, None] - lam) * psi[at[rows + 1]]
+        acc += off[rows][:, None] * psi[at[rows]]
+        acc += off[rows + 1][:, None] * psi[at[rows + 2]]
     return float(np.abs(acc).max())
+
+
+def scaled_tolerance(tol: float, op: TridiagonalOperator) -> float:
+    """tol (1 + |L|_inf): the tolerance of ``recurrence_residual`` on the
+    operator ``op``, whose rows scale with its entries."""
+    return tol * (1.0 + op.inf_norm())
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from isoflow import (ChainState, DegenerateSpectrumWarning,
                      IntegrationBlowupError, build_chain_L, chain_dense_L,
                      chain_isospectrality_drift, chain_rhs, chain_spectrum,
                      christoffel_weights, eigen_polys, integrate_chain,
-                     pn_time_derivative_check, trace_invariants)
+                     pn_time_derivative_check, trace_flow_drift,
+                     trace_invariants)
 
 
 def test_single_cell_worked_example():
@@ -91,6 +92,25 @@ def test_trace_identities(d):
     r = np.asarray(STATES[d].r)
     assert tr.tr2 - tr.tr2_unit_variant == pytest.approx(float(np.sum(r ** 2)),
                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_trace_errors_match_scalar_loops(d):
+    # the relative rule |a - b| / max(1, |b|) written as scalar loops, the
+    # way the chain command computed it before the shared functions
+    def rel(a, b):
+        return abs(a - b) / max(1.0, abs(b))
+
+    tr = trace_invariants(STATES[d])
+    assert list(tr.closed_vs_dense) == [rel(tr.tr2, tr.tr2_dense),
+                                        rel(tr.tr3, tr.tr3_dense),
+                                        rel(tr.tr4, tr.tr4_dense)]
+    traj = integrate_chain(STATES[d], 1.0, 1e-3, 1.0, record_every=100)
+    dense = [(t.tr2_dense, t.tr3_dense, t.tr4_dense)
+             for t in map(trace_invariants, map(traj.state, range(len(traj))))]
+    want = [max(rel(now[k], dense[0][k]) for now in dense) for k in range(3)]
+    assert list(trace_flow_drift(traj)) == want
+    assert 0.0 < max(want) <= 1e-9
 
 
 def test_isospectral_flow():

@@ -2,12 +2,13 @@
 exit codes, and determinism of the verification suite."""
 import filecmp
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from isoflow.cli import main
-from isoflow.verify import run_verify
+from isoflow.verify import GROUPS, run_verify
 
 RUN_CFG = {
     "algebra": {"class": "su2"},
@@ -212,11 +213,17 @@ def test_nan_diagonalization_rows_fail(tmp_path, capsys):
                     "policy": {"type": "toda"}},
            "checks": [{"name": "diagonalization", "tolerance": 1e-11,
                        "family": "krawtchouk", "points": 10}]}
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 1
     value, _, ok = _report_rows(tmp_path)["diagonalization"]
     assert value != value and ok == "false"
-    assert "FAIL  diagonalization  value=nan" in capsys.readouterr().out
+    # the reason is in the row's note, not in numpy warnings on stderr
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "FAIL  diagonalization  value=nan" in out
+    assert "non-finite because the closed-form components overflowed" in out
 
 
 def test_mvk_demo(tmp_path):
@@ -300,3 +307,64 @@ def test_verify_row_names_unique():
     assert len(names) == 81
     assert len(set(names)) == len(names)
     assert len(run_verify(only="mvk")) == 15
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad table"), ZeroDivisionError("x / 0")])
+def test_verify_group_error_is_a_failed_row(tmp_path, monkeypatch, capsys, exc):
+    def boom(rng):
+        raise exc
+    monkeypatch.setitem(GROUPS, "chain", boom)
+    rows = run_verify()
+    names = [r.name for r in rows]
+    assert len(rows) == 81 - 11 + 1 and names.count("chain") == 1
+    failed = [r for r in rows if not r.passed]
+    assert [r.name for r in failed] == ["chain"]
+    assert failed[0].value != failed[0].value
+    assert failed[0].note == f"{type(exc).__name__}: {exc}"
+    # the groups after it still ran
+    assert any(name.startswith("mvk_") for name in names[names.index("chain"):])
+    monkeypatch.setenv("ISOFLOW_OUT", str(tmp_path / "v"))
+    assert main(["verify"]) == 1
+    assert _report_rows(tmp_path, "v")["chain"][2] == "false"
+    assert "70/71 checks passed" in capsys.readouterr().out
+
+
+def _verify_chain_state(rng, d):
+    # the draws of verify's chain states
+    return {"s": list(rng.uniform(-0.5, 0.5, d)), "r": list(rng.uniform(0.5, 1.5, d))}
+
+
+@pytest.mark.parametrize("seed", [12345, 7])
+def test_commands_report_the_max_of_verify_rows(tmp_path, seed):
+    """isoflow chain and isoflow mvk on verify's group states give, row by
+    row, exactly the max of verify's rows for the same quantity."""
+    def group(name):
+        return ({r.name: r.value for r in run_verify(only=name, seed=seed)},
+                np.random.default_rng([seed, list(GROUPS).index(name)]))
+
+    rows, rng = group("chain")
+    cfg = {"chain": {**_verify_chain_state(rng, 4), "g": 1.0, "dt": 1e-3,
+                     "t_end": 1.0, "record_every": 100},
+           "checks": CHAIN_CFG["checks"]}
+    assert main(["chain", _write(tmp_path, _with_out(cfg, tmp_path, "c"))]) == 0
+    got = {name: value for name, (value, _, _) in _report_rows(tmp_path, "c").items()}
+
+    def trace(kind):
+        return max(rows[f"chain_trace{k}_{kind}"] for k in (2, 3, 4))
+    assert got["spectrum_sum"] == rows["chain_trace_zero"]
+    assert got["orthogonality"] == max(rows["chain_orthogonality"],
+                                       rows["chain_dual_orthogonality"])
+    assert got["trace_closed_vs_dense"] == trace("closed_vs_dense")
+    assert got["trace_flow_drift"] == trace("flow_drift")
+    assert got["tr2_variant_detected"] == rows["chain_trace2_unit_variant_detected"]
+
+    rows, rng = group("mvk")
+    for d, n in ((2, 2), (2, 3), (3, 2)):
+        cfg = {"chain": _verify_chain_state(rng, d), "degree": n,
+               "checks": MVK_CFG["checks"]}
+        sub = f"m{d}{n}"
+        assert main(["mvk", _write(tmp_path, _with_out(cfg, tmp_path, sub))]) == 0
+        got = _report_rows(tmp_path, sub)
+        assert len(got) == 5
+        for name, (value, _, _) in got.items():
+            assert value == rows[f"mvk_{name}_d{d}N{n}"], name

@@ -78,6 +78,9 @@ def test_invariant_drift_all_classes():
         traj = integrate(alg, st, pol, 1e-3, 2.0, record_every=100)
         drift = np.abs(traj.invariant - traj.invariant[0]).max()
         assert drift <= 1e-10 * max(1.0, abs(traj.invariant[0])), alg.clas
+        # the max taken before the division, as the checks computed it before
+        # the shared relative rule
+        assert traj.invariant_drift() == drift / max(1.0, abs(traj.invariant[0]))
 
 
 def test_recording_grid():

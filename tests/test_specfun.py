@@ -4,26 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from isoflow import (PoleError, PrecisionError, bessel_j, complex_log_gamma,
-                     gauss_legendre_panels, regularized_2f1)
-
-
-def test_log_gamma_real():
-    assert complex_log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-13)
-    assert isinstance(complex_log_gamma(2.0), float)
-    assert complex_log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_log_gamma_complex():
-    got = complex_log_gamma(2.5 - 3.0j)
-    assert got.real == pytest.approx(-1.4709546103488418, abs=1e-13)
-    assert got.imag == pytest.approx(-2.8226156382607996, abs=1e-13)
-
-
-def test_log_gamma_poles():
-    for z in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
-            complex_log_gamma(z)
+from isoflow import PrecisionError, bessel_j, regularized_2f1
 
 
 def test_2f1_frozen_values():
@@ -115,9 +96,3 @@ def test_bessel_argument_cap():
     with pytest.raises(ValueError):
         bessel_j(0, 51.0)
 
-
-def test_panel_quadrature():
-    val = gauss_legendre_panels(np.sin, 0.0, math.pi)
-    assert val == pytest.approx(2.0, abs=1e-14)
-    val = gauss_legendre_panels(lambda x: x ** 7 - 2.0 * x, -1.0, 3.0)
-    assert val == pytest.approx(3.0 ** 8 / 8.0 - 1.0 / 8.0 - (9.0 - 1.0), rel=1e-13)
