@@ -8,11 +8,12 @@ through the generating product
         = sum_{|sigma| = N} multinom(N, sigma) P(sigma', rho') z^sigma,
 
 with multi-indices sigma, rho of length d + 1 summing to N.  The table built
-here is expanded exactly (sparse dict products of linear forms), and the
-module carries the two discrete orthogonality relations, the spectral
-three-term law, the time-derivative law along the chain flow, and the
-collapse to the binomial-lattice family for the symmetric one-parameter
-chain.
+here is expanded exactly, one degree at a time, into one M x M array
+(M = C(N + d, d) multi-indices, rows sigma and columns rho in lexicographic
+order), and the module carries the two discrete orthogonality relations
+(two Gram products of that array), the spectral three-term law, the
+time-derivative law along the chain flow, and the collapse to the
+binomial-lattice family for the symmetric one-parameter chain.
 """
 from __future__ import annotations
 
@@ -54,18 +55,39 @@ def unit_index(parts: int, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _moved(t: tuple[int, ...], src: int, dst: int | None = None) -> tuple[int, ...]:
+    """``t`` with one unit taken from part ``src`` and, unless ``dst`` is
+    None, put on part ``dst``."""
+    out = list(t)
+    out[src] -= 1
+    if dst is not None:
+        out[dst] += 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class MVKTable:
-    """Degree-N table: entries[(sigma, rho)] = P(sigma', rho'), ascending
-    eigenvalue labeling, plus the weights the family is orthogonal for."""
+    """Degree-N table, ascending eigenvalue labeling, plus the weights the
+    family is orthogonal for: values[row[sigma], row[rho]] = P(sigma', rho'),
+    rows and columns both in the order of ``indices``."""
     d: int
     N: int
     eigenvalues: np.ndarray
     weights: np.ndarray
-    entries: dict
+    values: np.ndarray
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The multi-indices of weight N in lexicographic order."""
+        return tuple(multi_indices(self.d + 1, self.N))
+
+    @cached_property
+    def row(self) -> dict[tuple[int, ...], int]:
+        """Position of each multi-index in ``indices``."""
+        return {sigma: k for k, sigma in enumerate(self.indices)}
 
     def P(self, sigma: tuple[int, ...], rho: tuple[int, ...]) -> float:
-        return self.entries[(tuple(sigma), tuple(rho))]
+        return float(self.values[self.row[tuple(sigma)], self.row[tuple(rho)]])
 
     def W(self, rho: tuple[int, ...]) -> float:
         out = 1.0
@@ -76,29 +98,25 @@ class MVKTable:
     def eigenvalue(self, rho: tuple[int, ...]) -> float:
         return float(np.dot(self.eigenvalues, rho))
 
-    @property
-    def indices(self) -> list[tuple[int, ...]]:
-        return list(multi_indices(self.d + 1, self.N))
-
     @cached_property
     def orthogonality(self) -> tuple[float, float]:
         """``mvk_orthogonality_check`` of this table, computed once."""
         return mvk_orthogonality_check(self)
 
 
-def _mul_linear(poly: dict, coeffs: np.ndarray) -> dict:
-    out: dict = {}
-    for expo, cv in poly.items():
-        for j, c in enumerate(coeffs):
-            if c == 0.0:
-                continue
-            key = expo[:j] + (expo[j] + 1,) + expo[j + 1:]
-            out[key] = out.get(key, 0.0) + cv * c
-    return out
+def _weight_row(table: MVKTable) -> np.ndarray:
+    """``W(rho)`` for every rho, in the order of ``table.indices``."""
+    return np.array([table.W(rho) for rho in table.indices])
 
 
 def mvk_table(state: ChainState, N: int) -> MVKTable:
-    """Expand the generating product exactly for every rho of weight N."""
+    """Expand the generating product exactly for every rho of weight N.
+
+    Column rho of the degree-n coefficients (rows z^K) is column rho - e_i
+    of degree n - 1 times the linear form u_i, i the last nonzero part of
+    rho; row K adds prev[K - e_j] u_i[j] for j from d down to 0, the order
+    in which expanding the product factor by factor adds them.
+    """
     if N < 1:
         raise ValueError("N must be a positive integer")
     d = state.d
@@ -107,16 +125,20 @@ def mvk_table(state: ChainState, N: int) -> MVKTable:
     u = np.empty((d + 1, d + 1))
     for i in range(d + 1):
         u[i], _ = eigen_polys(state, float(lam[i]))
-    entries: dict = {}
-    sigmas = list(multi_indices(d + 1, N))
-    for rho in sigmas:
-        poly = {(0,) * (d + 1): 1.0}
-        for i, m in enumerate(rho):
-            for _ in range(m):
-                poly = _mul_linear(poly, u[i])
-        for sigma in sigmas:
-            entries[(sigma, rho)] = poly.get(sigma, 0.0) / multinom(N, sigma)
-    return MVKTable(d, N, lam, cw.weights, entries)
+    idx = [(0,) * (d + 1)]
+    coef = np.ones((1, 1))
+    for n in range(1, N + 1):
+        row = {t: k for k, t in enumerate(idx)}
+        idx = list(multi_indices(d + 1, n))
+        last = [max(i for i, v in enumerate(rho) if v) for rho in idx]
+        prev = coef[:, [row[_moved(rho, i)] for rho, i in zip(idx, last)]]
+        factor = u[last]
+        coef = np.zeros((len(idx), len(idx)))
+        for j in range(d, -1, -1):
+            rows = [k for k, K in enumerate(idx) if K[j]]
+            coef[rows] += prev[[row[_moved(idx[k], j)] for k in rows]] * factor[:, j]
+    binom = np.array([multinom(N, sigma) for sigma in idx], dtype=float)
+    return MVKTable(d, N, lam, cw.weights, coef / binom[:, None])
 
 
 # --------------------------------------------------------------------------
@@ -126,29 +148,32 @@ def mvk_table(state: ChainState, N: int) -> MVKTable:
 def mvk_orthogonality_check(table: MVKTable) -> tuple[float, float]:
     """(primal, dual) residuals of the two discrete orthogonality relations,
     both stated in orthonormalized form so a perfect table gives a Gram
-    matrix equal to the identity."""
-    idx = table.indices
-    N = table.N
-    binom = {sig: multinom(N, sig) for sig in idx}
-    wprod = {sig: float(np.prod(np.asarray(table.weights) ** np.asarray(sig)))
-             for sig in idx}
+    matrix equal to the identity: P^T diag(binom) P and
+    P diag(binom w^rho) P^T, scaled on both sides."""
+    P = table.values
+    binom = np.array([multinom(table.N, sig) for sig in table.indices], dtype=float)
+    wprod = np.prod(np.asarray(table.weights) ** np.array(table.indices), axis=1)
+    eye = np.eye(len(binom))
+    primal = (P.T @ (binom[:, None] * P)) * np.sqrt(np.outer(binom * wprod, binom * wprod))
+    dual = ((P * (binom * wprod)) @ P.T) * np.sqrt(np.outer(binom, binom))
+    return float(np.max(np.abs(primal - eye))), float(np.max(np.abs(dual - eye)))
 
-    primal = 0.0
-    for rho in idx:
-        for eta in idx:
-            acc = sum(binom[sig] * table.P(sig, rho) * table.P(sig, eta)
-                      for sig in idx)
-            scale = math.sqrt(binom[rho] * wprod[rho] * binom[eta] * wprod[eta])
-            primal = max(primal, abs(acc * scale - (1.0 if rho == eta else 0.0)))
 
-    dual = 0.0
-    for sig in idx:
-        for tau in idx:
-            acc = sum(binom[rho] * wprod[rho] * table.P(sig, rho) * table.P(tau, rho)
-                      for rho in idx)
-            scale = math.sqrt(binom[sig] * binom[tau])
-            dual = max(dual, abs(acc * scale - (1.0 if sig == tau else 0.0)))
-    return primal, dual
+def _add_moves(table: MVKTable, out: np.ndarray, coeffs, down_sign: float) -> np.ndarray:
+    """Add to out[tau, rho], for i = 1..d in turn,
+
+        coeffs[i-1] tau_{i-1} P((tau - f_{i-1} + f_i)', rho')
+        + down_sign coeffs[i-1] tau_i P((tau + f_{i-1} - f_i)', rho'),
+
+    one term at a time, up before down; a move that would leave the index
+    set carries a zero factor and is skipped.  Returns ``out``."""
+    idx, P = table.indices, table.values
+    for i in range(1, table.d + 1):
+        for a, b, sign in ((i - 1, i, 1.0), (i, i - 1, down_sign)):
+            rows = [k for k, tau in enumerate(idx) if tau[a]]
+            w = (sign * coeffs[i - 1]) * np.array([idx[k][a] for k in rows])
+            out[rows] += w[:, None] * P[[table.row[_moved(idx[k], a, b)] for k in rows]]
+    return out
 
 
 def mvk_recurrence_check(table: MVKTable, state: ChainState) -> float:
@@ -162,35 +187,20 @@ def mvk_recurrence_check(table: MVKTable, state: ChainState) -> float:
     over every (tau, rho); shifts that would leave the index set carry a
     zero factor and are skipped.
     """
-    idx = table.indices
-    s, r = state.s, state.r
-    worst = 0.0
-    for rho in idx:
-        lam_rho = table.eigenvalue(rho)
-        for tau in idx:
-            lhs = lam_rho * table.P(tau, rho)
-            rhs = sum(s[i - 1] * (tau[i - 1] - tau[i]) for i in range(1, state.d + 1)) \
-                * table.P(tau, rho)
-            for i in range(1, state.d + 1):
-                if tau[i - 1] > 0:
-                    shifted = list(tau)
-                    shifted[i - 1] -= 1
-                    shifted[i] += 1
-                    rhs += r[i - 1] * tau[i - 1] * table.P(tuple(shifted), rho)
-                if tau[i] > 0:
-                    shifted = list(tau)
-                    shifted[i - 1] += 1
-                    shifted[i] -= 1
-                    rhs += r[i - 1] * tau[i] * table.P(tuple(shifted), rho)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+    s, P = state.s, table.values
+    lam = np.array([table.eigenvalue(rho) for rho in table.indices])
+    diag = np.array([sum(s[i - 1] * (tau[i - 1] - tau[i]) for i in range(1, state.d + 1))
+                     for tau in table.indices])
+    lhs = lam * P
+    rhs = _add_moves(table, diag[:, None] * P, state.r, 1.0)
+    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
 
 
 def base_entry_error(table: MVKTable) -> float:
     """max |P((N, 0, ..., 0)', rho') - 1| over rho: the leading entry is one
     by construction."""
     base = (table.N,) + (0,) * table.d
-    return max(abs(table.P(base, rho) - 1.0) for rho in table.indices)
+    return float(np.max(np.abs(table.values[table.row[base]] - 1.0)))
 
 
 def degree_one_residual(table1: MVKTable, state: ChainState) -> float:
@@ -242,45 +252,24 @@ def mvk_time_derivative_check(state: ChainState, g: GFun, N: int,
     (dW/dt - N u_1) P — i.e. N u_1 enters without the P((N-1,1,0,...)')
     prefactor — which fails by O(1) and is kept for detection, not gated.
     """
-    d = state.d
     table0 = mvk_table(state, N)
-    idx = table0.indices
-    u1 = _g_at(g, state.t) * state.r[0]
-    u = _g_at(g, state.t) * np.asarray(state.r)
-    sigma_star = (N - 1, 1) + (0,) * (d - 1)
-
-    def sum_term(tau, rho) -> float:
-        acc = 0.0
-        for i in range(1, d + 1):
-            if tau[i - 1] > 0:
-                shifted = list(tau)
-                shifted[i - 1] -= 1
-                shifted[i] += 1
-                acc += u[i - 1] * tau[i - 1] * table0.P(tuple(shifted), rho)
-            if tau[i] > 0:
-                shifted = list(tau)
-                shifted[i - 1] += 1
-                shifted[i] -= 1
-                acc -= u[i - 1] * tau[i] * table0.P(tuple(shifted), rho)
-        return acc
+    P0 = table0.values
+    gt = _g_at(g, state.t)
+    u1 = gt * state.r[0]
+    S = _add_moves(table0, np.zeros_like(P0), gt * np.asarray(state.r), -1.0)
+    W0 = _weight_row(table0)
+    c_star = N * u1 * P0[table0.row[(N - 1, 1) + (0,) * (state.d - 1)]]
 
     def residuals(step: float) -> tuple[float, float]:
         tp = mvk_table(_advance(state, g, step), N)
         tm = mvk_table(_advance(state, g, -step), N)
-        worst = worst_disp = 0.0
-        for rho in idx:
-            W0 = table0.W(rho)
-            Wdot = (tp.W(rho) - tm.W(rho)) / (2.0 * step)
-            c_const = N * u1 * table0.P(sigma_star, rho) - Wdot / W0
-            for tau in idx:
-                P0 = table0.P(tau, rho)
-                Pdot = (tp.P(tau, rho) - tm.P(tau, rho)) / (2.0 * step)
-                lhs = Wdot * P0 + W0 * Pdot
-                S = sum_term(tau, rho)
-                worst = max(worst, abs(lhs - (W0 * S - c_const * W0 * P0)))
-                worst_disp = max(worst_disp,
-                                 abs(lhs - ((Wdot - N * u1) * P0 + W0 * S)))
-        return worst, worst_disp
+        Wdot = (_weight_row(tp) - _weight_row(tm)) / (2.0 * step)
+        c_const = c_star - Wdot / W0
+        Pdot = (tp.values - tm.values) / (2.0 * step)
+        lhs = Wdot * P0 + W0 * Pdot
+        worst = np.max(np.abs(lhs - (W0 * S - c_const * W0 * P0)))
+        worst_disp = np.max(np.abs(lhs - ((Wdot - N * u1) * P0 + W0 * S)))
+        return float(worst), float(worst_disp)
 
     res_h, disp_h = residuals(h)
     res_h2, _ = residuals(h / 2.0)
@@ -327,32 +316,25 @@ def krawtchouk_reduction_check(s: float, r: float, d: int, N: int) -> tuple[floa
 
     table = mvk_table(state, N)
     params_big = KrawtchoukParams(p, d * N)
-    resid_sum = 0.0
-    for rho in table.indices:
-        m = sum((d - i) * rho[i] for i in range(d + 1))
-        for k in range(d * N + 1):
-            # the level-k collapse carries the large-lattice binomial weight
-            lhs = math.sqrt(math.comb(d * N, k)) * \
-                eval_hyper(FamilyTag.KRAWTCHOUK, params_big, k, m)
-            rhs = 0.0
-            for sigma in table.indices:
-                if sum(j * sigma[j] for j in range(d + 1)) != k:
-                    continue
-                coeff = 1.0
-                for jj in range(d + 1):
-                    coeff *= math.comb(d, jj) ** (sigma[jj] / 2.0)
-                rhs += coeff * multinom(N, sigma) * table.P(sigma, rho)
-            resid_sum = max(resid_sum, abs(lhs - rhs))
-    return resid_pn, resid_sum
+    levels = range(d * N + 1)
+    # the level-k collapse carries the large-lattice binomial weight
+    lhs = np.array([[math.sqrt(math.comb(d * N, k))
+                     * eval_hyper(FamilyTag.KRAWTCHOUK, params_big, k, m) for m in levels]
+                    for k in levels])
+    rhs = np.zeros((len(levels), len(table.indices)))
+    for sigma, row in zip(table.indices, table.values):
+        coeff = math.prod(math.comb(d, j) ** (sigma[j] / 2.0) for j in range(d + 1))
+        rhs[sum(j * sigma[j] for j in range(d + 1))] += coeff * multinom(N, sigma) * row
+    m = [sum((d - i) * rho[i] for i in range(d + 1)) for rho in table.indices]
+    return resid_pn, float(np.max(np.abs(lhs[:, m] - rhs)))
 
 
 def write_mvk_csv(path, table: MVKTable) -> None:
     """CSV with header sigma,rho,P; multi-indices dash-separated, rows in
     lexicographic (rho, sigma) order."""
+    labels = ["-".join(map(str, t)) for t in table.indices]
     with open(path, "w", newline="") as fh:
         fh.write("sigma,rho,P\n")
-        for rho in table.indices:
-            for sigma in table.indices:
-                fh.write("%s,%s,%s\n" % ("-".join(map(str, sigma)),
-                                         "-".join(map(str, rho)),
-                                         "%.17g" % table.P(sigma, rho)))
+        for rho, column in zip(labels, table.values.T.tolist()):
+            fh.writelines("%s,%s,%.17g\n" % (sigma, rho, v)
+                          for sigma, v in zip(labels, column))
