@@ -93,6 +93,7 @@ def test_table_validation_and_helpers():
 
 def test_time_derivative_law():
     rep = mvk_time_derivative_check(STATE_D2, 1.0, 2)
+    assert rep.max_residual <= 1e-6
     assert rep.order_estimate >= 1.9
     assert rep.display_variant_residual > 1e-2
 
