@@ -41,8 +41,9 @@ from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               check_compatible, lax_residual)
 from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, degenerate_e2_check,
-                       eigenfunction, eigs_sym_tridiag, isospectrality_drift,
-                       recurrence_residual, scaled_tolerance)
+                       eigenfunction, eigenvalues, eigs_sym_tridiag,
+                       isospectrality_drift, recurrence_residual,
+                       scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

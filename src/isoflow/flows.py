@@ -221,9 +221,12 @@ def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
         exc.last_state = FlowState(float(t[-1]), float(y[-1, 0]), float(y[-1, 1]))
         raise
     r_arr, s_arr = y[:, 0], y[:, 1]
-    u_arr = np.array([policy(ti, ri) for ti, ri in zip(t_arr, r_arr)])
-    i_arr = np.array([invariant(alg, FlowState(ti, ri, si))
-                      for ti, ri, si in zip(t_arr, r_arr, s_arr)])
+    # u and I over Python floats, with the arithmetic of ``invariant``:
+    # r ** 2 is libm's pow, which can differ from r * r in the last bit
+    t_l, r_l, s_l = t_arr.tolist(), r_arr.tolist(), s_arr.tolist()
+    eps, a, c2 = alg.epsilon, alg.a, 2.0 * alg.c_param
+    u_arr = np.array([policy(t, r) for t, r in zip(t_l, r_l)])
+    i_arr = np.array([eps * r ** 2 + (a * s + c2) * s for r, s in zip(r_l, s_l)])
     return Trajectory(t_arr, r_arr, s_arr, u_arr, i_arr)
 
 

@@ -75,8 +75,9 @@ def write_spectrum_csv(path, times, spectra) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,index,lambda\n")
         for t, lam in zip(times, spectra):
-            for idx, lv in enumerate(np.asarray(lam)):
-                fh.write("%s,%d,%s\n" % (fmt(t), idx, fmt(lv)))
+            head = fmt(t) + ","
+            fh.write("".join(["%s%d,%.17g\n" % (head, idx, lv)
+                              for idx, lv in enumerate(np.asarray(lam).tolist())]))
 
 
 def all_passed(results: list[CheckResult]) -> bool:

@@ -33,6 +33,13 @@ def eigs_sym_tridiag(op: TridiagonalOperator) -> SpectralDecomposition:
     return SpectralDecomposition(lam, vec, vec[0, :] ** 2)
 
 
+def eigenvalues(op: TridiagonalOperator) -> np.ndarray:
+    """Ascending eigenvalues of ``op`` from the eigenvalue-only solve, the
+    root-free QL/QR of LAPACK's ``sterf``: no eigenvectors are formed.  They
+    agree with ``eigs_sym_tridiag(op).eigenvalues`` to rounding."""
+    return eigh_tridiagonal(op.diag, op.off, eigvals_only=True)
+
+
 # --------------------------------------------------------------------------
 # closed-form eigenfunctions per family
 
@@ -133,31 +140,41 @@ def scaled_tolerance(tol: float, op: TridiagonalOperator) -> float:
 # drift along a flow
 
 
+def _compared(mode: str, count: int | None, size: int) -> slice:
+    """The eigenvalues, in ascending order, that ``isospectrality_drift``
+    compares on a window of ``size`` rows."""
+    if mode == "all":
+        return slice(None)
+    if mode not in ("lowest", "central"):
+        raise ConfigurationError(f"unknown isospectrality mode {mode!r}")
+    if count is None or not 1 <= count <= size:
+        raise ConfigurationError(
+            f"isospectrality mode {mode!r} needs 1 <= count <= {size} (the "
+            f"window size), got count={count!r}")
+    start = 0 if mode == "lowest" else size // 2 - count // 2
+    return slice(start, start + count)
+
+
 def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
                          alg: AlgebraSpec, mode: str = "all",
                          count: int | None = None) -> float:
-    """Max absolute eigenvalue drift along the trajectory.
+    """Max absolute eigenvalue drift along the trajectory, from the
+    ``eigenvalues`` of L at every sample.
 
     mode = "all" compares the full spectrum of the realized window,
     "lowest" only the ``count`` smallest eigenvalues (use for windows whose
     upper edge is truncated), "central" the ``count`` eigenvalues closest to
-    the spectral center (use for doubly truncated windows).
+    the spectral center (use for doubly truncated windows).  Both need
+    ``1 <= count <= window size``; the mode and count are checked before
+    any eigensolve and raise ConfigurationError otherwise.
     """
-    ref = None
+    keep = ref = None
     worst = 0.0
-    for i in range(len(traj)):
-        L = build_L(rep, alg, float(traj.r[i]), float(traj.s[i]))
-        lam = eigh_tridiagonal(np.asarray(L.diag), np.asarray(L.off),
-                               eigvals_only=True)
-        lam = np.sort(lam)
-        if mode == "lowest":
-            lam = lam[:count]
-        elif mode == "central":
-            mid = len(lam) // 2
-            half = count // 2
-            lam = lam[mid - half:mid - half + count]
-        elif mode != "all":
-            raise ValueError(f"unknown mode {mode!r}")
+    for r, s in zip(traj.r.tolist(), traj.s.tolist()):
+        L = build_L(rep, alg, r, s)
+        if keep is None:
+            keep = _compared(mode, count, L.size)
+        lam = eigenvalues(L)[keep]
         if ref is None:
             ref = lam
         else:

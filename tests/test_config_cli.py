@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from isoflow import build_L, config as cfgmod, eigs_sym_tridiag, scaled_tolerance
 from isoflow.cli import main
 from isoflow.verify import GROUPS, run_verify
 
@@ -266,6 +267,55 @@ def test_bad_run_configs_exit_2(tmp_path, capsys, mangle):
     mangle(cfg)
     assert main(["run", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("options,count", [
+    ({"mode": "central"}, "None"),
+    ({"mode": "lowest"}, "None"),
+    ({"mode": "central", "count": 20}, "20"),
+    ({"mode": "lowest", "count": 14}, "14"),
+])
+def test_drift_count_outside_window_exits_2(tmp_path, capsys, options, count):
+    # the su2 j=6 window has 13 rows
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["checks"][3].update(options)
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "count <= 13 (the window size)" in err and f"count={count}" in err
+
+
+@pytest.mark.parametrize("algebra,rep,r0,s0", [
+    ({"class": "su2"}, {"type": "su2", "j": 6}, 1.0, 0.2),
+    ({"class": "su2"}, {"type": "su2", "j": 30}, 1.0, 0.2),
+    ({"class": "su11"}, {"type": "discrete_series", "k": 1.0, "n_max": 40}, 0.55, 0.7),
+    ({"class": "oscillator", "c": 1.0},
+     {"type": "oscillator", "k": 0.5, "h": 1.0, "n_max": 40}, 4.0, 0.5),
+    ({"class": "e2", "c": 1.0}, {"type": "e2", "k": 2.0, "n_min": -40, "n_max": 40},
+     1.3, 0.4),
+])
+def test_spectrum_csv_holds_the_compared_eigenvalues(tmp_path, capsys, algebra,
+                                                     rep, r0, s0):
+    cfg = _with_out({
+        "algebra": algebra, "representation": rep,
+        "flow": {"r0": r0, "s0": s0, "dt": 0.001, "t_end": 0.2,
+                 "record_every": 20, "policy": {"type": "toda"}},
+        "checks": [{"name": "isospectrality_drift", "tolerance": 1e-8}]}, tmp_path)
+    assert main(["run", _write(tmp_path, cfg)]) in (0, 1)
+    out = tmp_path / "out"
+    traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    spec = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    lam = spec[:, 2].reshape(len(traj), -1)
+    assert (spec[:, 0].reshape(lam.shape) == traj[:, :1]).all()
+    # the drift from the written spectra is the report's, to the last bit
+    drift = float(np.abs(lam - lam[0]).max())
+    assert _report_rows(tmp_path)["isospectrality_drift"][0] == drift
+    # and each spectrum is the vector solve's within 64 eps (1 + |L|_inf)
+    alg = cfgmod.build_algebra(algebra)
+    window = cfgmod.build_representation(rep)
+    for (_, r, s, _, _), row in zip(traj, lam):
+        L = build_L(window, alg, r, s)
+        err = np.abs(row - eigs_sym_tridiag(L).eigenvalues).max()
+        assert err <= scaled_tolerance(64 * np.finfo(float).eps, L)
 
 
 def test_missing_and_malformed_files_exit_2(tmp_path):

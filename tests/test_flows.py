@@ -202,3 +202,35 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(lines) == len(traj) + 1
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(back[:, 1], traj.r, rtol=0, atol=0)
+
+
+def _reference_u_and_invariant(alg, policy, traj):
+    """u and I as ``integrate`` built them row by row: a policy call and a
+    FlowState per row, at the numpy floats of the path."""
+    u = np.array([policy(ti, ri) for ti, ri in zip(traj.t, traj.r)])
+    inv = np.array([invariant(alg, FlowState(ti, ri, si))
+                    for ti, ri, si in zip(traj.t, traj.r, traj.s)])
+    return u, inv
+
+
+# 1.851225506797236 ** 2 (libm's pow) is one ulp above
+# 1.851225506797236 * 1.851225506797236 with glibc, and numpy computes an
+# array's r ** 2 as r * r; ``integrate`` keeps Python's r ** 2, the
+# arithmetic of ``invariant``, so I stays bitwise the same at such samples
+POW_NOT_SQUARE = 1.851225506797236
+
+
+@pytest.mark.parametrize("alg,state,policy,dt,t_end,record_every", [
+    (su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0, 10),
+    (su2(), FlowState(0.0, 0.9, 0.15), SignedScaled(1, 0.8), 1e-3, 1.0, 1),
+    (oscillator(1.0), FlowState(0.0, 4.0, 0.5),
+     SignedScaled(1, ((0.0, 0.33, 0.67, 1.0), (0.7, 1.2, 0.9, 1.1))), 1e-3, 1.0, 7),
+    (su11(), FlowState(0.0, 0.55, 0.7), SignedScaled(-1, 1.1), 1e-4, 0.2, 1),
+    (su11(), FlowState(0.0, 0.55, 0.7), Toda(), 1e-4, 0.2, 10),
+    (su2(), FlowState(0.0, POW_NOT_SQUARE, 0.3), Toda(), 1e-3, 0.0, 1),
+])
+def test_u_and_invariant_match_row_loop(alg, state, policy, dt, t_end, record_every):
+    traj = integrate(alg, state, policy, dt, t_end, record_every)
+    u, inv = _reference_u_and_invariant(alg, policy, traj)
+    assert traj.u.tobytes() == u.tobytes()
+    assert traj.invariant.tobytes() == inv.tobytes()

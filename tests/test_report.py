@@ -1,9 +1,14 @@
-"""The row builder and the guard shared by isoflow verify and the commands."""
+"""The row builder and the guard shared by isoflow verify and the commands,
+and the spectrum writer."""
 import math
 
+import numpy as np
 import pytest
 
-from isoflow import ConfigurationError, check_result, guarded
+from isoflow import (SU2, ChainState, ConfigurationError, FlowState, Toda,
+                     build_L, chain_spectrum, check_result, eigenvalues,
+                     guarded, integrate, su2, write_spectrum_csv)
+from isoflow.report import fmt
 
 
 @pytest.mark.parametrize("direction,value,passed", [
@@ -32,3 +37,25 @@ def test_guarded_rows():
     assert math.isnan(row.value) and row.note == "ConfigurationError: bad window"
     with pytest.raises(ConfigurationError):
         guarded(boom, "x", 1e-9, (ConfigurationError,))
+
+
+def reference_spectrum_csv(path, times, spectra):
+    """``write_spectrum_csv`` as it wrote one row at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,index,lambda\n")
+        for t, lam in zip(times, spectra):
+            for idx, lv in enumerate(np.asarray(lam)):
+                fh.write("%s,%d,%s\n" % (fmt(t), idx, fmt(lv)))
+
+
+def test_spectrum_csv_matches_row_writer(tmp_path):
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0, 100)
+    rank1 = [eigenvalues(build_L(SU2(6.0), su2(), r, s))
+             for r, s in zip(traj.r.tolist(), traj.s.tolist())]
+    chain = [chain_spectrum(ChainState(0.0, (0.3, -0.2, 0.4), (1.0, 0.8, 1.2)))]
+    edge = [np.array([-0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0]), [], (1, 2)]
+    for times, spectra in ((traj.t, rank1), ([0.5], chain),
+                           (np.array([0.1, 1e-20, -3.0]), edge)):
+        write_spectrum_csv(tmp_path / "new.csv", times, spectra)
+        reference_spectrum_csv(tmp_path / "ref.csv", times, spectra)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

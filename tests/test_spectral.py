@@ -9,6 +9,7 @@ from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
                      eval_rec, e2, integrate, isospectrality_drift, oscillator,
                      parameter_map, recurrence_residual, su2, su11)
+from isoflow import spectral
 from isoflow.cli import _check_rows, _spectral_points
 from isoflow.specfun import bessel_j
 
@@ -239,6 +240,29 @@ def test_isospectrality_along_flow():
     assert isospectrality_drift(traj, rep, alg, mode="lowest", count=5) <= 1e-6
     with pytest.raises(ValueError):
         isospectrality_drift(traj, rep, alg, mode="middle")
+
+
+def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
+    alg = su2()
+    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), Toda(),
+                     dt=1e-3, t_end=0.5, record_every=50)
+    rep = SU2(6.0)  # 13 rows
+    full = isospectrality_drift(traj, rep, alg)
+    # the whole window, counted from either end, is the full spectrum
+    assert isospectrality_drift(traj, rep, alg, mode="lowest", count=13) == full
+    assert isospectrality_drift(traj, rep, alg, mode="central", count=13) == full
+
+    calls = []
+    monkeypatch.setattr(spectral, "eigh_tridiagonal",
+                        lambda *a, **k: calls.append(a))
+    for mode, count in (("central", None), ("lowest", None), ("central", 20),
+                        ("lowest", 14), ("lowest", 0), ("central", -1)):
+        with pytest.raises(ConfigurationError,
+                           match=rf"count <= 13 .*count={count}\b"):
+            isospectrality_drift(traj, rep, alg, mode=mode, count=count)
+    with pytest.raises(ConfigurationError, match="unknown isospectrality mode"):
+        isospectrality_drift(traj, rep, alg, mode="middle", count=3)
+    assert calls == []
 
 
 def test_flat_operator_fourier_identity():
