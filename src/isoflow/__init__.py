@@ -23,9 +23,9 @@ from .families import (BesselParams, CharlierParams, FamilyTag,
                        weight)
 from .flows import (DegenerateRatioError, FlowState, IntegrationBlowupError,
                     ModificationReport, SignConditionReport, SignedScaled,
-                    Toda, Trajectory, check_sign_conditions, flow_rhs,
-                    integrate, invariant, modification_report, policy_sigma,
-                    write_trajectory_csv)
+                    Toda, Trajectory, check_modification,
+                    check_sign_conditions, flow_rhs, integrate, invariant,
+                    modification_report, policy_sigma, write_trajectory_csv)
 from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
                   krawtchouk_reduction_check, multi_indices,
                   multinom, mvk_orthogonality_check, mvk_recurrence_check,
@@ -40,10 +40,10 @@ from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               build_generators, build_L, build_M,
                               check_compatible, lax_residual)
 from .specfun import PrecisionError, bessel_j, regularized_2f1
-from .spectral import (SpectralDecomposition, degenerate_e2_check,
-                       eigenfunction, eigenvalues, eigs_sym_tridiag,
-                       isospectrality_drift, recurrence_residual,
-                       scaled_tolerance)
+from .spectral import (SpectralDecomposition, compared_eigenvalues,
+                       degenerate_e2_check, eigenfunction, eigenvalues,
+                       eigs_sym_tridiag, isospectrality_drift,
+                       recurrence_residual, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .flows import RHS, IntegrationBlowupError, rk4_path, rk4_step
 from .report import relative_error
+from .specfun import eigh_tridiagonal
 
 
 class DegenerateSpectrumWarning(RuntimeWarning):

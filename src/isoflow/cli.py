@@ -16,6 +16,7 @@ seeds) produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -28,17 +29,18 @@ from .chain import (chain_isospectrality_drift, chain_spectrum,
                     christoffel_weights, integrate_chain, spectrum_sum,
                     trace_flow_drift, trace_invariants)
 from .config import ConfigError, load_config
-from .families import FamilyTag
-from .flows import (IntegrationBlowupError, check_sign_conditions, integrate,
-                    modification_report, write_trajectory_csv)
+from .families import FamilyTag, parameter_map
+from .flows import (IntegrationBlowupError, check_modification,
+                    check_sign_conditions, integrate, modification_report,
+                    write_trajectory_csv)
 from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
                               check_compatible, lax_residual)
-from .spectral import (eigenvalues, isospectrality_drift, recurrence_residual,
-                       scaled_tolerance)
+from .spectral import (compared_eigenvalues, eigenvalues, isospectrality_drift,
+                       recurrence_residual, rep_labels, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 _FAMILY_NAMES = {tag.value: tag for tag in FamilyTag}
@@ -77,13 +79,19 @@ def _row(ccfg, value, note="", direction="<=") -> CheckResult:
     return check_result(ccfg["name"], value, float(ccfg["tolerance"]), direction, note)
 
 
-def _results(checks, registry, **inputs) -> list[CheckResult]:
-    """One row per configured check, computed by its ``registry`` entry
-    under ``guarded``: a numerical error is a failed row, an input error
-    exits 2."""
-    return [row for c in checks
-            for row in guarded(lambda: [registry[c["name"]](c, **inputs)], c["name"],
+def _results(checks, computes, **inputs) -> list[CheckResult]:
+    """One row per configured check, ``compute(**inputs)`` of its entry in
+    ``computes`` under ``guarded``: a numerical error is a failed row, an
+    input error exits 2."""
+    return [row for c, compute in zip(checks, computes)
+            for row in guarded(lambda: [compute(**inputs)], c["name"],
                                float(c["tolerance"]), _INPUT_ERRORS)]
+
+
+def _computes(checks, registry) -> list:
+    """The row function of each check of a registry whose checks read no
+    option but their tolerance."""
+    return [functools.partial(registry[c["name"]], c) for c in checks]
 
 
 def _int_option(ccfg, key, default):
@@ -135,56 +143,85 @@ def _family(ccfg) -> FamilyTag:
     return _FAMILY_NAMES[ccfg["family"]]
 
 
-def _lax_residual(ccfg, *, alg, rep, state0, policy, **_):
+# Each entry of _RUN reads and validates its check's options from the inputs
+# known before the flow is integrated, and returns the function that
+# computes the row from the integrated flow; so a rejected option exits 2
+# before anything runs or is written.
+
+
+def _lax_residual(ccfg, *, rep, **_):
     _need_rep(ccfg, rep)
-    u0 = policy(state0.t, state0.r)
-    return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0))
+
+    def row(*, alg, state0, policy, **_):
+        u0 = policy(state0.t, state0.r)
+        return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0))
+    return row
 
 
-def _sign_conditions(ccfg, *, alg, state0, policy, full, dt, t_end, **_):
-    report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end, traj=full)
-    note = (f"sigma_required={report.sigma_required:+d} "
-            f"sigma_given={report.sigma_given:+d} "
-            f"min_r={report.min_r:.3g} min_s={report.min_s:.3g}")
-    # the verdict is the sign report's; the value only records it
-    return CheckResult(ccfg["name"], 0.0 if report.passed else 1.0,
-                       float(ccfg["tolerance"]), report.passed, note)
+def _invariant_drift(ccfg, **_):
+    return lambda *, traj, **_: _row(ccfg, traj.invariant_drift())
 
 
-def _isospectrality_drift(ccfg, *, alg, rep, traj, **_):
+def _sign_conditions(ccfg, **_):
+    def row(*, alg, state0, policy, full, dt, t_end, **_):
+        report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end,
+                                       traj=full)
+        note = (f"sigma_required={report.sigma_required:+d} "
+                f"sigma_given={report.sigma_given:+d} "
+                f"min_r={report.min_r:.3g} min_s={report.min_s:.3g}")
+        # the verdict is the sign report's; the value only records it
+        return CheckResult(ccfg["name"], 0.0 if report.passed else 1.0,
+                           float(ccfg["tolerance"]), report.passed, note)
+    return row
+
+
+def _isospectrality_drift(ccfg, *, rep, **_):
     _need_rep(ccfg, rep)
     mode = ccfg.get("mode", "all")
     count = _int_option(ccfg, "count", None)
-    value = isospectrality_drift(traj, rep, alg, mode=mode, count=count)
-    return _row(ccfg, value, f"mode={mode}")
+    compared_eigenvalues(rep, mode, count)
+
+    def row(*, alg, traj, **_):
+        value = isospectrality_drift(traj, rep, alg, mode=mode, count=count)
+        return _row(ccfg, value, f"mode={mode}")
+    return row
 
 
-def _modification(ccfg, *, alg, traj, **_):
-    report = modification_report(alg, traj, _family(ccfg))
-    note = f"K_empirical={report.K_empirical:.9g}"
-    if report.K_expected is not None:
-        note += f" K_expected={report.K_expected:.9g}"
-    return _row(ccfg, max(report.max_constancy_deviation,
-                          report.closed_form_max_error), note)
+def _modification(ccfg, *, alg, state0, **_):
+    family = _family(ccfg)
+    check_modification(family, alg, state0.r, state0.s)
+
+    def row(*, traj, **_):
+        report = modification_report(alg, traj, family)
+        note = f"K_empirical={report.K_empirical:.9g}"
+        if report.K_expected is not None:
+            note += f" K_expected={report.K_expected:.9g}"
+        return _row(ccfg, max(report.max_constancy_deviation,
+                              report.closed_form_max_error), note)
+    return row
 
 
 def _diagonalization(ccfg, *, alg, rep, state0, **_):
     _need_rep(ccfg, rep)
     family = _family(ccfg)
     count = _int_option(ccfg, "points", 10)
-    op = build_L(rep, alg, state0.r, state0.s)
-    worst = recurrence_residual(family, rep, alg, state0.r, state0.s,
-                                _check_rows(op), _spectral_points(family, count))
-    note = f"family={family.value}; tolerance scaled by 1+|L|_inf"
-    if not math.isfinite(worst):
-        note += "; residual non-finite because the closed-form components overflowed"
-    return check_result(ccfg["name"], worst,
-                        scaled_tolerance(float(ccfg["tolerance"]), op), note=note)
+    parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
+
+    def row(**_):
+        op = build_L(rep, alg, state0.r, state0.s)
+        worst = recurrence_residual(family, rep, alg, state0.r, state0.s,
+                                    _check_rows(op), _spectral_points(family, count))
+        note = f"family={family.value}; tolerance scaled by 1+|L|_inf"
+        if not math.isfinite(worst):
+            note += "; residual non-finite because the closed-form components overflowed"
+        return check_result(ccfg["name"], worst,
+                            scaled_tolerance(float(ccfg["tolerance"]), op), note=note)
+    return row
 
 
 _RUN = {
     "lax_residual": _lax_residual,
-    "invariant_drift": lambda ccfg, *, traj, **_: _row(ccfg, traj.invariant_drift()),
+    "invariant_drift": _invariant_drift,
     "sign_conditions": _sign_conditions,
     "isospectrality_drift": _isospectrality_drift,
     "modification": _modification,
@@ -202,6 +239,7 @@ def _cmd_run(path: str) -> int:
         check_compatible(rep, alg)
     state0, policy, dt, t_end, record_every = cfgmod.build_flow(cfg.get("flow"))
     checks = cfgmod.check_list(cfg, RUN_CHECKS)
+    computes = [_RUN[c["name"]](c, alg=alg, rep=rep, state0=state0) for c in checks]
     outdir = cfgmod.output_dir(cfg)
 
     # sign_conditions reads the flow at every step: integrate it once at
@@ -222,7 +260,7 @@ def _cmd_run(path: str) -> int:
                    for r, s in zip(traj.r.tolist(), traj.s.tolist())]
         write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
 
-    return _finish(outdir, _results(checks, _RUN, alg=alg, rep=rep, state0=state0,
+    return _finish(outdir, _results(checks, computes, alg=alg, state0=state0,
                                     policy=policy, traj=traj, full=full,
                                     dt=dt, t_end=t_end))
 
@@ -285,7 +323,8 @@ def _cmd_chain(path: str) -> int:
     _write_chain_csv(os.path.join(outdir, "chain_trajectory.csv"), traj)
     spectra = [chain_spectrum(traj.state(i)) for i in range(len(traj.t))]
     write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
-    return _finish(outdir, _results(checks, _CHAIN, state0=state0, traj=traj))
+    return _finish(outdir, _results(checks, _computes(checks, _CHAIN),
+                                    state0=state0, traj=traj))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +350,8 @@ def _cmd_mvk(path: str) -> int:
 
     table = mvk_table(state0, degree)
     write_mvk_csv(os.path.join(outdir, "mvk.csv"), table)
-    return _finish(outdir, _results(checks, _MVK, table=table, state0=state0))
+    return _finish(outdir, _results(checks, _computes(checks, _MVK),
+                                    table=table, state0=state0))
 
 
 # ---------------------------------------------------------------------------

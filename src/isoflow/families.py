@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from scipy import special as sp
-
 from .algebra import AlgebraSpec
 from .representations import ParameterError
-from .specfun import PrecisionError, regularized_2f1
+from .specfun import PrecisionError, loggamma, regularized_2f1
 
 
 class FamilyTag(str, Enum):
@@ -341,7 +339,7 @@ def weight(family: FamilyTag, params, x) -> float:
         return math.exp(alpha * math.log(xt) - xt - math.lgamma(alpha + 1)) / scale
     if fam is FamilyTag.MEIXNER_POLLACZEK:
         lam, phi = params.lam, params.phi
-        lg = complex(sp.loggamma(complex(lam, x)))
+        lg = complex(loggamma(complex(lam, x)))
         return ((2 * math.sin(phi)) ** (2 * lam)
                 / (2 * math.pi * math.gamma(2 * lam))
                 * math.exp((2 * phi - math.pi) * x + 2 * lg.real))
@@ -353,7 +351,7 @@ def weight(family: FamilyTag, params, x) -> float:
         return math.exp(-xt * xt) / (math.sqrt(math.pi) * params.scale)
     if fam is FamilyTag.MEIXNER_FUNCTION:
         rho, eps, c = params.rho, params.eps, params.c
-        lg = complex(sp.loggamma(complex(x + eps + 0.5, rho)))
+        lg = complex(loggamma(complex(x + eps + 0.5, rho)))
         return math.exp(-x * math.log(c) - 2.0 * lg.real)
     if fam is FamilyTag.BESSEL:
         return 1.0
@@ -381,7 +379,7 @@ def meixner_function(n: int, x: float, params: MeixnerFunctionParams) -> float:
     z = c / (c - 1.0)
     f_val = regularized_2f1(a, b, cpar, z)
     pref = (math.sqrt(c) / (c - 1.0)) ** n
-    gam = math.exp(complex(sp.loggamma(a)).real)  # |Gamma(a)| = sqrt(Gamma(a) Gamma(conj a))
+    gam = math.exp(complex(loggamma(a)).real)  # |Gamma(a)| = sqrt(Gamma(a) Gamma(conj a))
     val = pref * gam * (1.0 - c) ** (-eps) * f_val
     val = complex(val)
     if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):

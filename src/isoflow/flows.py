@@ -299,6 +299,15 @@ class ModificationReport:
     K_expected: float | None
 
 
+def check_modification(family: str, alg: AlgebraSpec, r: float, s: float) -> None:
+    """Raise KeyError for a family without a closed-form modification
+    factor, and ParameterError when the initial state (r, s) lies outside
+    the family's regime (``check_regime``)."""
+    if family not in _CLOSED_FORMS:
+        raise KeyError(f"no closed-form modification for family {family!r}")
+    check_regime(FamilyTag(family), alg, r, s)
+
+
 def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> ModificationReport:
     """Check the closed-form weight-modification factor along a trajectory.
 
@@ -306,12 +315,10 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     g_i = r_i * (ln m)'_i / u_i by centered differences, the empirical
     constant K = mean(g), the worst deviation of g from K, and the worst
     relative error of m(t)/m(0) against exp(K * int_0^t u/r d tau)
-    (trapezoid quadrature on the same grid).  Raises ParameterError when the
-    initial state lies outside the family's regime (``check_regime``).
+    (trapezoid quadrature on the same grid).  Raises as
+    ``check_modification`` on the initial state.
     """
-    if family not in _CLOSED_FORMS:
-        raise KeyError(f"no closed-form modification for family {family!r}")
-    check_regime(FamilyTag(family), alg, float(traj.r[0]), float(traj.s[0]))
+    check_modification(family, alg, float(traj.r[0]), float(traj.s[0]))
     if len(traj) < 3:
         raise ValueError("trajectory too short for centered differences")
     if np.any(np.abs(traj.r) < 1e-300) or np.any(np.abs(traj.u) < 1e-300):

@@ -1,5 +1,5 @@
-"""Special-function kernels: the regularized Gauss series and Bessel J by
-backward recurrence.
+"""Special-function kernels: the regularized Gauss series, Bessel J by
+backward recurrence, and the package's two entry points into scipy.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -11,7 +11,25 @@ import math
 import warnings
 
 import numpy as np
-from scipy import special as sp
+
+
+# Importing scipy takes longer than importing numpy and the rest of the
+# package together, so it is left to the first call that needs it: every use
+# of scipy in the package goes through these two wrappers.
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, with scipy.linalg imported on
+    first use."""
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(d, e, **kwargs)
+
+
+def loggamma(z):
+    """``scipy.special.loggamma``, with scipy.special imported on first
+    use."""
+    from scipy.special import loggamma
+    return loggamma(z)
 
 
 class PrecisionError(ArithmeticError):
@@ -58,7 +76,7 @@ def regularized_2f1(a, b, c, z, *, max_terms: int = 10_000):
             term = term * (a + i) * (b + i)
     else:
         k0 = 0
-        term = complex(np.exp(-sp.loggamma(complex(c))))
+        term = complex(np.exp(-loggamma(complex(c))))
         if not complex_out:
             term = term.real
 

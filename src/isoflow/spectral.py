@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .algebra import AlgebraSpec
 from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
@@ -16,7 +15,7 @@ from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
 from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .representations import ConfigurationError, RepresentationSpec, build_L
-from .specfun import bessel_j
+from .specfun import bessel_j, eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,8 @@ def eigenvalues(op: TridiagonalOperator) -> np.ndarray:
 # closed-form eigenfunctions per family
 
 
-def _rep_labels(rep: RepresentationSpec) -> dict:
+def rep_labels(rep: RepresentationSpec) -> dict:
+    """The labels of ``rep`` that ``parameter_map`` takes (j, k, h, rho, eps)."""
     out = {}
     for name in ("j", "k", "h", "rho"):
         if hasattr(rep, name):
@@ -105,7 +105,7 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     bad = rows[(rows < 0) | (rows >= size)]
     if bad.size:
         raise ConfigurationError(f"row {bad[0]} outside window of size {size}")
-    params, smap = parameter_map(fam, alg, r, s, **_rep_labels(rep))
+    params, smap = parameter_map(fam, alg, r, s, **rep_labels(rep))
     if not L.lo_exact and (rows == 0).any():
         raise ConfigurationError("row touches the truncated lower edge")
     if not L.hi_exact and (rows == size - 1).any():
@@ -140,9 +140,13 @@ def scaled_tolerance(tol: float, op: TridiagonalOperator) -> float:
 # drift along a flow
 
 
-def _compared(mode: str, count: int | None, size: int) -> slice:
+def compared_eigenvalues(rep: RepresentationSpec, mode: str,
+                         count: int | None) -> slice:
     """The eigenvalues, in ascending order, that ``isospectrality_drift``
-    compares on a window of ``size`` rows."""
+    compares on the window of ``rep``.  Raises ConfigurationError for an
+    unknown mode or a count outside the window."""
+    lo, hi = rep.window
+    size = hi - lo + 1
     if mode == "all":
         return slice(None)
     if mode not in ("lowest", "central"):
@@ -168,13 +172,11 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
     ``1 <= count <= window size``; the mode and count are checked before
     any eigensolve and raise ConfigurationError otherwise.
     """
-    keep = ref = None
+    keep = compared_eigenvalues(rep, mode, count)
+    ref = None
     worst = 0.0
     for r, s in zip(traj.r.tolist(), traj.s.tolist()):
-        L = build_L(rep, alg, r, s)
-        if keep is None:
-            keep = _compared(mode, count, L.size)
-        lam = eigenvalues(L)[keep]
+        lam = eigenvalues(build_L(rep, alg, r, s))[keep]
         if ref is None:
             ref = lam
         else:

@@ -65,6 +65,11 @@ def _with_out(cfg, tmp_path, sub="out"):
     return out
 
 
+def _csv_files(tmp_path, sub="out"):
+    """The CSV files a command left in its output directory."""
+    return sorted(path.name for path in (tmp_path / sub).glob("*.csv"))
+
+
 def _report_rows(tmp_path, sub="out"):
     lines = (tmp_path / sub / "report.csv").read_text().strip().split("\n")
     assert lines[0] == "check,value,tolerance,pass"
@@ -201,6 +206,7 @@ def test_family_outside_its_regime_exits_2(tmp_path, capsys):
                        "family": "meixner"}]}
     assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 2
     assert "s + c > r > 0" in capsys.readouterr().err
+    assert _csv_files(tmp_path) == []
     cfg["checks"][0]["family"] = "laguerre"
     assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 0
 
@@ -261,12 +267,20 @@ def test_isoflow_out_overrides(tmp_path, monkeypatch):
     lambda c: c["flow"].update({"record_every": 0}),
     lambda c: c["checks"][3].update({"mode": "bogus"}),
     lambda c: c["checks"][5].update({"points": 0}),
+    lambda c: c["checks"][4].update({"family": "bogus"}),
+    lambda c: c["checks"][5].update({"family": "bogus"}),
+    lambda c: c["checks"][4].update({"family": "bessel"}),  # no closed form
+    lambda c: c["checks"][5].update({"family": "meixner"}),  # wrong class
+    lambda c: c["representation"].update({"j": 0}),  # a Krawtchouk lattice of N = 0
+    lambda c: c.pop("representation"),
 ])
 def test_bad_run_configs_exit_2(tmp_path, capsys, mangle):
     cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
     mangle(cfg)
     assert main(["run", _write(tmp_path, cfg)]) == 2
     assert capsys.readouterr().err != ""
+    # rejected before anything ran: no trajectory, spectrum or report
+    assert _csv_files(tmp_path) == []
 
 
 @pytest.mark.parametrize("options,count", [
@@ -282,6 +296,7 @@ def test_drift_count_outside_window_exits_2(tmp_path, capsys, options, count):
     assert main(["run", _write(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert "count <= 13 (the window size)" in err and f"count={count}" in err
+    assert _csv_files(tmp_path) == []
 
 
 @pytest.mark.parametrize("algebra,rep,r0,s0", [
