@@ -38,12 +38,12 @@ from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               Generators, Oscillator, ParameterError,
                               PrincipalSeries, RepresentationSpec, SU2,
                               build_generators, build_L, build_M,
-                              check_compatible, lax_residual)
+                              check_compatible, lax_residual, lax_rows)
 from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, compared_eigenvalues,
                        degenerate_e2_check, eigenfunction, eigenvalues,
                        eigs_sym_tridiag, isospectrality_drift,
-                       recurrence_residual, scaled_tolerance)
+                       recurrence_residual, residual_grid, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,6 +16,7 @@ time-derivative law for the eigenvector polynomials.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -112,8 +113,8 @@ def integrate_chain(state0: ChainState, g: GFun, dt: float, t_end: float,
     IntegrationBlowupError carrying the last recorded good ChainState."""
     d = state0.d
     try:
-        t, y = rk4_path(_packed_rhs(g), state0.t, [*state0.s, *state0.r],
-                        dt, t_end, record_every)
+        t, y = rk4_path(functools.partial(rk4_step, _packed_rhs(g)), state0.t,
+                        [*state0.s, *state0.r], dt, t_end, record_every)
         if (y[-1, d:] <= 0).any():  # the last step never reaches the rhs check
             raise IntegrationBlowupError(f"chain left r_i > 0 at t = {t[-1]:.6g}", (t, y))
     except IntegrationBlowupError as exc:

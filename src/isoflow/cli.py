@@ -38,9 +38,10 @@ from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
-                              check_compatible, lax_residual)
+                              check_compatible, lax_residual, lax_rows)
 from .spectral import (compared_eigenvalues, eigenvalues, isospectrality_drift,
-                       recurrence_residual, rep_labels, scaled_tolerance)
+                       recurrence_residual, rep_labels, residual_grid,
+                       scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 _FAMILY_NAMES = {tag.value: tag for tag in FamilyTag}
@@ -55,12 +56,13 @@ def _fail(msg: str) -> int:
 
 
 def _finish(outdir: str, results: list[CheckResult]) -> int:
-    """Write report.csv, print one PASS/FAIL line per row, return the exit
-    code."""
+    """Write report.csv, print one PASS/FAIL line per row with its margin
+    (value / tolerance), return the exit code."""
     write_report_csv(os.path.join(outdir, "report.csv"), results)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        line = f"{status}  {res.name}  value={res.value:.6g}  tol={res.tolerance:.6g}"
+        line = (f"{status}  {res.name}  value={res.value:.6g}  "
+                f"tol={res.tolerance:.6g}  margin={res.margin:.6g}")
         if res.note:
             line += f"  ({res.note})"
         print(line)
@@ -149,8 +151,9 @@ def _family(ccfg) -> FamilyTag:
 # before anything runs or is written.
 
 
-def _lax_residual(ccfg, *, rep, **_):
+def _lax_residual(ccfg, *, alg, rep, state0, **_):
     _need_rep(ccfg, rep)
+    lax_rows(build_L(rep, alg, state0.r, state0.s))
 
     def row(*, alg, state0, policy, **_):
         u0 = policy(state0.t, state0.r)
@@ -206,11 +209,11 @@ def _diagonalization(ccfg, *, alg, rep, state0, **_):
     family = _family(ccfg)
     count = _int_option(ccfg, "points", 10)
     parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
+    op = build_L(rep, alg, state0.r, state0.s)
+    rows, points = residual_grid(_check_rows(op), _spectral_points(family, count))
 
     def row(**_):
-        op = build_L(rep, alg, state0.r, state0.s)
-        worst = recurrence_residual(family, rep, alg, state0.r, state0.s,
-                                    _check_rows(op), _spectral_points(family, count))
+        worst = recurrence_residual(family, rep, alg, state0.r, state0.s, rows, points)
         note = f"family={family.value}; tolerance scaled by 1+|L|_inf"
         if not math.isfinite(worst):
             note += "; residual non-finite because the closed-form components overflowed"

@@ -9,13 +9,19 @@ The function I(r,s) = epsilon r^2 + (a s + 2c) s is conserved.  Along a flow
 the orthogonality weight of the diagonalizing family picks up a factor
 m(t)^x with m(t) = exp(K * int_0^t u/r); per family m(t) also has a closed
 form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
-g(t) = r (ln m)' / u and its constancy.  ``rk4_step``/``rk4_path`` are the
-one RK4 kernel, shared with the chain flow.
+g(t) = r (ln m)' / u and its constancy.
+
+``rk4_path`` is the one RK4 driver of both flows; it advances a state with
+a step function.  The rank-1 flow's step is fused on the two floats (r, s),
+built once per path with the u-policy resolved; the chain flow binds the
+list kernel ``rk4_step`` to its right-hand side.  Both give the results of
+the vector RK4 expressions bit for bit.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,31 +66,49 @@ class Toda:
 @dataclass(frozen=True)
 class SignedScaled:
     """u = sigma * gamma(t) * r with gamma > 0 constant or a sampled table
-    (linear interpolation between samples)."""
+    (linear interpolation between samples, held at the end values)."""
 
     sigma: int
     gamma: float | tuple[tuple[float, ...], tuple[float, ...]] = 1.0
+    # (ts, values, slopes) as floats for a table, None for a constant
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma not in (+1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
         if isinstance(self.gamma, (int, float)):
-            if self.gamma <= 0:
-                raise ValueError("gamma must be positive")
-        else:
-            ts, vals = self.gamma
-            if len(ts) != len(vals) or len(ts) < 2:
-                raise ValueError("gamma table needs matching t/value samples")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("gamma table t samples must be strictly increasing")
-            if any(v <= 0 for v in vals):
-                raise ValueError("gamma must be positive")
+            if not 0 < self.gamma < math.inf:
+                raise ValueError("gamma must be positive and finite")
+            return
+        ts, vals = self.gamma
+        if len(ts) != len(vals) or len(ts) < 2:
+            raise ValueError("gamma table needs matching t/value samples")
+        ts, vals = tuple(map(float, ts)), tuple(map(float, vals))
+        if not all(map(math.isfinite, ts)):
+            raise ValueError("gamma table t samples must be finite")
+        if any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValueError("gamma table t samples must be strictly increasing")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("gamma must be positive and finite")
+        slopes = tuple((v1 - v0) / (t1 - t0)
+                       for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:]))
+        object.__setattr__(self, "_table", (ts, vals, slopes))
 
     def gamma_at(self, t: float) -> float:
-        if isinstance(self.gamma, (int, float)):
+        """gamma(t); for a table bitwise ``np.interp(t, ts, values)``, whose
+        scalar rule this is: the end values outside the samples, a sample's
+        own value at its t, else slope * (t - t_j) + value_j."""
+        if self._table is None:
             return float(self.gamma)
-        ts, vals = self.gamma
-        return float(np.interp(t, ts, vals))
+        ts, vals, slopes = self._table
+        if t < ts[0]:
+            return vals[0]
+        if t >= ts[-1]:
+            return vals[-1]
+        j = bisect_right(ts, t, 1, len(ts) - 1) - 1
+        if ts[j] == t:
+            return vals[j]
+        return slopes[j] * (t - ts[j]) + vals[j]
 
     def __call__(self, t: float, r: float) -> float:
         return self.sigma * self.gamma_at(t) * r
@@ -101,13 +125,9 @@ def policy_sigma(policy: UPolicy) -> int:
 # the flow
 
 
-def _flow_eqs(alg: AlgebraSpec, r: float, s: float, u: float) -> tuple[float, float]:
-    return 2.0 * alg.epsilon * r * u, -2.0 * (alg.a * s + alg.c_param) * u
-
-
 def flow_rhs(alg: AlgebraSpec, state: FlowState, u: float) -> tuple[float, float]:
     """(sdot, rdot) = (2 epsilon r u, -2 (a s + c) u)."""
-    return _flow_eqs(alg, state.r, state.s, u)
+    return 2.0 * alg.epsilon * state.r * u, -2.0 * (alg.a * state.s + alg.c_param) * u
 
 
 def invariant(alg: AlgebraSpec, state: FlowState) -> float:
@@ -147,6 +167,7 @@ class Trajectory:
 
 
 RHS = Callable[[float, list[float]], list[float]]
+Step = Callable[[float, list[float], float], list[float]]
 
 
 def rk4_step(f: RHS, t: float, y: list[float], dt: float) -> list[float]:
@@ -166,9 +187,11 @@ def rk4_step(f: RHS, t: float, y: list[float], dt: float) -> list[float]:
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def rk4_path(f: RHS, t0: float, y0: list[float], dt: float, t_end: float,
-             record_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 of y' = f(t, y) on the grid t0 + (i+1) dt up to t_end.
+def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
+             record_every: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-step RK4 on the grid t0 + (i+1) dt up to t_end: ``step(t, y,
+    dt)`` advances y by one step from t (``rk4_step`` bound to a right-hand
+    side, or a fused step that computes the same).
 
     Returns (t, y) arrays with one row of y per sample: t0, every
     ``record_every``-th step and the last step.  ``dt`` must divide
@@ -191,7 +214,7 @@ def rk4_path(f: RHS, t0: float, y0: list[float], dt: float, t_end: float,
     t, y = t0, y0
     isfinite = math.isfinite
     for i in range(n_steps):
-        y = rk4_step(f, t, y, dt)
+        y = step(t, y, dt)
         t = t0 + (i + 1) * dt
         if not all(map(isfinite, y)):
             raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
@@ -202,30 +225,75 @@ def rk4_path(f: RHS, t0: float, y0: list[float], dt: float, t_end: float,
     return np.array(ts), np.array(ys)
 
 
+def _gain(policy: UPolicy) -> float | Callable[[float], float]:
+    """u / r under ``policy``, resolved once per path: a float for Toda and
+    a constant gamma, else a function of t.  ``gain * r`` is bitwise the
+    policy's u (1.0 * r is r)."""
+    if isinstance(policy, Toda):
+        return 1.0
+    if policy._table is None:
+        return policy.sigma * float(policy.gamma)
+    sigma, gamma_at = policy.sigma, policy.gamma_at
+    return lambda t: sigma * gamma_at(t)
+
+
+def _rank1_step(alg: AlgebraSpec, gain: float | Callable[[float], float]) -> Step:
+    """The RK4 step of y = [r, s] under u = gain * r for ``rk4_path``:
+    ``rk4_step`` of (rdot, sdot) = ``flow_rhs`` written out on two floats,
+    with the same expression tree, so bit-identical to it."""
+    e2, a, c = 2.0 * alg.epsilon, alg.a, alg.c_param
+
+    def fused(r, s, dt, g0, gh, g1):
+        h = dt / 2
+        u = g0 * r
+        k1r, k1s = -2.0 * (a * s + c) * u, e2 * r * u
+        r2, s2 = r + h * k1r, s + h * k1s
+        u = gh * r2
+        k2r, k2s = -2.0 * (a * s2 + c) * u, e2 * r2 * u
+        r3, s3 = r + h * k2r, s + h * k2s
+        u = gh * r3
+        k3r, k3s = -2.0 * (a * s3 + c) * u, e2 * r3 * u
+        r4, s4 = r + dt * k3r, s + dt * k3s
+        u = g1 * r4
+        k4r, k4s = -2.0 * (a * s4 + c) * u, e2 * r4 * u
+        w = dt / 6
+        return [r + w * (k1r + 2 * k2r + 2 * k3r + k4r),
+                s + w * (k1s + 2 * k2s + 2 * k3s + k4s)]
+
+    if callable(gain):
+        def step(t, y, dt):
+            gh = gain(t + dt / 2)
+            return fused(y[0], y[1], dt, gain(t), gh, gain(t + dt))
+    else:
+        def step(t, y, dt):
+            return fused(y[0], y[1], dt, gain, gain, gain)
+    return step
+
+
 def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
               dt: float, t_end: float, record_every: int = 1) -> Trajectory:
     """Classical fixed-step RK4 (``rk4_path``) for (r, s); u is re-sampled
     at every stage.  Raises IntegrationBlowupError, carrying the last
     recorded FlowState, on non-finite state."""
-
-    def rhs(t: float, y: list[float]) -> list[float]:
-        r, s = y
-        sd, rd = _flow_eqs(alg, r, s, policy(t, r))
-        return [rd, sd]
-
+    gain = _gain(policy)
     try:
-        t_arr, y = rk4_path(rhs, state0.t, [float(state0.r), float(state0.s)],
-                            dt, t_end, record_every)
+        t_arr, y = rk4_path(_rank1_step(alg, gain), state0.t,
+                            [float(state0.r), float(state0.s)], dt, t_end,
+                            record_every)
     except IntegrationBlowupError as exc:
         t, y = exc.last_state
         exc.last_state = FlowState(float(t[-1]), float(y[-1, 0]), float(y[-1, 1]))
         raise
     r_arr, s_arr = y[:, 0], y[:, 1]
-    # u and I over Python floats, with the arithmetic of ``invariant``:
-    # r ** 2 is libm's pow, which can differ from r * r in the last bit
+    # u and I over Python floats, with the arithmetic of the policy and of
+    # ``invariant``: r ** 2 is libm's pow, which can differ from r * r in
+    # the last bit
     t_l, r_l, s_l = t_arr.tolist(), r_arr.tolist(), s_arr.tolist()
     eps, a, c2 = alg.epsilon, alg.a, 2.0 * alg.c_param
-    u_arr = np.array([policy(t, r) for t, r in zip(t_l, r_l)])
+    if callable(gain):
+        u_arr = np.array([gain(t) * r for t, r in zip(t_l, r_l)])
+    else:
+        u_arr = np.array([gain * r for r in r_l])
     i_arr = np.array([eps * r ** 2 + (a * s + c2) * s for r, s in zip(r_l, s_l)])
     return Trajectory(t_arr, r_arr, s_arr, u_arr, i_arr)
 
@@ -353,9 +421,8 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """CSV with header t,r,s,u,I at 17 significant digits."""
+    cols = (traj.t, traj.r, traj.s, traj.u, traj.invariant)
     with open(path, "w", newline="") as fh:
         fh.write("t,r,s,u,I\n")
-        for i in range(len(traj)):
-            fh.write(",".join("%.17g" % v for v in
-                              (traj.t[i], traj.r[i], traj.s[i], traj.u[i], traj.invariant[i])))
-            fh.write("\n")
+        fh.write("".join(["%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
+                          for row in zip(*(c.tolist() for c in cols))]))

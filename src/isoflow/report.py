@@ -17,6 +17,21 @@ class CheckResult:
     passed: bool
     note: str = ""
 
+    @property
+    def margin(self) -> float:
+        """value / tolerance: how far the row is from its bound, which sits
+        at 1.  With a zero tolerance it is 0 for a zero value and an infinity
+        of the value's sign otherwise; an infinite value over an infinite
+        tolerance is +-1 by their signs; a NaN value or tolerance gives NaN."""
+        value, tol = self.value, self.tolerance
+        if math.isnan(value) or math.isnan(tol):
+            return math.nan
+        if tol == 0.0:
+            return 0.0 if value == 0.0 else math.copysign(math.inf, value)
+        if math.isinf(value) and math.isinf(tol):
+            return math.copysign(1.0, value) * math.copysign(1.0, tol)
+        return value / tol
+
 
 _PASSES = {"<=": operator.le, ">=": operator.ge, ">": operator.gt}
 

@@ -229,6 +229,15 @@ def build_M(rep: RepresentationSpec, alg: AlgebraSpec, u: float) -> SkewTridiago
                                    size_hint=len(g.h_diag))
 
 
+def lax_rows(op: TridiagonalOperator) -> range:
+    """The interior rows of ``op``, over which ``lax_residual`` is taken.
+    Raises ConfigurationError when none survive truncation."""
+    rows = op.interior_rows()
+    if len(rows) == 0:
+        raise ConfigurationError("window too small: no interior rows survive truncation")
+    return rows
+
+
 def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, u: float) -> float:
     """Interior-row max-norm of dL/dt - [M, L] with the flow substituted.
 
@@ -237,6 +246,8 @@ def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, 
     commutator is formed densely.  Analytically zero on every interior row.
     """
     check_compatible(rep, alg)
+    op = build_L(rep, alg, r, s)
+    rows = lax_rows(op)
     g = build_generators(rep)
     s_dot = 2.0 * alg.epsilon * r * u
     r_dot = -2.0 * (alg.a * s + alg.c_param) * u
@@ -244,12 +255,8 @@ def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, 
     ldot_off = r_dot * g.e_coeff
     ldot = TridiagonalOperator(g.base_index, ldot_diag, ldot_off,
                                g.lo_exact, g.hi_exact).to_dense()
-    op = build_L(rep, alg, r, s)
     ld = op.to_dense()
     md = build_M(rep, alg, u).to_dense()
     comm = md @ ld - ld @ md
-    rows = op.interior_rows()
-    if len(rows) == 0:
-        raise ConfigurationError("window too small: no interior rows survive truncation")
     diff = ldot - comm
     return float(np.abs(diff[list(rows), :]).max())

@@ -76,6 +76,16 @@ def _each(f, x):
     return f(x) if np.ndim(x) == 0 else np.array([f(xi) for xi in x.tolist()])
 
 
+def residual_grid(rows, points) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and ``points`` as the integer and float arrays
+    ``recurrence_residual`` evaluates over.  Raises ConfigurationError
+    unless there is at least one of each."""
+    rows, points = np.asarray(rows, dtype=int), np.asarray(points, dtype=float)
+    if rows.size == 0 or points.size == 0:
+        raise ConfigurationError("residual needs at least one row and one point")
+    return rows, points
+
+
 def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
                         alg: AlgebraSpec, r: float, s: float, rows,
                         points) -> float:
@@ -99,9 +109,7 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     fam = FamilyTag(family)
     L = build_L(rep, alg, r, s)
     size = L.size
-    rows, points = np.asarray(rows, dtype=int), np.asarray(points, dtype=float)
-    if rows.size == 0 or points.size == 0:
-        raise ConfigurationError("residual needs at least one row and one point")
+    rows, points = residual_grid(rows, points)
     bad = rows[(rows < 0) | (rows >= size)]
     if bad.size:
         raise ConfigurationError(f"row {bad[0]} outside window of size {size}")

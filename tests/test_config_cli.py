@@ -2,13 +2,15 @@
 exit codes, and determinism of the verification suite."""
 import filecmp
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from isoflow import build_L, config as cfgmod, eigs_sym_tridiag, scaled_tolerance
-from isoflow.cli import main
+from isoflow import check_result
+from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
 
 RUN_CFG = {
@@ -281,6 +283,46 @@ def test_bad_run_configs_exit_2(tmp_path, capsys, mangle):
     assert capsys.readouterr().err != ""
     # rejected before anything ran: no trajectory, spectrum or report
     assert _csv_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("check, err", [
+    ({"name": "lax_residual", "tolerance": 1e-12}, "no interior rows"),
+    ({"name": "diagonalization", "tolerance": 1e-11,
+      "family": "meixner_pollaczek"},
+     "at least one row and one point"),
+])
+def test_window_without_interior_rows_exits_2_before_writing(tmp_path, capsys,
+                                                             check, err):
+    # the one-row window's upper edge is truncated: no row is interior
+    cfg = {"algebra": {"class": "su11"},
+           "representation": {"type": "discrete_series", "k": 1.0, "n_max": 0},
+           "flow": {"r0": 1.0, "s0": 0.2, "dt": 1e-3, "t_end": 0.1,
+                    "policy": {"type": "signed_scaled", "sigma": -1}},
+           "checks": [check]}
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 2
+    assert err in capsys.readouterr().err
+    assert list(tmp_path.glob("out/**/*")) == []  # nothing written
+
+
+def test_stdout_lines_carry_the_margin(tmp_path, capsys):
+    rows = [check_result("plain", 2e-13, 1e-12),
+            check_result("ratio", 3.0, 12.0, ">="),
+            check_result("zero_tol", 0.0, 0.0),
+            check_result("integration", math.inf, 0.0),
+            check_result("negative", -1.0, 0.0),
+            check_result("both_inf", math.inf, math.inf),
+            check_result("nan", math.nan, 1e-9),
+            check_result("inf_tol", 5.0, math.inf)]
+    assert _finish(str(tmp_path), rows) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "PASS  plain  value=2e-13  tol=1e-12  margin=0.2"
+    assert lines[1].startswith("FAIL  ratio  value=3  tol=12  margin=0.25  (")
+    margins = [line.split("  ")[4] for line in lines]
+    assert margins == ["margin=0.2", "margin=0.25", "margin=0", "margin=inf",
+                       "margin=-inf", "margin=1", "margin=nan", "margin=0"]
+    # report.csv keeps its four columns
+    assert (tmp_path / "report.csv").read_text().splitlines()[:2] == [
+        "check,value,tolerance,pass", "plain,2.0000000000000001e-13,9.9999999999999998e-13,true"]
 
 
 @pytest.mark.parametrize("options,count", [

@@ -49,6 +49,48 @@ def test_unsorted_gamma_table_rejected():
     assert SignedScaled(1, ((0.0, 0.5, 1.0), (1.0, 3.0, 2.0))).gamma_at(0.75) == 2.5
 
 
+def test_gamma_table_rejects_non_finite_samples():
+    # NaN passes both the ordering and the positivity comparisons
+    for table in (((0.0, math.nan, 1.0), (1.0, 2.0, 3.0)),
+                  ((0.0, 0.5, math.inf), (1.0, 2.0, 3.0)),
+                  ((0.0, 0.5, 1.0), (1.0, math.nan, 3.0)),
+                  ((0.0, 0.5, 1.0), (1.0, math.inf, 3.0))):
+        with pytest.raises(ValueError, match="finite"):
+            SignedScaled(1, table)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SignedScaled(1, gamma)
+
+
+def _interp_points(ts, dt, rng):
+    """Points to interpolate a table with samples ``ts`` at: random ones
+    over and beyond the samples, the samples themselves and their
+    neighbouring floats, and the RK4 stage times of a grid of step dt."""
+    t0, t1 = ts[0], ts[-1]
+    grid = t0 - 3 * dt + dt * np.arange(int((t1 - t0) / dt) + 7)
+    return np.concatenate([
+        rng.uniform(t0 - 1.0, t1 + 1.0, 400), ts,
+        np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf),
+        grid, grid + dt / 2, [-np.inf, np.inf, -1e300, 1e300]])
+
+
+def test_gamma_table_matches_np_interp_bitwise():
+    rng = np.random.default_rng(5)
+    tables = [((0.0, 0.5, 1.0), (1.0, 3.0, 2.0)),
+              ((0.0, 0.25, 0.5, 0.75), (0.6, 1.4, 0.8, 1.2)),
+              ((-1e-3, 2e-3), (5.0, 1e-300)), ((0, 1, 3), (2, 7, 1))]
+    for n in (2, 3, 5, 17, 60):
+        ts = np.cumsum(rng.uniform(1e-6, 1.0, n)) - rng.uniform(0.0, 2.0)
+        tables.append((tuple(ts.tolist()), tuple(rng.uniform(1e-3, 1e3, n).tolist())))
+    for ts, vals in tables:
+        policy = SignedScaled(1, (ts, vals))
+        for dt in (1e-3, 1e-4, 2.0 ** -8):
+            points = _interp_points(np.array(ts, dtype=float), dt, rng).tolist()
+            got = np.array([policy.gamma_at(t) for t in points])
+            want = np.interp(points, ts, vals)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_su2_closed_form_orbit():
     """From (r, s) = (1, 0) the Toda flow follows sech/tanh exactly."""
     traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), Toda(), 1e-3, 2.0,
@@ -202,6 +244,29 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(lines) == len(traj) + 1
     back = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(back[:, 1], traj.r, rtol=0, atol=0)
+
+
+def reference_trajectory_csv(path, traj):
+    """``write_trajectory_csv`` as it wrote one row at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,r,s,u,I\n")
+        for i in range(len(traj)):
+            fh.write(",".join("%.17g" % v for v in
+                              (traj.t[i], traj.r[i], traj.s[i], traj.u[i], traj.invariant[i])))
+            fh.write("\n")
+
+
+def test_trajectory_csv_matches_row_writer(tmp_path):
+    edge = np.array([-0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0])
+    for traj in (integrate(su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0, 7),
+                 integrate(oscillator(1.0), FlowState(0.0, 4.0, 0.5),
+                           SignedScaled(1, ((0.0, 0.5, 1.0), (0.7, 1.2, 0.9))),
+                           1e-3, 1.0, 1),
+                 Trajectory(edge, edge[::-1], edge * 3, edge + 1, edge / 7),
+                 Trajectory(*[np.zeros(0)] * 5)):
+        write_trajectory_csv(tmp_path / "new.csv", traj)
+        reference_trajectory_csv(tmp_path / "ref.csv", traj)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def _reference_u_and_invariant(alg, policy, traj):

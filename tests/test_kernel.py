@@ -50,9 +50,19 @@ def np_rk4_samples(f, t0, y0, dt, t_end, record_every):
     return None
 
 
+def np_policy(policy):
+    """The u-policy as a function of (t, r), a gamma table interpolated by
+    ``np.interp`` as the policies did before their own interpolation."""
+    if isinstance(policy, SignedScaled) and isinstance(policy.gamma, tuple):
+        ts, vals = policy.gamma
+        return lambda t, r: policy.sigma * float(np.interp(t, ts, vals)) * r
+    return policy
+
+
 def reference_integrate(alg, state0, policy, dt, t_end, record_every):
     """The rank-1 RK4 loop as it stood before the shared kernel."""
     n_steps = int(round((t_end - state0.t) / dt))
+    policy = np_policy(policy)
 
     def rhs(t, y):
         r, s = y
@@ -113,9 +123,15 @@ def reference_integrate_chain(state0, g, dt, t_end, record_every):
 RANK1_CASES = {
     "toda": (su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0),
     "scaled": (su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 0.8), 1e-4, 0.2),
+    "scaled_int": (su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 2), 1e-4, 0.2),
     "tabulated": (oscillator(1.0), FlowState(0.1, 2.0, 3.0),
                   SignedScaled(1, ((0.0, 0.4, 0.8, 1.2), (0.7, 1.3, 0.9, 1.1))),
                   1e-3, 1.1),
+    # knots on the step grid (dt = 2^-8, so every step lands on one exactly)
+    # and a last knot before t_end, past which gamma is held
+    "tabulated_grid": (su2(0.3), FlowState(0.0, 0.9, 0.4),
+                       SignedScaled(1, ((0.0, 0.25, 0.5, 0.75), (0.6, 1.4, 0.8, 1.2))),
+                       2.0 ** -8, 1.0),
 }
 
 
