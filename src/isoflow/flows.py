@@ -201,6 +201,8 @@ def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"t0 = {t0!r} and t_end = {t_end!r} must be finite")
     if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
     if record_every < 1:

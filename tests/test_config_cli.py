@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from isoflow import build_L, config as cfgmod, eigs_sym_tridiag, scaled_tolerance
-from isoflow import check_result
+from isoflow import (build_L, check_result, config as cfgmod, eigs_sym_tridiag,
+                     scaled_tolerance)
 from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
 
@@ -150,6 +150,15 @@ def test_non_dividing_dt_exits_2(tmp_path, capsys, command, cfg, block):
     cfg[block].update({"dt": 0.3, "t_end": 1.0})
     assert main([command, _write(tmp_path, cfg)]) == 2
     assert "does not divide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, block", [("run", RUN_CFG, "flow"),
+                                                 ("chain", CHAIN_CFG, "chain")])
+def test_infinite_t_end_exits_2(tmp_path, capsys, command, cfg, block):
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    cfg[block]["t_end"] = math.inf  # json writes Infinity, which json reads back
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_unsorted_gamma_table_exits_2(tmp_path, capsys):

@@ -127,8 +127,8 @@ RANK1_CASES = {
     "tabulated": (oscillator(1.0), FlowState(0.1, 2.0, 3.0),
                   SignedScaled(1, ((0.0, 0.4, 0.8, 1.2), (0.7, 1.3, 0.9, 1.1))),
                   1e-3, 1.1),
-    # knots on the step grid (dt = 2^-8, so every step lands on one exactly)
-    # and a last knot before t_end, past which gamma is held
+    # knots on the step grid (multiples of dt = 2^-8, so steps land on them
+    # exactly) and a last knot before t_end, past which gamma is held
     "tabulated_grid": (su2(0.3), FlowState(0.0, 0.9, 0.4),
                        SignedScaled(1, ((0.0, 0.25, 0.5, 0.75), (0.6, 1.4, 0.8, 1.2))),
                        2.0 ** -8, 1.0),
