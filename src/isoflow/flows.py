@@ -11,8 +11,8 @@ m(t)^x with m(t) = exp(K * int_0^t u/r); per family m(t) also has a closed
 form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
 g(t) = r (ln m)' / u and its constancy.
 
-``rk4_path`` is the one RK4 driver of both flows; it advances a state with
-a step function.  The rank-1 flow's step is fused on the two floats (r, s),
+``rk4_path`` is the one fixed-step RK4 loop of both flows; it advances a
+state with a step function.  The rank-1 flow's step is fused on the two floats (r, s),
 built once per path with the u-policy resolved; the chain flow binds the
 list kernel ``rk4_step`` to its right-hand side.  Both give the results of
 the vector RK4 expressions bit for bit.
