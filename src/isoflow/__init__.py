@@ -43,7 +43,8 @@ from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, compared_eigenvalues,
                        degenerate_e2_check, eigenfunction, eigenvalues,
                        eigs_sym_tridiag, isospectrality_drift,
-                       recurrence_residual, residual_grid, scaled_tolerance)
+                       path_eigenvalues, recurrence_residual, residual_grid,
+                       scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -39,9 +39,9 @@ from .report import (CheckResult, all_passed, check_result, guarded,
                      write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
                               check_compatible, lax_residual, lax_rows)
-from .spectral import (compared_eigenvalues, eigenvalues, isospectrality_drift,
-                       recurrence_residual, rep_labels, residual_grid,
-                       scaled_tolerance)
+from .spectral import (compared_eigenvalues, isospectrality_drift,
+                       path_eigenvalues, recurrence_residual, rep_labels,
+                       residual_grid, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 _FAMILY_NAMES = {tag.value: tag for tag in FamilyTag}
@@ -103,7 +103,7 @@ def _int_option(ccfg, key, default):
         return None
     try:
         value = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
         value = 0
     if value < 1:
         raise ConfigError(f"check '{ccfg['name']}': {key} must be a positive integer")
@@ -259,9 +259,8 @@ def _cmd_run(path: str) -> int:
 
     write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj)
     if rep is not None:
-        spectra = [eigenvalues(build_L(rep, alg, r, s))
-                   for r, s in zip(traj.r.tolist(), traj.s.tolist())]
-        write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
+        write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
+                           path_eigenvalues(rep, alg, traj.r, traj.s))
 
     return _finish(outdir, _results(checks, computes, alg=alg, state0=state0,
                                     policy=policy, traj=traj, full=full,
@@ -290,11 +289,11 @@ def _write_chain_csv(path: str, traj) -> None:
     d = traj.s.shape[1]
     cols = ["t"] + [f"s_{i}" for i in range(1, d + 1)] + \
         [f"r_{i}" for i in range(1, d + 1)]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(len(traj.t)):
-            row = [traj.t[i], *traj.s[i], *traj.r[i]]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+        fh.write("".join([row % (t, *s, *r) for t, s, r in
+                          zip(traj.t.tolist(), traj.s.tolist(), traj.r.tolist())]))
 
 
 _CHAIN = {

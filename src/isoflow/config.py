@@ -6,6 +6,7 @@ code 2 (as opposed to exit 1 for a numerical check that ran and failed).
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .algebra import AlgebraSpec, e2, oscillator, su2, su11
@@ -52,10 +53,30 @@ def _number(cfg: dict, key: str, where: str, default=None) -> float:
         if default is None:
             raise ConfigError(f"missing number {key!r} in {where}")
         return float(default)
-    v = cfg[key]
+    return _finite(cfg[key], f"{where}.{key}")
+
+
+def _numbers(cfg: dict, key: str, where: str) -> tuple[float, ...]:
+    """The array ``cfg[key]`` of finite numbers, as floats."""
+    values = _require(cfg, key, where)
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}.{key} must be an array")
+    return tuple(_finite(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
+
+
+def _finite(v, name: str) -> float:
+    """The JSON number ``v`` as a float; ConfigError unless it is a finite
+    number (json also reads NaN, Infinity and integers past the float
+    range)."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {v!r}")
-    return float(v)
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {v!r}")
+    return x
 
 
 def build_algebra(cfg: dict) -> AlgebraSpec:
@@ -139,14 +160,12 @@ def build_flow(cfg: dict) -> tuple[FlowState, UPolicy, float, float, int]:
 
 def build_chain_state(cfg: dict) -> ChainState:
     cfg = _block(cfg, "chain")
-    s = _require(cfg, "s", "chain")
-    r = _require(cfg, "r", "chain")
-    if not isinstance(s, list) or not isinstance(r, list):
-        raise ConfigError("chain.s and chain.r must be arrays")
+    s = _numbers(cfg, "s", "chain")
+    r = _numbers(cfg, "r", "chain")
     t0 = _number(cfg, "t0", "chain", default=0.0)
     try:
-        return ChainState(t0, tuple(float(v) for v in s), tuple(float(v) for v in r))
-    except (TypeError, ValueError) as exc:
+        return ChainState(t0, s, r)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 

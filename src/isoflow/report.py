@@ -86,13 +86,19 @@ def write_report_csv(path, results: list[CheckResult]) -> None:
 
 def write_spectrum_csv(path, times, spectra) -> None:
     """Header t,index,lambda; spectra[i] is the ascending spectrum at
-    times[i]."""
+    times[i].  Each spectrum is one fill of the row template of its size,
+    ``"%s0,%.17g\\n%s1,%.17g\\n..."`` with the time field in every ``%s``."""
+    templates = {}
     with open(path, "w", newline="") as fh:
         fh.write("t,index,lambda\n")
         for t, lam in zip(times, spectra):
-            head = fmt(t) + ","
-            fh.write("".join(["%s%d,%.17g\n" % (head, idx, lv)
-                              for idx, lv in enumerate(np.asarray(lam).tolist())]))
+            values = np.asarray(lam).tolist()
+            n = len(values)
+            if n not in templates:
+                templates[n] = "".join(["%%s%d,%%.17g\n" % idx for idx in range(n)])
+            fields = [fmt(t) + ","] * (2 * n)
+            fields[1::2] = values
+            fh.write(templates[n] % tuple(fields))
 
 
 def all_passed(results: list[CheckResult]) -> bool:

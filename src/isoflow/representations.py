@@ -208,14 +208,26 @@ def build_generators(rep: RepresentationSpec) -> Generators:
 # Lax operators
 
 
-def build_L(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float) -> TridiagonalOperator:
-    """Symmetric tridiagonal matrix of L = cH + s(aH + bN) + r(E + E*)."""
+def lax_entries(rep: RepresentationSpec, alg: AlgebraSpec, r, s):
+    """The generators of ``rep`` and the diagonal and off-diagonal of
+    L = cH + s(aH + bN) + r(E + E*) at a scalar (r, s), or at a column of
+    samples (shape (k, 1) each), which gives (k, n) and (k, n - 1) arrays
+    with one sample per row.  Raises ValueError when a sample or an entry
+    is not finite."""
     check_compatible(rep, alg)
-    if not (np.isfinite(r) and np.isfinite(s)):
+    if not (np.isfinite(r).all() and np.isfinite(s).all()):
         raise ValueError("r and s must be finite")
     g = build_generators(rep)
     diag = (alg.c_param + s * alg.a) * g.h_diag + s * alg.b * g.n_scalar
     off = r * g.e_coeff  # E* = epsilon*F contributes the same coefficient, symmetrically
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("non-finite entries")
+    return g, diag, off
+
+
+def build_L(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float) -> TridiagonalOperator:
+    """Symmetric tridiagonal matrix of L = cH + s(aH + bN) + r(E + E*)."""
+    g, diag, off = lax_entries(rep, alg, r, s)
     return TridiagonalOperator(g.base_index, diag, off, g.lo_exact, g.hi_exact)
 
 

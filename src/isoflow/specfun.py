@@ -15,14 +15,51 @@ import numpy as np
 
 # Importing scipy takes longer than importing numpy and the rest of the
 # package together, so it is left to the first call that needs it: every use
-# of scipy in the package goes through these two wrappers.
+# of scipy in the package goes through these two functions.
 
 
-def eigh_tridiagonal(d, e, **kwargs):
+def eigh_tridiagonal(d, e, eigvals_only=False, **kwargs):
     """``scipy.linalg.eigh_tridiagonal``, with scipy.linalg imported on
-    first use."""
+    first use.
+
+    The eigenvalue-only solve of two 1-D float64 arrays (with at most the
+    ``check_finite`` option) calls LAPACK ``dstevd`` directly: the routine
+    scipy's ``auto`` driver runs for that call, under scipy's input rules,
+    without the cost of its wrapper.  Every other call goes to scipy."""
+    if eigvals_only and _f8_vector(d) and _f8_vector(e) and kwargs.keys() <= {"check_finite"}:
+        return _stevd_eigenvalues(d, e, kwargs.get("check_finite", True))
     from scipy.linalg import eigh_tridiagonal
-    return eigh_tridiagonal(d, e, **kwargs)
+    return eigh_tridiagonal(d, e, eigvals_only=eigvals_only, **kwargs)
+
+
+def _f8_vector(x) -> bool:
+    return type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 1
+
+
+_dstevd = None  # scipy.linalg.lapack.dstevd, bound on the first solve
+
+
+def _stevd_eigenvalues(d: np.ndarray, e: np.ndarray, check_finite: bool) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (d, e) from
+    ``dstevd`` without eigenvectors, raising where scipy's wrapper raises."""
+    global _dstevd
+    if check_finite and not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if d.size != e.size + 1:
+        raise ValueError(f"d ({d.size}) must have one more element than e ({e.size})")
+    if d.size == 1:
+        return d.copy()
+    if _dstevd is None:
+        from scipy.linalg.lapack import dstevd
+        _dstevd = dstevd
+    w, _, info = _dstevd(d, e, compute_v=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal "
+                         "stevd (eigh_tridiagonal)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"stevd (eigh_tridiagonal) did not converge (LAPACK info={info})")
+    return w
 
 
 def loggamma(z):

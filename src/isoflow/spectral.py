@@ -14,7 +14,8 @@ from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
                        parameter_map)
 from .flows import Trajectory
 from .operators import TridiagonalOperator
-from .representations import ConfigurationError, RepresentationSpec, build_L
+from .representations import (ConfigurationError, RepresentationSpec, build_L,
+                              lax_entries)
 from .specfun import bessel_j, eigh_tridiagonal
 
 
@@ -37,6 +38,20 @@ def eigenvalues(op: TridiagonalOperator) -> np.ndarray:
     root-free QL/QR of LAPACK's ``sterf``: no eigenvectors are formed.  They
     agree with ``eigs_sym_tridiag(op).eigenvalues`` to rounding."""
     return eigh_tridiagonal(op.diag, op.off, eigvals_only=True)
+
+
+def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
+                     s) -> list[np.ndarray]:
+    """The ``eigenvalues`` of L at every sample (r[i], s[i]) of a path, each
+    bitwise those of ``build_L(rep, alg, r[i], s[i])``.  The generators are
+    built once and the entries of all samples in one pass; each sample is
+    then one eigenvalue-only solve of its row.  Raises ValueError, as
+    ``build_L`` does, when a sample or an entry is not finite."""
+    _, diag, off = lax_entries(rep, alg, np.asarray(r, dtype=float)[:, None],
+                               np.asarray(s, dtype=float)[:, None])
+    # the entries were checked finite as a whole, so the rows are not again
+    return [eigh_tridiagonal(d, e, eigvals_only=True, check_finite=False)
+            for d, e in zip(diag, off)]
 
 
 # --------------------------------------------------------------------------
@@ -171,7 +186,7 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
                          alg: AlgebraSpec, mode: str = "all",
                          count: int | None = None) -> float:
     """Max absolute eigenvalue drift along the trajectory, from the
-    ``eigenvalues`` of L at every sample.
+    ``path_eigenvalues`` of L at its samples.
 
     mode = "all" compares the full spectrum of the realized window,
     "lowest" only the ``count`` smallest eigenvalues (use for windows whose
@@ -183,8 +198,8 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
     keep = compared_eigenvalues(rep, mode, count)
     ref = None
     worst = 0.0
-    for r, s in zip(traj.r.tolist(), traj.s.tolist()):
-        lam = eigenvalues(build_L(rep, alg, r, s))[keep]
+    for lam in path_eigenvalues(rep, alg, traj.r, traj.s):
+        lam = lam[keep]
         if ref is None:
             ref = lam
         else:

@@ -11,6 +11,7 @@ from isoflow import (ChainState, DegenerateSpectrumWarning,
                      christoffel_weights, eigen_polys, integrate_chain,
                      pn_time_derivative_check, trace_flow_drift,
                      trace_invariants)
+from isoflow.cli import _write_chain_csv
 
 
 def test_single_cell_worked_example():
@@ -123,6 +124,26 @@ def test_isospectral_flow():
     trN = trace_invariants(traj.state(len(traj) - 1))
     assert abs(trN.tr2 - tr0.tr2) <= 1e-9 * (1.0 + abs(tr0.tr2))
     assert abs(trN.tr3 - tr0.tr3) <= 1e-9 * (1.0 + abs(tr0.tr3))
+
+
+def reference_chain_csv(path, traj):
+    """``_write_chain_csv`` as it formatted one numpy value at a time."""
+    d = traj.s.shape[1]
+    cols = ["t"] + [f"s_{i}" for i in range(1, d + 1)] + \
+        [f"r_{i}" for i in range(1, d + 1)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(len(traj.t)):
+            row = [traj.t[i], *traj.s[i], *traj.r[i]]
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
+@pytest.mark.parametrize("d, t_end", [(2, 0.5), (3, 1.0), (5, 0.0)])
+def test_chain_csv_matches_value_writer(tmp_path, d, t_end):
+    traj = integrate_chain(STATES[d], 1.0, 1e-3, t_end, record_every=7)
+    _write_chain_csv(tmp_path / "new.csv", traj)
+    reference_chain_csv(tmp_path / "ref.csv", traj)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_chain_step_control_guards():

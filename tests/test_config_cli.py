@@ -161,6 +161,54 @@ def test_infinite_t_end_exits_2(tmp_path, capsys, command, cfg, block):
     assert "must be finite" in capsys.readouterr().err
 
 
+SU11_DISCRETE = {"algebra": {"class": "su11"},
+                 "representation": {"type": "discrete_series", "k": 1.0, "n_max": 20},
+                 "flow": {"r0": 1.0, "s0": 1.25, "dt": 1e-3, "t_end": 0.1,
+                          "policy": {"type": "toda"}},
+                 "checks": [{"name": "isospectrality_drift", "tolerance": 1e-3,
+                             "mode": "lowest", "count": 3}]}
+SU11_PRINCIPAL = dict(SU11_DISCRETE, representation={
+    "type": "principal_series", "rho": 0.7, "eps": 0.25, "n_min": -10, "n_max": 10},
+    checks=[{"name": "isospectrality_drift", "tolerance": 1e-3,
+             "mode": "central", "count": 3}])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int_past_float_range"])
+@pytest.mark.parametrize("command, cfg, block, key", [
+    ("run", RUN_CFG, "flow", "r0"), ("run", RUN_CFG, "flow", "s0"),
+    ("run", RUN_CFG, "flow", "dt"), ("run", RUN_CFG, "flow", "t_end"),
+    ("run", RUN_CFG, "representation", "j"),
+    ("run", SU11_DISCRETE, "representation", "k"),
+    ("run", SU11_PRINCIPAL, "representation", "rho"),
+    ("chain", CHAIN_CFG, "chain", "g"),
+    ("chain", CHAIN_CFG, "chain", ("s", 1)), ("chain", CHAIN_CFG, "chain", ("r", 2)),
+    ("mvk", MVK_CFG, "chain", ("r", 0)),
+])
+def test_non_finite_numbers_exit_2_before_writing(tmp_path, capsys, command, cfg,
+                                                  block, key, bad):
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    if isinstance(key, tuple):
+        cfg[block][key[0]][key[1]] = bad
+        field = f"{block}.{key[0]}[{key[1]}]"
+    else:
+        cfg[block][key] = bad
+        field = f"{block}.{key}"
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert list(tmp_path.glob("out/**/*")) == []  # nothing written
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("check, option", [(5, "points"), (3, "count")])
+def test_non_finite_check_options_exit_2(tmp_path, capsys, check, option, bad):
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["checks"][check].update({option: bad, "mode": "lowest"})
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert f"{option} must be a positive integer" in capsys.readouterr().err
+    assert list(tmp_path.glob("out/**/*")) == []
+
+
 def test_unsorted_gamma_table_exits_2(tmp_path, capsys):
     cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
     cfg["flow"]["policy"] = {"type": "signed_scaled", "sigma": 1,

@@ -1,5 +1,7 @@
 """scipy is imported on first use: ``import isoflow`` loads none of it, and
-every use goes through the two wrappers in ``isoflow.specfun``."""
+every use goes through the two functions in ``isoflow.specfun``.  The
+eigenvalue-only tridiagonal solve calls LAPACK's ``dstevd`` itself and must
+give scipy's results and raise scipy's errors."""
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.special
 
@@ -82,3 +85,71 @@ def test_wrappers_return_scipy_results():
     for z in (0.5 + 0.0j, 2.5 + 1.3j, -3.7 + 0.2j, 0.01 - 40.0j, 170.0 + 5.0j):
         got, want = complex(specfun.loggamma(z)), complex(scipy.special.loggamma(z))
         assert (got.real, got.imag) == (want.real, want.imag)
+
+
+def _tridiagonal(rng, n):
+    return rng.normal(size=n), rng.uniform(0.1, 1.0, size=n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 61, 121])
+def test_eigenvalue_solve_is_scipys_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        d, e = _tridiagonal(rng, n)
+        got = specfun.eigh_tridiagonal(d, e, eigvals_only=True)
+        want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, d)  # a fresh array, also for the 1x1 exit
+
+
+def test_eigenvalue_solve_of_rows_is_scipys_bitwise():
+    rng = np.random.default_rng(5)
+    d, e = rng.normal(size=(9, 13)), rng.uniform(0.1, 1.0, size=(9, 12))
+    for dr, er in zip(d, e):
+        got = specfun.eigh_tridiagonal(dr, er, eigvals_only=True, check_finite=False)
+        want = scipy.linalg.eigh_tridiagonal(dr, er, eigvals_only=True)
+        assert got.tobytes() == want.tobytes()
+    # a column is a strided view
+    got = specfun.eigh_tridiagonal(d[:, 0], e[:8, 0], eigvals_only=True)
+    want = scipy.linalg.eigh_tridiagonal(d[:, 0], e[:8, 0], eigvals_only=True)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d, e, match", [
+    ([1.0, np.nan, 2.0], [0.5, 0.5], "infs or NaNs"),
+    ([1.0, 2.0, 3.0], [0.5, np.inf], "infs or NaNs"),
+    ([np.nan], [], "infs or NaNs"),
+    ([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], "one more element"),
+    ([1.0, 2.0], [], "one more element"),
+])
+def test_eigenvalue_solve_raises_like_scipy(d, e, match):
+    d, e = np.array(d), np.array(e)
+    for solve in (specfun.eigh_tridiagonal, scipy.linalg.eigh_tridiagonal):
+        with pytest.raises(ValueError, match=match):
+            solve(d, e, eigvals_only=True)
+
+
+def test_eigenvalue_solve_maps_lapack_info(monkeypatch):
+    d, e = np.array([1.0, 2.0]), np.array([0.5])
+    specfun.eigh_tridiagonal(d, e, eigvals_only=True)  # binds dstevd
+    for info, exc in ((3, np.linalg.LinAlgError), (-2, ValueError)):
+        monkeypatch.setattr(specfun, "_dstevd",
+                            lambda d, e, compute_v, info=info: (d, None, info))
+        with pytest.raises(exc, match="stevd"):
+            specfun.eigh_tridiagonal(d, e, eigvals_only=True)
+
+
+def test_other_inputs_and_options_go_to_scipy():
+    d, e = [2.0, 1.0, 3.0], [0.5, 0.25]
+    want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+    assert np.array_equal(specfun.eigh_tridiagonal(d, e, eigvals_only=True), want)
+    f4 = specfun.eigh_tridiagonal(np.float32(d), np.float32(e), eigvals_only=True)
+    assert f4.dtype == np.float32
+    options = {"eigvals_only": True, "select": "i", "select_range": (0, 1)}
+    assert np.array_equal(specfun.eigh_tridiagonal(np.array(d), np.array(e), **options),
+                          scipy.linalg.eigh_tridiagonal(d, e, **options))
+    # scipy solves a stack of rows as a batch
+    rng = np.random.default_rng(8)
+    d2, e2 = rng.normal(size=(3, 4)), rng.uniform(0.1, 1.0, size=(3, 3))
+    assert np.array_equal(specfun.eigh_tridiagonal(d2, e2, eigvals_only=True),
+                          scipy.linalg.eigh_tridiagonal(d2, e2, eigvals_only=True))

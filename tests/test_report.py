@@ -53,9 +53,13 @@ def test_spectrum_csv_matches_row_writer(tmp_path):
     rank1 = [eigenvalues(build_L(SU2(6.0), su2(), r, s))
              for r, s in zip(traj.r.tolist(), traj.s.tolist())]
     chain = [chain_spectrum(ChainState(0.0, (0.3, -0.2, 0.4), (1.0, 0.8, 1.2)))]
-    edge = [np.array([-0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0]), [], (1, 2)]
-    for times, spectra in ((traj.t, rank1), ([0.5], chain),
-                           (np.array([0.1, 1e-20, -3.0]), edge)):
+    one_row = [eigenvalues(build_L(SU2(0.0), su2(0.5), r, s))
+               for r, s in zip(traj.r.tolist(), traj.s.tolist())]
+    edge = [np.array([-0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0]), [], (1, 2),
+            np.array([7.0, 8.0])]
+    for times, spectra in ((traj.t, rank1), ([0.5], chain), (traj.t, one_row),
+                           ([2.0], rank1[-1:]),
+                           (np.array([0.1, 1e-20, -3.0, 4.0]), edge)):
         write_spectrum_csv(tmp_path / "new.csv", times, spectra)
         reference_spectrum_csv(tmp_path / "ref.csv", times, spectra)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -7,8 +7,9 @@ from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      FlowState, Oscillator, ParameterError, PrincipalSeries,
                      SU2, Toda, TridiagonalOperator, build_L,
                      degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
-                     eval_rec, e2, integrate, isospectrality_drift, oscillator,
-                     parameter_map, recurrence_residual, su2, su11)
+                     eigenvalues, eval_rec, e2, integrate, isospectrality_drift,
+                     oscillator, parameter_map, path_eigenvalues,
+                     recurrence_residual, su2, su11)
 from isoflow import spectral
 from isoflow.cli import _check_rows, _spectral_points
 from isoflow.specfun import bessel_j
@@ -263,6 +264,62 @@ def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
     with pytest.raises(ConfigurationError, match="unknown isospectrality mode"):
         isospectrality_drift(traj, rep, alg, mode="middle", count=3)
     assert calls == []
+
+
+# one case per representation type: the oscillator's central element acts
+# by n_scalar = -h, the only case where s*b*n_scalar is not zero
+PATH_CASES = {
+    "su2": (SU2(6.0), su2(0.3)),
+    "discrete_series": (DiscreteSeriesPlus(1.5, 40), su11(-0.4)),
+    "principal_series": (PrincipalSeries(0.7, 0.25, -20, 20), su11(0.2)),
+    "oscillator": (Oscillator(0.5, 1.3, 30), oscillator(0.8)),
+    "e2": (E2(0.9, -15, 15), e2(1.1)),
+    "one_row": (SU2(0.0), su2(0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATH_CASES))
+def test_path_eigenvalues_match_build_L_bitwise(case):
+    rep, alg = PATH_CASES[case]
+    rng = np.random.default_rng(11)
+    r, s = rng.uniform(0.2, 2.0, 23), rng.uniform(-1.5, 1.5, 23)
+    r[0], s[0] = 1.0, 0.0
+    got = path_eigenvalues(rep, alg, r, s)
+    want = [eigenvalues(build_L(rep, alg, ri, si))
+            for ri, si in zip(r.tolist(), s.tolist())]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def test_path_eigenvalues_solve_each_row_through_the_module_binding(monkeypatch):
+    rep, alg = PATH_CASES["oscillator"]
+    r, s = np.array([1.0, 0.5, 0.25]), np.array([0.1, 0.2, 0.3])
+    keys, solve = [], spectral.eigh_tridiagonal
+
+    def counted(d, e, **kwargs):
+        keys.append((d.tobytes(), e.tobytes()))
+        return solve(d, e, **kwargs)
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", counted)
+    path_eigenvalues(rep, alg, r, s)
+    assert keys == [(L.diag.tobytes(), L.off.tobytes())
+                    for L in (build_L(rep, alg, ri, si) for ri, si in zip(r, s))]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_path_eigenvalues_keep_build_L_errors():
+    rep, alg = PATH_CASES["su2"]
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="r and s must be finite"):
+            path_eigenvalues(rep, alg, [1.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="r and s must be finite"):
+            path_eigenvalues(rep, alg, [1.0, 1.0], [bad, 0.0])
+    with pytest.raises(ValueError, match="non-finite entries"):
+        build_L(rep, alg, 1e308, 0.0)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        path_eigenvalues(rep, alg, [1.0, 1e308], [0.0, 0.0])
+    with pytest.raises(ConfigurationError):
+        path_eigenvalues(rep, su11(), [1.0], [0.0])
 
 
 def test_flat_operator_fourier_identity():
