@@ -359,7 +359,11 @@ def _cmd_mvk(path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a parser is a web
+    of reference cycles, so one built per ``main`` call would be garbage
+    only the cyclic collector frees."""
     parser = argparse.ArgumentParser(
         prog="isoflow",
         description="Isospectral tridiagonal flows and their orthogonal "
@@ -378,8 +382,11 @@ def main(argv=None) -> int:
 
     p_mvk = sub.add_parser("mvk", help="expand a multivariate table from a JSON config")
     p_mvk.add_argument("config")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args.config)

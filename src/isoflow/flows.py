@@ -212,7 +212,11 @@ def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
         raise ValueError(f"dt = {dt!r} does not divide t_end - t0 = "
                          f"{t_end - t0!r} into whole steps")
 
-    ts, ys = [t0], [y0]
+    # the samples go into one flat list of floats: a list kept per sample
+    # would be a container the cyclic garbage collector scans and promotes
+    # until the path is done, and would set off a full collection every few
+    # long paths
+    ts, ys = [t0], list(y0)
     t, y = t0, y0
     isfinite = math.isfinite
     for i in range(n_steps):
@@ -220,11 +224,16 @@ def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
         t = t0 + (i + 1) * dt
         if not all(map(isfinite, y)):
             raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
-                                         (np.array(ts), np.array(ys)))
+                                         (np.array(ts), _rows(ys, len(ts))))
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             ts.append(t)
-            ys.append(y)
-    return np.array(ts), np.array(ys)
+            ys.extend(y)
+    return np.array(ts), _rows(ys, len(ts))
+
+
+def _rows(flat: list[float], k: int) -> np.ndarray:
+    """The k samples of ``flat`` as a (k, n) array, one sample per row."""
+    return np.array(flat).reshape(k, -1)
 
 
 def _gain(policy: UPolicy) -> float | Callable[[float], float]:

@@ -1,6 +1,7 @@
 """Command-line entry points: config validation, report rows, CSV formats,
 exit codes, and determinism of the verification suite."""
 import filecmp
+import gc
 import json
 import math
 import warnings
@@ -454,6 +455,26 @@ def test_verify_only_group(tmp_path, monkeypatch, capsys):
     assert "checks passed" in out
     rows = _report_rows(tmp_path, "v")
     assert all(name.startswith("lax") for name in rows)
+
+
+@pytest.mark.parametrize("command", ["run", "chain", "verify"])
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys, command):
+    """A command frees what it built by reference counting alone, so calls
+    repeated in one process give the cyclic collector nothing to find."""
+    monkeypatch.setenv("ISOFLOW_OUT", str(tmp_path / "out"))
+    cfg = {"run": RUN_CFG, "chain": CHAIN_CFG}.get(command)
+    argv = [command, _write(tmp_path, cfg)] if cfg else [command, "--only", "lax"]
+    assert main(argv) == 0  # first call: lazy imports and caches fill
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = sorted({type(o).__qualname__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_verify_deterministic_report(tmp_path, monkeypatch, capsys):

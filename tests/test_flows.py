@@ -1,5 +1,6 @@
 """Coupled flow equations: conserved quantity, closed-form orbit, RK4 order,
 sign diagnostics, and the weight-modification factor."""
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from isoflow import (DegenerateRatioError, FlowState, IntegrationBlowupError,
                      flow_rhs, integrate, invariant, modification_report,
                      ParameterError, oscillator, policy_sigma, su2, su11,
                      write_trajectory_csv)
+from isoflow.flows import rk4_path
 
 
 def test_flow_rhs_substitutions():
@@ -152,6 +154,27 @@ def test_blowup_carries_last_state():
     last = info.value.last_state
     assert np.isfinite(last.r) and np.isfinite(last.s)
     assert 0.0 < last.t < 5.0
+
+
+def test_rk4_path_keeps_no_container_per_sample():
+    """The recorded samples are kept as plain floats: the young generation
+    of the cyclic garbage collector stays small along a long recorded path,
+    where a list kept per sample would add one tracked object per step."""
+    peak = 0
+
+    def step(t, y, dt):
+        nonlocal peak
+        peak = max(peak, gc.get_count()[0])
+        return [y[0] + dt, y[1]]
+
+    gc.collect()
+    gc.disable()
+    try:
+        t, y = rk4_path(step, 0.0, [0.0, 1.0], 1.0, 20_000.0, 1)
+    finally:
+        gc.enable()
+    assert y.shape == (20_001, 2) and y[-1].tolist() == [20_000.0, 1.0]
+    assert peak < 100
 
 
 def test_sign_conditions():
