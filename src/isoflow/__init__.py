@@ -10,8 +10,9 @@ __version__ = "0.1.0"
 from .algebra import AlgebraSpec, e2, oscillator, su2, su11
 from .chain import (ChainState, ChainTrajectory, ChainWeights,
                     DegenerateSpectrumWarning, TraceInvariants, build_chain_L,
-                    chain_dense_L, chain_isospectrality_drift, chain_rhs,
-                    chain_spectrum, christoffel_weights, eigen_polys,
+                    chain_dense_L, chain_isospectrality_drift,
+                    chain_path_eigenvalues, chain_rhs, chain_spectrum,
+                    christoffel_weights, eigen_polys,
                     integrate_chain, pn_time_derivative_check, spectrum_sum,
                     trace_flow_drift, trace_invariants)
 from .families import (BesselParams, CharlierParams, FamilyTag,
@@ -33,7 +34,8 @@ from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
                   unit_index, write_mvk_csv)
 from .operators import SkewTridiagonalOperator, TridiagonalOperator
 from .report import (CheckResult, all_passed, check_result, guarded,
-                     relative_error, write_report_csv, write_spectrum_csv)
+                     relative_error, spectrum_drift, write_report_csv,
+                     write_spectrum_csv)
 from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               Generators, Oscillator, ParameterError,
                               PrincipalSeries, RepresentationSpec, SU2,

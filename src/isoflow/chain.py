@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .flows import RHS, IntegrationBlowupError, rk4_path, rk4_step
-from .report import relative_error
+from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal
 
 
@@ -46,6 +46,8 @@ class ChainState:
         object.__setattr__(self, "r", r)
         if len(s) != len(r) or not s:
             raise ValueError("s and r must be non-empty and of equal length")
+        if not all(map(math.isfinite, s + r)):
+            raise ValueError("all s_i and r_i must be finite")
         if any(ri <= 0 for ri in r):
             raise ValueError("all r_i must be positive")
 
@@ -129,47 +131,61 @@ def integrate_chain(state0: ChainState, g: GFun, dt: float, t_end: float,
 # operator, spectrum, weights
 
 
-def build_chain_L(state: ChainState) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, off) of the traceless symmetric tridiagonal operator."""
-    s = np.asarray(state.s)
-    diag = np.concatenate(([s[0]], np.diff(s), [-s[-1]])) if state.d > 1 \
-        else np.array([s[0], -s[0]])
-    off = np.asarray(state.r)
-    return diag, off
+def build_chain_L(x: ChainState | ChainTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the traceless symmetric tridiagonal operator: of one
+    state, or of every sample of a trajectory as (k, d+1) and (k, d) arrays,
+    one sample per row."""
+    s = np.asarray(x.s)
+    return np.concatenate((s[..., :1], np.diff(s), -s[..., -1:]), axis=-1), np.asarray(x.r)
 
 
-def chain_dense_L(state: ChainState) -> np.ndarray:
-    diag, off = build_chain_L(state)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+def chain_dense_L(x: ChainState | ChainTrajectory) -> np.ndarray:
+    """The operator as a dense (n, n) matrix, or (k, n, n) for a trajectory."""
+    diag, off = build_chain_L(x)
+    i = np.arange(diag.shape[-1])
+    L = np.zeros(diag.shape + i.shape)
+    L[..., i, i] = diag
+    L[..., i[:-1], i[1:]] = L[..., i[1:], i[:-1]] = off
+    return L
 
 
-def eigen_polys(state: ChainState, lam: float) -> tuple[np.ndarray, float]:
+def eigen_polys(state: ChainState, lam) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector polynomials p_0..p_d at spectral value ``lam`` and the
     closure residual of the final operator row (zero iff lam is an
-    eigenvalue)."""
+    eigenvalue).  For an array ``lam``, p has shape (d+1,) + lam.shape and
+    the closure lam's shape."""
     s = state.s
     r = state.r
     d = state.d
-    p = np.empty(d + 1)
+    lam = np.asarray(lam, dtype=float)
+    p = np.empty((d + 1,) + lam.shape)
     p[0] = 1.0
     p[1] = (lam - s[0]) / r[0]
     for n in range(1, d):
         p[n + 1] = ((lam - (s[n] - s[n - 1])) * p[n] - r[n - 1] * p[n - 1]) / r[n]
     closure = r[d - 1] * p[d - 1] - s[d - 1] * p[d] - lam * p[d]
-    return p, abs(closure)
+    return p, np.abs(closure)
 
 
 def chain_spectrum(state: ChainState) -> np.ndarray:
     """Ascending eigenvalues; warns when two are numerically degenerate."""
     diag, off = build_chain_L(state)
     lam = eigh_tridiagonal(diag, off, eigvals_only=True)
-    lam = np.sort(lam)
     gaps = np.diff(lam)
     scale = 1.0 + float(np.abs(lam).max())
     if len(gaps) and gaps.min() < 1e-10 * scale:
         warnings.warn("nearly degenerate eigenvalues; weights ill-conditioned",
                       DegenerateSpectrumWarning)
     return lam
+
+
+def chain_path_eigenvalues(traj: ChainTrajectory) -> list[np.ndarray]:
+    """The ascending eigenvalues of L at every sample of ``traj``, each
+    bitwise ``chain_spectrum`` of that sample (which alone warns about a
+    degenerate spectrum): the entries of all samples are built in one pass,
+    then each sample is one eigenvalue-only solve of its row."""
+    diag, off = build_chain_L(traj)
+    return [eigh_tridiagonal(dv, ev, eigvals_only=True) for dv, ev in zip(diag, off)]
 
 
 def spectrum_sum(state: ChainState) -> float:
@@ -194,10 +210,7 @@ def christoffel_weights(state: ChainState) -> ChainWeights:
     """Discrete weights w_r = 1 / sum_n p_n(lam_r)^2 and the orthogonal
     matrix they induce."""
     lam = chain_spectrum(state)
-    d = state.d
-    P = np.empty((d + 1, d + 1))
-    for idx, lv in enumerate(lam):
-        P[:, idx], _ = eigen_polys(state, float(lv))
+    P, _ = eigen_polys(state, lam)
     w = 1.0 / np.sum(P * P, axis=0)
     Q = P * np.sqrt(w)[None, :]
     return ChainWeights(lam, w, Q)
@@ -250,32 +263,28 @@ def trace_invariants(state: ChainState) -> TraceInvariants:
     tr4 = float(np.sum(ds ** 4) + 2.0 * np.sum(r ** 4)
                 + 4.0 * np.sum((hi ** 2 + lo * hi + lo ** 2) * r ** 2)
                 + 4.0 * np.sum(r[:-1] ** 2 * r[1:] ** 2))
-    L = chain_dense_L(state)
-    L2 = L @ L
-    tr2_d = float(np.trace(L2))
-    tr3_d = float(np.trace(L2 @ L))
-    tr4_d = float(np.trace(L2 @ L2))
+    tr2_d, tr3_d, tr4_d = _dense_traces(chain_dense_L(state)).tolist()
     return TraceInvariants(tr2, tr3, tr4, tr2_d, tr3_d, tr4_d, tr2_unit)
+
+
+def _dense_traces(L: np.ndarray) -> np.ndarray:
+    """tr L^2, tr L^3, tr L^4 of the dense matrices over the last two axes
+    of ``L``, stacked on a new last axis."""
+    L2 = L @ L
+    return np.stack([np.trace(M, axis1=-2, axis2=-1) for M in (L2, L2 @ L, L2 @ L2)],
+                    axis=-1)
 
 
 def trace_flow_drift(traj: ChainTrajectory) -> np.ndarray:
     """Worst ``relative_error`` of the dense traces of L^2, L^3, L^4 along
     the trajectory against its first sample, one value per power."""
-    dense = np.array([trace_invariants(traj.state(i)).dense for i in range(len(traj))])
+    dense = _dense_traces(chain_dense_L(traj))
     return relative_error(dense, dense[0]).max(axis=0)
 
 
 def chain_isospectrality_drift(traj: ChainTrajectory) -> float:
-    ref = None
-    worst = 0.0
-    for i in range(len(traj)):
-        diag, off = build_chain_L(traj.state(i))
-        lam = np.sort(eigh_tridiagonal(diag, off, eigvals_only=True))
-        if ref is None:
-            ref = lam
-        else:
-            worst = max(worst, float(np.abs(lam - ref).max()))
-    return worst
+    """``spectrum_drift`` of the ``chain_path_eigenvalues`` of ``traj``."""
+    return spectrum_drift(chain_path_eigenvalues(traj))
 
 
 # --------------------------------------------------------------------------
@@ -312,18 +321,11 @@ def pn_time_derivative_check(state: ChainState, g: GFun,
         pdot = (p_plus - p_minus) / (2.0 * step)
         p, _ = eigen_polys(state, lam_v)
         u = _g_at(g, state.t) * np.asarray(state.r)
-        d = state.d
-        worst = worst_flip = 0.0
-        rows = range(1, d + 1) if eig_mode else range(1, d)
-        for n in rows:
-            drag = u[0] * p[1] * p[n]
-            if n < d:
-                rhs = u[n] * p[n + 1] - u[n - 1] * p[n - 1] - drag
-            else:
-                rhs = -u[d - 1] * p[d - 1] - drag
-            worst = max(worst, abs(pdot[n] - rhs))
-            worst_flip = max(worst_flip, abs(pdot[n] + rhs))
-        return worst, worst_flip
+        # rows n = 1..d; the row n = d has no u_{n+1} p_{n+1} term
+        rhs = np.append(u[1:] * p[2:], 0.0) - u * p[:-1] - u[0] * p[1] * p[1:]
+        rows = slice(None) if eig_mode else slice(-1)
+        return (float(np.max(np.abs(pdot[1:] - rhs)[rows], initial=0.0)),
+                float(np.max(np.abs(pdot[1:] + rhs)[rows], initial=0.0)))
 
     res_h, flip_h = residuals(h)
     res_h2, _ = residuals(h / 2.0)

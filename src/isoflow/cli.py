@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import config as cfgmod
-from .chain import (chain_isospectrality_drift, chain_spectrum,
+from .chain import (chain_isospectrality_drift, chain_path_eigenvalues,
                     christoffel_weights, integrate_chain, spectrum_sum,
                     trace_flow_drift, trace_invariants)
 from .config import ConfigError, load_config
@@ -323,8 +323,8 @@ def _cmd_chain(path: str) -> int:
     except IntegrationBlowupError as exc:
         return _report_blowup(outdir, exc)
     _write_chain_csv(os.path.join(outdir, "chain_trajectory.csv"), traj)
-    spectra = [chain_spectrum(traj.state(i)) for i in range(len(traj.t))]
-    write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra)
+    write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
+                       chain_path_eigenvalues(traj))
     return _finish(outdir, _results(checks, _computes(checks, _CHAIN),
                                     state0=state0, traj=traj))
 

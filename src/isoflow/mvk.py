@@ -122,9 +122,7 @@ def mvk_table(state: ChainState, N: int) -> MVKTable:
     d = state.d
     cw = christoffel_weights(state)
     lam = cw.eigenvalues
-    u = np.empty((d + 1, d + 1))
-    for i in range(d + 1):
-        u[i], _ = eigen_polys(state, float(lam[i]))
+    u = eigen_polys(state, lam)[0].T  # u[i, j] = p_j(lam_i)
     idx = [(0,) * (d + 1)]
     coef = np.ones((1, 1))
     for n in range(1, N + 1):
@@ -206,14 +204,9 @@ def base_entry_error(table: MVKTable) -> float:
 def degree_one_residual(table1: MVKTable, state: ChainState) -> float:
     """max |P(e_j', e_i') - p_j(lam_i)| of a degree-one table against the
     eigenvector polynomials of ``state``."""
-    parts = state.d + 1
-    worst = 0.0
-    for i, lam in enumerate(table1.eigenvalues):
-        p, _ = eigen_polys(state, float(lam))
-        for j in range(parts):
-            lhs = table1.P(unit_index(parts, j), unit_index(parts, i))
-            worst = max(worst, abs(lhs - p[j]))
-    return worst
+    at = [table1.row[unit_index(state.d + 1, j)] for j in range(state.d + 1)]
+    p, _ = eigen_polys(state, table1.eigenvalues)  # p[j, i] = p_j(lam_i)
+    return float(np.max(np.abs(table1.values[np.ix_(at, at)] - p)))
 
 
 # name -> residual(table, state) of a degree-N table built from ``state``:
@@ -305,14 +298,12 @@ def krawtchouk_reduction_check(s: float, r: float, d: int, N: int) -> tuple[floa
     params_small = KrawtchoukParams(p, d)
     lam = chain_spectrum(state)
 
-    resid_pn = 0.0
-    for i_asc in range(d + 1):
-        x = d - i_asc
-        pvec, _ = eigen_polys(state, float(lam[i_asc]))
-        for n in range(d + 1):
-            kn = eval_hyper(FamilyTag.KRAWTCHOUK, params_small, n, x)
-            resid_pn = max(resid_pn, abs(pvec[n] - kn))
-        resid_pn = max(resid_pn, abs(float(lam[i_asc]) - C * (d - 2 * x)))
+    x = d - np.arange(d + 1)  # lam[i] sits at lattice point x = d - i
+    K = np.array([[eval_hyper(FamilyTag.KRAWTCHOUK, params_small, n, xi) for xi in x.tolist()]
+                  for n in range(d + 1)])
+    P, _ = eigen_polys(state, lam)
+    # one row of residuals per p_n, and a last one for the eigenvalues
+    resid_pn = float(np.max(np.abs(np.vstack((P - K, lam - C * (d - 2 * x))))))
 
     table = mvk_table(state, N)
     params_big = KrawtchoukParams(p, d * N)

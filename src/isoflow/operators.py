@@ -8,7 +8,7 @@ the full operator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class SkewTridiagonalOperator:
     off: np.ndarray
     lo_exact: bool = True
     hi_exact: bool = True
-    size_hint: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "off", _as_float_array(self.off))
@@ -93,7 +92,7 @@ class SkewTridiagonalOperator:
 
     @property
     def size(self) -> int:
-        return self.size_hint if self.size_hint is not None else len(self.off) + 1
+        return len(self.off) + 1
 
     def to_dense(self) -> np.ndarray:
         n = self.size

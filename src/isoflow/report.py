@@ -70,6 +70,13 @@ def relative_error(value, ref):
     return np.abs(np.subtract(value, ref)) / np.maximum(1.0, np.abs(ref))
 
 
+def spectrum_drift(spectra) -> float:
+    """max |lam_i - lam_0| over the equal-length spectra of a path against
+    the first, 0 for a single sample; NaN if any entry is NaN."""
+    lam = np.asarray(spectra)
+    return float(np.abs(lam - lam[0]).max())
+
+
 def fmt(v: float) -> str:
     return "%.17g" % float(v)
 

@@ -237,8 +237,7 @@ def build_M(rep: RepresentationSpec, alg: AlgebraSpec, u: float) -> SkewTridiago
     if not np.isfinite(u):
         raise ValueError("u must be finite")
     g = build_generators(rep)
-    return SkewTridiagonalOperator(g.base_index, u * g.e_coeff, g.lo_exact, g.hi_exact,
-                                   size_hint=len(g.h_diag))
+    return SkewTridiagonalOperator(g.base_index, u * g.e_coeff, g.lo_exact, g.hi_exact)
 
 
 def lax_rows(op: TridiagonalOperator) -> range:

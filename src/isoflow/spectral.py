@@ -14,6 +14,7 @@ from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
                        parameter_map)
 from .flows import Trajectory
 from .operators import TridiagonalOperator
+from .report import spectrum_drift
 from .representations import (ConfigurationError, RepresentationSpec, build_L,
                               lax_entries)
 from .specfun import bessel_j, eigh_tridiagonal
@@ -196,15 +197,7 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
     any eigensolve and raise ConfigurationError otherwise.
     """
     keep = compared_eigenvalues(rep, mode, count)
-    ref = None
-    worst = 0.0
-    for lam in path_eigenvalues(rep, alg, traj.r, traj.s):
-        lam = lam[keep]
-        if ref is None:
-            ref = lam
-        else:
-            worst = max(worst, float(np.abs(lam - ref).max()))
-    return worst
+    return spectrum_drift([lam[keep] for lam in path_eigenvalues(rep, alg, traj.r, traj.s)])
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,12 @@ from scipy.linalg import eigh_tridiagonal
 
 from isoflow import (ChainState, DegenerateSpectrumWarning,
                      IntegrationBlowupError, build_chain_L, chain_dense_L,
-                     chain_isospectrality_drift, chain_rhs, chain_spectrum,
-                     christoffel_weights, eigen_polys, integrate_chain,
+                     chain_isospectrality_drift, chain_path_eigenvalues,
+                     chain_rhs, chain_spectrum, christoffel_weights,
+                     eigen_polys, integrate_chain,
                      pn_time_derivative_check, trace_flow_drift,
                      trace_invariants)
+from isoflow.chain import _advance, _g_at
 from isoflow.cli import _write_chain_csv
 
 
@@ -57,6 +59,45 @@ STATES = {
     5: ChainState(0.0, (0.5, -0.1, 0.3, -0.4, 0.2),
                   (0.9, 1.1, 0.7, 1.3, 0.6)),
 }
+
+
+def _random_state(d, seed=3):
+    rng = np.random.default_rng([seed, d])
+    return ChainState(0.0, tuple(rng.uniform(-1.0, 1.0, d)),
+                      tuple(rng.uniform(0.5, 1.5, d)))
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_path_operators_are_the_per_state_ones(d):
+    traj = integrate_chain(_random_state(d), 1.0, 1e-3, 0.5, record_every=50)
+    r_before = traj.r.copy()
+    diag, off = build_chain_L(traj)
+    dense = chain_dense_L(traj)
+    spectra = chain_path_eigenvalues(traj)
+    assert diag.shape == (len(traj), d + 1) and off.shape == (len(traj), d)
+    assert dense.shape == (len(traj), d + 1, d + 1)
+    for i in range(len(traj)):
+        state = traj.state(i)
+        want_diag, want_off = build_chain_L(state)
+        assert np.array_equal(diag[i], want_diag) and np.array_equal(off[i], want_off)
+        assert np.array_equal(dense[i], chain_dense_L(state))
+        assert spectra[i].tobytes() == chain_spectrum(state).tobytes()
+    # the eigensolves leave the trajectory as it was
+    assert np.array_equal(traj.r, r_before)
+    assert chain_isospectrality_drift(traj) == max(
+        float(np.abs(lam - spectra[0]).max()) for lam in spectra)
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_eigen_polys_on_an_array_is_the_scalar_loop(d):
+    state = _random_state(d)
+    lam = np.append(chain_spectrum(state), [0.37, -2.0]).reshape(-1, 1)
+    p, closure = eigen_polys(state, lam)
+    assert p.shape == (d + 1,) + lam.shape and closure.shape == lam.shape
+    for k, lv in enumerate(lam[:, 0].tolist()):
+        want_p, want_closure = eigen_polys(state, lv)
+        assert p[:, k, 0].tobytes() == want_p.tobytes()
+        assert closure[k, 0] == want_closure
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -112,6 +153,14 @@ def test_trace_errors_match_scalar_loops(d):
     want = [max(rel(now[k], dense[0][k]) for now in dense) for k in range(3)]
     assert list(trace_flow_drift(traj)) == want
     assert 0.0 < max(want) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 16])
+def test_trace_flow_drift_is_the_per_state_traces(d):
+    traj = integrate_chain(_random_state(d), 1.0, 1e-3, 0.5, record_every=50)
+    dense = np.array([trace_invariants(traj.state(i)).dense for i in range(len(traj))])
+    want = (np.abs(dense - dense[0]) / np.maximum(1.0, np.abs(dense[0]))).max(axis=0)
+    assert trace_flow_drift(traj).tobytes() == want.tobytes()
 
 
 def test_isospectral_flow():
@@ -185,6 +234,40 @@ def test_pn_time_derivative_law():
     assert rep.max_residual <= 1e-6
 
 
+def _ref_pn_residuals(state, g, lam, step, eig_mode):
+    """The residuals of ``pn_time_derivative_check`` as the row loop wrote
+    them."""
+    p_plus, _ = eigen_polys(_advance(state, g, step), lam)
+    p_minus, _ = eigen_polys(_advance(state, g, -step), lam)
+    pdot = (p_plus - p_minus) / (2.0 * step)
+    p, _ = eigen_polys(state, lam)
+    u = _g_at(g, state.t) * np.asarray(state.r)
+    d = state.d
+    worst = worst_flip = 0.0
+    for n in range(1, d + 1) if eig_mode else range(1, d):
+        drag = u[0] * p[1] * p[n]
+        if n < d:
+            rhs = u[n] * p[n + 1] - u[n - 1] * p[n - 1] - drag
+        else:
+            rhs = -u[d - 1] * p[d - 1] - drag
+        worst = max(worst, abs(pdot[n] - rhs))
+        worst_flip = max(worst_flip, abs(pdot[n] + rhs))
+    return worst, worst_flip
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("lam", [None, 0.37])
+def test_pn_time_derivative_rows_are_the_row_loop(d, lam):
+    state = _random_state(d)
+    rep = pn_time_derivative_check(state, 1.3, lam=lam)
+    lam_v = float(chain_spectrum(state)[d // 2]) if lam is None else lam
+    res_h, flip_h = _ref_pn_residuals(state, 1.3, lam_v, 1e-4, lam is None)
+    res_h2, _ = _ref_pn_residuals(state, 1.3, lam_v, 5e-5, lam is None)
+    order = float(np.log2(res_h / res_h2)) if res_h2 > 0 else float("inf")
+    assert (rep.max_residual, rep.order_estimate, rep.sign_flipped_residual) == \
+        (res_h, order, flip_h)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         ChainState(0.0, (1.0, 2.0), (1.0,))
@@ -194,6 +277,17 @@ def test_state_validation():
         ChainState(0.0, (1.0,), (0.0,))
     with pytest.raises(ValueError):
         ChainState(0.0, (1.0,), (-1.0,))
+
+
+@pytest.mark.parametrize("s, r", [
+    ((float("nan"), 0.1), (1.0, 1.0)),
+    ((0.1, 0.2), (1.0, float("inf"))),
+    ((float("-inf"), 0.1), (1.0, 1.0)),
+    ((0.1, 0.2), (float("nan"), 1.0)),
+])
+def test_state_rejects_non_finite_entries(s, r):
+    with pytest.raises(ValueError, match="finite"):
+        ChainState(0.0, s, r)
 
 
 def test_degenerate_spectrum_warns():

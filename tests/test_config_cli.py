@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from isoflow import (build_L, check_result, config as cfgmod, eigs_sym_tridiag,
-                     scaled_tolerance)
+from isoflow import (ChainState, build_L, chain_spectrum, check_result,
+                     config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
 from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
 
@@ -431,6 +431,32 @@ def test_spectrum_csv_holds_the_compared_eigenvalues(tmp_path, capsys, algebra,
         L = build_L(window, alg, r, s)
         err = np.abs(row - eigs_sym_tridiag(L).eigenvalues).max()
         assert err <= scaled_tolerance(64 * np.finfo(float).eps, L)
+
+
+@pytest.mark.parametrize("s, r", [
+    ([0.4], [0.9]),
+    ([0.3, -0.2, 0.4], [1.0, 0.8, 1.2]),
+    ([0.1 * (-1) ** i * i for i in range(16)], [0.5 + 0.05 * i for i in range(16)]),
+])
+def test_chain_spectrum_csv_holds_the_compared_eigenvalues(tmp_path, capsys, s, r):
+    cfg = _with_out({
+        "chain": {"s": s, "r": r, "g": 1.0, "dt": 0.001, "t_end": 0.5,
+                  "record_every": 50},
+        "checks": [{"name": "isospectrality_drift", "tolerance": 1e-8}]}, tmp_path)
+    assert main(["chain", _write(tmp_path, cfg)]) == 0
+    out = tmp_path / "out"
+    traj = np.loadtxt(out / "chain_trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    spec = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    lam = spec[:, 2].reshape(len(traj), -1)
+    assert (spec[:, 0].reshape(lam.shape) == traj[:, :1]).all()
+    # each row is the spectrum of its recorded state, to the last bit
+    d = len(s)
+    for row, want in zip(traj, lam):
+        state = ChainState(row[0], tuple(row[1:d + 1]), tuple(row[d + 1:]))
+        assert chain_spectrum(state).tobytes() == want.tobytes()
+    # and the drift from the written spectra is the report's
+    drift = float(np.abs(lam - lam[0]).max())
+    assert _report_rows(tmp_path)["isospectrality_drift"][0] == drift
 
 
 def test_missing_and_malformed_files_exit_2(tmp_path):

@@ -80,6 +80,16 @@ def test_degree_one_matches_eigen_polys():
                     pytest.approx(p[j], abs=1e-12)
 
 
+def test_degree_one_match_fails_on_a_nan_table():
+    # r_i this small overflows p_n and the weights, so the table is NaN
+    state = ChainState(0.0, (0.3, -0.2, 0.4), (1e-150,) * 3)
+    with np.errstate(all="ignore"):
+        table = mvk_table(state, 1)
+        values = {name: TABLE_CHECKS[name](table, state)
+                  for name in ("orthogonality", "recurrence", "degree_one_match")}
+    assert all(math.isnan(v) for v in values.values()), values
+
+
 def test_table_validation_and_helpers():
     with pytest.raises(ValueError):
         mvk_table(STATE_D2, 0)

@@ -7,7 +7,8 @@ import pytest
 
 from isoflow import (SU2, ChainState, ConfigurationError, FlowState, Toda,
                      build_L, chain_spectrum, check_result, eigenvalues,
-                     guarded, integrate, su2, write_spectrum_csv)
+                     guarded, integrate, spectrum_drift, su2,
+                     write_spectrum_csv)
 from isoflow.report import fmt
 
 
@@ -37,6 +38,13 @@ def test_guarded_rows():
     assert math.isnan(row.value) and row.note == "ConfigurationError: bad window"
     with pytest.raises(ConfigurationError):
         guarded(boom, "x", 1e-9, (ConfigurationError,))
+
+
+def test_spectrum_drift():
+    assert spectrum_drift([np.array([-1.0, 2.0])]) == 0.0
+    assert spectrum_drift([np.array([-1.0, 2.0]), np.array([-1.5, 2.0]),
+                           np.array([-1.0, 2.25])]) == 0.5
+    assert math.isnan(spectrum_drift([np.array([1.0, 2.0]), np.array([1.0, math.nan])]))
 
 
 def reference_spectrum_csv(path, times, spectra):
