@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import RHS, IntegrationBlowupError, rk4_path, rk4_step
+from .flows import IntegrationBlowupError, Step, rk4_path
 from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal
 
@@ -77,21 +77,71 @@ def chain_rhs(state: ChainState, g: GFun) -> tuple[np.ndarray, np.ndarray]:
     return np.array(y[:state.d]), np.array(y[state.d:])
 
 
-def _packed_rhs(g: GFun) -> RHS:
-    """The flow as f(t, y) on y = (s, r); NaN once some r_i <= 0, which the
-    RK4 kernel's non-finite check reports as a blow-up."""
-    def f(t: float, y: list[float]) -> list[float]:
-        d = len(y) // 2
-        r = y[d:]
-        if min(r) <= 0:
-            return [math.nan] * len(y)
-        return _chain_eqs(_g_at(g, t), y[:d], r)
-    return f
+def _step_source(d: int) -> str:
+    """Source of ``make(g)``, which returns the rank-d chain flow's RK4 step
+    ``step(t, y, dt)`` on y = (s, r) for ``rk4_path``: ``_chain_eqs`` and
+    the classical RK4 stages written out component by component, with the
+    expression tree of the vector expressions ``y + dt/2*k``, ``y + dt*k3``
+    and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, so bit-identical to them.  A
+    stage whose input has some r_i <= 0 returns NaN, which ``rk4_path``
+    reports as a blow-up.  The source depends on d alone: ``make`` binds g,
+    a number as the constant ``gc`` or a callable sampled at t, t + dt/2
+    and t + dt."""
+    idx = range(1, d + 1)
+
+    def names(fmt: str) -> str:
+        return ", ".join(fmt.format(i) for i in idx)
+
+    nans = "[" + ", ".join(["nan"] * 2 * d) + "]"
+
+    def stage(k: int, s: str, r: str, g_at: str | None) -> list[str]:
+        """The guard, then k{k}s_i, k{k}r_i at the state (s_i, r_i), with the
+        coupling sampled at ``g_at`` (None: the previous stage's)."""
+        guard = f"min({names(r)})" if d > 1 else r.format(1)
+        out = [f"if {guard} <= 0:", f"    return {nans}"]
+        if g_at is not None:
+            out.append(f"gv = gc if g is None else g({g_at})")
+        out += [f"u{i} = gv * {r.format(i)}" for i in idx]
+        out += [f"k{k}s{i} = 2.0 * {r.format(i)} * u{i}" for i in idx]
+        for i in idx:
+            lo = s.format(i - 1) if i > 1 else "0.0"
+            hi = s.format(i + 1) if i < d else "0.0"
+            out.append(f"k{k}r{i} = u{i} * ({lo} - 2.0 * {s.format(i)} + {hi})")
+        return out
+
+    def inputs(k: int, step: str) -> list[str]:
+        """The next stage's input y + step * k{k} as S_i, R_i."""
+        return ([f"S{i} = s{i} + {step} * k{k}s{i}" for i in idx]
+                + [f"R{i} = r{i} + {step} * k{k}r{i}" for i in idx])
+
+    body = ([f"{names('s{}')}, {names('r{}')} = y", "h = dt / 2"]
+            + stage(1, "s{}", "r{}", "t") + inputs(1, "h")
+            + stage(2, "S{}", "R{}", "t + h") + inputs(2, "h")
+            + stage(3, "S{}", "R{}", None) + inputs(3, "dt")
+            + stage(4, "S{}", "R{}", "t + dt")
+            + ["w = dt / 6",
+               "return [" + ", ".join(
+                   f"{y}{i} + w * (k1{y}{i} + 2 * k2{y}{i} + 2 * k3{y}{i} + k4{y}{i})"
+                   for y in "sr" for i in idx) + "]"])
+    return "\n".join(["def make(g):",
+                      "    gc, g = (None, g) if callable(g) else (float(g), None)",
+                      "    def step(t, y, dt):"]
+                     + ["        " + line for line in body]
+                     + ["    return step", ""])
+
+
+@functools.cache
+def _chain_step(d: int) -> Callable[[GFun], Step]:
+    """``make`` of ``_step_source(d)``, compiled once per d: ``make(g)`` is
+    the RK4 step ``step(t, y, dt)`` of the rank-d chain flow under g."""
+    namespace = {"nan": math.nan}
+    exec(compile(_step_source(d), f"<chain RK4 step, d={d}>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _advance(state: ChainState, g: GFun, h: float) -> ChainState:
     """The state one RK4 step of signed size h away (centred differences)."""
-    y = rk4_step(_packed_rhs(g), state.t, [*state.s, *state.r], h)
+    y = _chain_step(state.d)(g)(state.t, [*state.s, *state.r], h)
     return ChainState(state.t + h, tuple(y[:state.d]), tuple(y[state.d:]))
 
 
@@ -115,9 +165,9 @@ def integrate_chain(state0: ChainState, g: GFun, dt: float, t_end: float,
     IntegrationBlowupError carrying the last recorded good ChainState."""
     d = state0.d
     try:
-        t, y = rk4_path(functools.partial(rk4_step, _packed_rhs(g)), state0.t,
-                        [*state0.s, *state0.r], dt, t_end, record_every)
-        if (y[-1, d:] <= 0).any():  # the last step never reaches the rhs check
+        t, y = rk4_path(_chain_step(d)(g), state0.t, [*state0.s, *state0.r],
+                        dt, t_end, record_every)
+        if (y[-1, d:] <= 0).any():  # a step's guard sees its stages, not its result
             raise IntegrationBlowupError(f"chain left r_i > 0 at t = {t[-1]:.6g}", (t, y))
     except IntegrationBlowupError as exc:
         t, y = exc.last_state

@@ -151,13 +151,14 @@ def _family(ccfg) -> FamilyTag:
 # before anything runs or is written.
 
 
-def _lax_residual(ccfg, *, alg, rep, state0, **_):
+def _lax_residual(ccfg, *, rep, initial_L, **_):
     _need_rep(ccfg, rep)
-    lax_rows(build_L(rep, alg, state0.r, state0.s))
+    op = initial_L()
+    lax_rows(op)
 
     def row(*, alg, state0, policy, **_):
         u0 = policy(state0.t, state0.r)
-        return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0))
+        return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0, L=op))
     return row
 
 
@@ -204,16 +205,17 @@ def _modification(ccfg, *, alg, state0, **_):
     return row
 
 
-def _diagonalization(ccfg, *, alg, rep, state0, **_):
+def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     _need_rep(ccfg, rep)
     family = _family(ccfg)
     count = _int_option(ccfg, "points", 10)
     parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
-    op = build_L(rep, alg, state0.r, state0.s)
+    op = initial_L()
     rows, points = residual_grid(_check_rows(op), _spectral_points(family, count))
 
     def row(**_):
-        worst = recurrence_residual(family, rep, alg, state0.r, state0.s, rows, points)
+        worst = recurrence_residual(family, rep, alg, state0.r, state0.s, rows, points,
+                                    L=op)
         note = f"family={family.value}; tolerance scaled by 1+|L|_inf"
         if not math.isfinite(worst):
             note += "; residual non-finite because the closed-form components overflowed"
@@ -242,7 +244,10 @@ def _cmd_run(path: str) -> int:
         check_compatible(rep, alg)
     state0, policy, dt, t_end, record_every = cfgmod.build_flow(cfg.get("flow"))
     checks = cfgmod.check_list(cfg, RUN_CHECKS)
-    computes = [_RUN[c["name"]](c, alg=alg, rep=rep, state0=state0) for c in checks]
+    # L at the initial state, built once for the checks that read it
+    initial_L = functools.cache(lambda: build_L(rep, alg, state0.r, state0.s))
+    computes = [_RUN[c["name"]](c, alg=alg, rep=rep, state0=state0, initial_L=initial_L)
+                for c in checks]
     outdir = cfgmod.output_dir(cfg)
 
     # sign_conditions reads the flow at every step: integrate it once at
@@ -296,10 +301,21 @@ def _write_chain_csv(path: str, traj) -> None:
                           zip(traj.t.tolist(), traj.s.tolist(), traj.r.tolist())]))
 
 
+def _poly_row(ccfg, compute) -> CheckResult:
+    """The row of a check computed from the eigenvector polynomials.  They
+    carry 1 / (r_1 ... r_n), so a chain with tiny r_i overflows them, its
+    weights and any table built on them: such a value fails with a note
+    saying so, where numpy's warnings would only repeat it on stderr."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = compute()
+    return _row(ccfg, value, "" if math.isfinite(value) else
+                "non-finite because the eigenvector polynomials overflowed")
+
+
 _CHAIN = {
     "spectrum_sum": lambda ccfg, *, state0, **_: _row(ccfg, spectrum_sum(state0)),
-    "orthogonality": lambda ccfg, *, state0, **_: _row(
-        ccfg, max(christoffel_weights(state0).orthogonality())),
+    "orthogonality": lambda ccfg, *, state0, **_: _poly_row(
+        ccfg, lambda: max(christoffel_weights(state0).orthogonality())),
     "trace_closed_vs_dense": lambda ccfg, *, state0, **_: _row(
         ccfg, trace_invariants(state0).closed_vs_dense.max()),
     "trace_flow_drift": lambda ccfg, *, traj, **_: _row(ccfg, trace_flow_drift(traj).max()),
@@ -334,7 +350,7 @@ def _cmd_chain(path: str) -> int:
 
 
 def _mvk_row(ccfg, *, table, state0):
-    return _row(ccfg, TABLE_CHECKS[ccfg["name"]](table, state0))
+    return _poly_row(ccfg, lambda: TABLE_CHECKS[ccfg["name"]](table, state0))
 
 
 _MVK = dict.fromkeys(TABLE_CHECKS, _mvk_row)
@@ -350,7 +366,8 @@ def _cmd_mvk(path: str) -> int:
     checks = cfgmod.check_list(cfg, MVK_CHECKS)
     outdir = cfgmod.output_dir(cfg)
 
-    table = mvk_table(state0, degree)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _poly_row
+        table = mvk_table(state0, degree)
     write_mvk_csv(os.path.join(outdir, "mvk.csv"), table)
     return _finish(outdir, _results(checks, _computes(checks, _MVK),
                                     table=table, state0=state0))

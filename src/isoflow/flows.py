@@ -12,10 +12,11 @@ form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
 g(t) = r (ln m)' / u and its constancy.
 
 ``rk4_path`` is the one fixed-step RK4 loop of both flows; it advances a
-state with a step function.  The rank-1 flow's step is fused on the two floats (r, s),
-built once per path with the u-policy resolved; the chain flow binds the
-list kernel ``rk4_step`` to its right-hand side.  Both give the results of
-the vector RK4 expressions bit for bit.
+state with a step function.  Each flow's step is RK4 written out on floats:
+the rank-1 step fused on (r, s), built once per path with the u-policy
+resolved, and the chain step (``chain._chain_step``) generated as
+straight-line source once per rank d.  Both give the results of the vector
+RK4 expressions bit for bit.
 """
 from __future__ import annotations
 
@@ -166,32 +167,13 @@ class Trajectory:
         return float(relative_error(self.invariant, self.invariant[0]).max())
 
 
-RHS = Callable[[float, list[float]], list[float]]
 Step = Callable[[float, list[float], float], list[float]]
-
-
-def rk4_step(f: RHS, t: float, y: list[float], dt: float) -> list[float]:
-    """One classical RK4 step of y' = f(t, y) over a list of floats.
-
-    Component by component the arithmetic is that of the vector expressions
-    ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``,
-    so the result is bit-identical to them.
-    """
-    h = dt / 2
-    k1 = f(t, y)
-    k2 = f(t + h, [a + h * b for a, b in zip(y, k1)])
-    k3 = f(t + h, [a + h * b for a, b in zip(y, k2)])
-    k4 = f(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    w = dt / 6
-    return [a + w * (b1 + 2 * b2 + 2 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
 def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
              record_every: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 on the grid t0 + (i+1) dt up to t_end: ``step(t, y,
-    dt)`` advances y by one step from t (``rk4_step`` bound to a right-hand
-    side, or a fused step that computes the same).
+    dt)`` advances the list of floats y by one RK4 step from t.
 
     Returns (t, y) arrays with one row of y per sample: t0, every
     ``record_every``-th step and the last step.  ``dt`` must divide
@@ -250,8 +232,10 @@ def _gain(policy: UPolicy) -> float | Callable[[float], float]:
 
 def _rank1_step(alg: AlgebraSpec, gain: float | Callable[[float], float]) -> Step:
     """The RK4 step of y = [r, s] under u = gain * r for ``rk4_path``:
-    ``rk4_step`` of (rdot, sdot) = ``flow_rhs`` written out on two floats,
-    with the same expression tree, so bit-identical to it."""
+    the classical RK4 stages of (rdot, sdot) = ``flow_rhs`` written out on two
+    floats, with the expression tree of the vector expressions ``y +
+    dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, so
+    bit-identical to them."""
     e2, a, c = 2.0 * alg.epsilon, alg.a, alg.c_param
 
     def fused(r, s, dt, g0, gh, g1):

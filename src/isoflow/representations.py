@@ -249,15 +249,17 @@ def lax_rows(op: TridiagonalOperator) -> range:
     return rows
 
 
-def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, u: float) -> float:
+def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, u: float,
+                 *, L: TridiagonalOperator | None = None) -> float:
     """Interior-row max-norm of dL/dt - [M, L] with the flow substituted.
 
     dL/dt is assembled from the coupled system sdot = 2 epsilon r u,
     rdot = -2(a s + c) u via dL/ds = aH + bN and dL/dr = E + E*; the
     commutator is formed densely.  Analytically zero on every interior row.
+    ``L`` is ``build_L(rep, alg, r, s)`` when the caller has built it.
     """
     check_compatible(rep, alg)
-    op = build_L(rep, alg, r, s)
+    op = build_L(rep, alg, r, s) if L is None else L
     rows = lax_rows(op)
     g = build_generators(rep)
     s_dot = 2.0 * alg.epsilon * r * u

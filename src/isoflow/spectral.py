@@ -104,7 +104,7 @@ def residual_grid(rows, points) -> tuple[np.ndarray, np.ndarray]:
 
 def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
                         alg: AlgebraSpec, r: float, s: float, rows,
-                        points) -> float:
+                        points, *, L: TridiagonalOperator | None = None) -> float:
     """Worst absolute residual of L psi = Lambda psi over the ``rows``
     (0-based within the realized window) and the spectral ``points`` (in the
     family's own variable x, Lambda = smap.eigenvalue(x)), with the family's
@@ -120,10 +120,12 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     weight is balanced over the window.
 
     Rows touching an inexact (truncated) edge are rejected because the row
-    identity genuinely fails there.
+    identity genuinely fails there.  ``L`` is ``build_L(rep, alg, r, s)``
+    when the caller has built it.
     """
     fam = FamilyTag(family)
-    L = build_L(rep, alg, r, s)
+    if L is None:
+        L = build_L(rep, alg, r, s)
     size = L.size
     rows, points = residual_grid(rows, points)
     bad = rows[(rows < 0) | (rows >= size)]

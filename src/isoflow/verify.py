@@ -109,7 +109,7 @@ def _grp_diagonalization(rng) -> list[CheckResult]:
 
     def run_family(tag, fam, rep, alg, r, s, points, rows):
         L = build_L(rep, alg, r, s)
-        worst = recurrence_residual(fam, rep, alg, r, s, rows, points)
+        worst = recurrence_residual(fam, rep, alg, r, s, rows, points, L=L)
         out.append(check_result(f"diag_residual_{tag}", worst, scaled_tolerance(1e-11, L)))
         return L
 

@@ -293,6 +293,47 @@ def test_nan_diagonalization_rows_fail(tmp_path, capsys):
     assert "non-finite because the closed-form components overflowed" in out
 
 
+@pytest.mark.parametrize("command", ["chain", "mvk"])
+def test_overflowing_eigenvector_polynomials_fail_with_a_note(tmp_path, capsys, command):
+    # with r_i = 1e-150 the polynomials overflow (p_3 ~ 1/r^3): the rows
+    # built on them are NaN and fail with a note, and numpy stays quiet
+    cfg = {"chain": {"s": [0.3, -0.2, 0.4], "r": [1e-150, 1e-150, 1e-150]},
+           "checks": [{"name": "orthogonality", "tolerance": 1e-9}]}
+    if command == "mvk":
+        cfg["degree"] = 1
+        cfg["checks"].append({"name": "recurrence", "tolerance": 1e-9})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, _write(tmp_path, _with_out(cfg, tmp_path))]) == 1
+    assert [str(w.message) for w in caught] == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = _report_rows(tmp_path)
+    assert len(rows) == len(cfg["checks"])
+    for name, (value, _, ok) in rows.items():
+        assert value != value and ok == "false"
+        assert f"FAIL  {name}  value=nan" in out
+    assert out.count("non-finite because the eigenvector polynomials overflowed") == len(rows)
+
+
+def test_run_builds_L_once(tmp_path, monkeypatch, capsys):
+    import isoflow.cli as cli
+    import isoflow.representations as representations
+    import isoflow.spectral as spectral
+    calls, build_L_ = [], representations.build_L
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_L_(*args, **kwargs)
+    for module in (cli, representations, spectral):
+        monkeypatch.setattr(module, "build_L", counted)
+    assert main(["run", _write(tmp_path, _with_out(RUN_CFG, tmp_path))]) == 0
+    assert len(calls) == 1
+    rows = _report_rows(tmp_path)
+    for name in ("lax_residual", "diagonalization"):
+        assert rows[name][2] == "true"
+
+
 def test_mvk_demo(tmp_path):
     code = main(["mvk", _write(tmp_path, _with_out(MVK_CFG, tmp_path))])
     assert code == 0

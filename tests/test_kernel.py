@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from isoflow import (ChainState, FlowState, IntegrationBlowupError,
                      SignedScaled, Toda, chain_dense_L, integrate,
                      integrate_chain, invariant, oscillator, su2, su11)
-from isoflow.chain import _advance
+from isoflow.chain import _advance, _chain_step, _step_source
 from isoflow.flows import flow_rhs
 
 
@@ -176,6 +176,52 @@ def test_advance_matches_numpy_step_bitwise(case, h):
     assert np.array_equal(np.array([*got.s, *got.r]), want)
 
 
+def _random_chain(d):
+    rng = np.random.default_rng(1000 + d)
+    return ChainState(0.0, tuple(rng.uniform(-0.5, 0.5, d)), tuple(rng.uniform(0.5, 1.5, d)))
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_COUPLINGS))
+@pytest.mark.parametrize("d", [1, 2, 4, 16, 40])
+def test_generated_chain_step_matches_reference_loop_bitwise(d, case):
+    g = CHAIN_COUPLINGS[case]
+    st = _random_chain(d)
+    traj = integrate_chain(st, g, 1e-3, 0.2, record_every=7)
+    t, s, r = reference_integrate_chain(st, g, 1e-3, 0.2, 7)
+    assert np.array_equal(traj.t, t)
+    assert np.array_equal(traj.s, s)
+    assert np.array_equal(traj.r, r)
+
+
+@pytest.mark.parametrize("h", [1e-4, -1e-4, 0.05, -0.05])
+@pytest.mark.parametrize("case", sorted(CHAIN_COUPLINGS))
+def test_advance_rank_one_matches_numpy_step_bitwise(case, h):
+    g = CHAIN_COUPLINGS[case]
+    st = ChainState(0.3, (0.4,), (0.7,))
+    got = _advance(st, g, h)
+    want = np_rk4_step(lambda t, y: np_chain_rhs(t, y, g), st.t, np.array([0.4, 0.7]), h)
+    assert got.t == st.t + h
+    assert np.array_equal(np.array([*got.s, *got.r]), want)
+
+
+def test_generated_source_depends_on_d_alone():
+    def coupling_probe(t):
+        return 0.5 + t
+
+    for d in (1, 3):
+        src = _step_source(d)
+        assert "0.123456789" not in src and "coupling_probe" not in src
+        steps = [_chain_step(d)(g) for g in (0.123456789, 2.0, coupling_probe, 1)]
+        assert len({step.__code__ for step in steps}) == 1
+        code = steps[0].__code__
+        assert 0.123456789 not in code.co_consts
+        assert "coupling_probe" not in code.co_names + code.co_varnames
+    hits = _chain_step.cache_info().hits
+    _chain_step(3)(0.7)
+    assert _chain_step.cache_info().hits == hits + 1
+    assert _chain_step(3)(0.7).__code__ is not _chain_step(4)(0.7).__code__
+
+
 @pytest.mark.parametrize("k", [1, 7, 300])
 @pytest.mark.parametrize("case", sorted(RANK1_CASES))
 def test_every_kth_row_of_full_run_is_the_recorded_run(case, k):
@@ -211,6 +257,33 @@ def test_chain_blowup_state_matches_numpy_kernel(record_every):
     with pytest.raises(IntegrationBlowupError) as info:
         integrate_chain(st0, 60.0, 0.05, 2.0, record_every=record_every)
     assert info.value.last_state == ChainState(t[-1], tuple(y[-1, :3]), tuple(y[-1, 3:]))
+
+
+def _guarded_rhs(g):
+    def f(t, y):  # the kernel's guard: NaN once some r_i <= 0
+        d = len(y) // 2
+        return np.full_like(y, np.nan) if y[d:].min() <= 0 else np_chain_rhs(t, y, g)
+    return f
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_chain_blowup_at_an_intermediate_stage_matches_numpy_kernel(record_every):
+    st0, g, dt = ChainState(0.0, (-0.37, 0.32), (0.34, 0.9)), 17.2, 0.05
+    # the first r_i <= 0 appears at the last stage's input y + dt k3 of the
+    # fifth step, from a state whose r_i are all positive
+    t, y = np_rk4_samples(_guarded_rhs(g), st0.t, np.array([*st0.s, *st0.r]), dt, 1.0, 1)
+    assert len(t) == 5 and (y[:, 2:] > 0).all()
+    k = [np_chain_rhs(t[-1], y[-1], g)]
+    k.append(np_chain_rhs(t[-1] + dt / 2, y[-1] + dt / 2 * k[0], g))
+    k.append(np_chain_rhs(t[-1] + dt / 2, y[-1] + dt / 2 * k[1], g))
+    assert (y[-1] + dt / 2 * k[0])[2:].min() > 0 and (y[-1] + dt / 2 * k[1])[2:].min() > 0
+    assert (y[-1] + dt * k[2])[2:].min() <= 0
+
+    t, y = np_rk4_samples(_guarded_rhs(g), st0.t, np.array([*st0.s, *st0.r]), dt, 1.0,
+                          record_every)
+    with pytest.raises(IntegrationBlowupError) as info:
+        integrate_chain(st0, g, dt, 1.0, record_every=record_every)
+    assert info.value.last_state == ChainState(t[-1], tuple(y[-1, :2]), tuple(y[-1, 2:]))
 
 
 def exact_toda_L(state0, g, t):
