@@ -32,15 +32,15 @@ from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
                   multinom, mvk_orthogonality_check, mvk_recurrence_check,
                   mvk_table, mvk_time_derivative_check, symmetric_chain_state,
                   unit_index, write_mvk_csv)
-from .operators import SkewTridiagonalOperator, TridiagonalOperator
+from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, check_result, guarded,
                      relative_error, spectrum_drift, write_report_csv,
                      write_spectrum_csv)
 from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               Generators, Oscillator, ParameterError,
                               PrincipalSeries, RepresentationSpec, SU2,
-                              build_generators, build_L, build_M,
-                              check_compatible, lax_residual, lax_rows)
+                              build_generators, build_L, check_compatible,
+                              lax_residual, lax_rows)
 from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, compared_eigenvalues,
                        degenerate_e2_check, eigenfunction, eigenvalues,

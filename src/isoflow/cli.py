@@ -101,13 +101,7 @@ def _int_option(ccfg, key, default):
     value = ccfg.get(key, default)
     if value is None:
         return None
-    try:
-        value = int(value)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN, +-inf
-        value = 0
-    if value < 1:
-        raise ConfigError(f"check '{ccfg['name']}': {key} must be a positive integer")
-    return value
+    return cfgmod.integer(value, f"check '{ccfg['name']}': {key}", positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +203,20 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     _need_rep(ccfg, rep)
     family = _family(ccfg)
     count = _int_option(ccfg, "points", 10)
-    parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
+    params, _ = parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
+    capped = ""
+    # Krawtchouk points sample the finite lattice 0..N (N = 2j): past it the
+    # family variable is off the spectrum and the residual means nothing
+    if family is FamilyTag.KRAWTCHOUK and count > params.N + 1:
+        count = params.N + 1
+        capped = f"; points capped at the {count} lattice points"
     op = initial_L()
     rows, points = residual_grid(_check_rows(op), _spectral_points(family, count))
 
     def row(**_):
         worst = recurrence_residual(family, rep, alg, state0.r, state0.s, rows, points,
                                     L=op)
-        note = f"family={family.value}; tolerance scaled by 1+|L|_inf"
+        note = f"family={family.value}; tolerance scaled by 1+|L|_inf{capped}"
         if not math.isfinite(worst):
             note += "; residual non-finite because the closed-form components overflowed"
         return check_result(ccfg["name"], worst,
@@ -360,9 +360,7 @@ MVK_CHECKS = tuple(_MVK)
 def _cmd_mvk(path: str) -> int:
     cfg = load_config(path)
     state0 = cfgmod.build_chain_state(cfg.get("chain"))
-    degree = cfg.get("degree")
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-        raise ConfigError("'degree' must be a positive integer")
+    degree = cfgmod.integer(cfg.get("degree"), "degree", positive=True)
     checks = cfgmod.check_list(cfg, MVK_CHECKS)
     outdir = cfgmod.output_dir(cfg)
 

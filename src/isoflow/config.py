@@ -79,6 +79,28 @@ def _finite(v, name: str) -> float:
     return x
 
 
+def integer(v, name: str, *, positive: bool = False) -> int:
+    """The JSON number ``v`` as an int; ConfigError unless it is a finite
+    number without a fractional part (10 or 10.0, not 2.5) and, with
+    ``positive``, at least 1.  json reads true/false as booleans, which are
+    not numbers here."""
+    try:
+        x = _finite(v, name)
+    except ConfigError:
+        x = math.nan
+    if not x.is_integer() or (positive and x < 1):
+        raise ConfigError(f"{name} must be {'a positive' if positive else 'an'} "
+                          f"integer, got {v!r}")
+    return int(v)
+
+
+def _integer(cfg: dict, key: str, where: str, default=None) -> int:
+    """``integer`` of ``cfg[key]``, which may be absent when there is a
+    ``default``."""
+    value = _require(cfg, key, where) if default is None else cfg.get(key, default)
+    return integer(value, f"{where}.{key}")
+
+
 def build_algebra(cfg: dict) -> AlgebraSpec:
     cfg = _block(cfg, "algebra")
     cls = _require(cfg, "class", "algebra")
@@ -100,20 +122,20 @@ def build_representation(cfg: dict) -> RepresentationSpec:
             return SU2(_number(cfg, "j", "representation"))
         if kind == "discrete_series":
             return DiscreteSeriesPlus(_number(cfg, "k", "representation"),
-                                      int(_number(cfg, "n_max", "representation")))
+                                      _integer(cfg, "n_max", "representation"))
         if kind == "principal_series":
             return PrincipalSeries(_number(cfg, "rho", "representation"),
                                    _number(cfg, "eps", "representation"),
-                                   int(_number(cfg, "n_min", "representation")),
-                                   int(_number(cfg, "n_max", "representation")))
+                                   _integer(cfg, "n_min", "representation"),
+                                   _integer(cfg, "n_max", "representation"))
         if kind == "oscillator":
             return Oscillator(_number(cfg, "k", "representation"),
                               _number(cfg, "h", "representation"),
-                              int(_number(cfg, "n_max", "representation")))
+                              _integer(cfg, "n_max", "representation"))
         if kind == "e2":
             return E2(_number(cfg, "k", "representation"),
-                      int(_number(cfg, "n_min", "representation")),
-                      int(_number(cfg, "n_max", "representation")))
+                      _integer(cfg, "n_min", "representation"),
+                      _integer(cfg, "n_max", "representation"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown representation type {kind!r}")
@@ -153,7 +175,7 @@ def build_flow(cfg: dict) -> tuple[FlowState, UPolicy, float, float, int]:
     t0 = _number(cfg, "t0", "flow", default=0.0)
     dt = _number(cfg, "dt", "flow")
     t_end = _number(cfg, "t_end", "flow")
-    record_every = int(_number(cfg, "record_every", "flow", default=1))
+    record_every = _integer(cfg, "record_every", "flow", default=1)
     policy = build_policy(_require(cfg, "policy", "flow"))
     return FlowState(t0, r0, s0), policy, dt, t_end, record_every
 
@@ -178,7 +200,7 @@ def build_chain_flow(cfg: dict):
     g = _number(block, "g", "chain", default=1.0)
     dt = _number(block, "dt", "chain", default=1e-3)
     t_end = _number(block, "t_end", "chain", default=state.t)
-    record_every = int(_number(block, "record_every", "chain", default=1))
+    record_every = _integer(block, "record_every", "chain", default=1)
     return state, g, dt, t_end, record_every
 
 

@@ -1,4 +1,5 @@
-"""Banded symmetric/skew-symmetric operators on a finite index window.
+"""Symmetric tridiagonal operators on a finite index window, and the bands
+of their commutator with a skew-tridiagonal operator.
 
 Tridiagonal operators are stored as two arrays (diagonal, off-diagonal) plus
 the index of the first basis vector of the window.  Truncations of operators
@@ -50,54 +51,41 @@ class TridiagonalOperator:
     def size(self) -> int:
         return len(self.diag)
 
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        a = np.zeros((n, n))
-        a[np.arange(n), np.arange(n)] = self.diag
-        if n > 1:
-            a[np.arange(n - 1), np.arange(1, n)] = self.off
-            a[np.arange(1, n), np.arange(n - 1)] = self.off
-        return a
-
     def inf_norm(self) -> float:
-        """Maximum absolute row sum over the stored window."""
-        return float(np.abs(self.to_dense()).sum(axis=1).max()) if self.size else 0.0
+        """Maximum absolute row sum |off[i-1]| + |diag[i]| + |off[i]| over
+        the stored window."""
+        if not self.size:
+            return 0.0
+        rows = np.abs(self.diag)
+        off = np.abs(self.off)
+        rows[1:] += off
+        rows[:-1] += off
+        return float(rows.max())
 
-    def interior_rows(self, margin: int = 2) -> range:
+    def interior_rows(self) -> range:
         """Window-relative rows unaffected by a clipped edge.
 
-        ``margin`` rows are trimmed at each inexact edge: products of two
-        tridiagonal operators reach two rows past the edge, so commutator
-        rows within that distance involve out-of-window data.
+        Two rows are trimmed at each inexact edge: the product of two
+        tridiagonal operators reaches two rows past the edge, so rows of a
+        commutator within that distance involve out-of-window data.
         """
-        lo = 0 if self.lo_exact else margin
-        hi = self.size - (0 if self.hi_exact else margin)
+        lo = 0 if self.lo_exact else 2
+        hi = self.size - (0 if self.hi_exact else 2)
         return range(lo, max(lo, hi))
 
 
-@dataclass(frozen=True)
-class SkewTridiagonalOperator:
-    """Skew-symmetric operator oriented like the raising direction: row
-    n+1 couples to n with +off[n] (below the diagonal), and row n couples
-    to n+1 with -off[n]."""
+def skew_commutator(m: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """The diagonal, first and second off-diagonal of the symmetric
+    pentadiagonal [M, L] = ML - LM, where M is skew-tridiagonal oriented like
+    the raising direction (M[n+1, n] = m[n] = -M[n, n+1]) and L is the
+    symmetric tridiagonal (diag, off):
 
-    base_index: int
-    off: np.ndarray
-    lo_exact: bool = True
-    hi_exact: bool = True
+        [M, L][n, n]     = 2(m[n-1] off[n-1] - m[n] off[n])
+        [M, L][n, n+1]   = m[n] (diag[n] - diag[n+1])
+        [M, L][n, n+2]   = off[n] m[n+1] - m[n] off[n+1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "off", _as_float_array(self.off))
-        self.off.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.off) + 1
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        a = np.zeros((n, n))
-        if n > 1:
-            a[np.arange(1, n), np.arange(n - 1)] = self.off
-            a[np.arange(n - 1), np.arange(1, n)] = -self.off
-        return a
+    where the products m off past either end of the window are 0."""
+    mo = m * off
+    return (2.0 * (np.concatenate(([0.0], mo)) - np.concatenate((mo, [0.0]))),
+            m * (diag[:-1] - diag[1:]),
+            off[:-1] * m[1:] - m[:-1] * off[1:])

@@ -3,7 +3,8 @@
 Each representation acts on an orthonormal basis e_n of a finite window.
 ``H`` and ``N`` act diagonally, ``E`` raises (e_n -> E_coeff(n) e_{n+1}) and
 ``F`` lowers.  The involution E* = epsilon*F makes L = c H + s(aH+bN) +
-r(E+E*) symmetric tridiagonal and M = u(E-E*) skew.
+r(E+E*) symmetric tridiagonal and M = u(E-E*) skew-tridiagonal, so the Lax
+equation dL/dt = [M, L] is an identity between five bands.
 
 Displayed actions realized here:
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .operators import SkewTridiagonalOperator, TridiagonalOperator
+from .operators import TridiagonalOperator, skew_commutator
 
 
 class ParameterError(ValueError):
@@ -167,15 +168,14 @@ class Generators:
 
     ``h_diag[i]`` is the H eigenvalue at basis index base_index+i,
     ``e_coeff[i]`` the coefficient of E: e_n -> e_coeff * e_{n+1} at
-    n = base_index+i, ``f_coeff[i]`` the coefficient of F: e_{n+1} -> f * e_n
-    (stored aligned with e_coeff so F e_{n+1} = f_coeff[i] e_n), and
-    ``n_scalar`` the scalar by which the central element acts.
+    n = base_index+i, and ``n_scalar`` the scalar by which the central
+    element acts.  F enters L and M only through E* = epsilon*F, whose
+    coefficients are those of E transposed, so it is not stored.
     """
 
     base_index: int
     h_diag: np.ndarray
     e_coeff: np.ndarray
-    f_coeff: np.ndarray
     n_scalar: float
     lo_exact: bool
     hi_exact: bool
@@ -186,21 +186,20 @@ def build_generators(rep: RepresentationSpec) -> Generators:
     n = np.arange(lo, hi + 1, dtype=float)
     up = n[:-1]  # indices carrying the E coefficient to the next basis vector
     if isinstance(rep, SU2):
-        twoj = 2.0 * rep.j
-        return Generators(lo, 2.0 * (n - rep.j), np.sqrt((up + 1) * (twoj - up)),
-                          np.sqrt((up + 1) * (twoj - up)), 0.0, True, True)
+        e = np.sqrt((up + 1) * (2.0 * rep.j - up))
+        return Generators(lo, 2.0 * (n - rep.j), e, 0.0, True, True)
     if isinstance(rep, DiscreteSeriesPlus):
         e = np.sqrt((up + 1) * (2 * rep.k + up))
-        return Generators(lo, 2.0 * (rep.k + n), e, -e, 0.0, True, False)
+        return Generators(lo, 2.0 * (rep.k + n), e, 0.0, True, False)
     if isinstance(rep, PrincipalSeries):
         e = np.sqrt((up + rep.eps_rep + 0.5) ** 2 + rep.rho ** 2)
-        return Generators(lo, 2.0 * (rep.eps_rep + n), e, -e, 0.0, False, False)
+        return Generators(lo, 2.0 * (rep.eps_rep + n), e, 0.0, False, False)
     if isinstance(rep, Oscillator):
         e = np.sqrt(rep.h * (up + 1))
-        return Generators(lo, 2.0 * (rep.k + n), e, e, -rep.h, True, False)
+        return Generators(lo, 2.0 * (rep.k + n), e, -rep.h, True, False)
     if isinstance(rep, E2):
         e = np.full(len(up), rep.k)
-        return Generators(lo, 2.0 * n, e, e, 0.0, False, False)
+        return Generators(lo, 2.0 * n, e, 0.0, False, False)
     raise ParameterError(f"unknown representation spec {rep!r}")
 
 
@@ -231,15 +230,6 @@ def build_L(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float) -> Tr
     return TridiagonalOperator(g.base_index, diag, off, g.lo_exact, g.hi_exact)
 
 
-def build_M(rep: RepresentationSpec, alg: AlgebraSpec, u: float) -> SkewTridiagonalOperator:
-    """Skew matrix of M = u(E - E*)."""
-    check_compatible(rep, alg)
-    if not np.isfinite(u):
-        raise ValueError("u must be finite")
-    g = build_generators(rep)
-    return SkewTridiagonalOperator(g.base_index, u * g.e_coeff, g.lo_exact, g.hi_exact)
-
-
 def lax_rows(op: TridiagonalOperator) -> range:
     """The interior rows of ``op``, over which ``lax_residual`` is taken.
     Raises ConfigurationError when none survive truncation."""
@@ -255,21 +245,27 @@ def lax_residual(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float, 
 
     dL/dt is assembled from the coupled system sdot = 2 epsilon r u,
     rdot = -2(a s + c) u via dL/ds = aH + bN and dL/dr = E + E*; the
-    commutator is formed densely.  Analytically zero on every interior row.
-    ``L`` is ``build_L(rep, alg, r, s)`` when the caller has built it.
+    commutator with M = u(E - E*) is formed from the bands
+    (``skew_commutator``), and every entry of the interior rows is read from
+    the diagonal and the first two off-diagonals of the difference.
+    Analytically zero on every interior row.  ``L`` is
+    ``build_L(rep, alg, r, s)`` when the caller has built it.
     """
-    check_compatible(rep, alg)
-    op = build_L(rep, alg, r, s) if L is None else L
-    rows = lax_rows(op)
+    if L is None:
+        L = build_L(rep, alg, r, s)
+    else:
+        check_compatible(rep, alg)
+    rows = lax_rows(L)
+    if not np.isfinite(u):
+        raise ValueError("u must be finite")
     g = build_generators(rep)
     s_dot = 2.0 * alg.epsilon * r * u
     r_dot = -2.0 * (alg.a * s + alg.c_param) * u
-    ldot_diag = s_dot * (alg.a * g.h_diag + alg.b * g.n_scalar)
-    ldot_off = r_dot * g.e_coeff
-    ldot = TridiagonalOperator(g.base_index, ldot_diag, ldot_off,
-                               g.lo_exact, g.hi_exact).to_dense()
-    ld = op.to_dense()
-    md = build_M(rep, alg, u).to_dense()
-    comm = md @ ld - ld @ md
-    diff = ldot - comm
-    return float(np.abs(diff[list(rows), :]).max())
+    comm_diag, comm_off, comm_sec = skew_commutator(u * g.e_coeff, L.diag, L.off)
+    res_diag = s_dot * (alg.a * g.h_diag + alg.b * g.n_scalar) - comm_diag
+    res_off = r_dot * g.e_coeff - comm_off
+    # the entry coupling rows k and k + j lies in an interior row
+    # lo <= row < hi when lo - j <= k < hi
+    lo, hi = rows.start, rows.stop
+    return float(np.abs(np.concatenate((res_diag[lo:hi], res_off[max(lo - 1, 0):hi],
+                                        comm_sec[max(lo - 2, 0):hi]))).max())

@@ -30,7 +30,7 @@ class SpectralDecomposition:
 
 
 def eigs_sym_tridiag(op: TridiagonalOperator) -> SpectralDecomposition:
-    lam, vec = eigh_tridiagonal(np.asarray(op.diag), np.asarray(op.off))
+    lam, vec = eigh_tridiagonal(op.diag, op.off)
     return SpectralDecomposition(lam, vec, vec[0, :] ** 2)
 
 

@@ -620,3 +620,54 @@ def test_commands_report_the_max_of_verify_rows(tmp_path, seed):
         assert len(got) == 5
         for name, (value, _, _) in got.items():
             assert value == rows[f"mvk_{name}_d{d}N{n}"], name
+
+
+def test_krawtchouk_points_are_capped_at_the_lattice(tmp_path, capsys):
+    """j = 4 has the 9 lattice points 0..8: the default 10 points are
+    capped there, with the count in the note, and give the row of
+    ``points: 9`` (the tenth point, x = 9, is off the spectrum)."""
+    cfg = dict(RUN_CFG, representation={"type": "su2", "j": 4},
+               checks=[{"name": "diagonalization", "tolerance": 1e-11,
+                        "family": "krawtchouk"}])
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path, "default"))]) == 0
+    assert "points capped at the 9 lattice points" in capsys.readouterr().out
+    cfg["checks"][0]["points"] = 9
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path, "nine"))]) == 0
+    assert "capped" not in capsys.readouterr().out
+    assert _report_rows(tmp_path, "default") == _report_rows(tmp_path, "nine")
+
+
+@pytest.mark.parametrize("bad", [2.5, 10.7, True, "3"],
+                         ids=["fraction", "fraction_up", "boolean", "string"])
+@pytest.mark.parametrize("command, cfg, where, key", [
+    ("run", SU11_DISCRETE, "representation", "n_max"),
+    ("run", SU11_PRINCIPAL, "representation", "n_min"),
+    ("run", SU11_PRINCIPAL, "representation", "n_max"),
+    ("run", RUN_CFG, "flow", "record_every"),
+    ("chain", CHAIN_CFG, "chain", "record_every"),
+    ("run", SU11_DISCRETE, 0, "count"),
+    ("run", RUN_CFG, 5, "points"),
+])
+def test_non_integral_integer_fields_exit_2_before_writing(tmp_path, capsys, command,
+                                                           cfg, where, key, bad):
+    """Integer fields are not truncated: 2.5, 10.7, true or "3" is an
+    error (exit 2, nothing written), not 2, 10, 1 or a type error."""
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    block = cfg["checks"][where] if isinstance(where, int) else cfg[where]
+    block[key] = bad
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a" in err and f"integer, got {bad!r}" in err
+    assert list(tmp_path.glob("out/**/*")) == []
+
+
+def test_integral_floats_are_integers(tmp_path):
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path, "int")))
+    assert main(["run", _write(tmp_path, cfg)]) == 0
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path, "float")))
+    cfg["flow"]["record_every"] = 100.0
+    cfg["checks"][5]["points"] = 10.0
+    assert main(["run", _write(tmp_path, cfg)]) == 0
+    for name in ("trajectory.csv", "spectrum.csv", "report.csv"):
+        assert filecmp.cmp(tmp_path / "int" / name, tmp_path / "float" / name,
+                           shallow=False)
