@@ -26,7 +26,7 @@ import numpy as np
 
 from .flows import IntegrationBlowupError, Step, rk4_path
 from .report import relative_error, spectrum_drift
-from .specfun import eigh_tridiagonal
+from .specfun import eigh_tridiagonal, three_term
 
 
 class DegenerateSpectrumWarning(RuntimeWarning):
@@ -204,15 +204,11 @@ def eigen_polys(state: ChainState, lam) -> tuple[np.ndarray, np.ndarray]:
     closure residual of the final operator row (zero iff lam is an
     eigenvalue).  For an array ``lam``, p has shape (d+1,) + lam.shape and
     the closure lam's shape."""
-    s = state.s
-    r = state.r
-    d = state.d
+    s, r, d = state.s, state.r, state.d
     lam = np.asarray(lam, dtype=float)
-    p = np.empty((d + 1,) + lam.shape)
-    p[0] = 1.0
-    p[1] = (lam - s[0]) / r[0]
-    for n in range(1, d):
-        p[n + 1] = ((lam - (s[n] - s[n - 1])) * p[n] - r[n - 1] * p[n - 1]) / r[n]
+    # diag[n] = s_{n+1} - s_n (s_0 = 0) on the rows 0..d-1 the recurrence uses
+    diag = np.array([s[0]] + [s[n] - s[n - 1] for n in range(1, d)])
+    p = three_term(lam - diag.reshape((d,) + (1,) * lam.ndim), r)
     closure = r[d - 1] * p[d - 1] - s[d - 1] * p[d] - lam * p[d]
     return p, np.abs(closure)
 

@@ -148,18 +148,15 @@ def build_policy(cfg: dict) -> UPolicy:
         if kind == "toda":
             return Toda()
         if kind == "signed_scaled":
-            sigma = cfg.get("sigma")
+            sigma = _integer(cfg, "sigma", "flow.policy")
             if sigma not in (1, -1):
                 raise ConfigError("flow.policy.sigma must be 1 or -1")
             gamma = cfg.get("gamma", 1.0)
             if isinstance(gamma, dict):
-                ts = gamma.get("t")
-                vals = gamma.get("values")
-                if not isinstance(ts, list) or not isinstance(vals, list):
-                    raise ConfigError("tabulated gamma needs lists 't' and 'values'")
-                gamma = (tuple(float(v) for v in ts), tuple(float(v) for v in vals))
-            elif isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
-                raise ConfigError("flow.policy.gamma must be a number or a table")
+                gamma = (_numbers(gamma, "t", "flow.policy.gamma"),
+                         _numbers(gamma, "values", "flow.policy.gamma"))
+            else:
+                gamma = _finite(gamma, "flow.policy.gamma")
             return SignedScaled(sigma, gamma)
     except ConfigError:
         raise

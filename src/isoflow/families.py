@@ -3,9 +3,12 @@
 Six polynomial families (binomial, negative-binomial, gamma, hyperbolic,
 Poisson and Gaussian lattices), a bilateral non-polynomial family built on
 the regularized Gauss series, and an integer-order Bessel family for the
-degenerate flat case.  Every family is available through two independent
-routes — a three-term recurrence (``eval_rec``) and a terminating
-hypergeometric sum (``eval_hyper``) — which the test-suite cross-checks.
+degenerate flat case.  Every polynomial family is available through two
+independent routes — a three-term recurrence (``eval_rec``: one pass of
+``specfun.three_term`` over an array of degrees and points) and a
+terminating hypergeometric sum (``eval_hyper``: one degree at one point,
+exact-rational where real) — which the test-suite cross-checks.
+``meixner_function`` also takes arrays of orders and points.
 
 Normalization is fixed so that each family solves the row identity
 
@@ -24,9 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+import numpy as np
+
 from .algebra import AlgebraSpec
 from .representations import ParameterError
-from .specfun import PrecisionError, loggamma, regularized_2f1
+from .specfun import PrecisionError, loggamma, regularized_2f1, three_term
 
 
 class FamilyTag(str, Enum):
@@ -152,73 +157,62 @@ def _poch(a: float, n: int) -> float:
     return out
 
 
-def _check_degree(n: int) -> int:
-    if n < 0 or n != int(n):
+def _check_degree(n) -> np.ndarray:
+    """``n`` (an int or an array) as ints, unless an entry is not a degree."""
+    deg = np.asarray(n)
+    if not (np.isfinite(deg) & (deg == np.round(deg)) & (deg >= 0)).all():
         raise ParameterError(f"degree must be a non-negative integer, got {n}")
-    return int(n)
+    return deg.astype(int)
 
 
 # --------------------------------------------------------------------------
 # recurrence route
 
 
-def eval_rec(family: FamilyTag, params, n: int, x: float) -> float:
-    """Evaluate the orthonormal family member of degree ``n`` at ``x`` by
-    running its three-term recurrence forward from degree zero."""
-    n = _check_degree(n)
+def eval_rec(family: FamilyTag, params, n, x):
+    """Evaluate the orthonormal family members of degree ``n`` at ``x`` by
+    one pass of the three-term recurrence (``specfun.three_term``) from
+    degree zero up to the largest degree asked for.
+
+    ``n`` is an int or an array of ints and ``x`` a number or an array; the
+    result has shape ``n.shape + x.shape`` (a float for an int ``n`` at a
+    number ``x``)."""
+    deg = _check_degree(n)
+    top = int(deg.max(initial=0))
     fam = FamilyTag(family)
+    x = np.asarray(x, dtype=float)
+    # the recurrence coefficients of degrees m = 0..top-1, as columns over x
+    m = np.arange(top).reshape((top,) + (1,) * x.ndim)
     if fam is FamilyTag.KRAWTCHOUK:
         p, N = params.p, params.N
-        if n > N:
-            raise ParameterError(f"degree {n} exceeds lattice size {N}")
-        a = lambda m: math.sqrt(p * (1 - p) * (m + 1) * (N - m))
-        b = lambda m: p * N + m * (1 - 2 * p)
-        return _forward(n, x, a, b, flip=False)
-    if fam is FamilyTag.MEIXNER:
+        if top > N:
+            raise ParameterError(f"degree {top} exceeds lattice size {N}")
+        a = np.sqrt(p * (1 - p) * (m + 1) * (N - m))
+        mid = p * N + m * (1 - 2 * p) - x
+    elif fam is FamilyTag.MEIXNER:
         beta, c = params.beta, params.c
-        a = lambda m: math.sqrt(c * (m + 1) * (m + beta)) / (1 - c)
-        b = lambda m: (m + (m + beta) * c) / (1 - c)
-        return _forward(n, x, a, b, flip=True)
-    if fam is FamilyTag.LAGUERRE:
+        a = np.sqrt(c * (m + 1) * (m + beta)) / (1 - c)
+        mid = x - (m + (m + beta) * c) / (1 - c)
+    elif fam is FamilyTag.LAGUERRE:
         alpha = params.alpha
-        xt = x / params.scale
-        a = lambda m: math.sqrt((m + 1) * (m + alpha + 1))
-        b = lambda m: 2 * m + alpha + 1
-        return _forward(n, xt, a, b, flip=True)
-    if fam is FamilyTag.MEIXNER_POLLACZEK:
+        a = np.sqrt((m + 1) * (m + alpha + 1))
+        mid = x / params.scale - (2 * m + alpha + 1)
+    elif fam is FamilyTag.MEIXNER_POLLACZEK:
         lam, phi = params.lam, params.phi
-        prev, cur = 0.0, 1.0
-        for m in range(n):
-            nxt = ((2 * x * math.sin(phi) + 2 * (m + lam) * math.cos(phi)) * cur
-                   - math.sqrt(m * (m + 2 * lam - 1)) * prev) \
-                / math.sqrt((m + 1) * (m + 2 * lam))
-            prev, cur = cur, nxt
-        return cur
-    if fam is FamilyTag.CHARLIER:
+        a = np.sqrt((m + 1) * (m + 2 * lam))
+        mid = 2 * x * math.sin(phi) + 2 * (m + lam) * math.cos(phi)
+    elif fam is FamilyTag.CHARLIER:
         av = params.a
-        a = lambda m: math.sqrt(av * (m + 1))
-        b = lambda m: m + av
-        return _forward(n, x, a, b, flip=False)
-    if fam is FamilyTag.HERMITE:
-        xt = (x - params.shift) / params.scale
-        prev, cur = 0.0, 1.0
-        for m in range(n):
-            nxt = (math.sqrt(2.0) * xt * cur - math.sqrt(m) * prev) / math.sqrt(m + 1)
-            prev, cur = cur, nxt
-        return cur
-    raise ParameterError(f"no polynomial recurrence for family {fam.value!r}")
-
-
-def _forward(n, x, a, b, flip):
-    # (b(m) - x) psi_m = a(m) psi_{m+1} + a(m-1) psi_{m-1}; flip swaps b - x
-    # for x - b (families whose operator-adapted normalization is (-1)^n
-    # relative to the classical one).
-    prev, cur = 0.0, 1.0
-    for m in range(n):
-        mid = (x - b(m)) if flip else (b(m) - x)
-        nxt = (mid * cur - (a(m - 1) if m else 0.0) * prev) / a(m)
-        prev, cur = cur, nxt
-    return cur
+        a = np.sqrt(av * (m + 1))
+        mid = m + av - x
+    elif fam is FamilyTag.HERMITE:
+        a = np.sqrt(m + 1.0)
+        mid = np.broadcast_to(math.sqrt(2.0) * ((x - params.shift) / params.scale),
+                              (top,) + x.shape)
+    else:
+        raise ParameterError(f"no polynomial recurrence for family {fam.value!r}")
+    vals = three_term(mid, a.ravel())[deg]
+    return float(vals) if vals.ndim == 0 else vals
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +223,7 @@ def eval_hyper(family: FamilyTag, params, n: int, x: float) -> float:
     """Evaluate the same orthonormal family member through its terminating
     hypergeometric sum — an independent route used to cross-check
     ``eval_rec``."""
-    n = _check_degree(n)
+    n = int(_check_degree(n))
     fam = FamilyTag(family)
     if fam is FamilyTag.KRAWTCHOUK:
         p, N = params.p, params.N
@@ -362,14 +356,25 @@ def weight(family: FamilyTag, params, x) -> float:
 # bilateral family on the regularized Gauss series
 
 
-def meixner_function(n: int, x: float, params: MeixnerFunctionParams) -> float:
+def meixner_function(n, x, params: MeixnerFunctionParams):
     """Bilateral lattice family m_n(x), n in Z, built on the regularized
     Gauss series so integer lattice points x >= n + 1 need no special casing.
 
     Solves the row identity of the unbounded-below tridiagonal operator with
     off(n) = sqrt((n + eps + 1/2)^2 + rho^2) and is orthogonal on x in Z for
     the weight ``weight(FamilyTag.MEIXNER_FUNCTION, ...)``.
+
+    ``n`` is an int or an array of ints and ``x`` a number or an array; the
+    result has shape ``n.shape + x.shape`` (a float for a number at a
+    number), one series per entry.
     """
+    n, x = np.asarray(n), np.asarray(x, dtype=float)
+    vals = np.array([[_meixner_value(ni, xi, params) for xi in x.ravel().tolist()]
+                     for ni in n.ravel().tolist()]).reshape(n.shape + x.shape)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _meixner_value(n: int, x: float, params: MeixnerFunctionParams) -> float:
     rho, eps, c = params.rho, params.eps, params.c
     a = complex(n + eps + 0.5, rho)
     b = complex(n + eps + 0.5, -rho)
@@ -396,9 +401,7 @@ def meixner_function_recurrence_residual(n: int, x: float,
     def off(m: int) -> float:
         return math.sqrt((m + eps + 0.5) ** 2 + rho ** 2)
 
-    m_lo = meixner_function(n - 1, x, params)
-    m_md = meixner_function(n, x, params)
-    m_hi = meixner_function(n + 1, x, params)
+    m_lo, m_md, m_hi = meixner_function([n - 1, n, n + 1], x, params).tolist()
     lhs = (1.0 - c) * (x + eps) / math.sqrt(c) * m_md
     rhs = off(n) * m_hi + (c + 1.0) * (n + eps) / math.sqrt(c) * m_md \
         + off(n - 1) * m_lo

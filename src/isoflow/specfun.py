@@ -1,5 +1,7 @@
-"""Special-function kernels: the regularized Gauss series, Bessel J by
-backward recurrence, and the package's two entry points into scipy.
+"""Special-function kernels: the forward three-term recurrence behind every
+orthonormal polynomial of the package, the regularized Gauss series, Bessel
+J at an array of orders by one backward recurrence, and the package's two
+entry points into scipy.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -136,51 +138,58 @@ def _drop_tiny_imag(v):
     return v
 
 
+def three_term(mid: np.ndarray, a) -> np.ndarray:
+    """Rows p_0..p_n of p_{m+1} = (mid[m] p_m - a[m-1] p_{m-1}) / a[m] from
+    p_0 = 1 (no p_{-1} term), for ``mid`` of shape ``(n,) + points`` and
+    ``a`` of length n: every orthonormal polynomial of the package."""
+    p = np.empty((len(a) + 1,) + np.shape(mid)[1:])
+    p[0] = 1.0
+    if len(a):
+        p[1] = mid[0] / a[0]
+    for m in range(1, len(a)):
+        p[m + 1] = (mid[m] * p[m] - a[m - 1] * p[m - 1]) / a[m]
+    return p
+
+
 _BESSEL_Z_MAX = 50.0
 
 
-def bessel_j(n: int, z: float) -> float:
-    """Bessel function of the first kind, integer order, by Miller's
-    backward recurrence with the even-order sum normalization.
-
-    Restricted to |z| <= 50 where the fixed start offset keeps full accuracy.
-    """
+def bessel_j(n, z: float):
+    """J_n(z) at an integer order ``n`` or an integer array of them (the
+    result then has its shape), by Miller's backward recurrence with the
+    even-order sum normalization: one pass from above the largest |n| keeps
+    every order it passes (Gautschi, SIAM Rev. 9, 1967).  Restricted to
+    |z| <= 50 where the fixed start offset keeps full accuracy."""
     if abs(z) > _BESSEL_Z_MAX:
         raise ValueError(f"|z| <= {_BESSEL_Z_MAX:g} required, got {z}")
-    n = int(n)
+    orders = np.asarray(n, dtype=int)
+    top = int(np.abs(orders).max(initial=0))
     if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    sign = 1.0
-    if z < 0.0:
-        z = -z
-        if n % 2:
-            sign = -sign
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
+        vals = (orders == 0).astype(float)
+        return float(vals) if vals.ndim == 0 else vals
+    # J_{-n}(z) = J_n(-z) = (-1)^n J_n(z)
+    odd = orders % 2 == 1
+    sign = np.where(odd & ((orders < 0) != (z < 0.0)), -1.0, 1.0)
+    z = abs(z)
 
-    n_start = max(n + 20, int(math.ceil(1.3 * z)) + 20)
+    n_start = max(top + 20, int(math.ceil(1.3 * z)) + 20)
+    j = np.zeros(n_start + 1)  # j[k]: the unnormalized value of order k
     j_hi = 0.0
-    j_k = 1e-30
-    target = j_k if n == n_start else 0.0
+    j_k = j[n_start] = 1e-30
     even_sum = j_k if (n_start % 2 == 0) else 0.0
     for k in range(n_start, 0, -1):
         j_lo = (2.0 * k / z) * j_k - j_hi
         j_hi, j_k = j_k, j_lo
-        kk = k - 1
-        if kk == n:
-            target = j_k
-        if kk > 0 and kk % 2 == 0:
+        j[k - 1] = j_k
+        if k > 1 and k % 2 == 1:
             even_sum += j_k
         if abs(j_k) > 1e250:
             j_k *= 1e-250
             j_hi *= 1e-250
-            target *= 1e-250
+            j[k - 1:] *= 1e-250
             even_sum *= 1e-250
     norm = j_k + 2.0 * even_sum  # j_k is now the order-0 value
-    val = sign * target / norm
-    if val == 0.0:
+    vals = sign * j[np.abs(orders)] / norm
+    if (vals == 0.0).any():
         warnings.warn(f"bessel_j({n}, {z:g}) underflowed to zero", RuntimeWarning)
-    return val
-
+    return float(vals) if vals.ndim == 0 else vals

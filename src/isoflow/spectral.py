@@ -71,25 +71,23 @@ def rep_labels(rep: RepresentationSpec) -> dict:
 
 
 def eigenfunction(family: FamilyTag, params, smap: SpectralMap,
-                  alg: AlgebraSpec, r: float, n_label: int, lam):
-    """Component psi_n of the closed-form eigenvector of the operator at
-    eigenvalue ``lam``, in the operator's orthonormal basis.  ``lam`` may be
-    an ndarray of eigenvalues; the components are then evaluated at each."""
+                  alg: AlgebraSpec, r: float, n_label, lam):
+    """Components psi_n of the closed-form eigenvector of the operator at
+    eigenvalue ``lam``, in the operator's orthonormal basis.  ``n_label``
+    may be an array of labels and ``lam`` an array of eigenvalues; the
+    result then has shape ``n_label.shape + lam.shape``, from one call of
+    the family's evaluator."""
     fam = FamilyTag(family)
+    n = np.asarray(n_label)
     x = smap.to_family_variable(lam)
     if fam is FamilyTag.BESSEL:
-        return _each(lambda xi: bessel_j(int(round(xi)) - n_label, params.z), x)
+        return bessel_j(-np.subtract.outer(n, np.rint(x)).astype(int), params.z)
     if fam is FamilyTag.MEIXNER_FUNCTION:
-        return _each(lambda xi: meixner_function(n_label, xi, params), x)
+        return meixner_function(n, x, params)
     sign = 1.0
     if fam is FamilyTag.CHARLIER:
         sign = -math.copysign(1.0, r / alg.c_param)
-    return sign ** n_label * eval_rec(fam, params, n_label, x)
-
-
-def _each(f, x):
-    """``f`` at a scalar ``x``, or at every element of an ndarray ``x``."""
-    return f(x) if np.ndim(x) == 0 else np.array([f(xi) for xi in x.tolist()])
+    return (sign ** n).reshape(n.shape + (1,) * np.ndim(x)) * eval_rec(fam, params, n, x)
 
 
 def residual_grid(rows, points) -> tuple[np.ndarray, np.ndarray]:
@@ -137,22 +135,21 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     if not L.hi_exact and (rows == size - 1).any():
         raise ConfigurationError("row touches the truncated upper edge")
 
-    # one row of psi per component the rows reach, psi_m at row at[m + 1];
-    # past an exact edge at[] points to the last row, which stays zero
+    # psi[k, i] is psi_{rows[i] + k - 1}, each distinct component evaluated
+    # once; past an exact edge the padded off is zero and multiplies the
+    # row's own component (clipped), so a non-finite one keeps the row so
     lam = smap.eigenvalue(points)
-    comps = np.unique(np.clip(np.concatenate([rows - 1, rows, rows + 1]), 0, size - 1))
-    psi = np.zeros((len(comps) + 1, len(points)))
-    at = np.full(size + 2, len(comps))
+    near = np.clip(rows + np.arange(-1, 2)[:, None], 0, size - 1)
+    comps, at = np.unique(near, return_inverse=True)
     off = np.concatenate(([0.0], L.off, [0.0]))  # off[n] couples rows n - 1 and n
     # components that overflow make the residual non-finite, which the
     # caller reports; numpy's warnings would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, m in enumerate(comps.tolist()):
-            psi[i] = eigenfunction(fam, params, smap, alg, r, L.base_index + m, lam)
-            at[m + 1] = i
-        acc = (L.diag[rows][:, None] - lam) * psi[at[rows + 1]]
-        acc += off[rows][:, None] * psi[at[rows]]
-        acc += off[rows + 1][:, None] * psi[at[rows + 2]]
+        psi = eigenfunction(fam, params, smap, alg, r, L.base_index + comps,
+                            lam)[at.reshape(near.shape)]
+        acc = (L.diag[rows][:, None] - lam) * psi[1]
+        acc += off[rows][:, None] * psi[0]
+        acc += off[rows + 1][:, None] * psi[2]
     return float(np.abs(acc).max())
 
 

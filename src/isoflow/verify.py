@@ -124,7 +124,7 @@ def _grp_diagonalization(rng) -> list[CheckResult]:
                    range(20), range(21))
     dec = eigs_sym_tridiag(L)
     _, smap = parameter_map(FamilyTag.KRAWTCHOUK, alg, r, s, j=rep.j)
-    expected = np.sort([smap.eigenvalue(x) for x in range(21)])
+    expected = np.sort(smap.eigenvalue(np.arange(21)))
     out.append(check_result("su2_spectrum_match",
                             float(np.abs(dec.eigenvalues - expected).max()), 1e-10))
 
@@ -203,20 +203,12 @@ def _grp_meixner_functions(rng) -> list[CheckResult]:
         worst = max(worst, meixner_function_recurrence_residual(n, x, params))
     out = [check_result("meixner_function_recurrence", worst, 1e-6)]
 
-    orders = range(-2, 3)
     xs = range(-40, 41)
-    vals = {n: np.array([meixner_function(n, float(x), params) for x in xs])
-            for n in orders}
+    vals = meixner_function(np.arange(-2, 3), np.array(xs, dtype=float), params)
     w = np.array([weight(FamilyTag.MEIXNER_FUNCTION, params, float(x)) for x in xs])
-    gram = {(n, m): float(np.sum(w * vals[n] * vals[m]))
-            for n in orders for m in orders}
-    worst = 0.0
-    for n in orders:
-        for m in orders:
-            if n == m:
-                continue
-            worst = max(worst, abs(gram[(n, m)])
-                        / math.sqrt(gram[(n, n)] * gram[(m, m)]))
+    gram = [[float(np.sum(w * vn * vm)) for vm in vals] for vn in vals]
+    worst = max([0.0] + [abs(gram[n][m]) / math.sqrt(gram[n][n] * gram[m][m])
+                         for n in range(len(vals)) for m in range(len(vals)) if n != m])
     out.append(check_result("meixner_function_orthogonality", worst, 1e-4))
     return out
 

@@ -100,6 +100,30 @@ def test_eigen_polys_on_an_array_is_the_scalar_loop(d):
         assert closure[k, 0] == want_closure
 
 
+def _eigen_polys_loop(state, lam):
+    """``eigen_polys`` as it was before it shared ``specfun.three_term``."""
+    s, r, d = state.s, state.r, state.d
+    lam = np.asarray(lam, dtype=float)
+    p = np.empty((d + 1,) + lam.shape)
+    p[0] = 1.0
+    p[1] = (lam - s[0]) / r[0]
+    for n in range(1, d):
+        p[n + 1] = ((lam - (s[n] - s[n - 1])) * p[n] - r[n - 1] * p[n - 1]) / r[n]
+    closure = r[d - 1] * p[d - 1] - s[d - 1] * p[d] - lam * p[d]
+    return p, np.abs(closure)
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_eigen_polys_are_the_old_loop_bitwise(d):
+    state = _random_state(d)
+    lam = np.append(chain_spectrum(state), [0.37, -2.0, 1e3])
+    for at in (lam, lam.reshape(-1, 1), 0.37):
+        (p, closure), (want_p, want_closure) = (eigen_polys(state, at),
+                                                _eigen_polys_loop(state, at))
+        assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
+        assert closure.tobytes() == want_closure.tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_spectrum_traceless(d):
     lam = chain_spectrum(STATES[d])

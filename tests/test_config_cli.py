@@ -671,3 +671,53 @@ def test_integral_floats_are_integers(tmp_path):
     for name in ("trajectory.csv", "spectrum.csv", "report.csv"):
         assert filecmp.cmp(tmp_path / "int" / name, tmp_path / "float" / name,
                            shallow=False)
+
+
+def _scaled_policy(**fields):
+    return {"type": "signed_scaled", "sigma": 1, **fields}
+
+
+@pytest.mark.parametrize("policy", [
+    _scaled_policy(sigma=True),
+    _scaled_policy(sigma=1.5),
+    _scaled_policy(sigma=2.0),
+    _scaled_policy(sigma="1"),
+    _scaled_policy(gamma=10 ** 400),
+    _scaled_policy(gamma=True),
+    _scaled_policy(gamma={"t": [0.0, "0.05"], "values": [1.0, 2.0]}),
+    _scaled_policy(gamma={"t": [0.0, True], "values": [1.0, 2.0]}),
+    _scaled_policy(gamma={"t": [0.0, 1.0], "values": [1.0, "0.05"]}),
+    _scaled_policy(gamma={"t": [0.0, 1.0], "values": [True, 2.0]}),
+    _scaled_policy(gamma={"t": [0.0, 1.0], "values": [1.0, 10 ** 400]}),
+    _scaled_policy(gamma={"t": [0.0, 10 ** 400], "values": [1.0, 2.0]}),
+    _scaled_policy(gamma={"t": [0.0, 1.0]}),
+], ids=["sigma_boolean", "sigma_fraction", "sigma_two", "sigma_string",
+        "gamma_overflow", "gamma_boolean", "t_string", "t_boolean",
+        "values_string", "values_boolean", "values_overflow", "t_overflow",
+        "values_missing"])
+def test_bad_policy_fields_exit_2_before_writing(tmp_path, capsys, policy):
+    """The policy's numbers go through the config's number helpers: a
+    boolean, a string or a number past the float range is an error (exit
+    2, nothing written), not +1, a parsed string or a traceback."""
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["flow"]["policy"] = policy
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "flow.policy" in err and "Traceback" not in err
+    assert list(tmp_path.glob("out/**/*")) == []
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_integral_float_sigma_is_accepted(tmp_path, sigma):
+    """sigma 1.0 and -1.0 are the integers 1 and -1: the run writes the
+    same files (before, 1.0 failed the sign-conditions row with a format
+    error)."""
+    for sub, value in (("int", sigma), ("float", float(sigma))):
+        cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path, sub)))
+        cfg["flow"]["policy"] = {"type": "signed_scaled", "sigma": value,
+                                 "gamma": {"t": [0.0, 2.0], "values": [1.0, 1.5]}}
+        main(["run", _write(tmp_path, cfg)])
+    for name in ("trajectory.csv", "spectrum.csv", "report.csv"):
+        assert filecmp.cmp(tmp_path / "int" / name, tmp_path / "float" / name,
+                           shallow=False)
+    assert "sign_conditions" in _report_rows(tmp_path, "float")

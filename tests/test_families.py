@@ -15,16 +15,13 @@ from isoflow import (CharlierParams, FamilyTag, HermiteParams,
 F = FamilyTag
 
 
-def _panel_quadrature(f, a, b, n_panels, n_nodes):
-    """Composite Gauss-Legendre quadrature of a scalar function over [a, b]."""
+def _panel_rule(a, b, n_panels, n_nodes):
+    """Nodes and weights of composite Gauss-Legendre quadrature over [a, b]."""
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        fx = np.array([f(xi) for xi in 0.5 * (lo + hi) + half * nodes])
-        total += half * float(np.sum(weights * fx))
-    return total
+    half = 0.5 * np.diff(edges)[:, None]
+    centers = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (centers + half * nodes).ravel(), (half * weights).ravel()
 
 
 def _random_case(rng, family):
@@ -155,13 +152,12 @@ def test_unbounded_lattice_orthogonality(family, params):
     (F.MEIXNER_POLLACZEK, MeixnerPollaczekParams(1.2, 2.0), -40.0, 40.0),
 ])
 def test_continuous_orthogonality(family, params, lo, hi):
+    xs, wq = _panel_rule(lo, hi, n_panels=96, n_nodes=32)
+    w = wq * np.array([weight(family, params, x) for x in xs.tolist()])
+    vals = eval_rec(family, params, np.arange(9), xs)
     for n in range(0, 8, 2):
         for m in range(n, 9, 3):
-            val = _panel_quadrature(
-                lambda x: weight(family, params, x) *
-                eval_rec(family, params, n, x) *
-                eval_rec(family, params, m, x), lo, hi,
-                n_panels=96, n_nodes=32)
+            val = float(np.sum(w * vals[n] * vals[m]))
             assert abs(val - (1.0 if n == m else 0.0)) <= 1e-6, (family, n, m)
 
 
@@ -249,3 +245,99 @@ def test_parameter_map_bessel():
     params, smap = parameter_map(F.BESSEL, e2(1.0), 1.3, 0.0, k=2.0)
     assert params.z == pytest.approx(2.6)
     assert smap.eigenvalue(3.0) == pytest.approx(6.0)
+
+
+def _loop_reference(family, params, n, x):
+    """Degree ``n`` at a number ``x`` by the per-family scalar loops that
+    ``eval_rec`` ran before it shared ``specfun.three_term``."""
+    def forward(x, a, b, flip):
+        prev, cur = 0.0, 1.0
+        for m in range(n):
+            mid = (x - b(m)) if flip else (b(m) - x)
+            nxt = (mid * cur - (a(m - 1) if m else 0.0) * prev) / a(m)
+            prev, cur = cur, nxt
+        return cur
+
+    if family is F.KRAWTCHOUK:
+        p, N = params.p, params.N
+        return forward(x, lambda m: math.sqrt(p * (1 - p) * (m + 1) * (N - m)),
+                       lambda m: p * N + m * (1 - 2 * p), False)
+    if family is F.MEIXNER:
+        beta, c = params.beta, params.c
+        return forward(x, lambda m: math.sqrt(c * (m + 1) * (m + beta)) / (1 - c),
+                       lambda m: (m + (m + beta) * c) / (1 - c), True)
+    if family is F.LAGUERRE:
+        alpha = params.alpha
+        return forward(x / params.scale, lambda m: math.sqrt((m + 1) * (m + alpha + 1)),
+                       lambda m: 2 * m + alpha + 1, True)
+    if family is F.CHARLIER:
+        av = params.a
+        return forward(x, lambda m: math.sqrt(av * (m + 1)), lambda m: m + av, False)
+    prev, cur = 0.0, 1.0
+    if family is F.HERMITE:
+        xt = (x - params.shift) / params.scale
+        for m in range(n):
+            nxt = (math.sqrt(2.0) * xt * cur - math.sqrt(m) * prev) / math.sqrt(m + 1)
+            prev, cur = cur, nxt
+        return cur
+    lam, phi = params.lam, params.phi  # Meixner-Pollaczek
+    for m in range(n):
+        nxt = ((2 * x * math.sin(phi) + 2 * (m + lam) * math.cos(phi)) * cur
+               - math.sqrt(m * (m + 2 * lam - 1)) * prev) \
+            / math.sqrt((m + 1) * (m + 2 * lam))
+        prev, cur = cur, nxt
+    return cur
+
+
+@pytest.mark.parametrize("family", [F.KRAWTCHOUK, F.MEIXNER, F.LAGUERRE,
+                                    F.CHARLIER, F.HERMITE])
+def test_degrees_in_one_pass_are_the_old_loops_bitwise(family):
+    rng = np.random.default_rng([_CASE_SEEDS[family], 1])
+    for _ in range(20):
+        params, _, _ = _random_case(rng, family)
+        top = min(getattr(params, "N", 20), 20)
+        degs = rng.permutation(top + 1)[:12]
+        xs = rng.uniform(-2.0, 15.0, 7)
+        got = eval_rec(family, params, degs, xs)
+        want = [[_loop_reference(family, params, int(n), float(x)) for x in xs]
+                for n in degs]
+        assert got.shape == (12, 7)
+        assert got.tobytes() == np.array(want).tobytes(), params
+
+
+def test_meixner_pollaczek_in_one_pass_is_the_old_loop_to_rounding():
+    # the old loop rounded a(m - 1) as m (m + 2 lam - 1), the shared kernel
+    # as (m - 1 + 1) (m - 1 + 2 lam): measured 4.2e-15 of each degree's
+    # largest value over these cases
+    rng = np.random.default_rng([_CASE_SEEDS[F.MEIXNER_POLLACZEK], 1])
+    for _ in range(50):
+        params, _, _ = _random_case(rng, F.MEIXNER_POLLACZEK)
+        xs = rng.uniform(-5.0, 5.0, 8)
+        got = eval_rec(F.MEIXNER_POLLACZEK, params, np.arange(21), xs)
+        want = np.array([[_loop_reference(F.MEIXNER_POLLACZEK, params, n, float(x))
+                          for x in xs] for n in range(21)])
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-14 * scale).all(), params
+
+
+def test_eval_rec_shapes():
+    params = CharlierParams(2.5)
+    degs = np.array([[0, 3, 1], [5, 5, 2]])
+    xs = np.linspace(0.0, 6.0, 4)
+    got = eval_rec(F.CHARLIER, params, degs, xs)
+    assert got.shape == (2, 3, 4)
+    assert got[1, 0].tobytes() == eval_rec(F.CHARLIER, params, 5, xs).tobytes()
+    assert eval_rec(F.CHARLIER, params, degs, 1.5).shape == (2, 3)
+    one = eval_rec(F.CHARLIER, params, 3, 1.5)
+    assert type(one) is float and one == eval_rec(F.CHARLIER, params, [3], [1.5])[0, 0]
+    assert eval_rec(F.CHARLIER, params, np.array([], dtype=int), xs).shape == (0, 4)
+
+
+def test_array_degree_bounds_name_the_degree():
+    params = KrawtchoukParams(0.5, 5)
+    assert eval_rec(F.KRAWTCHOUK, params, np.arange(6), 1.0).shape == (6,)
+    with pytest.raises(ParameterError, match="degree 7 exceeds lattice size 5"):
+        eval_rec(F.KRAWTCHOUK, params, [2, 7, 3], 1.0)
+    for bad in ([1, -1], [1.5, 2], [np.nan]):
+        with pytest.raises(ParameterError, match="non-negative integer"):
+            eval_rec(F.CHARLIER, CharlierParams(1.0), bad, 0.5)

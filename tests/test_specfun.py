@@ -5,6 +5,7 @@ import pytest
 import scipy.special as sp
 
 from isoflow import PrecisionError, bessel_j, regularized_2f1
+from isoflow.specfun import three_term
 
 
 def test_2f1_frozen_values():
@@ -96,3 +97,81 @@ def test_bessel_argument_cap():
     with pytest.raises(ValueError):
         bessel_j(0, 51.0)
 
+
+
+def _bessel_order_loop(n, z):
+    """J_n(z) for one order by the scalar Miller loop ``bessel_j`` ran
+    before it took an array of orders."""
+    if z == 0.0:
+        return 1.0 if n == 0 else 0.0
+    sign = 1.0
+    if z < 0.0:
+        z = -z
+        if n % 2:
+            sign = -sign
+    if n < 0:
+        n = -n
+        if n % 2:
+            sign = -sign
+    n_start = max(n + 20, int(math.ceil(1.3 * z)) + 20)
+    j_hi, j_k, target = 0.0, 1e-30, 0.0
+    even_sum = j_k if (n_start % 2 == 0) else 0.0
+    for k in range(n_start, 0, -1):
+        j_lo = (2.0 * k / z) * j_k - j_hi
+        j_hi, j_k = j_k, j_lo
+        kk = k - 1
+        if kk == n:
+            target = j_k
+        if kk > 0 and kk % 2 == 0:
+            even_sum += j_k
+        if abs(j_k) > 1e250:
+            j_k *= 1e-250
+            j_hi *= 1e-250
+            target *= 1e-250
+            even_sum *= 1e-250
+    return sign * target / (j_k + 2.0 * even_sum)
+
+
+def test_bessel_single_order_is_the_scalar_loop_bitwise():
+    # z = 0.01 with |n| = 61 rescales the recurrence once on the way down
+    for z in (0.0, 0.01, 0.8, -2.6, 13.0, -45.0, 50.0):
+        for n in (-61, -7, -1, 0, 1, 4, 33, 60):
+            want = _bessel_order_loop(n, z)
+            got = bessel_j(n, z)
+            assert type(got) is float and got == want, (n, z)
+            assert bessel_j(np.array([n]), z).tobytes() == np.array([want]).tobytes()
+
+
+def test_bessel_array_of_orders():
+    orders = np.array([[-3, 0], [7, 12]])
+    got = bessel_j(orders, 2.7)
+    assert got.shape == (2, 2)
+    for n, v in zip(orders.ravel().tolist(), got.ravel().tolist()):
+        assert v == pytest.approx(float(sp.jv(n, 2.7)), rel=1e-13, abs=1e-300)
+    assert bessel_j(orders, 0.0).tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(ValueError):
+        bessel_j(orders, -50.5)
+
+
+def test_bessel_orders_in_one_pass_against_mpmath():
+    """Every order -60..60 from one backward recurrence, against 40-digit
+    values: within 2.6e-14 relative (2.54e-14 measured, at z = 45)."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    orders = np.arange(-60, 61)
+    for z in (0.8, 2.6, 13.0, 45.0):
+        got = bessel_j(orders, z)
+        want = np.array([float(mp.besselj(int(n), z)) for n in orders])
+        assert (np.abs(got - want) <= 2.6e-14 * np.abs(want)).all(), z
+
+
+def test_three_term_rows():
+    # mid = 2x, a = 1: the Chebyshev polynomials of the second kind
+    x = np.array([-0.9, 0.1, 0.5])
+    p = three_term(np.broadcast_to(2.0 * x, (6, 3)), np.ones(6))
+    theta = np.arccos(x)
+    assert p.shape == (7, 3)
+    for n in range(7):
+        assert p[n] == pytest.approx(np.sin((n + 1) * theta) / np.sin(theta),
+                                     rel=1e-13, abs=1e-14)
+    assert three_term(np.empty((0, 3)), np.empty(0)).tolist() == [[1.0, 1.0, 1.0]]
