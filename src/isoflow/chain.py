@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import IntegrationBlowupError, Step, rk4_path
+from .flows import (GFun, IntegrationBlowupError, Step, _compile_make, _rk4_source,
+                    rk4_path)
 from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal, three_term
 
@@ -56,87 +57,44 @@ class ChainState:
         return len(self.s)
 
 
-GFun = float | Callable[[float], float]
-
-
 def _g_at(g: GFun, t: float) -> float:
     return g(t) if callable(g) else float(g)
 
 
-def _chain_eqs(gv: float, s, r) -> list[float]:
-    """(sdot_1..sdot_d, rdot_1..rdot_d) as one list, for the coupling value gv."""
-    u = [gv * ri for ri in r]
-    sp = [0.0, *s, 0.0]
-    return ([2.0 * ri * ui for ri, ui in zip(r, u)]
-            + [ui * (a - 2.0 * b + c) for ui, a, b, c in zip(u, sp, sp[1:], sp[2:])])
-
-
 def chain_rhs(state: ChainState, g: GFun) -> tuple[np.ndarray, np.ndarray]:
     """(sdot, rdot) with u_i = g(t) r_i and s_0 = s_{d+1} = 0."""
-    y = _chain_eqs(_g_at(g, state.t), state.s, state.r)
-    return np.array(y[:state.d]), np.array(y[state.d:])
+    r = np.array(state.r)
+    u = _g_at(g, state.t) * r
+    sp = np.array([0.0, *state.s, 0.0])
+    return 2.0 * r * u, u * (sp[:-2] - 2.0 * sp[1:-1] + sp[2:])
 
 
 def _step_source(d: int) -> str:
     """Source of ``make(g)``, which returns the rank-d chain flow's RK4 step
-    ``step(t, y, dt)`` on y = (s, r) for ``rk4_path``: ``_chain_eqs`` and
-    the classical RK4 stages written out component by component, with the
-    expression tree of the vector expressions ``y + dt/2*k``, ``y + dt*k3``
-    and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, so bit-identical to them.  A
-    stage whose input has some r_i <= 0 returns NaN, which ``rk4_path``
-    reports as a blow-up.  The source depends on d alone: ``make`` binds g,
-    a number as the constant ``gc`` or a callable sampled at t, t + dt/2
-    and t + dt."""
+    ``step(t, y, dt)`` on y = (s, r) for ``rk4_path``: ``_rk4_source`` with
+    ``chain_rhs`` written out component by component.  A stage whose input
+    has some r_i <= 0 returns NaN.  The source depends on d alone."""
     idx = range(1, d + 1)
 
-    def names(fmt: str) -> str:
-        return ", ".join(fmt.format(i) for i in idx)
+    def rhs(k: int, x: str) -> list[str]:
+        s = ["0.0", *(f"{x}s{i}" for i in idx), "0.0"]
+        return ([f"u{i} = gv * {x}r{i}" for i in idx]
+                + [f"k{k}s{i} = 2.0 * {x}r{i} * u{i}" for i in idx]
+                + [f"k{k}r{i} = u{i} * ({s[i - 1]} - 2.0 * {s[i]} + {s[i + 1]})"
+                   for i in idx])
 
-    nans = "[" + ", ".join(["nan"] * 2 * d) + "]"
+    def guard(x: str) -> str:
+        r = ", ".join(f"{x}r{i}" for i in idx)
+        return f"{f'min({r})' if d > 1 else r} <= 0"
 
-    def stage(k: int, s: str, r: str, g_at: str | None) -> list[str]:
-        """The guard, then k{k}s_i, k{k}r_i at the state (s_i, r_i), with the
-        coupling sampled at ``g_at`` (None: the previous stage's)."""
-        guard = f"min({names(r)})" if d > 1 else r.format(1)
-        out = [f"if {guard} <= 0:", f"    return {nans}"]
-        if g_at is not None:
-            out.append(f"gv = gc if g is None else g({g_at})")
-        out += [f"u{i} = gv * {r.format(i)}" for i in idx]
-        out += [f"k{k}s{i} = 2.0 * {r.format(i)} * u{i}" for i in idx]
-        for i in idx:
-            lo = s.format(i - 1) if i > 1 else "0.0"
-            hi = s.format(i + 1) if i < d else "0.0"
-            out.append(f"k{k}r{i} = u{i} * ({lo} - 2.0 * {s.format(i)} + {hi})")
-        return out
-
-    def inputs(k: int, step: str) -> list[str]:
-        """The next stage's input y + step * k{k} as S_i, R_i."""
-        return ([f"S{i} = s{i} + {step} * k{k}s{i}" for i in idx]
-                + [f"R{i} = r{i} + {step} * k{k}r{i}" for i in idx])
-
-    body = ([f"{names('s{}')}, {names('r{}')} = y", "h = dt / 2"]
-            + stage(1, "s{}", "r{}", "t") + inputs(1, "h")
-            + stage(2, "S{}", "R{}", "t + h") + inputs(2, "h")
-            + stage(3, "S{}", "R{}", None) + inputs(3, "dt")
-            + stage(4, "S{}", "R{}", "t + dt")
-            + ["w = dt / 6",
-               "return [" + ", ".join(
-                   f"{y}{i} + w * (k1{y}{i} + 2 * k2{y}{i} + 2 * k3{y}{i} + k4{y}{i})"
-                   for y in "sr" for i in idx) + "]"])
-    return "\n".join(["def make(g):",
-                      "    gc, g = (None, g) if callable(g) else (float(g), None)",
-                      "    def step(t, y, dt):"]
-                     + ["        " + line for line in body]
-                     + ["    return step", ""])
+    return _rk4_source([f"s{i}" for i in idx] + [f"r{i}" for i in idx], rhs, guard)
 
 
 @functools.cache
 def _chain_step(d: int) -> Callable[[GFun], Step]:
     """``make`` of ``_step_source(d)``, compiled once per d: ``make(g)`` is
     the RK4 step ``step(t, y, dt)`` of the rank-d chain flow under g."""
-    namespace = {"nan": math.nan}
-    exec(compile(_step_source(d), f"<chain RK4 step, d={d}>", "exec"), namespace)
-    return namespace["make"]
+    return _compile_make(_step_source(d), f"<chain RK4 step, d={d}>")
 
 
 def _advance(state: ChainState, g: GFun, h: float) -> ChainState:

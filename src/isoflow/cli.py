@@ -36,7 +36,7 @@ from .flows import (IntegrationBlowupError, check_modification,
 from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, check_result, guarded,
-                     write_report_csv, write_spectrum_csv)
+                     write_columns_csv, write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
                               check_compatible, lax_residual, lax_rows)
 from .spectral import (compared_eigenvalues, isospectrality_drift,
@@ -277,10 +277,11 @@ def _cmd_run(path: str) -> int:
 
 
 def _cmd_verify(only, seed) -> int:
+    outdir = cfgmod.output_dir({})
     t0 = time.perf_counter()
     results = run_verify(only=only, seed=seed)
     elapsed = time.perf_counter() - t0
-    code = _finish(cfgmod.output_dir({}), results)
+    code = _finish(outdir, results)
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed "
           f"in {elapsed:.2f}s")
     return code
@@ -291,14 +292,9 @@ def _cmd_verify(only, seed) -> int:
 
 
 def _write_chain_csv(path: str, traj) -> None:
-    d = traj.s.shape[1]
-    cols = ["t"] + [f"s_{i}" for i in range(1, d + 1)] + \
-        [f"r_{i}" for i in range(1, d + 1)]
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write("".join([row % (t, *s, *r) for t, s, r in
-                          zip(traj.t.tolist(), traj.s.tolist(), traj.r.tolist())]))
+    idx = range(1, traj.s.shape[1] + 1)
+    write_columns_csv(path, ["t", *(f"s_{i}" for i in idx), *(f"r_{i}" for i in idx)],
+                      [traj.t, *traj.s.T, *traj.r.T])
 
 
 def _poly_row(ccfg, compute) -> CheckResult:

@@ -28,6 +28,8 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -220,8 +222,8 @@ def check_list(cfg: dict, allowed: set[str]) -> list[dict]:
 
 
 def output_dir(cfg: dict) -> str:
-    """Resolve the output directory; the ISOFLOW_OUT environment variable
-    overrides the config."""
+    """Resolve and create the output directory; the ISOFLOW_OUT environment
+    variable overrides the config.  ConfigError when it cannot be created."""
     env = os.environ.get("ISOFLOW_OUT")
     if env:
         out = env
@@ -232,5 +234,8 @@ def output_dir(cfg: dict) -> str:
         out = block.get("dir", ".")
         if not isinstance(out, str):
             raise ConfigError("output.dir must be a string")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out!r}: {exc.strerror}") from exc
     return out

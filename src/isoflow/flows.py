@@ -12,24 +12,26 @@ form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
 g(t) = r (ln m)' / u and its constancy.
 
 ``rk4_path`` is the one fixed-step RK4 loop of both flows; it advances a
-state with a step function.  Each flow's step is RK4 written out on floats:
-the rank-1 step fused on (r, s), built once per path with the u-policy
-resolved, and the chain step (``chain._chain_step``) generated as
-straight-line source once per rank d.  Both give the results of the vector
-RK4 expressions bit for bit.
+state with a step function.  Both flows have u = g(t) r, and ``_rk4_source``
+is the one place the RK4 stages are written: it generates a step as
+straight-line code on floats from a flow's right-hand side, bit for bit the
+vector RK4 expressions.  The rank-1 step on (r, s) is compiled once per
+process, with the algebra and the u-policy bound per path; the chain step
+(``chain._chain_step``) once per rank d.
 """
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraSpec
 from .families import FamilyTag, check_regime
-from .report import relative_error
+from .report import relative_error, write_columns_csv
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -168,6 +170,8 @@ class Trajectory:
 
 
 Step = Callable[[float, list[float], float], list[float]]
+# a coupling g(t): a number, or a function of t
+GFun = float | Callable[[float], float]
 
 
 def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
@@ -218,7 +222,66 @@ def _rows(flat: list[float], k: int) -> np.ndarray:
     return np.array(flat).reshape(k, -1)
 
 
-def _gain(policy: UPolicy) -> float | Callable[[float], float]:
+def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
+                guard: Callable[[str], str] | None = None, params: str = "") -> str:
+    """Source of ``make(g, <params>)``, which returns the classical RK4 step
+    ``step(t, y, dt)`` of a flow on y = ``names`` for ``rk4_path``, written
+    out on floats with the expression tree of the vector expressions
+    ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``,
+    so bit-identical to them.
+
+    A flow supplies ``rhs(k, x)``: the lines that set ``k{k}<name>`` for
+    every name at the stage input, whose components are named ``x + name``
+    (``x`` is "" at the first stage, where the input is y), from the
+    coupling ``gv`` and the ``params``.  ``guard(x)``, a condition on the
+    stage input, makes the step return NaN, which ``rk4_path`` reports as a
+    blow-up.  ``make`` binds the params and g: a number as the constant
+    ``gc``, or a callable sampled at t, t + dt/2 (for stages 2 and 3) and
+    t + dt."""
+    nans = "[" + ", ".join(["nan"] * len(names)) + "]"
+    body = [f"{', '.join(names)} = y", "h = dt / 2"]
+    x = ""
+    for k, g_at, incr in ((1, "t", "h"), (2, "t + h", "h"), (3, None, "dt"),
+                          (4, "t + dt", None)):
+        if guard is not None:
+            body += [f"if {guard(x)}:", f"    return {nans}"]
+        if g_at is not None:
+            body.append(f"gv = gc if g is None else g({g_at})")
+        body += rhs(k, x)
+        if incr is not None:
+            body += [f"x{n} = {n} + {incr} * k{k}{n}" for n in names]
+        x = "x"
+    body += ["w = dt / 6",
+             "return [" + ", ".join(f"{n} + w * (k1{n} + 2 * k2{n} + 2 * k3{n} + k4{n})"
+                                    for n in names) + "]"]
+    return "\n".join([f"def make(g{', ' + params if params else ''}):",
+                      "    gc, g = (None, g) if callable(g) else (float(g), None)",
+                      "    def step(t, y, dt):"]
+                     + ["        " + line for line in body]
+                     + ["    return step", ""])
+
+
+def _compile_make(source: str, filename: str) -> Callable[..., Step]:
+    """The ``make`` that ``source`` (an ``_rk4_source``) defines."""
+    namespace = {"nan": math.nan}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make"]
+
+
+@functools.cache
+def _rank1_make() -> Callable[..., Step]:
+    """``make(g, a, c, e2)`` of the rank-1 flow on y = [r, s], compiled once
+    per process: the RK4 step of (rdot, sdot) = ``flow_rhs`` under u = g r
+    with a, c and e2 = 2 epsilon bound, one code object for every algebra
+    and policy."""
+    return _compile_make(_rk4_source(
+        ("r", "s"),
+        lambda k, x: [f"u = gv * {x}r",
+                      f"k{k}r, k{k}s = -2.0 * (a * {x}s + c) * u, e2 * {x}r * u"],
+        params="a, c, e2"), "<rank-1 RK4 step>")
+
+
+def _gain(policy: UPolicy) -> GFun:
     """u / r under ``policy``, resolved once per path: a float for Toda and
     a constant gamma, else a function of t.  ``gain * r`` is bitwise the
     policy's u (1.0 * r is r)."""
@@ -230,41 +293,6 @@ def _gain(policy: UPolicy) -> float | Callable[[float], float]:
     return lambda t: sigma * gamma_at(t)
 
 
-def _rank1_step(alg: AlgebraSpec, gain: float | Callable[[float], float]) -> Step:
-    """The RK4 step of y = [r, s] under u = gain * r for ``rk4_path``:
-    the classical RK4 stages of (rdot, sdot) = ``flow_rhs`` written out on two
-    floats, with the expression tree of the vector expressions ``y +
-    dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``, so
-    bit-identical to them."""
-    e2, a, c = 2.0 * alg.epsilon, alg.a, alg.c_param
-
-    def fused(r, s, dt, g0, gh, g1):
-        h = dt / 2
-        u = g0 * r
-        k1r, k1s = -2.0 * (a * s + c) * u, e2 * r * u
-        r2, s2 = r + h * k1r, s + h * k1s
-        u = gh * r2
-        k2r, k2s = -2.0 * (a * s2 + c) * u, e2 * r2 * u
-        r3, s3 = r + h * k2r, s + h * k2s
-        u = gh * r3
-        k3r, k3s = -2.0 * (a * s3 + c) * u, e2 * r3 * u
-        r4, s4 = r + dt * k3r, s + dt * k3s
-        u = g1 * r4
-        k4r, k4s = -2.0 * (a * s4 + c) * u, e2 * r4 * u
-        w = dt / 6
-        return [r + w * (k1r + 2 * k2r + 2 * k3r + k4r),
-                s + w * (k1s + 2 * k2s + 2 * k3s + k4s)]
-
-    if callable(gain):
-        def step(t, y, dt):
-            gh = gain(t + dt / 2)
-            return fused(y[0], y[1], dt, gain(t), gh, gain(t + dt))
-    else:
-        def step(t, y, dt):
-            return fused(y[0], y[1], dt, gain, gain, gain)
-    return step
-
-
 def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
               dt: float, t_end: float, record_every: int = 1) -> Trajectory:
     """Classical fixed-step RK4 (``rk4_path``) for (r, s); u is re-sampled
@@ -272,9 +300,9 @@ def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
     recorded FlowState, on non-finite state."""
     gain = _gain(policy)
     try:
-        t_arr, y = rk4_path(_rank1_step(alg, gain), state0.t,
-                            [float(state0.r), float(state0.s)], dt, t_end,
-                            record_every)
+        step = _rank1_make()(gain, alg.a, alg.c_param, 2.0 * alg.epsilon)
+        t_arr, y = rk4_path(step, state0.t, [float(state0.r), float(state0.s)],
+                            dt, t_end, record_every)
     except IntegrationBlowupError as exc:
         t, y = exc.last_state
         exc.last_state = FlowState(float(t[-1]), float(y[-1, 0]), float(y[-1, 1]))
@@ -416,8 +444,5 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
     """CSV with header t,r,s,u,I at 17 significant digits."""
-    cols = (traj.t, traj.r, traj.s, traj.u, traj.invariant)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,r,s,u,I\n")
-        fh.write("".join(["%.17g,%.17g,%.17g,%.17g,%.17g\n" % row
-                          for row in zip(*(c.tolist() for c in cols))]))
+    write_columns_csv(path, ("t", "r", "s", "u", "I"),
+                      (traj.t, traj.r, traj.s, traj.u, traj.invariant))

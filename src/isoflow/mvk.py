@@ -24,9 +24,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (ChainState, GFun, _advance, _g_at, chain_spectrum,
+from .chain import (ChainState, _advance, _g_at, chain_spectrum,
                     christoffel_weights, eigen_polys)
 from .families import FamilyTag, KrawtchoukParams, eval_hyper
+from .flows import GFun
 
 
 def multi_indices(parts: int, total: int) -> Iterator[tuple[int, ...]]:

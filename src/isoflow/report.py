@@ -91,6 +91,15 @@ def write_report_csv(path, results: list[CheckResult]) -> None:
                                         "true" if res.passed else "false"))
 
 
+def write_columns_csv(path, names, columns) -> None:
+    """Header ``names`` joined by commas, then one row per sample of the
+    equal-length 1-D ``columns``, every field at 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        fh.write("".join([row % values for values in zip(*(c.tolist() for c in columns))]))
+
+
 def write_spectrum_csv(path, times, spectra) -> None:
     """Header t,index,lambda; spectra[i] is the ascending spectrum at
     times[i].  Each spectrum is one fill of the row template of its size,

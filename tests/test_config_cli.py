@@ -507,6 +507,37 @@ def test_missing_and_malformed_files_exit_2(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, out", [("empty_dir", ""), ("dir_is_a_file", "taken"),
+                                       ("env_is_a_file", "taken")])
+def test_unusable_output_dir_exits_2_before_writing(tmp_path, monkeypatch, capsys,
+                                                    case, out):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ISOFLOW_OUT", raising=False)
+    (tmp_path / "taken").write_text("")
+    cfg = dict(RUN_CFG)
+    if case == "env_is_a_file":
+        monkeypatch.setenv("ISOFLOW_OUT", out)
+    else:
+        cfg["output"] = {"dir": out}
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert f"cannot create output directory {out!r}" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+def test_verify_with_unusable_output_dir_exits_2_before_running(tmp_path, monkeypatch,
+                                                                capsys):
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setenv("ISOFLOW_OUT", str(tmp_path / "taken"))
+    assert main(["verify", "--only", "lax"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cannot create output directory" in err
+
+
 def test_bad_mvk_degree_exits_2(tmp_path):
     cfg = json.loads(json.dumps(_with_out(MVK_CFG, tmp_path)))
     cfg["degree"] = 0

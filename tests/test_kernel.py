@@ -2,15 +2,22 @@
 (the two separate loops the rank-1 and chain flows used before they shared
 one kernel, and that kernel as it stood on numpy vectors), bit-for-bit, and
 the exact QR solution of the finite Toda lattice."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from isoflow import (ChainState, FlowState, IntegrationBlowupError,
-                     SignedScaled, Toda, chain_dense_L, integrate,
+                     SignedScaled, Toda, chain_dense_L, e2, integrate,
                      integrate_chain, invariant, oscillator, su2, su11)
 from isoflow.chain import _advance, _chain_step, _step_source
-from isoflow.flows import flow_rhs
+from isoflow.flows import _gain, _rank1_make, flow_rhs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def np_chain_rhs(t, y, g):
@@ -220,6 +227,32 @@ def test_generated_source_depends_on_d_alone():
     _chain_step(3)(0.7)
     assert _chain_step.cache_info().hits == hits + 1
     assert _chain_step(3)(0.7).__code__ is not _chain_step(4)(0.7).__code__
+
+
+def test_rank1_step_is_one_code_object_for_every_algebra_and_policy():
+    algebras = (su2(0.37), su11(0.61), oscillator(1.23), e2(0.89))
+    policies = (Toda(), SignedScaled(-1, 0.77),
+                SignedScaled(1, ((0.0, 0.4), (0.53, 1.31))))
+    make = _rank1_make()
+    steps = [make(_gain(pol), alg.a, alg.c_param, 2.0 * alg.epsilon)
+             for alg in algebras for pol in policies]
+    assert len({step.__code__ for step in steps}) == 1
+    assert _rank1_make() is make
+    consts = steps[0].__code__.co_consts + make.__code__.co_consts
+    for alg in algebras:
+        assert alg.a not in consts and alg.c_param not in consts
+    for gamma in (0.77, -0.77, 0.53, 1.31):
+        assert gamma not in consts
+
+
+def test_import_compiles_no_step():
+    code = ("import isoflow, isoflow.cli\n"
+            "from isoflow.chain import _chain_step\n"
+            "from isoflow.flows import _rank1_make\n"
+            "assert _chain_step.cache_info().currsize == 0\n"
+            "assert _rank1_make.cache_info().currsize == 0\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 @pytest.mark.parametrize("k", [1, 7, 300])
