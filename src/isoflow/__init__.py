@@ -22,11 +22,11 @@ from .families import (BesselParams, CharlierParams, FamilyTag,
                        SpectralMap, eval_hyper, eval_rec, meixner_function,
                        meixner_function_recurrence_residual, parameter_map,
                        weight)
-from .flows import (DegenerateRatioError, FlowState, IntegrationBlowupError,
-                    ModificationReport, SignConditionReport, SignedScaled,
-                    Toda, Trajectory, check_modification,
-                    check_sign_conditions, flow_rhs, integrate, invariant,
-                    modification_report, policy_sigma, write_trajectory_csv)
+from .flows import (DegenerateRatioError, FlowState, GammaTable,
+                    IntegrationBlowupError, ModificationReport,
+                    SignConditionReport, Trajectory, check_modification,
+                    check_sign_conditions, flow_rhs, g_at, integrate,
+                    invariant, modification_report, write_trajectory_csv)
 from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
                   krawtchouk_reduction_check, multi_indices,
                   multinom, mvk_orthogonality_check, mvk_recurrence_check,

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .flows import (GFun, IntegrationBlowupError, Step, _compile_make, _rk4_source,
-                    rk4_path)
+                    g_at, rk4_path)
 from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal, three_term
 
@@ -57,14 +57,10 @@ class ChainState:
         return len(self.s)
 
 
-def _g_at(g: GFun, t: float) -> float:
-    return g(t) if callable(g) else float(g)
-
-
 def chain_rhs(state: ChainState, g: GFun) -> tuple[np.ndarray, np.ndarray]:
     """(sdot, rdot) with u_i = g(t) r_i and s_0 = s_{d+1} = 0."""
     r = np.array(state.r)
-    u = _g_at(g, state.t) * r
+    u = g_at(g, state.t) * r
     sp = np.array([0.0, *state.s, 0.0])
     return 2.0 * r * u, u * (sp[:-2] - 2.0 * sp[1:-1] + sp[2:])
 
@@ -312,11 +308,14 @@ def pn_time_derivative_check(state: ChainState, g: GFun,
 
     along the flow.  With ``lam`` an eigenvalue all rows are checked; with an
     arbitrary ``lam`` the last row is skipped (there the law needs the
-    spectral condition).  ``sign_flipped_residual`` reports the same data
-    against the variant with every right-hand sign negated, which fails by
-    O(1); it is kept as a diagnostic.
+    spectral condition), so at d = 1, where no row is left, it raises
+    ValueError.  ``sign_flipped_residual`` reports the same data against
+    the variant with every right-hand sign negated, which fails by O(1); it
+    is kept as a diagnostic.
     """
     eig_mode = lam is None
+    if not eig_mode and state.d == 1:
+        raise ValueError("an arbitrary lam leaves no row to check at d = 1")
     lam_v = float(chain_spectrum(state)[state.d // 2] if eig_mode else lam)
 
     def residuals(step: float) -> tuple[float, float]:
@@ -324,12 +323,12 @@ def pn_time_derivative_check(state: ChainState, g: GFun,
         p_minus, _ = eigen_polys(_advance(state, g, -step), lam_v)
         pdot = (p_plus - p_minus) / (2.0 * step)
         p, _ = eigen_polys(state, lam_v)
-        u = _g_at(g, state.t) * np.asarray(state.r)
+        u = g_at(g, state.t) * np.asarray(state.r)
         # rows n = 1..d; the row n = d has no u_{n+1} p_{n+1} term
         rhs = np.append(u[1:] * p[2:], 0.0) - u * p[:-1] - u[0] * p[1] * p[1:]
         rows = slice(None) if eig_mode else slice(-1)
-        return (float(np.max(np.abs(pdot[1:] - rhs)[rows], initial=0.0)),
-                float(np.max(np.abs(pdot[1:] + rhs)[rows], initial=0.0)))
+        return (float(np.max(np.abs(pdot[1:] - rhs)[rows])),
+                float(np.max(np.abs(pdot[1:] + rhs)[rows])))
 
     res_h, flip_h = residuals(h)
     res_h2, _ = residuals(h / 2.0)

@@ -31,7 +31,7 @@ from .chain import (chain_isospectrality_drift, chain_path_eigenvalues,
 from .config import ConfigError, load_config
 from .families import FamilyTag, parameter_map
 from .flows import (IntegrationBlowupError, check_modification,
-                    check_sign_conditions, integrate, modification_report,
+                    check_sign_conditions, g_at, integrate, modification_report,
                     write_trajectory_csv)
 from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .operators import TridiagonalOperator
@@ -150,8 +150,8 @@ def _lax_residual(ccfg, *, rep, initial_L, **_):
     op = initial_L()
     lax_rows(op)
 
-    def row(*, alg, state0, policy, **_):
-        u0 = policy(state0.t, state0.r)
+    def row(*, alg, state0, g, **_):
+        u0 = g_at(g, state0.t) * state0.r
         return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0, L=op))
     return row
 
@@ -161,8 +161,8 @@ def _invariant_drift(ccfg, **_):
 
 
 def _sign_conditions(ccfg, **_):
-    def row(*, alg, state0, policy, full, dt, t_end, **_):
-        report = check_sign_conditions(alg, state0, policy, dt=dt, t_end=t_end,
+    def row(*, alg, state0, g, full, dt, t_end, **_):
+        report = check_sign_conditions(alg, state0, g, dt=dt, t_end=t_end,
                                        traj=full)
         note = (f"sigma_required={report.sigma_required:+d} "
                 f"sigma_given={report.sigma_given:+d} "
@@ -242,7 +242,7 @@ def _cmd_run(path: str) -> int:
     if "representation" in cfg:
         rep = cfgmod.build_representation(cfg["representation"])
         check_compatible(rep, alg)
-    state0, policy, dt, t_end, record_every = cfgmod.build_flow(cfg.get("flow"))
+    state0, g, dt, t_end, record_every = cfgmod.build_flow(cfg.get("flow"))
     checks = cfgmod.check_list(cfg, RUN_CHECKS)
     # L at the initial state, built once for the checks that read it
     initial_L = functools.cache(lambda: build_L(rep, alg, state0.r, state0.s))
@@ -254,7 +254,7 @@ def _cmd_run(path: str) -> int:
     # that resolution and take the recorded samples from its rows
     every_step = any(c["name"] == "sign_conditions" for c in checks)
     try:
-        traj = integrate(alg, state0, policy, dt, t_end,
+        traj = integrate(alg, state0, g, dt, t_end,
                          record_every=1 if every_step else record_every)
     except IntegrationBlowupError as exc:
         return _report_blowup(outdir, exc)
@@ -268,7 +268,7 @@ def _cmd_run(path: str) -> int:
                            path_eigenvalues(rep, alg, traj.r, traj.s))
 
     return _finish(outdir, _results(checks, computes, alg=alg, state0=state0,
-                                    policy=policy, traj=traj, full=full,
+                                    g=g, traj=traj, full=full,
                                     dt=dt, t_end=t_end))
 
 
@@ -370,6 +370,17 @@ def _cmd_mvk(path: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: a parser is a web
@@ -386,7 +397,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--only", choices=sorted(GROUPS), default=None)
-    p_verify.add_argument("--seed", type=int, default=cfgmod.DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=_seed, default=cfgmod.DEFAULT_SEED)
 
     p_chain = sub.add_parser("chain", help="integrate a chain flow from a JSON config")
     p_chain.add_argument("config")

@@ -11,7 +11,7 @@ import os
 
 from .algebra import AlgebraSpec, e2, oscillator, su2, su11
 from .chain import ChainState
-from .flows import FlowState, SignedScaled, Toda, UPolicy
+from .flows import FlowState, GammaTable, GFun
 from .representations import (E2, DiscreteSeriesPlus, Oscillator,
                               PrincipalSeries, RepresentationSpec, SU2)
 
@@ -143,31 +143,34 @@ def build_representation(cfg: dict) -> RepresentationSpec:
     raise ConfigError(f"unknown representation type {kind!r}")
 
 
-def build_policy(cfg: dict) -> UPolicy:
+def build_policy(cfg: dict) -> GFun:
+    """The coupling g of u = g(t) r that a flow.policy block describes:
+    1.0 for toda; sigma * gamma for signed_scaled with a constant gamma;
+    a ``GammaTable`` for a gamma table."""
     cfg = _block(cfg, "flow.policy")
     kind = _require(cfg, "type", "flow.policy")
-    try:
-        if kind == "toda":
-            return Toda()
-        if kind == "signed_scaled":
-            sigma = _integer(cfg, "sigma", "flow.policy")
-            if sigma not in (1, -1):
-                raise ConfigError("flow.policy.sigma must be 1 or -1")
-            gamma = cfg.get("gamma", 1.0)
-            if isinstance(gamma, dict):
-                gamma = (_numbers(gamma, "t", "flow.policy.gamma"),
-                         _numbers(gamma, "values", "flow.policy.gamma"))
-            else:
-                gamma = _finite(gamma, "flow.policy.gamma")
-            return SignedScaled(sigma, gamma)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "toda":
+        return 1.0
+    if kind == "signed_scaled":
+        sigma = _integer(cfg, "sigma", "flow.policy")
+        if sigma not in (1, -1):
+            raise ConfigError("flow.policy.sigma must be 1 or -1")
+        gamma = cfg.get("gamma", 1.0)
+        if isinstance(gamma, dict):
+            ts = _numbers(gamma, "t", "flow.policy.gamma")
+            values = _numbers(gamma, "values", "flow.policy.gamma")
+            try:
+                return GammaTable(sigma, ts, values)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        gamma = _finite(gamma, "flow.policy.gamma")
+        if gamma <= 0:
+            raise ConfigError("gamma must be positive and finite")
+        return sigma * gamma
     raise ConfigError(f"unknown policy type {kind!r}")
 
 
-def build_flow(cfg: dict) -> tuple[FlowState, UPolicy, float, float, int]:
+def build_flow(cfg: dict) -> tuple[FlowState, GFun, float, float, int]:
     cfg = _block(cfg, "flow")
     r0 = _number(cfg, "r0", "flow")
     s0 = _number(cfg, "s0", "flow")
@@ -175,8 +178,8 @@ def build_flow(cfg: dict) -> tuple[FlowState, UPolicy, float, float, int]:
     dt = _number(cfg, "dt", "flow")
     t_end = _number(cfg, "t_end", "flow")
     record_every = _integer(cfg, "record_every", "flow", default=1)
-    policy = build_policy(_require(cfg, "policy", "flow"))
-    return FlowState(t0, r0, s0), policy, dt, t_end, record_every
+    g = build_policy(_require(cfg, "policy", "flow"))
+    return FlowState(t0, r0, s0), g, dt, t_end, record_every
 
 
 def build_chain_state(cfg: dict) -> ChainState:

@@ -415,11 +415,9 @@ def meixner_function_recurrence_residual(n: int, x: float,
 @dataclass(frozen=True)
 class SpectralMap:
     """Affine change of variable Lambda = slope * x + intercept between the
-    operator spectrum and the family's own lattice/axis; C is the
-    half-bandwidth constant of the map (0 when the map is the identity)."""
+    operator spectrum and the family's own lattice/axis."""
     slope: float
     intercept: float
-    C: float
 
     def to_family_variable(self, lam: float) -> float:
         return (lam - self.intercept) / self.slope
@@ -481,43 +479,43 @@ def parameter_map(family: FamilyTag, alg: AlgebraSpec, r: float, s: float, *,
         _need(j is not None, "label j required")
         C = math.hypot(se, r)
         p = 0.5 + se / (2.0 * C)
-        return KrawtchoukParams(p, int(round(2 * j))), SpectralMap(-2.0 * C, 2.0 * C * j, C)
+        return KrawtchoukParams(p, int(round(2 * j))), SpectralMap(-2.0 * C, 2.0 * C * j)
 
     if fam is FamilyTag.MEIXNER:
         _need(k is not None, "label k required")
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
-        return MeixnerParams(2.0 * k, c), SpectralMap(2.0 * C, 2.0 * C * k, C)
+        return MeixnerParams(2.0 * k, c), SpectralMap(2.0 * C, 2.0 * C * k)
 
     if fam is FamilyTag.LAGUERRE:
         _need(k is not None, "label k required")
-        return LaguerreParams(2.0 * k - 1.0, r), SpectralMap(1.0, 0.0, 0.0)
+        return LaguerreParams(2.0 * k - 1.0, r), SpectralMap(1.0, 0.0)
 
     if fam is FamilyTag.MEIXNER_POLLACZEK:
         _need(k is not None, "label k required")
         C = math.sqrt(r * r - se * se)
         phi = math.acos(-se / r)
-        return MeixnerPollaczekParams(k, phi), SpectralMap(2.0 * C, 0.0, C)
+        return MeixnerPollaczekParams(k, phi), SpectralMap(2.0 * C, 0.0)
 
     if fam is FamilyTag.MEIXNER_FUNCTION:
         _need(rho is not None and eps is not None, "labels rho, eps required")
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
-        return MeixnerFunctionParams(rho, eps, c), SpectralMap(2.0 * C, 2.0 * C * eps, C)
+        return MeixnerFunctionParams(rho, eps, c), SpectralMap(2.0 * C, 2.0 * C * eps)
 
     if fam is FamilyTag.CHARLIER:
         _need(k is not None and h is not None, "labels k, h required")
         cpar = alg.c_param
         a = h * r * r / (4.0 * cpar * cpar)
         big = r * r / (2.0 * cpar) + s
-        return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * k - big * h, big)
+        return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * k - big * h)
 
     if fam is FamilyTag.HERMITE:
         _need(k is not None and h is not None, "labels k, h required")
-        return HermiteParams(-h * s, r * math.sqrt(2.0 * h)), SpectralMap(1.0, 0.0, 0.0)
+        return HermiteParams(-h * s, r * math.sqrt(2.0 * h)), SpectralMap(1.0, 0.0)
 
     _need(k is not None, "label k required")  # Bessel
-    return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0, 0.0)
+    return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0)
 
 
 def _need(cond: bool, msg: str) -> None:

@@ -4,19 +4,21 @@ The system is
 
     sdot = 2 epsilon r u,        rdot = -2 (a s + c) u,
 
-with u(t) supplied by a policy (Toda: u = r; or u = sigma * gamma(t) * r).
-The function I(r,s) = epsilon r^2 + (a s + 2c) s is conserved.  Along a flow
-the orthogonality weight of the diagonalizing family picks up a factor
+with u = g(t) r for a coupling g: a number or a function of t (Toda: g = 1;
+a constant sigma * gamma; or a ``GammaTable``), read by ``g_at``.  The chain
+flow (``chain.integrate_chain``) takes the same coupling.  The function
+I(r,s) = epsilon r^2 + (a s + 2c) s is conserved.  Along a flow the
+orthogonality weight of the diagonalizing family picks up a factor
 m(t)^x with m(t) = exp(K * int_0^t u/r); per family m(t) also has a closed
 form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
-g(t) = r (ln m)' / u and its constancy.
+the rate r (ln m)' / u and its constancy.
 
 ``rk4_path`` is the one fixed-step RK4 loop of both flows; it advances a
 state with a step function.  Both flows have u = g(t) r, and ``_rk4_source``
 is the one place the RK4 stages are written: it generates a step as
 straight-line code on floats from a flow's right-hand side, bit for bit the
 vector RK4 expressions.  The rank-1 step on (r, s) is compiled once per
-process, with the algebra and the u-policy bound per path; the chain step
+process, with the algebra and the coupling bound per path; the chain step
 (``chain._chain_step``) once per rank d.
 """
 from __future__ import annotations
@@ -55,73 +57,64 @@ class FlowState:
 
 
 # --------------------------------------------------------------------------
-# u-policies
+# the coupling g(t)
+
+
+# a coupling g(t): a number, or a function of t
+GFun = float | Callable[[float], float]
+
+
+def g_at(g: GFun, t: float) -> float:
+    """The coupling g at time t."""
+    return g(t) if callable(g) else float(g)
 
 
 @dataclass(frozen=True)
-class Toda:
-    """u = r."""
-
-    def __call__(self, t: float, r: float) -> float:
-        return r
-
-
-@dataclass(frozen=True)
-class SignedScaled:
-    """u = sigma * gamma(t) * r with gamma > 0 constant or a sampled table
-    (linear interpolation between samples, held at the end values)."""
+class GammaTable:
+    """g(t) = sigma * gamma(t) with gamma > 0 sampled at ``ts``: linear
+    interpolation between samples, held at the end values.  Hashable, and
+    equal to a table with the same sigma and samples."""
 
     sigma: int
-    gamma: float | tuple[tuple[float, ...], tuple[float, ...]] = 1.0
-    # (ts, values, slopes) as floats for a table, None for a constant
-    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    ts: tuple[float, ...]
+    values: tuple[float, ...]
+    # (ts, sigma * values, sigma * slopes, index of the last sample)
+    _table: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma not in (+1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-        if isinstance(self.gamma, (int, float)):
-            if not 0 < self.gamma < math.inf:
-                raise ValueError("gamma must be positive and finite")
-            return
-        ts, vals = self.gamma
-        if len(ts) != len(vals) or len(ts) < 2:
+        if len(self.ts) != len(self.values) or len(self.ts) < 2:
             raise ValueError("gamma table needs matching t/value samples")
-        ts, vals = tuple(map(float, ts)), tuple(map(float, vals))
+        ts, vals = tuple(map(float, self.ts)), tuple(map(float, self.values))
         if not all(map(math.isfinite, ts)):
             raise ValueError("gamma table t samples must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("gamma table t samples must be strictly increasing")
         if not all(0 < v < math.inf for v in vals):
             raise ValueError("gamma must be positive and finite")
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "values", vals)
+        # sigma = +-1 only flips signs, so folding it in is exact
+        sv = tuple(self.sigma * v for v in vals)
         slopes = tuple((v1 - v0) / (t1 - t0)
-                       for t0, t1, v0, v1 in zip(ts, ts[1:], vals, vals[1:]))
-        object.__setattr__(self, "_table", (ts, vals, slopes))
+                       for t0, t1, v0, v1 in zip(ts, ts[1:], sv, sv[1:]))
+        object.__setattr__(self, "_table", (ts, sv, slopes, len(ts) - 1))
 
-    def gamma_at(self, t: float) -> float:
-        """gamma(t); for a table bitwise ``np.interp(t, ts, values)``, whose
-        scalar rule this is: the end values outside the samples, a sample's
-        own value at its t, else slope * (t - t_j) + value_j."""
-        if self._table is None:
-            return float(self.gamma)
-        ts, vals, slopes = self._table
+    def __call__(self, t: float) -> float:
+        """Bitwise ``sigma * np.interp(t, ts, values)``, whose scalar rule
+        this is: the end values outside the samples, a sample's own value at
+        its t, else slope * (t - t_j) + value_j."""
+        ts, vals, slopes, last = self._table
         if t < ts[0]:
             return vals[0]
-        if t >= ts[-1]:
-            return vals[-1]
-        j = bisect_right(ts, t, 1, len(ts) - 1) - 1
+        if t >= ts[last]:
+            return vals[last]
+        j = bisect_right(ts, t, 1, last) - 1
         if ts[j] == t:
             return vals[j]
-        return slopes[j] * (t - ts[j]) + vals[j]
-
-    def __call__(self, t: float, r: float) -> float:
-        return self.sigma * self.gamma_at(t) * r
-
-
-UPolicy = Toda | SignedScaled
-
-
-def policy_sigma(policy: UPolicy) -> int:
-    return +1 if isinstance(policy, Toda) else policy.sigma
+        # a sum that cancels is +0 whatever sigma is: give it sigma's sign
+        return slopes[j] * (t - ts[j]) + vals[j] or self.sigma * 0.0
 
 
 # --------------------------------------------------------------------------
@@ -170,8 +163,6 @@ class Trajectory:
 
 
 Step = Callable[[float, list[float], float], list[float]]
-# a coupling g(t): a number, or a function of t
-GFun = float | Callable[[float], float]
 
 
 def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
@@ -273,7 +264,7 @@ def _rank1_make() -> Callable[..., Step]:
     """``make(g, a, c, e2)`` of the rank-1 flow on y = [r, s], compiled once
     per process: the RK4 step of (rdot, sdot) = ``flow_rhs`` under u = g r
     with a, c and e2 = 2 epsilon bound, one code object for every algebra
-    and policy."""
+    and coupling."""
     return _compile_make(_rk4_source(
         ("r", "s"),
         lambda k, x: [f"u = gv * {x}r",
@@ -281,26 +272,13 @@ def _rank1_make() -> Callable[..., Step]:
         params="a, c, e2"), "<rank-1 RK4 step>")
 
 
-def _gain(policy: UPolicy) -> GFun:
-    """u / r under ``policy``, resolved once per path: a float for Toda and
-    a constant gamma, else a function of t.  ``gain * r`` is bitwise the
-    policy's u (1.0 * r is r)."""
-    if isinstance(policy, Toda):
-        return 1.0
-    if policy._table is None:
-        return policy.sigma * float(policy.gamma)
-    sigma, gamma_at = policy.sigma, policy.gamma_at
-    return lambda t: sigma * gamma_at(t)
-
-
-def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
+def integrate(alg: AlgebraSpec, state0: FlowState, g: GFun,
               dt: float, t_end: float, record_every: int = 1) -> Trajectory:
-    """Classical fixed-step RK4 (``rk4_path``) for (r, s); u is re-sampled
-    at every stage.  Raises IntegrationBlowupError, carrying the last
-    recorded FlowState, on non-finite state."""
-    gain = _gain(policy)
+    """Classical fixed-step RK4 (``rk4_path``) for (r, s) under u = g(t) r;
+    u is re-sampled at every stage.  Raises IntegrationBlowupError, carrying
+    the last recorded FlowState, on non-finite state."""
     try:
-        step = _rank1_make()(gain, alg.a, alg.c_param, 2.0 * alg.epsilon)
+        step = _rank1_make()(g, alg.a, alg.c_param, 2.0 * alg.epsilon)
         t_arr, y = rk4_path(step, state0.t, [float(state0.r), float(state0.s)],
                             dt, t_end, record_every)
     except IntegrationBlowupError as exc:
@@ -308,15 +286,16 @@ def integrate(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
         exc.last_state = FlowState(float(t[-1]), float(y[-1, 0]), float(y[-1, 1]))
         raise
     r_arr, s_arr = y[:, 0], y[:, 1]
-    # u and I over Python floats, with the arithmetic of the policy and of
+    # u and I over Python floats, with the arithmetic of the step and of
     # ``invariant``: r ** 2 is libm's pow, which can differ from r * r in
     # the last bit
     t_l, r_l, s_l = t_arr.tolist(), r_arr.tolist(), s_arr.tolist()
     eps, a, c2 = alg.epsilon, alg.a, 2.0 * alg.c_param
-    if callable(gain):
-        u_arr = np.array([gain(t) * r for t, r in zip(t_l, r_l)])
+    if callable(g):
+        u_arr = np.array([g(t) * r for t, r in zip(t_l, r_l)])
     else:
-        u_arr = np.array([gain * r for r in r_l])
+        gc = float(g)
+        u_arr = np.array([gc * r for r in r_l])
     i_arr = np.array([eps * r ** 2 + (a * s + c2) * s for r, s in zip(r_l, s_l)])
     return Trajectory(t_arr, r_arr, s_arr, u_arr, i_arr)
 
@@ -335,20 +314,23 @@ class SignConditionReport:
     min_s: float
 
 
-def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, policy: UPolicy,
+def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, g: GFun,
                           dt: float = 1e-3, t_end: float = 1.0,
                           traj: Trajectory | None = None) -> SignConditionReport:
-    """Positivity diagnostic: requires r(0) > 0, s(0) > 0 and the policy sign
-    sgn(u) = epsilon * sgn(r); then reports min r, min s over the flow
-    integrated at every step to t_end (at least one step).  ``traj``, when
-    it holds that flow already, is read instead of integrating again."""
+    """Positivity diagnostic: requires r(0) > 0, s(0) > 0 and the coupling
+    sign sgn(u) = epsilon * sgn(r), i.e. sigma_given = sgn g(t0) equal to
+    ``alg.required_sign()`` (g(t0) = 0 gives sigma_given = 0, which fails);
+    then reports min r, min s over the flow integrated at every step to
+    t_end (at least one step).  ``traj``, when it holds that flow already,
+    is read instead of integrating again."""
     sigma_req = alg.required_sign()
-    sigma_given = policy_sigma(policy)
+    g0 = g_at(g, state0.t)
+    sigma_given = (g0 > 0) - (g0 < 0)
     initial_ok = state0.r > 0 and state0.s > 0
     hypotheses = initial_ok and sigma_given == sigma_req
     try:
         if traj is None or len(traj) < 2:
-            traj = integrate(alg, state0, policy, dt,
+            traj = integrate(alg, state0, g, dt,
                              state0.t + max(t_end - state0.t, dt))
         min_r = float(traj.r.min())
         min_s = float(traj.s.min())

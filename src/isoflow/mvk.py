@@ -24,10 +24,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (ChainState, _advance, _g_at, chain_spectrum,
+from .chain import (ChainState, _advance, chain_spectrum,
                     christoffel_weights, eigen_polys)
 from .families import FamilyTag, KrawtchoukParams, eval_hyper
-from .flows import GFun
+from .flows import GFun, g_at
 
 
 def multi_indices(parts: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -248,7 +248,7 @@ def mvk_time_derivative_check(state: ChainState, g: GFun, N: int,
     """
     table0 = mvk_table(state, N)
     P0 = table0.values
-    gt = _g_at(g, state.t)
+    gt = g_at(g, state.t)
     u1 = gt * state.r[0]
     S = _add_moves(table0, np.zeros_like(P0), gt * np.asarray(state.r), -1.0)
     W0 = _weight_row(table0)

@@ -12,7 +12,8 @@ from isoflow import (ChainState, DegenerateSpectrumWarning,
                      eigen_polys, integrate_chain,
                      pn_time_derivative_check, trace_flow_drift,
                      trace_invariants)
-from isoflow.chain import _advance, _g_at
+from isoflow.chain import _advance
+from isoflow.flows import g_at
 from isoflow.cli import _write_chain_csv
 
 
@@ -258,6 +259,16 @@ def test_pn_time_derivative_law():
     assert rep.max_residual <= 1e-6
 
 
+def test_pn_time_derivative_with_no_row_to_check_raises():
+    """At d = 1 an off-spectrum lam leaves no row: the check raises instead
+    of reporting max_residual 0 with order_estimate inf, a vacuous pass."""
+    state = ChainState(0.0, (0.5,), (1.5,))
+    with pytest.raises(ValueError, match="no row"):
+        pn_time_derivative_check(state, 1.0, lam=0.3)
+    rep = pn_time_derivative_check(state, 1.0)
+    assert 0 < rep.max_residual <= 1e-6 and np.isfinite(rep.order_estimate)
+
+
 def _ref_pn_residuals(state, g, lam, step, eig_mode):
     """The residuals of ``pn_time_derivative_check`` as the row loop wrote
     them."""
@@ -265,7 +276,7 @@ def _ref_pn_residuals(state, g, lam, step, eig_mode):
     p_minus, _ = eigen_polys(_advance(state, g, -step), lam)
     pdot = (p_plus - p_minus) / (2.0 * step)
     p, _ = eigen_polys(state, lam)
-    u = _g_at(g, state.t) * np.asarray(state.r)
+    u = g_at(g, state.t) * np.asarray(state.r)
     d = state.d
     worst = worst_flip = 0.0
     for n in range(1, d + 1) if eig_mode else range(1, d):
@@ -283,6 +294,10 @@ def _ref_pn_residuals(state, g, lam, step, eig_mode):
 @pytest.mark.parametrize("lam", [None, 0.37])
 def test_pn_time_derivative_rows_are_the_row_loop(d, lam):
     state = _random_state(d)
+    if d == 1 and lam is not None:  # no row to check
+        with pytest.raises(ValueError):
+            pn_time_derivative_check(state, 1.3, lam=lam)
+        return
     rep = pn_time_derivative_check(state, 1.3, lam=lam)
     lam_v = float(chain_spectrum(state)[d // 2]) if lam is None else lam
     res_h, flip_h = _ref_pn_residuals(state, 1.3, lam_v, 1e-4, lam is None)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isoflow import (ChainState, build_L, chain_spectrum, check_result,
+from isoflow import (ChainState, GammaTable, build_L, chain_spectrum, check_result,
                      config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
 from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
@@ -585,6 +585,18 @@ def test_verify_deterministic_report(tmp_path, monkeypatch, capsys):
                        tmp_path / "b" / "report.csv", shallow=False)
 
 
+@pytest.mark.parametrize("seed", ["-1", "-12345", "x", "1.5"])
+def test_verify_rejects_a_bad_seed_in_the_parser(tmp_path, monkeypatch, capsys, seed):
+    monkeypatch.setenv("ISOFLOW_OUT", str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--seed", seed])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer" in err
+    assert "invalid configuration" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_row_names_unique():
     names = [r.name for r in run_verify()]
     assert len(names) == 81
@@ -735,6 +747,33 @@ def test_bad_policy_fields_exit_2_before_writing(tmp_path, capsys, policy):
     assert main(["run", _write(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert "flow.policy" in err and "Traceback" not in err
+    assert list(tmp_path.glob("out/**/*")) == []
+
+
+def test_build_policy_returns_the_coupling():
+    assert cfgmod.build_policy({"type": "toda"}) == 1.0
+    for sigma in (1, -1):
+        scaled = {"type": "signed_scaled", "sigma": sigma}
+        assert cfgmod.build_policy(scaled) == sigma * 1.0
+        assert cfgmod.build_policy({**scaled, "gamma": 0.8}) == sigma * 0.8
+        table = cfgmod.build_policy({**scaled, "gamma": {"t": [0.0, 1, 2.5],
+                                                         "values": [0.7, 1.2, 0.9]}})
+        assert table == GammaTable(sigma, (0.0, 1.0, 2.5), (0.7, 1.2, 0.9))
+
+
+@pytest.mark.parametrize("gamma, message", [
+    (-2.0, "gamma must be positive and finite"),
+    (0, "gamma must be positive and finite"),
+    (math.nan, "flow.policy.gamma must be finite"),
+    ({"t": [0.0, 1.0], "values": [1.0, -1.0]}, "gamma must be positive and finite"),
+    ({"t": [0.0], "values": [1.0]}, "gamma table needs matching t/value samples"),
+    ({"t": [0.0, 1.0], "values": [1.0]}, "gamma table needs matching t/value samples"),
+])
+def test_bad_gamma_exits_2_before_writing(tmp_path, capsys, gamma, message):
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["flow"]["policy"] = {"type": "signed_scaled", "sigma": -1, "gamma": gamma}
+    assert main(["run", _write(tmp_path, cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert list(tmp_path.glob("out/**/*")) == []
 
 

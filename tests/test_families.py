@@ -195,12 +195,12 @@ def test_degree_bounds():
 
 def test_parameter_map_frozen_points():
     params, smap = parameter_map(F.MEIXNER, su11(), 3.0, 5.0, k=1.0)
-    assert smap.C == pytest.approx(4.0)
+    assert smap.slope == pytest.approx(8.0)  # 2 C with C = 4
     assert params.c == pytest.approx(1.0 / 9.0, rel=1e-13)
     assert params.beta == pytest.approx(2.0)
 
     params, smap = parameter_map(F.KRAWTCHOUK, su2(), 3.0, 4.0, j=2.0)
-    assert smap.C == pytest.approx(5.0)
+    assert smap.slope == pytest.approx(-10.0)  # -2 C with C = 5
     assert params.p == pytest.approx(0.9)
     assert params.N == 4
     # Lambda(x) = 2 C (j - x)

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (DegenerateRatioError, FlowState, IntegrationBlowupError,
-                     SignedScaled, Toda, Trajectory, check_sign_conditions,
-                     flow_rhs, integrate, invariant, modification_report,
-                     ParameterError, oscillator, policy_sigma, su2, su11,
+from isoflow import (DegenerateRatioError, FlowState, GammaTable,
+                     IntegrationBlowupError, Trajectory, check_sign_conditions,
+                     flow_rhs, g_at, integrate, invariant, modification_report,
+                     ParameterError, oscillator, su2, su11,
                      write_trajectory_csv)
 from isoflow.flows import rk4_path
 
@@ -26,29 +26,34 @@ def test_invariant_values():
     assert invariant(su11(), FlowState(0.0, 1.3, 1.3)) == 0.0
 
 
-def test_policies():
-    assert Toda()(0.0, 0.7) == 0.7
-    assert SignedScaled(-1, 2.0)(0.0, 0.7) == -1.4
-    tabulated = SignedScaled(1, ((0.0, 1.0), (1.0, 3.0)))
-    assert tabulated(0.5, 1.0) == pytest.approx(2.0)
-    assert policy_sigma(Toda()) == 1
-    assert policy_sigma(SignedScaled(-1, 1.0)) == -1
+def test_couplings():
+    assert g_at(1.0, 0.3) * 0.7 == 0.7
+    assert g_at(-2.0, 0.0) * 0.7 == -1.4
+    assert g_at(lambda t: 3.0 * t, 0.5) == 1.5
+    tabulated = GammaTable(1, (0.0, 1.0), (1.0, 3.0))
+    assert g_at(tabulated, 0.5) == pytest.approx(2.0)
+    assert GammaTable(-1, (0.0, 1.0), (1.0, 3.0))(0.5) == pytest.approx(-2.0)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        SignedScaled(0, 1.0)
-    with pytest.raises(ValueError):
-        SignedScaled(1, -2.0)
+def test_gamma_table_validation():
+    for sigma in (0, 2, -2):
+        with pytest.raises(ValueError, match="sigma must be"):
+            GammaTable(sigma, (0.0, 1.0), (1.0, 2.0))
+    for ts, vals in (((0.0,), (1.0,)), ((0.0, 1.0), (1.0, 2.0, 3.0))):
+        with pytest.raises(ValueError, match="matching t/value samples"):
+            GammaTable(1, ts, vals)
+    for vals in ((1.0, -2.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            GammaTable(1, (0.0, 1.0), vals)
 
 
 def test_unsorted_gamma_table_rejected():
     # np.interp would silently return 3.0 at t = 0.75 (the sorted table gives 2.5)
     with pytest.raises(ValueError, match="increasing"):
-        SignedScaled(1, ((0.0, 1.0, 0.5), (1.0, 2.0, 3.0)))
+        GammaTable(1, (0.0, 1.0, 0.5), (1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match="increasing"):
-        SignedScaled(1, ((0.0, 0.5, 0.5), (1.0, 2.0, 3.0)))
-    assert SignedScaled(1, ((0.0, 0.5, 1.0), (1.0, 3.0, 2.0))).gamma_at(0.75) == 2.5
+        GammaTable(1, (0.0, 0.5, 0.5), (1.0, 2.0, 3.0))
+    assert GammaTable(1, (0.0, 0.5, 1.0), (1.0, 3.0, 2.0))(0.75) == 2.5
 
 
 def test_gamma_table_rejects_non_finite_samples():
@@ -58,10 +63,15 @@ def test_gamma_table_rejects_non_finite_samples():
                   ((0.0, 0.5, 1.0), (1.0, math.nan, 3.0)),
                   ((0.0, 0.5, 1.0), (1.0, math.inf, 3.0))):
         with pytest.raises(ValueError, match="finite"):
-            SignedScaled(1, table)
-    for gamma in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            SignedScaled(1, gamma)
+            GammaTable(1, *table)
+
+
+def test_equal_gamma_tables_hash_equal():
+    a = GammaTable(1, (0.0, 0.5, 1.0), (1.0, 3.0, 2.0))
+    b = GammaTable(1, [0, 0.5, 1], [1, 3, 2.0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != GammaTable(-1, (0.0, 0.5, 1.0), (1.0, 3.0, 2.0))
+    assert a != GammaTable(1, (0.0, 0.5, 1.0), (1.0, 3.0, 2.5))
 
 
 def _interp_points(ts, dt, rng):
@@ -85,17 +95,18 @@ def test_gamma_table_matches_np_interp_bitwise():
         ts = np.cumsum(rng.uniform(1e-6, 1.0, n)) - rng.uniform(0.0, 2.0)
         tables.append((tuple(ts.tolist()), tuple(rng.uniform(1e-3, 1e3, n).tolist())))
     for ts, vals in tables:
-        policy = SignedScaled(1, (ts, vals))
-        for dt in (1e-3, 1e-4, 2.0 ** -8):
-            points = _interp_points(np.array(ts, dtype=float), dt, rng).tolist()
-            got = np.array([policy.gamma_at(t) for t in points])
-            want = np.interp(points, ts, vals)
-            assert got.tobytes() == want.tobytes()
+        for sigma in (1, -1):
+            g = GammaTable(sigma, ts, vals)
+            for dt in (1e-3, 1e-4, 2.0 ** -8):
+                points = _interp_points(np.array(ts, dtype=float), dt, rng).tolist()
+                got = np.array([g(t) for t in points])
+                want = sigma * np.interp(points, ts, vals)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_su2_closed_form_orbit():
     """From (r, s) = (1, 0) the Toda flow follows sech/tanh exactly."""
-    traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), Toda(), 1e-3, 2.0,
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 2.0,
                      record_every=50)
     err_r = np.abs(traj.r - 1.0 / np.cosh(2.0 * traj.t)).max()
     err_s = np.abs(traj.s - np.tanh(2.0 * traj.t)).max()
@@ -104,7 +115,7 @@ def test_su2_closed_form_orbit():
 
 def test_rk4_step_halving_is_fourth_order():
     def end_error(dt):
-        traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), Toda(), dt, 1.0,
+        traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), 1.0, dt, 1.0,
                          record_every=10 ** 9)
         return abs(traj.s[-1] - math.tanh(2.0))
 
@@ -114,12 +125,12 @@ def test_rk4_step_halving_is_fourth_order():
 
 def test_invariant_drift_all_classes():
     cases = [
-        (su2(), FlowState(0.0, 1.0, 0.0), Toda()),
-        (su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(1, 1.0)),
-        (oscillator(1.0), FlowState(0.0, 2.0, 3.0), Toda()),
+        (su2(), FlowState(0.0, 1.0, 0.0), 1.0),
+        (su11(), FlowState(0.0, 1.0, 1.25), 1.0),
+        (oscillator(1.0), FlowState(0.0, 2.0, 3.0), 1.0),
     ]
-    for alg, st, pol in cases:
-        traj = integrate(alg, st, pol, 1e-3, 2.0, record_every=100)
+    for alg, st, g in cases:
+        traj = integrate(alg, st, g, 1e-3, 2.0, record_every=100)
         drift = np.abs(traj.invariant - traj.invariant[0]).max()
         assert drift <= 1e-10 * max(1.0, abs(traj.invariant[0])), alg.clas
         # the max taken before the division, as the checks computed it before
@@ -128,28 +139,28 @@ def test_invariant_drift_all_classes():
 
 
 def test_recording_grid():
-    traj = integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.01, 0.1,
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.5), 1.0, 0.01, 0.1,
                      record_every=4)
     assert traj.t[0] == 0.0 and traj.t[-1] == pytest.approx(0.1)
     # steps 4, 8 recorded plus the forced final sample
     assert len(traj) == 4
-    single = integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.01, 0.0)
+    single = integrate(su2(), FlowState(0.0, 1.0, 0.5), 1.0, 0.01, 0.0)
     assert len(single) == 1
 
 
 def test_dt_must_divide_horizon():
     with pytest.raises(ValueError, match="dt = 0.3 .*t_end - t0 = 1.0"):
-        integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.3, 1.0)
+        integrate(su2(), FlowState(0.0, 1.0, 0.5), 1.0, 0.3, 1.0)
     with pytest.raises(ValueError, match="t_end - t0"):
-        integrate(su2(), FlowState(0.5, 1.0, 0.5), Toda(), 0.3, 0.7)
+        integrate(su2(), FlowState(0.5, 1.0, 0.5), 1.0, 0.3, 0.7)
     # whole step counts within rounding are accepted
-    assert len(integrate(su2(), FlowState(0.0, 1.0, 0.5), Toda(), 0.1, 0.3)) == 4
-    assert len(integrate(su2(), FlowState(0.2, 1.0, 0.5), Toda(), 0.1, 0.2)) == 1
+    assert len(integrate(su2(), FlowState(0.0, 1.0, 0.5), 1.0, 0.1, 0.3)) == 4
+    assert len(integrate(su2(), FlowState(0.2, 1.0, 0.5), 1.0, 0.1, 0.2)) == 1
 
 
 def test_blowup_carries_last_state():
     with pytest.raises(IntegrationBlowupError) as info:
-        integrate(su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 1.0),
+        integrate(su11(), FlowState(0.0, 1.0, 1.25), -1.0,
                   1e-3, 5.0)
     last = info.value.last_state
     assert np.isfinite(last.r) and np.isfinite(last.s)
@@ -178,23 +189,31 @@ def test_rk4_path_keeps_no_container_per_sample():
 
 
 def test_sign_conditions():
-    ok = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), Toda())
+    ok = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), 1.0)
     assert ok.passed and ok.min_r > 0 and ok.min_s > 0
+    assert ok.sigma_required == 1 and ok.sigma_given == 1
 
     wrong_sigma = check_sign_conditions(su11(), FlowState(0.0, 1.0, 1.25),
-                                        SignedScaled(1, 1.0), t_end=0.2)
+                                        1.0, t_end=0.2)
     assert not wrong_sigma.passed
     assert wrong_sigma.sigma_required == -1 and wrong_sigma.sigma_given == 1
 
-    bad_start = check_sign_conditions(su2(), FlowState(0.0, -1.0, 0.5), Toda())
+    # sigma_given is the sign of g at the initial time
+    for g in (-0.5, GammaTable(-1, (0.0, 1.0), (1.0, 2.0)), lambda t: t - 1.0):
+        right = check_sign_conditions(su11(), FlowState(0.0, 1.0, 1.25), g, t_end=0.2)
+        assert right.passed and right.sigma_given == -1
+    zero_g = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), 0.0)
+    assert not zero_g.passed and zero_g.sigma_given == 0
+
+    bad_start = check_sign_conditions(su2(), FlowState(0.0, -1.0, 0.5), 1.0)
     assert not bad_start.passed and not bad_start.initial_ok
 
-    zero_s = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.0), Toda())
+    zero_s = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.0), 1.0)
     assert not zero_s.passed
 
 
 def test_modification_su2():
-    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0)
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 1.0)
     rep = modification_report(su2(), traj, "krawtchouk")
     c_val = math.sqrt(invariant(su2(), FlowState(0.0, 1.0, 0.2)))
     assert rep.max_constancy_deviation < 1e-6
@@ -203,16 +222,16 @@ def test_modification_su2():
     assert rep.K_expected == pytest.approx(4.0 * c_val)
 
 
-@pytest.mark.parametrize("family, alg, state, policy, dt, t_end", [
-    ("krawtchouk", su2(0.5), FlowState(0.0, 1.0, 0.0), Toda(), 1e-3, 1.0),
-    ("meixner", su11(0.5), FlowState(0.0, 1.0, 0.8), SignedScaled(-1, 1.0), 1e-4, 0.2),
+@pytest.mark.parametrize("family, alg, state, g, dt, t_end", [
+    ("krawtchouk", su2(0.5), FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 1.0),
+    ("meixner", su11(0.5), FlowState(0.0, 1.0, 0.8), -1.0, 1e-4, 0.2),
     ("meixner_pollaczek", su11(0.5), FlowState(0.0, 2.0, 1.0),
-     SignedScaled(-1, 1.0), 1e-4, 0.2),
+     -1.0, 1e-4, 0.2),
 ])
-def test_modification_with_central_shift(family, alg, state, policy, dt, t_end):
+def test_modification_with_central_shift(family, alg, state, g, dt, t_end):
     """With c != 0 the closed forms read se = s + c, the variable the
     family regimes use, and C^2 = |I + c^2|."""
-    traj = integrate(alg, state, policy, dt, t_end)
+    traj = integrate(alg, state, g, dt, t_end)
     rep = modification_report(alg, traj, family)
     assert rep.max_constancy_deviation < 1e-9
     assert rep.closed_form_max_error < 1e-9
@@ -222,7 +241,7 @@ def test_modification_with_central_shift(family, alg, state, policy, dt, t_end):
 def test_modification_laguerre_slope_not_asserted():
     """The equal-parameter stratum is preserved; the measured slope runs
     against the circulated derivation, so it is reported, not gated."""
-    traj = integrate(su11(), FlowState(0.0, 1.3, 1.3), SignedScaled(-1, 1.0),
+    traj = integrate(su11(), FlowState(0.0, 1.3, 1.3), -1.0,
                      1e-4, 0.2)
     rep = modification_report(su11(), traj, "laguerre")
     assert np.abs(traj.r - traj.s).max() < 1e-10
@@ -238,7 +257,7 @@ def test_modification_laguerre_slope_not_asserted():
     ("laguerre", FlowState(0.0, 1.0, 1.25)),
 ])
 def test_modification_rejects_state_outside_family_regime(family, state):
-    traj = integrate(su11(), state, SignedScaled(-1, 1.0), 1e-3, 0.1)
+    traj = integrate(su11(), state, -1.0, 1e-3, 0.1)
     with pytest.raises(ParameterError):
         modification_report(su11(), traj, family)
 
@@ -259,7 +278,7 @@ def test_modification_needs_three_samples():
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), Toda(), 0.01, 0.05)
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 0.01, 0.05)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj)
     lines = path.read_text().strip().splitlines()
@@ -281,9 +300,9 @@ def reference_trajectory_csv(path, traj):
 
 def test_trajectory_csv_matches_row_writer(tmp_path):
     edge = np.array([-0.0, 0.0, 1e-300, -2.5e17, 1.0 / 3.0])
-    for traj in (integrate(su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0, 7),
+    for traj in (integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 1.0, 7),
                  integrate(oscillator(1.0), FlowState(0.0, 4.0, 0.5),
-                           SignedScaled(1, ((0.0, 0.5, 1.0), (0.7, 1.2, 0.9))),
+                           GammaTable(1, (0.0, 0.5, 1.0), (0.7, 1.2, 0.9)),
                            1e-3, 1.0, 1),
                  Trajectory(edge, edge[::-1], edge * 3, edge + 1, edge / 7),
                  Trajectory(*[np.zeros(0)] * 5)):
@@ -292,10 +311,15 @@ def test_trajectory_csv_matches_row_writer(tmp_path):
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def _reference_u_and_invariant(alg, policy, traj):
-    """u and I as ``integrate`` built them row by row: a policy call and a
-    FlowState per row, at the numpy floats of the path."""
-    u = np.array([policy(ti, ri) for ti, ri in zip(traj.t, traj.r)])
+def _reference_u_and_invariant(alg, g, traj):
+    """u and I as ``integrate`` built them row by row: u = g(t) r with a
+    table's g(t) as sigma * np.interp, and a FlowState per row, at the
+    numpy floats of the path."""
+    def g_ref(t):
+        if isinstance(g, GammaTable):
+            return g.sigma * float(np.interp(t, g.ts, g.values))
+        return g
+    u = np.array([g_ref(ti) * ri for ti, ri in zip(traj.t, traj.r)])
     inv = np.array([invariant(alg, FlowState(ti, ri, si))
                     for ti, ri, si in zip(traj.t, traj.r, traj.s)])
     return u, inv
@@ -308,17 +332,17 @@ def _reference_u_and_invariant(alg, policy, traj):
 POW_NOT_SQUARE = 1.851225506797236
 
 
-@pytest.mark.parametrize("alg,state,policy,dt,t_end,record_every", [
-    (su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0, 10),
-    (su2(), FlowState(0.0, 0.9, 0.15), SignedScaled(1, 0.8), 1e-3, 1.0, 1),
+@pytest.mark.parametrize("alg,state,g,dt,t_end,record_every", [
+    (su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 1.0, 10),
+    (su2(), FlowState(0.0, 0.9, 0.15), 0.8, 1e-3, 1.0, 1),
     (oscillator(1.0), FlowState(0.0, 4.0, 0.5),
-     SignedScaled(1, ((0.0, 0.33, 0.67, 1.0), (0.7, 1.2, 0.9, 1.1))), 1e-3, 1.0, 7),
-    (su11(), FlowState(0.0, 0.55, 0.7), SignedScaled(-1, 1.1), 1e-4, 0.2, 1),
-    (su11(), FlowState(0.0, 0.55, 0.7), Toda(), 1e-4, 0.2, 10),
-    (su2(), FlowState(0.0, POW_NOT_SQUARE, 0.3), Toda(), 1e-3, 0.0, 1),
+     GammaTable(1, (0.0, 0.33, 0.67, 1.0), (0.7, 1.2, 0.9, 1.1)), 1e-3, 1.0, 7),
+    (su11(), FlowState(0.0, 0.55, 0.7), -1.1, 1e-4, 0.2, 1),
+    (su11(), FlowState(0.0, 0.55, 0.7), 1.0, 1e-4, 0.2, 10),
+    (su2(), FlowState(0.0, POW_NOT_SQUARE, 0.3), 1.0, 1e-3, 0.0, 1),
 ])
-def test_u_and_invariant_match_row_loop(alg, state, policy, dt, t_end, record_every):
-    traj = integrate(alg, state, policy, dt, t_end, record_every)
-    u, inv = _reference_u_and_invariant(alg, policy, traj)
+def test_u_and_invariant_match_row_loop(alg, state, g, dt, t_end, record_every):
+    traj = integrate(alg, state, g, dt, t_end, record_every)
+    u, inv = _reference_u_and_invariant(alg, g, traj)
     assert traj.u.tobytes() == u.tobytes()
     assert traj.invariant.tobytes() == inv.tobytes()

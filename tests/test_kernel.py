@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from isoflow import (ChainState, FlowState, IntegrationBlowupError,
-                     SignedScaled, Toda, chain_dense_L, e2, integrate,
-                     integrate_chain, invariant, oscillator, su2, su11)
+from isoflow import (ChainState, FlowState, GammaTable, IntegrationBlowupError,
+                     chain_dense_L, e2, integrate, integrate_chain, invariant,
+                     oscillator, su2, su11)
 from isoflow.chain import _advance, _chain_step, _step_source
-from isoflow.flows import _gain, _rank1_make, flow_rhs
+from isoflow.flows import _rank1_make, flow_rhs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,23 +57,22 @@ def np_rk4_samples(f, t0, y0, dt, t_end, record_every):
     return None
 
 
-def np_policy(policy):
-    """The u-policy as a function of (t, r), a gamma table interpolated by
-    ``np.interp`` as the policies did before their own interpolation."""
-    if isinstance(policy, SignedScaled) and isinstance(policy.gamma, tuple):
-        ts, vals = policy.gamma
-        return lambda t, r: policy.sigma * float(np.interp(t, ts, vals)) * r
-    return policy
+def np_u(g):
+    """u = g(t) r as a function of (t, r), a gamma table interpolated by
+    ``np.interp`` as the u-policies did before their own interpolation."""
+    if isinstance(g, GammaTable):
+        return lambda t, r: g.sigma * float(np.interp(t, g.ts, g.values)) * r
+    return lambda t, r: float(g) * r
 
 
-def reference_integrate(alg, state0, policy, dt, t_end, record_every):
+def reference_integrate(alg, state0, g, dt, t_end, record_every):
     """The rank-1 RK4 loop as it stood before the shared kernel."""
     n_steps = int(round((t_end - state0.t) / dt))
-    policy = np_policy(policy)
+    u_of = np_u(g)
 
     def rhs(t, y):
         r, s = y
-        u = policy(t, r)
+        u = u_of(t, r)
         sd, rd = flow_rhs(alg, FlowState(t, r, s), u)
         return np.array([rd, sd])
 
@@ -92,7 +91,7 @@ def reference_integrate(alg, state0, policy, dt, t_end, record_every):
             rs.append(float(y[0]))
             ss.append(float(y[1]))
     t_arr, r_arr, s_arr = np.array(ts), np.array(rs), np.array(ss)
-    u_arr = np.array([policy(ti, ri) for ti, ri in zip(t_arr, r_arr)])
+    u_arr = np.array([u_of(ti, ri) for ti, ri in zip(t_arr, r_arr)])
     i_arr = np.array([invariant(alg, FlowState(ti, ri, si))
                       for ti, ri, si in zip(t_arr, r_arr, s_arr)])
     return t_arr, r_arr, s_arr, u_arr, i_arr
@@ -128,16 +127,16 @@ def reference_integrate_chain(state0, g, dt, t_end, record_every):
 
 
 RANK1_CASES = {
-    "toda": (su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0),
-    "scaled": (su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 0.8), 1e-4, 0.2),
-    "scaled_int": (su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 2), 1e-4, 0.2),
+    "toda": (su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 1.0),
+    "scaled": (su11(), FlowState(0.0, 1.0, 1.25), -0.8, 1e-4, 0.2),
+    "scaled_int": (su11(), FlowState(0.0, 1.0, 1.25), -2, 1e-4, 0.2),
     "tabulated": (oscillator(1.0), FlowState(0.1, 2.0, 3.0),
-                  SignedScaled(1, ((0.0, 0.4, 0.8, 1.2), (0.7, 1.3, 0.9, 1.1))),
+                  GammaTable(1, (0.0, 0.4, 0.8, 1.2), (0.7, 1.3, 0.9, 1.1)),
                   1e-3, 1.1),
     # knots on the step grid (multiples of dt = 2^-8, so steps land on them
     # exactly) and a last knot before t_end, past which gamma is held
     "tabulated_grid": (su2(0.3), FlowState(0.0, 0.9, 0.4),
-                       SignedScaled(1, ((0.0, 0.25, 0.5, 0.75), (0.6, 1.4, 0.8, 1.2))),
+                       GammaTable(1, (0.0, 0.25, 0.5, 0.75), (0.6, 1.4, 0.8, 1.2)),
                        2.0 ** -8, 1.0),
 }
 
@@ -145,9 +144,9 @@ RANK1_CASES = {
 @pytest.mark.parametrize("record_every", [1, 7, 100])
 @pytest.mark.parametrize("case", sorted(RANK1_CASES))
 def test_integrate_matches_reference_loop_bitwise(case, record_every):
-    alg, st0, pol, dt, t_end = RANK1_CASES[case]
-    traj = integrate(alg, st0, pol, dt, t_end, record_every=record_every)
-    ref = reference_integrate(alg, st0, pol, dt, t_end, record_every)
+    alg, st0, g, dt, t_end = RANK1_CASES[case]
+    traj = integrate(alg, st0, g, dt, t_end, record_every=record_every)
+    ref = reference_integrate(alg, st0, g, dt, t_end, record_every)
     for got, want in zip((traj.t, traj.r, traj.s, traj.u, traj.invariant), ref):
         assert np.array_equal(got, want)
 
@@ -229,13 +228,12 @@ def test_generated_source_depends_on_d_alone():
     assert _chain_step(3)(0.7).__code__ is not _chain_step(4)(0.7).__code__
 
 
-def test_rank1_step_is_one_code_object_for_every_algebra_and_policy():
+def test_rank1_step_is_one_code_object_for_every_algebra_and_coupling():
     algebras = (su2(0.37), su11(0.61), oscillator(1.23), e2(0.89))
-    policies = (Toda(), SignedScaled(-1, 0.77),
-                SignedScaled(1, ((0.0, 0.4), (0.53, 1.31))))
+    couplings = (1.0, -0.77, GammaTable(1, (0.0, 0.4), (0.53, 1.31)))
     make = _rank1_make()
-    steps = [make(_gain(pol), alg.a, alg.c_param, 2.0 * alg.epsilon)
-             for alg in algebras for pol in policies]
+    steps = [make(g, alg.a, alg.c_param, 2.0 * alg.epsilon)
+             for alg in algebras for g in couplings]
     assert len({step.__code__ for step in steps}) == 1
     assert _rank1_make() is make
     consts = steps[0].__code__.co_consts + make.__code__.co_consts
@@ -258,24 +256,24 @@ def test_import_compiles_no_step():
 @pytest.mark.parametrize("k", [1, 7, 300])
 @pytest.mark.parametrize("case", sorted(RANK1_CASES))
 def test_every_kth_row_of_full_run_is_the_recorded_run(case, k):
-    alg, st0, pol, dt, t_end = RANK1_CASES[case]
-    full = integrate(alg, st0, pol, dt, t_end).every(k)
-    sparse = integrate(alg, st0, pol, dt, t_end, record_every=k)
+    alg, st0, g, dt, t_end = RANK1_CASES[case]
+    full = integrate(alg, st0, g, dt, t_end).every(k)
+    sparse = integrate(alg, st0, g, dt, t_end, record_every=k)
     for name in ("t", "r", "s", "u", "invariant"):
         assert np.array_equal(getattr(full, name), getattr(sparse, name)), name
 
 
 @pytest.mark.parametrize("record_every", [1, 7])
 def test_rank1_blowup_state_matches_numpy_kernel(record_every):
-    alg, st0, pol = su11(), FlowState(0.0, 1.0, 1.25), SignedScaled(-1, 1.0)
+    alg, st0, g = su11(), FlowState(0.0, 1.0, 1.25), -1.0
 
     def f(t, y):
-        sd, rd = flow_rhs(alg, FlowState(t, y[0], y[1]), pol(t, y[0]))
+        sd, rd = flow_rhs(alg, FlowState(t, y[0], y[1]), g * y[0])
         return np.array([rd, sd])
 
     t, y = np_rk4_samples(f, st0.t, np.array([st0.r, st0.s]), 1e-3, 5.0, record_every)
     with pytest.raises(IntegrationBlowupError) as info:
-        integrate(alg, st0, pol, 1e-3, 5.0, record_every=record_every)
+        integrate(alg, st0, g, 1e-3, 5.0, record_every=record_every)
     assert info.value.last_state == FlowState(t[-1], y[-1, 0], y[-1, 1])
 
 

@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from isoflow import (FlowState, SU2, Toda, build_L, eigenvalues, eigs_sym_tridiag,
+from isoflow import (FlowState, SU2, build_L, eigenvalues, eigs_sym_tridiag,
                      integrate, isospectrality_drift, specfun, spectral, su2)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -68,7 +68,7 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
     eigs_sym_tridiag(L)
     eigenvalues(L)
     assert calls == [False, True]
-    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), Toda(),
+    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.01, record_every=5)
     isospectrality_drift(traj, SU2(2.0), alg)
     assert calls == [False, True] + [True] * len(traj)

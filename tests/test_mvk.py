@@ -12,7 +12,8 @@ from isoflow import (TABLE_CHECKS, ChainState, FamilyTag, KrawtchoukParams,
                      multi_indices, multinom, mvk_orthogonality_check,
                      mvk_recurrence_check, mvk_table, mvk_time_derivative_check,
                      symmetric_chain_state, unit_index, write_mvk_csv)
-from isoflow.chain import _advance, _g_at
+from isoflow.chain import _advance
+from isoflow.flows import g_at
 from isoflow.config import DEFAULT_SEED
 from isoflow.mvk import degree_one_residual
 from isoflow.verify import _MVK_TOL, GROUPS, _random_chain
@@ -253,8 +254,8 @@ def _ref_time_derivative(state, g, N, h=1e-4):
     d = state.d
     table0 = _RefTable(state, N)
     idx = table0.indices
-    u1 = _g_at(g, state.t) * state.r[0]
-    u = _g_at(g, state.t) * np.asarray(state.r)
+    u1 = g_at(g, state.t) * state.r[0]
+    u = g_at(g, state.t) * np.asarray(state.r)
     sigma_star = (N - 1, 1) + (0,) * (d - 1)
 
     def sum_term(tau, rho):

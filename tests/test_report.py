@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (SU2, ChainState, ConfigurationError, FlowState, Toda,
+from isoflow import (SU2, ChainState, ConfigurationError, FlowState,
                      build_L, chain_spectrum, check_result, eigenvalues,
                      guarded, integrate, spectrum_drift, su2,
                      write_spectrum_csv)
@@ -57,7 +57,7 @@ def reference_spectrum_csv(path, times, spectra):
 
 
 def test_spectrum_csv_matches_row_writer(tmp_path):
-    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), Toda(), 1e-3, 1.0, 100)
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 1.0, 100)
     rank1 = [eigenvalues(build_L(SU2(6.0), su2(), r, s))
              for r, s in zip(traj.r.tolist(), traj.s.tolist())]
     chain = [chain_spectrum(ChainState(0.0, (0.3, -0.2, 0.4), (1.0, 0.8, 1.2)))]

@@ -5,7 +5,7 @@ import pytest
 
 from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      FlowState, Oscillator, ParameterError, PrincipalSeries,
-                     SU2, Toda, TridiagonalOperator, build_L,
+                     SU2, TridiagonalOperator, build_L,
                      degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
                      eigenvalues, eval_rec, e2, integrate, isospectrality_drift,
                      oscillator, parameter_map, path_eigenvalues,
@@ -266,12 +266,12 @@ def test_eigenfunction_on_labels_times_eigenvalues():
 
 def test_isospectrality_along_flow():
     alg = su2()
-    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), Toda(),
+    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     assert isospectrality_drift(traj, SU2(2.5), alg) <= 1e-9
 
     alg = su11()
-    traj = integrate(alg, FlowState(r=1.0, s=1.25, t=0.0), Toda(),
+    traj = integrate(alg, FlowState(r=1.0, s=1.25, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     rep = DiscreteSeriesPlus(1.0, 60)
     assert isospectrality_drift(traj, rep, alg, mode="lowest", count=5) <= 1e-6
@@ -281,7 +281,7 @@ def test_isospectrality_along_flow():
 
 def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
     alg = su2()
-    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), Toda(),
+    traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     rep = SU2(6.0)  # 13 rows
     full = isospectrality_drift(traj, rep, alg)
