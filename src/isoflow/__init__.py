@@ -8,7 +8,7 @@ claims.
 __version__ = "0.1.0"
 
 from .algebra import AlgebraSpec, e2, oscillator, su2, su11
-from .chain import (ChainState, ChainTrajectory, ChainWeights,
+from .chain import (ChainState, ChainTrajectory,
                     DegenerateSpectrumWarning, TraceInvariants, build_chain_L,
                     chain_dense_L, chain_isospectrality_drift,
                     chain_path_eigenvalues, chain_rhs, chain_spectrum,

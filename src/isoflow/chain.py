@@ -28,6 +28,7 @@ from .flows import (GFun, IntegrationBlowupError, Step, _compile_make, _rk4_sour
                     g_at, rk4_path)
 from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal, three_term
+from .spectral import SpectralDecomposition
 
 
 class DegenerateSpectrumWarning(RuntimeWarning):
@@ -193,27 +194,14 @@ def spectrum_sum(state: ChainState) -> float:
     return abs(float(np.sum(chain_spectrum(state))))
 
 
-@dataclass(frozen=True)
-class ChainWeights:
-    eigenvalues: np.ndarray
-    weights: np.ndarray
-    Q: np.ndarray  # Q[n, r] = p_n(lam_r) sqrt(w_r), orthogonal
-
-    def orthogonality(self) -> tuple[float, float]:
-        """(primal, dual): max |Q^T Q - 1| and max |Q Q^T - 1|."""
-        eye = np.eye(len(self.Q))
-        return (float(np.abs(self.Q.T @ self.Q - eye).max()),
-                float(np.abs(self.Q @ self.Q.T - eye).max()))
-
-
-def christoffel_weights(state: ChainState) -> ChainWeights:
-    """Discrete weights w_r = 1 / sum_n p_n(lam_r)^2 and the orthogonal
-    matrix they induce."""
+def christoffel_weights(state: ChainState) -> SpectralDecomposition:
+    """The decomposition of L from its eigenvector polynomials: the
+    discrete weights w_r = 1 / sum_n p_n(lam_r)^2 and the orthogonal matrix
+    they induce, vectors[n, r] = p_n(lam_r) sqrt(w_r)."""
     lam = chain_spectrum(state)
     P, _ = eigen_polys(state, lam)
     w = 1.0 / np.sum(P * P, axis=0)
-    Q = P * np.sqrt(w)[None, :]
-    return ChainWeights(lam, w, Q)
+    return SpectralDecomposition(lam, P * np.sqrt(w)[None, :], w)
 
 
 # --------------------------------------------------------------------------
@@ -291,16 +279,37 @@ def chain_isospectrality_drift(traj: ChainTrajectory) -> float:
 # time derivative of the eigenvector polynomials
 
 
+# the step h of the centred differences of the time-derivative checks
+DERIVATIVE_STEP = 1e-4
+
+
 @dataclass(frozen=True)
-class PnDerivativeReport:
+class DerivativeReport:
+    """A time-derivative law's worst residual at the step h, the order log2
+    of its ratio to the one at h / 2, and the residual at h of a wrong
+    variant of the law, which fails by O(1) and is kept as a diagnostic."""
     max_residual: float
     order_estimate: float
-    sign_flipped_residual: float
+    variant_residual: float
+
+
+def derivative_report(state: ChainState, g: GFun, evaluate: Callable,
+                      law: Callable) -> DerivativeReport:
+    """A time-derivative law along the chain flow under g: ``law(dot)`` is
+    the arrays of the (law, variant) residuals at ``dot``, the centred
+    difference of ``evaluate(state)`` over RK4 steps of signed size +-h."""
+    def residuals(h: float) -> list[float]:
+        dot = (evaluate(_advance(state, g, h)) - evaluate(_advance(state, g, -h))) / (2.0 * h)
+        return [float(np.max(res)) for res in law(dot)]
+
+    res_h, variant_h = residuals(DERIVATIVE_STEP)
+    res_h2, _ = residuals(DERIVATIVE_STEP / 2.0)
+    order = float(np.log2(res_h / res_h2)) if res_h2 > 0 else float("inf")
+    return DerivativeReport(res_h, order, variant_h)
 
 
 def pn_time_derivative_check(state: ChainState, g: GFun,
-                             lam: float | None = None,
-                             h: float = 1e-4) -> PnDerivativeReport:
+                             lam: float | None = None) -> DerivativeReport:
     """Centered-difference check of
 
         pdot_n = u_{n+1} p_{n+1} - u_n p_{n-1} - u_1 p_1 p_n   (1 <= n < d)
@@ -309,28 +318,16 @@ def pn_time_derivative_check(state: ChainState, g: GFun,
     along the flow.  With ``lam`` an eigenvalue all rows are checked; with an
     arbitrary ``lam`` the last row is skipped (there the law needs the
     spectral condition), so at d = 1, where no row is left, it raises
-    ValueError.  ``sign_flipped_residual`` reports the same data against
-    the variant with every right-hand sign negated, which fails by O(1); it
-    is kept as a diagnostic.
+    ValueError.  The variant is the law with every right-hand sign negated.
     """
     eig_mode = lam is None
     if not eig_mode and state.d == 1:
         raise ValueError("an arbitrary lam leaves no row to check at d = 1")
     lam_v = float(chain_spectrum(state)[state.d // 2] if eig_mode else lam)
-
-    def residuals(step: float) -> tuple[float, float]:
-        p_plus, _ = eigen_polys(_advance(state, g, step), lam_v)
-        p_minus, _ = eigen_polys(_advance(state, g, -step), lam_v)
-        pdot = (p_plus - p_minus) / (2.0 * step)
-        p, _ = eigen_polys(state, lam_v)
-        u = g_at(g, state.t) * np.asarray(state.r)
-        # rows n = 1..d; the row n = d has no u_{n+1} p_{n+1} term
-        rhs = np.append(u[1:] * p[2:], 0.0) - u * p[:-1] - u[0] * p[1] * p[1:]
-        rows = slice(None) if eig_mode else slice(-1)
-        return (float(np.max(np.abs(pdot[1:] - rhs)[rows])),
-                float(np.max(np.abs(pdot[1:] + rhs)[rows])))
-
-    res_h, flip_h = residuals(h)
-    res_h2, _ = residuals(h / 2.0)
-    order = float(np.log2(res_h / res_h2)) if res_h2 > 0 else float("inf")
-    return PnDerivativeReport(res_h, order, flip_h)
+    p, _ = eigen_polys(state, lam_v)
+    u = g_at(g, state.t) * np.asarray(state.r)
+    rows = slice(None) if eig_mode else slice(-1)
+    # rows n = 1..d; the row n = d has no u_{n+1} p_{n+1} term
+    rhs = (np.append(u[1:] * p[2:], 0.0) - u * p[:-1] - u[0] * p[1] * p[1:])[rows]
+    return derivative_report(state, g, lambda st: eigen_polys(st, lam_v)[0][1:][rows],
+                             lambda pdot: (np.abs(pdot - rhs), np.abs(pdot + rhs)))

@@ -24,10 +24,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (ChainState, _advance, chain_spectrum,
-                    christoffel_weights, eigen_polys)
+from .chain import (ChainState, DerivativeReport, build_chain_L, chain_spectrum,
+                    christoffel_weights, derivative_report, eigen_polys)
 from .families import FamilyTag, KrawtchoukParams, eval_hyper
 from .flows import GFun, g_at
+from .operators import TridiagonalOperator
+from .spectral import SpectralDecomposition, eigs_sym_tridiag
 
 
 def multi_indices(parts: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -104,10 +106,23 @@ class MVKTable:
         """``mvk_orthogonality_check`` of this table, computed once."""
         return mvk_orthogonality_check(self)
 
+    def decomposition(self) -> SpectralDecomposition:
+        """The table in orthonormal form, the orthogonal M x M matrix
+        V = sqrt(binom)[:, None] * P * sqrt(binom w^rho), with the eigenvalues
+        lam . rho of its columns and the weights w^rho (its squared row
+        (N, 0, ..., 0)).  At N = 1, V is the chain's ``christoffel_weights``
+        vectors with the order of rows and of columns reversed."""
+        binom = np.array([multinom(self.N, sig) for sig in self.indices], dtype=float)
+        rho = np.array(self.indices)
+        wprod = np.prod(np.asarray(self.weights) ** rho, axis=1)
+        return SpectralDecomposition(rho @ self.eigenvalues, np.sqrt(binom)[:, None]
+                                     * self.values * np.sqrt(binom * wprod), wprod)
 
-def _weight_row(table: MVKTable) -> np.ndarray:
-    """``W(rho)`` for every rho, in the order of ``table.indices``."""
-    return np.array([table.W(rho) for rho in table.indices])
+
+def _weighted_table(table: MVKTable) -> np.ndarray:
+    """The row of ``W(rho)`` for every rho, in the order of ``table.indices``,
+    above the rows of ``table.values``."""
+    return np.vstack(([table.W(rho) for rho in table.indices], table.values))
 
 
 def mvk_table(state: ChainState, N: int) -> MVKTable:
@@ -145,17 +160,11 @@ def mvk_table(state: ChainState, N: int) -> MVKTable:
 
 
 def mvk_orthogonality_check(table: MVKTable) -> tuple[float, float]:
-    """(primal, dual) residuals of the two discrete orthogonality relations,
-    both stated in orthonormalized form so a perfect table gives a Gram
-    matrix equal to the identity: P^T diag(binom) P and
-    P diag(binom w^rho) P^T, scaled on both sides."""
-    P = table.values
-    binom = np.array([multinom(table.N, sig) for sig in table.indices], dtype=float)
-    wprod = np.prod(np.asarray(table.weights) ** np.array(table.indices), axis=1)
-    eye = np.eye(len(binom))
-    primal = (P.T @ (binom[:, None] * P)) * np.sqrt(np.outer(binom * wprod, binom * wprod))
-    dual = ((P * (binom * wprod)) @ P.T) * np.sqrt(np.outer(binom, binom))
-    return float(np.max(np.abs(primal - eye))), float(np.max(np.abs(dual - eye)))
+    """(primal, dual) residuals of the two discrete orthogonality relations
+    P^T diag(binom) P = diag(1 / (binom w^rho)) and
+    P diag(binom w^rho) P^T = diag(1 / binom): the Gram residuals of the
+    table's orthonormal form ``table.decomposition()``."""
+    return table.decomposition().orthogonality()
 
 
 def _add_moves(table: MVKTable, out: np.ndarray, coeffs, down_sign: float) -> np.ndarray:
@@ -203,11 +212,13 @@ def base_entry_error(table: MVKTable) -> float:
 
 
 def degree_one_residual(table1: MVKTable, state: ChainState) -> float:
-    """max |P(e_j', e_i') - p_j(lam_i)| of a degree-one table against the
-    eigenvector polynomials of ``state``."""
+    """max |P(e_j', e_i') sqrt(w_i) - v_j(i)| of a degree-one table against
+    the LAPACK eigenvectors v(i) of the operator of ``state``, independent of
+    the table's polynomials, each column's sign fixed by its first component."""
     at = [table1.row[unit_index(state.d + 1, j)] for j in range(state.d + 1)]
-    p, _ = eigen_polys(state, table1.eigenvalues)  # p[j, i] = p_j(lam_i)
-    return float(np.max(np.abs(table1.values[np.ix_(at, at)] - p)))
+    v = eigs_sym_tridiag(TridiagonalOperator(0, *build_chain_L(state))).vectors
+    return float(np.max(np.abs(table1.decomposition().vectors[np.ix_(at, at)]
+                               - v * np.sign(v[0]))))
 
 
 # name -> residual(table, state) of a degree-N table built from ``state``:
@@ -226,15 +237,7 @@ TABLE_CHECKS = {
 # time derivative along the chain flow
 
 
-@dataclass(frozen=True)
-class MVKDerivativeReport:
-    max_residual: float
-    order_estimate: float
-    display_variant_residual: float
-
-
-def mvk_time_derivative_check(state: ChainState, g: GFun, N: int,
-                              h: float = 1e-4) -> MVKDerivativeReport:
+def mvk_time_derivative_check(state: ChainState, g: GFun, N: int) -> DerivativeReport:
     """Centered-difference check of the weighted-eigenvector evolution
 
         d/dt (W_rho P) = W_rho S(tau, rho) - C W_rho P(tau', rho'),
@@ -242,33 +245,25 @@ def mvk_time_derivative_check(state: ChainState, g: GFun, N: int,
                        - tau_r P((tau + f_{r-1} - f_r)', rho')),
         C = N u_1 P((N-1, 1, 0, ...)', rho') - (dW_rho/dt) / W_rho.
 
-    ``display_variant_residual`` evaluates the variant whose constant term is
-    (dW/dt - N u_1) P — i.e. N u_1 enters without the P((N-1,1,0,...)')
-    prefactor — which fails by O(1) and is kept for detection, not gated.
+    The variant has the constant term (dW/dt - N u_1) P, i.e. N u_1 enters
+    without the P((N-1,1,0,...)') prefactor; it fails by O(1) and is kept
+    for detection, not gated.
     """
     table0 = mvk_table(state, N)
     P0 = table0.values
     gt = g_at(g, state.t)
     u1 = gt * state.r[0]
     S = _add_moves(table0, np.zeros_like(P0), gt * np.asarray(state.r), -1.0)
-    W0 = _weight_row(table0)
+    W0 = _weighted_table(table0)[0]
     c_star = N * u1 * P0[table0.row[(N - 1, 1) + (0,) * (state.d - 1)]]
 
-    def residuals(step: float) -> tuple[float, float]:
-        tp = mvk_table(_advance(state, g, step), N)
-        tm = mvk_table(_advance(state, g, -step), N)
-        Wdot = (_weight_row(tp) - _weight_row(tm)) / (2.0 * step)
-        c_const = c_star - Wdot / W0
-        Pdot = (tp.values - tm.values) / (2.0 * step)
+    def law(dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        Wdot, Pdot = dot[0], dot[1:]
         lhs = Wdot * P0 + W0 * Pdot
-        worst = np.max(np.abs(lhs - (W0 * S - c_const * W0 * P0)))
-        worst_disp = np.max(np.abs(lhs - ((Wdot - N * u1) * P0 + W0 * S)))
-        return float(worst), float(worst_disp)
+        return (np.abs(lhs - (W0 * S - (c_star - Wdot / W0) * W0 * P0)),
+                np.abs(lhs - ((Wdot - N * u1) * P0 + W0 * S)))
 
-    res_h, disp_h = residuals(h)
-    res_h2, _ = residuals(h / 2.0)
-    order = float(np.log2(res_h / res_h2)) if res_h2 > 0 else float("inf")
-    return MVKDerivativeReport(res_h, order, disp_h)
+    return derivative_report(state, g, lambda st: _weighted_table(mvk_table(st, N)), law)
 
 
 # --------------------------------------------------------------------------

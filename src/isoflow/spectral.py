@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, e2
 from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
                        parameter_map)
 from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .report import spectrum_drift
-from .representations import (ConfigurationError, RepresentationSpec, build_L,
-                              lax_entries)
+from .representations import (E2, ConfigurationError, RepresentationSpec,
+                              build_L, lax_entries)
 from .specfun import bessel_j, eigh_tridiagonal
 
 
@@ -27,6 +27,12 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     weights: np.ndarray
+
+    def orthogonality(self) -> tuple[float, float]:
+        """(primal, dual) Gram residuals of the vectors V: max |V^T V - 1|
+        and max |V V^T - 1|, zero for an orthogonal matrix."""
+        V, eye = self.vectors, np.eye(len(self.vectors))
+        return float(np.abs(V.T @ V - eye).max()), float(np.abs(V @ V.T - eye).max())
 
 
 def eigs_sym_tridiag(op: TridiagonalOperator) -> SpectralDecomposition:
@@ -203,15 +209,16 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
 # flat case
 
 
-def degenerate_e2_check(k: float, r: float, n_orders: int = 5,
-                        grid: int = 64) -> float:
-    """The flat operator with zero diagonal acts on Fourier modes e^{inx} by
-    k r (e^{i(n+1)x} + e^{i(n-1)x}) = 2 k r cos(x) e^{inx}; returns the max
-    residual of that identity over a uniform grid and a band of orders."""
-    xs = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    worst = 0.0
-    for n in range(-n_orders, n_orders + 1):
-        lhs = k * r * (np.exp(1j * (n + 1) * xs) + np.exp(1j * (n - 1) * xs))
-        rhs = 2.0 * k * r * np.cos(xs) * np.exp(1j * n * xs)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+def degenerate_e2_check(k: float, r: float) -> float:
+    """The flat operator L = r(E + E*) of ``E2(k, -7, 7)`` under e(2) at
+    c = s = 0 has a zero diagonal, so its rows act on the Fourier modes
+    psi_n = e^{inx} by k r (e^{i(n+1)x} + e^{i(n-1)x}) = 2 k r cos(x) e^{inx};
+    returns the max residual of that identity over its interior rows
+    (orders -5..5) and a uniform grid of 64 points x."""
+    L = build_L(E2(k, -7, 7), e2(0.0), r, 0.0)
+    rows = np.array(L.interior_rows())
+    xs = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    psi = np.exp(1j * np.outer(L.base_index + np.arange(L.size), xs))
+    L_psi = (L.off[rows - 1, None] * psi[rows - 1] + L.diag[rows, None] * psi[rows]
+             + L.off[rows, None] * psi[rows + 1])
+    return float(np.abs(L_psi - 2.0 * k * r * np.cos(xs) * psi[rows]).max())

@@ -227,8 +227,8 @@ def test_chain_operator_structure():
 
     cw = christoffel_weights(st)
     eye = np.eye(d + 1)
-    orth = max(float(np.abs(cw.Q.T @ cw.Q - eye).max()),
-               float(np.abs(cw.Q @ cw.Q.T - eye).max()))
+    orth = max(float(np.abs(cw.vectors.T @ cw.vectors - eye).max()),
+               float(np.abs(cw.vectors @ cw.vectors.T - eye).max()))
     assert orth <= 1e-12
 
     tr = trace_invariants(st)
@@ -294,14 +294,14 @@ def test_time_derivative_identities_hold():
     st3 = CHAIN_STATES[3]
     st2 = CHAIN_STATES[2]
     checks = {
-        "polynomial": pn_time_derivative_check(st3, 1.0, lam=0.37, h=1e-4),
-        "degree_one": mvk_time_derivative_check(st2, 1.0, 1, h=1e-4),
-        "eigenvector": pn_time_derivative_check(st3, 1.0, lam=None, h=1e-4),
-        "weighted_table": mvk_time_derivative_check(st2, 1.0, 2, h=1e-4),
+        "polynomial": pn_time_derivative_check(st3, 1.0, lam=0.37),
+        "degree_one": mvk_time_derivative_check(st2, 1.0, 1),
+        "eigenvector": pn_time_derivative_check(st3, 1.0, lam=None),
+        "weighted_table": mvk_time_derivative_check(st2, 1.0, 2),
     }
     worst_res = max(r.max_residual for r in checks.values())
     worst_order = min(r.order_estimate for r in checks.values())
-    variant = checks["weighted_table"].display_variant_residual
+    variant = checks["weighted_table"].variant_residual
     ok = worst_res <= 1e-6 and worst_order >= 1.9 and variant > 1e-2
     _line("time_derivatives", ok,
           f"four identities: worst residual {worst_res:.3e} (tol 1e-6), "

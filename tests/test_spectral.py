@@ -360,3 +360,9 @@ def test_path_eigenvalues_keep_build_L_errors():
 
 def test_flat_operator_fourier_identity():
     assert degenerate_e2_check(2.0, 1.3) <= 1e-13
+
+
+def test_flat_fourier_identity_fails_with_a_diagonal(monkeypatch):
+    # with c = 1 the e(2) diagonal is 2n, so the rows n = -5..5 miss by |2n|
+    monkeypatch.setattr(spectral, "e2", lambda c: e2(1.0))
+    assert degenerate_e2_check(2.0, 1.3) == pytest.approx(10.0)
