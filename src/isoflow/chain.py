@@ -198,10 +198,16 @@ def christoffel_weights(state: ChainState) -> SpectralDecomposition:
     """The decomposition of L from its eigenvector polynomials: the
     discrete weights w_r = 1 / sum_n p_n(lam_r)^2 and the orthogonal matrix
     they induce, vectors[n, r] = p_n(lam_r) sqrt(w_r)."""
+    return _christoffel(state)[0]
+
+
+def _christoffel(state: ChainState) -> tuple[SpectralDecomposition, np.ndarray]:
+    """``christoffel_weights`` and the polynomials P[n, r] = p_n(lam_r) it
+    is built from."""
     lam = chain_spectrum(state)
     P, _ = eigen_polys(state, lam)
     w = 1.0 / np.sum(P * P, axis=0)
-    return SpectralDecomposition(lam, P * np.sqrt(w)[None, :], w)
+    return SpectralDecomposition(lam, P * np.sqrt(w)[None, :], w), P
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import fields
 
 from .algebra import AlgebraSpec, e2, oscillator, su2, su11
 from .chain import ChainState
@@ -116,31 +117,25 @@ def build_algebra(cfg: dict) -> AlgebraSpec:
         raise ConfigError(str(exc)) from exc
 
 
+_REPRESENTATIONS = {"su2": SU2, "discrete_series": DiscreteSeriesPlus,
+                    "principal_series": PrincipalSeries, "oscillator": Oscillator,
+                    "e2": E2}
+
+
 def build_representation(cfg: dict) -> RepresentationSpec:
+    """The representation named by ``type``: each field of its dataclass,
+    in field order, read from the key of the same name, an ``int`` field as
+    an integer and any other as a number."""
     cfg = _block(cfg, "representation")
     kind = _require(cfg, "type", "representation")
+    cls = _REPRESENTATIONS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown representation type {kind!r}")
     try:
-        if kind == "su2":
-            return SU2(_number(cfg, "j", "representation"))
-        if kind == "discrete_series":
-            return DiscreteSeriesPlus(_number(cfg, "k", "representation"),
-                                      _integer(cfg, "n_max", "representation"))
-        if kind == "principal_series":
-            return PrincipalSeries(_number(cfg, "rho", "representation"),
-                                   _number(cfg, "eps", "representation"),
-                                   _integer(cfg, "n_min", "representation"),
-                                   _integer(cfg, "n_max", "representation"))
-        if kind == "oscillator":
-            return Oscillator(_number(cfg, "k", "representation"),
-                              _number(cfg, "h", "representation"),
-                              _integer(cfg, "n_max", "representation"))
-        if kind == "e2":
-            return E2(_number(cfg, "k", "representation"),
-                      _integer(cfg, "n_min", "representation"),
-                      _integer(cfg, "n_max", "representation"))
+        return cls(*[(_integer if f.type == "int" else _number)(cfg, f.name, "representation")
+                     for f in fields(cls)])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown representation type {kind!r}")
 
 
 def build_policy(cfg: dict) -> GFun:

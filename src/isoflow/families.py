@@ -267,14 +267,11 @@ def _hyp_terminating(n, upper_extra, lower, z):
     """sum_{k=0}^{n} (-n)_k prod (u)_k z^k / (prod (l)_k k!), summed by term
     ratios.  Valid for any z because the sum is finite.
 
-    Real inputs are summed in exact rational arithmetic (floats are
-    rationals, and the sum terminates), because these alternating sums can
-    cancel catastrophically and this is the oracle route: a single rounding
-    at the end is the whole error.  The complex case (Meixner-Pollaczek)
-    has a transcendental argument and stays in floating point.
+    The sum is taken in exact rational arithmetic (floats are rationals,
+    and the sum terminates), because these alternating sums can cancel
+    catastrophically and this is the oracle route: a single rounding at the
+    end is the whole error.
     """
-    if any(isinstance(u, complex) for u in upper_extra) or isinstance(z, complex):
-        return _hyp_terminating_complex(n, upper_extra, lower, z)[0]
     zf = Fraction(z)
     uppers = [Fraction(u) for u in upper_extra]
     lowers = [Fraction(low) for low in lower]

@@ -365,7 +365,6 @@ _K_EXPECTED: dict[str, Callable[[AlgebraSpec, Trajectory, float], float | None]]
 
 @dataclass(frozen=True)
 class ModificationReport:
-    family: str
     K_empirical: float
     max_constancy_deviation: float
     closed_form_max_error: float
@@ -421,7 +420,7 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     cf_err = float(np.abs(m_cf / m_int - 1.0).max())
 
     k_exp = _K_EXPECTED[family](alg, traj, C)
-    return ModificationReport(family, k_emp, max_dev, cf_err, k_exp)
+    return ModificationReport(k_emp, max_dev, cf_err, k_exp)
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

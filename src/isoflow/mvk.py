@@ -24,8 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import (ChainState, DerivativeReport, build_chain_L, chain_spectrum,
-                    christoffel_weights, derivative_report, eigen_polys)
+from .chain import (ChainState, DerivativeReport, _christoffel, build_chain_L,
+                    chain_spectrum, derivative_report, eigen_polys)
 from .families import FamilyTag, KrawtchoukParams, eval_hyper
 from .flows import GFun, g_at
 from .operators import TridiagonalOperator
@@ -136,9 +136,9 @@ def mvk_table(state: ChainState, N: int) -> MVKTable:
     if N < 1:
         raise ValueError("N must be a positive integer")
     d = state.d
-    cw = christoffel_weights(state)
+    cw, P = _christoffel(state)
     lam = cw.eigenvalues
-    u = eigen_polys(state, lam)[0].T  # u[i, j] = p_j(lam_i)
+    u = P.T  # u[i, j] = p_j(lam_i)
     idx = [(0,) * (d + 1)]
     coef = np.ones((1, 1))
     for n in range(1, N + 1):

@@ -79,17 +79,15 @@ class PrincipalSeries:
     lambda = -1/2 + i*rho, truncated to [n_min, n_max]."""
 
     rho: float
-    eps_rep: float
+    eps: float
     n_min: int
     n_max: int
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ParameterError(f"rho must be positive, got {self.rho}")
-        if not 0.0 <= self.eps_rep < 1.0:
-            raise ParameterError(f"eps_rep must lie in [0,1), got {self.eps_rep}")
-        if self.rho == 0.0 and self.eps_rep == 0.5:
-            raise ParameterError("excluded point (lambda, eps) = (-1/2, 1/2)")
+        if not 0.0 <= self.eps < 1.0:
+            raise ParameterError(f"eps must lie in [0,1), got {self.eps}")
         if self.n_max < self.n_min:
             raise ParameterError("window is empty")
 
@@ -192,8 +190,8 @@ def build_generators(rep: RepresentationSpec) -> Generators:
         e = np.sqrt((up + 1) * (2 * rep.k + up))
         return Generators(lo, 2.0 * (rep.k + n), e, 0.0, True, False)
     if isinstance(rep, PrincipalSeries):
-        e = np.sqrt((up + rep.eps_rep + 0.5) ** 2 + rep.rho ** 2)
-        return Generators(lo, 2.0 * (rep.eps_rep + n), e, 0.0, False, False)
+        e = np.sqrt((up + rep.eps + 0.5) ** 2 + rep.rho ** 2)
+        return Generators(lo, 2.0 * (rep.eps + n), e, 0.0, False, False)
     if isinstance(rep, Oscillator):
         e = np.sqrt(rep.h * (up + 1))
         return Generators(lo, 2.0 * (rep.k + n), e, -rep.h, True, False)

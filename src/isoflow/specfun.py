@@ -73,14 +73,14 @@ def _is_nonpositive_int(x) -> bool:
     return x <= 0 and float(x) == round(float(x))
 
 
-def regularized_2f1(a, b, c, z, *, max_terms: int = 10_000):
+def regularized_2f1(a, b, c, z):
     """2F1(a, b; c; z) / Gamma(c), by direct summation of the regularized
     series sum_k (a)_k (b)_k z^k / (k! Gamma(c+k)).
 
     Terminating cases (a or b a non-positive integer) are summed as finite
     polynomials for any z.  Otherwise a Pfaff transform
     (1-z)^(-a) * 2F1reg(a, c-b; c; z/(z-1)) is applied once when it shrinks
-    |z|, and non-convergence within ``max_terms`` raises PrecisionError.
+    |z|, and non-convergence within 10,000 terms raises PrecisionError.
     When c = -m is a non-positive integer the first 1 + m terms vanish
     identically and summation starts at k0 = 1 - c.
     """
@@ -93,7 +93,7 @@ def regularized_2f1(a, b, c, z, *, max_terms: int = 10_000):
             pref = complex(1.0 - z) ** (-a)
             if not complex_out:
                 pref = pref.real
-            val = pref * regularized_2f1(a, c - b, c, zp, max_terms=max_terms)
+            val = pref * regularized_2f1(a, c - b, c, zp)
             return val if complex_out else _drop_tiny_imag(val)
         if abs(z) >= 1.0:
             raise PrecisionError(f"series argument |z| = {abs(z):.3g} >= 1")
@@ -117,7 +117,7 @@ def regularized_2f1(a, b, c, z, *, max_terms: int = 10_000):
             break
         if terminating and _is_nonpositive_int(b) and k >= -round(complex(b).real):
             break
-        if k - k0 >= max_terms:
+        if k - k0 >= 10_000:
             raise PrecisionError("regularized 2F1 did not converge")
         term = term * (a + k) * (b + k) * z / ((k + 1) * (c + k))
         total = total + term

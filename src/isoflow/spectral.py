@@ -5,7 +5,7 @@ of the spectrum along a flow, and the flat-case Fourier identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,14 +66,10 @@ def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
 
 
 def rep_labels(rep: RepresentationSpec) -> dict:
-    """The labels of ``rep`` that ``parameter_map`` takes (j, k, h, rho, eps)."""
-    out = {}
-    for name in ("j", "k", "h", "rho"):
-        if hasattr(rep, name):
-            out[name] = getattr(rep, name)
-    if hasattr(rep, "eps_rep"):
-        out["eps"] = rep.eps_rep
-    return out
+    """The labels of ``rep`` that ``parameter_map`` takes (j, k, h, rho, eps):
+    its fields other than the window bounds."""
+    return {f.name: getattr(rep, f.name) for f in fields(rep)
+            if f.name not in ("n_min", "n_max")}
 
 
 def eigenfunction(family: FamilyTag, params, smap: SpectralMap,

@@ -1,5 +1,6 @@
 """Command-line entry points: config validation, report rows, CSV formats,
 exit codes, and determinism of the verification suite."""
+import dataclasses
 import filecmp
 import gc
 import json
@@ -9,9 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from isoflow import (ChainState, GammaTable, build_L, chain_spectrum, check_result,
+from isoflow import (E2, SU2, ChainState, DiscreteSeriesPlus, GammaTable, Oscillator,
+                     PrincipalSeries, build_L, chain_spectrum, check_result,
                      config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
 from isoflow.cli import _finish, main
+from isoflow.spectral import rep_labels
 from isoflow.verify import GROUPS, run_verify
 
 RUN_CFG = {
@@ -472,6 +475,27 @@ def test_spectrum_csv_holds_the_compared_eigenvalues(tmp_path, capsys, algebra,
         L = build_L(window, alg, r, s)
         err = np.abs(row - eigs_sym_tridiag(L).eigenvalues).max()
         assert err <= scaled_tolerance(64 * np.finfo(float).eps, L)
+
+
+@pytest.mark.parametrize("kind, rep, labels", [
+    ("su2", SU2(6.0), {"j": 6.0}),
+    ("discrete_series", DiscreteSeriesPlus(1.0, 40), {"k": 1.0}),
+    ("principal_series", PrincipalSeries(0.7, 0.3, -25, 25), {"rho": 0.7, "eps": 0.3}),
+    ("oscillator", Oscillator(0.5, 1.0, 40), {"k": 0.5, "h": 1.0}),
+    ("e2", E2(2.0, -40, 40), {"k": 2.0}),
+])
+def test_representation_keys_are_the_dataclass_fields(kind, rep, labels):
+    block = {"type": kind, **{f.name: getattr(rep, f.name)
+                              for f in dataclasses.fields(rep)}}
+    built = cfgmod.build_representation(json.loads(json.dumps(block)))
+    assert type(built) is type(rep) and built == rep
+    assert rep_labels(built) == labels
+
+
+def test_principal_series_range_error_names_the_eps_key():
+    with pytest.raises(cfgmod.ConfigError, match=r"eps must lie in \[0,1\), got 1.2"):
+        cfgmod.build_representation({"type": "principal_series", "rho": 0.7,
+                                     "eps": 1.2, "n_min": -5, "n_max": 5})
 
 
 @pytest.mark.parametrize("s, r", [

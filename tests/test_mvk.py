@@ -33,6 +33,20 @@ def test_index_helpers():
     assert unit_index(3, 1) == (0, 1, 0)
 
 
+def test_mvk_table_evaluates_the_eigenvector_polynomials_once(monkeypatch):
+    import isoflow.chain as chain
+    import isoflow.mvk as mvk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eigen_polys(*args)
+    for module in (chain, mvk):
+        monkeypatch.setattr(module, "eigen_polys", counted)
+    mvk_table(STATE_D2, 2)
+    assert len(calls) == 1
+
+
 def test_single_cell_degree_two_by_hand():
     # one cell, s=4, r=3: ascending spectrum (-5, 5), p_1(lam) = (lam-4)/3
     table = mvk_table(ChainState(0.0, (4.0,), (3.0,)), 2)
