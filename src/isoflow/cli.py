@@ -34,14 +34,13 @@ from .flows import (IntegrationBlowupError, check_modification,
                     check_sign_conditions, g_at, integrate, modification_report,
                     write_trajectory_csv)
 from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
-from .operators import TridiagonalOperator
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_columns_csv, write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
                               check_compatible, lax_residual, lax_rows)
 from .spectral import (compared_eigenvalues, isospectrality_drift,
                        path_eigenvalues, recurrence_residual, rep_labels,
-                       residual_grid, scaled_tolerance)
+                       scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 _FAMILY_NAMES = {tag.value: tag for tag in FamilyTag}
@@ -117,15 +116,6 @@ def _spectral_points(family: FamilyTag, count: int) -> np.ndarray:
     if family is FamilyTag.BESSEL:
         return np.arange(count, dtype=float) - count // 2
     return np.linspace(-4.0, 4.0, count)  # Meixner-Pollaczek, Hermite, Meixner functions
-
-
-def _check_rows(op: TridiagonalOperator, limit: int = 24) -> list[int]:
-    """The interior rows of the window, the first and last ``limit // 2``
-    of them when there are more than ``limit``."""
-    rows = list(op.interior_rows())
-    if len(rows) > limit:
-        rows = rows[: limit // 2] + rows[-limit // 2:]
-    return rows
 
 
 def _need_rep(ccfg, rep) -> None:
@@ -211,11 +201,11 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
         count = params.N + 1
         capped = f"; points capped at the {count} lattice points"
     op = initial_L()
-    rows, points = residual_grid(_check_rows(op), _spectral_points(family, count))
+    lax_rows(op)
+    points = _spectral_points(family, count)
 
     def row(**_):
-        worst = recurrence_residual(family, rep, alg, state0.r, state0.s, rows, points,
-                                    L=op)
+        worst = recurrence_residual(family, rep, alg, state0.r, state0.s, points, L=op)
         note = f"family={family.value}; tolerance scaled by 1+|L|_inf{capped}"
         if not math.isfinite(worst):
             note += "; residual non-finite because the closed-form components overflowed"

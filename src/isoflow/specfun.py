@@ -10,7 +10,6 @@ exactly the case needed to evaluate bilateral families on an integer lattice.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -190,6 +189,4 @@ def bessel_j(n, z: float):
             even_sum *= 1e-250
     norm = j_k + 2.0 * even_sum  # j_k is now the order-0 value
     vals = sign * j[np.abs(orders)] / norm
-    if (vals == 0.0).any():
-        warnings.warn(f"bessel_j({n}, {z:g}) underflowed to zero", RuntimeWarning)
     return float(vals) if vals.ndim == 0 else vals

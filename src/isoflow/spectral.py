@@ -16,7 +16,7 @@ from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .report import spectrum_drift
 from .representations import (E2, ConfigurationError, RepresentationSpec,
-                              build_L, lax_entries)
+                              build_L, lax_entries, lax_rows)
 from .specfun import bessel_j, eigh_tridiagonal
 
 
@@ -92,23 +92,14 @@ def eigenfunction(family: FamilyTag, params, smap: SpectralMap,
     return (sign ** n).reshape(n.shape + (1,) * np.ndim(x)) * eval_rec(fam, params, n, x)
 
 
-def residual_grid(rows, points) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and ``points`` as the integer and float arrays
-    ``recurrence_residual`` evaluates over.  Raises ConfigurationError
-    unless there is at least one of each."""
-    rows, points = np.asarray(rows, dtype=int), np.asarray(points, dtype=float)
-    if rows.size == 0 or points.size == 0:
-        raise ConfigurationError("residual needs at least one row and one point")
-    return rows, points
-
-
 def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
-                        alg: AlgebraSpec, r: float, s: float, rows,
-                        points, *, L: TridiagonalOperator | None = None) -> float:
-    """Worst absolute residual of L psi = Lambda psi over the ``rows``
-    (0-based within the realized window) and the spectral ``points`` (in the
-    family's own variable x, Lambda = smap.eigenvalue(x)), with the family's
-    closed-form eigenfunction.  NaN when any row evaluates to NaN.
+                        alg: AlgebraSpec, r: float, s: float, points, *,
+                        L: TridiagonalOperator | None = None) -> float:
+    """Worst absolute residual of L psi = Lambda psi over every interior row
+    of the window (``lax_rows``, the rows of ``lax_residual``) and the
+    spectral ``points`` (in the family's own variable x,
+    Lambda = smap.eigenvalue(x)), with the family's closed-form
+    eigenfunction.  NaN when any row evaluates to NaN.
 
     Each row is the plain |row sum|, analytically zero.  Note that the
     closed-form eigenfunctions are not unit vectors: their components grow
@@ -119,36 +110,32 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     such regimes should budget tolerance accordingly or pick a state whose
     weight is balanced over the window.
 
-    Rows touching an inexact (truncated) edge are rejected because the row
-    identity genuinely fails there.  ``L`` is ``build_L(rep, alg, r, s)``
-    when the caller has built it.
+    Raises ConfigurationError when the window has no interior row or there
+    is no point.  ``L`` is ``build_L(rep, alg, r, s)`` when the caller has
+    built it.
     """
     fam = FamilyTag(family)
     if L is None:
         L = build_L(rep, alg, r, s)
-    size = L.size
-    rows, points = residual_grid(rows, points)
-    bad = rows[(rows < 0) | (rows >= size)]
-    if bad.size:
-        raise ConfigurationError(f"row {bad[0]} outside window of size {size}")
+    rows = np.asarray(lax_rows(L))
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        raise ConfigurationError("residual needs at least one point")
     params, smap = parameter_map(fam, alg, r, s, **rep_labels(rep))
-    if not L.lo_exact and (rows == 0).any():
-        raise ConfigurationError("row touches the truncated lower edge")
-    if not L.hi_exact and (rows == size - 1).any():
-        raise ConfigurationError("row touches the truncated upper edge")
 
-    # psi[k, i] is psi_{rows[i] + k - 1}, each distinct component evaluated
-    # once; past an exact edge the padded off is zero and multiplies the
-    # row's own component (clipped), so a non-finite one keeps the row so
+    # psi[k, i] is psi_{rows[i] + k - 1}, from one evaluation of the
+    # contiguous components the rows reach; past an exact edge the padded
+    # off is zero and multiplies the row's own component (clipped), so a
+    # non-finite one keeps the row so
     lam = smap.eigenvalue(points)
-    near = np.clip(rows + np.arange(-1, 2)[:, None], 0, size - 1)
-    comps, at = np.unique(near, return_inverse=True)
+    near = np.clip(rows + np.arange(-1, 2)[:, None], 0, L.size - 1)
+    first = near[0, 0]
     off = np.concatenate(([0.0], L.off, [0.0]))  # off[n] couples rows n - 1 and n
     # components that overflow make the residual non-finite, which the
     # caller reports; numpy's warnings would only repeat that on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = eigenfunction(fam, params, smap, alg, r, L.base_index + comps,
-                            lam)[at.reshape(near.shape)]
+        comps = L.base_index + np.arange(first, near[-1, -1] + 1)
+        psi = eigenfunction(fam, params, smap, alg, r, comps, lam)[near - first]
         acc = (L.diag[rows][:, None] - lam) * psi[1]
         acc += off[rows][:, None] * psi[0]
         acc += off[rows + 1][:, None] * psi[2]

@@ -296,6 +296,24 @@ def test_nan_diagonalization_rows_fail(tmp_path, capsys):
     assert "non-finite because the closed-form components overflowed" in out
 
 
+def test_wide_e2_diagonalization_passes_under_warnings_as_errors(tmp_path, capsys):
+    # on -250..250 the Bessel components of the window's large orders
+    # underflow to 0, their correctly rounded value: no warning, and the
+    # row reads every interior row and passes
+    cfg = {"algebra": {"class": "e2", "c": 1},
+           "representation": {"type": "e2", "k": 2, "n_min": -250, "n_max": 250},
+           "flow": {"r0": 0.8, "s0": 0.6, "dt": 1e-3, "t_end": 0.1,
+                    "record_every": 10, "policy": {"type": "toda"}},
+           "checks": [{"name": "diagonalization", "tolerance": 1e-11,
+                       "family": "bessel"}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 0
+    value, _, ok = _report_rows(tmp_path)["diagonalization"]
+    assert ok == "true" and value > 0.0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["chain", "mvk"])
 def test_overflowing_eigenvector_polynomials_fail_with_a_note(tmp_path, capsys, command):
     # with r_i = 1e-150 the polynomials overflow (p_3 ~ 1/r^3): the rows
@@ -390,8 +408,7 @@ def test_bad_run_configs_exit_2(tmp_path, capsys, mangle):
 @pytest.mark.parametrize("check, err", [
     ({"name": "lax_residual", "tolerance": 1e-12}, "no interior rows"),
     ({"name": "diagonalization", "tolerance": 1e-11,
-      "family": "meixner_pollaczek"},
-     "at least one row and one point"),
+      "family": "meixner_pollaczek"}, "no interior rows"),
 ])
 def test_window_without_interior_rows_exits_2_before_writing(tmp_path, capsys,
                                                              check, err):

@@ -1,5 +1,7 @@
 """Spectral decomposition, closed-form eigenfunction row residuals, and
 isospectrality along flows."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      oscillator, parameter_map, path_eigenvalues,
                      recurrence_residual, su2, su11)
 from isoflow import spectral
-from isoflow.cli import _check_rows, _spectral_points
+from isoflow.cli import _spectral_points
 from isoflow.specfun import bessel_j
 
 F = FamilyTag
@@ -43,21 +45,33 @@ def reference_row_residual(family, params, smap, rep, alg, r, s, n, lam):
     return abs(acc)
 
 
-def reference_residuals(family, rep, alg, r, s, labels, points, rows):
-    """Every row residual at every point, from the scalar reference."""
+def reference_residuals(family, rep, alg, r, s, labels, points):
+    """Every interior row's residual at every point, from the scalar
+    reference."""
     params, smap = parameter_map(family, alg, r, s, **labels)
     return [reference_row_residual(family, params, smap, rep, alg, r, s, n,
                                    smap.eigenvalue(x))
-            for x in points for n in rows]
+            for x in points for n in build_L(rep, alg, r, s).interior_rows()]
 
 
-def reference_worst(*args):
+def reference_worst(residuals):
     """The reference's worst row: Python's max, which skips a NaN that
     follows a number."""
     worst = 0.0
-    for res in reference_residuals(*args):
+    for res in residuals:
         worst = max(worst, res)
     return worst
+
+
+def assert_matches_reference(family, got, want):
+    """The batched residual equals the scalar reference bitwise, except for
+    Bessel: the batch takes every order from one backward recurrence,
+    started above the largest order, and the reference each order from its
+    own, so the components agree to rounding, not bitwise."""
+    if family is F.BESSEL:
+        assert got == pytest.approx(want, abs=1e-15)
+    else:
+        assert got == want
 
 
 def test_two_by_two_decomposition():
@@ -90,85 +104,96 @@ def test_spectral_map_roundtrip():
 
 
 CASES = [
-    # family, rep, alg, r, s, labels, spectral lattice points, rows
+    # family, rep, alg, r, s, labels, spectral lattice points
     (F.KRAWTCHOUK, SU2(6.0), su2(), 1.0, 0.2, {"j": 6.0},
-     [float(x) for x in range(10)], range(13)),
+     [float(x) for x in range(10)]),
     (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025, {"k": 1.0},
-     [float(x) for x in range(12)], range(25)),
+     [float(x) for x in range(12)]),
     (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, {"k": 2.0},
-     [float(x) for x in range(-6, 7)], range(30, 51)),
+     [float(x) for x in range(-6, 7)]),
 ]
 
 
-@pytest.mark.parametrize("family,rep,alg,r,s,labels,points,rows", CASES)
-def test_recurrence_residual_rows(family, rep, alg, r, s, labels, points, rows):
+@pytest.mark.parametrize("family,rep,alg,r,s,labels,points", CASES)
+def test_recurrence_residual_rows(family, rep, alg, r, s, labels, points):
     L = build_L(rep, alg, r, s)
     tol = 1e-11 * (1.0 + L.inf_norm())
-    worst = recurrence_residual(family, rep, alg, r, s, rows, points)
+    worst = recurrence_residual(family, rep, alg, r, s, points)
     assert worst <= tol
-    assert worst == reference_worst(family, rep, alg, r, s, labels, points, rows)
+    assert_matches_reference(family, worst,
+                             reference_worst(reference_residuals(
+                                 family, rep, alg, r, s, labels, points)))
 
 
-def _capped_su2(j, s=0.2):
-    """The su2 window j at (r, s) = (1, s) with the rows and points that
+def _cli_su2(j, s=0.2):
+    """The su2 window j at (r, s) = (1, s) with the points that
     ``isoflow run``'s diagonalization check picks (10 points)."""
-    rep = SU2(j)
-    return (F.KRAWTCHOUK, rep, su2(), 1.0, s, {"j": j},
-            _spectral_points(F.KRAWTCHOUK, 10),
-            _check_rows(build_L(rep, su2(), 1.0, s)))
+    return (F.KRAWTCHOUK, SU2(j), su2(), 1.0, s, {"j": j},
+            _spectral_points(F.KRAWTCHOUK, 10))
 
 
 BIT_CASES = {
     # the seven families of isoflow verify's diagonalization group
     "krawtchouk": (F.KRAWTCHOUK, SU2(10.0), su2(), 1.0, 0.0, {"j": 10.0},
-                   range(20), range(21)),
+                   range(20)),
     "meixner": (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025,
-                {"k": 1.0}, range(20), range(31)),
+                {"k": 1.0}, range(20)),
     "laguerre": (F.LAGUERRE, DiscreteSeriesPlus(0.8, 50), su11(), 1.3, 1.3,
-                 {"k": 0.8}, np.linspace(0.3, 12.0, 20), range(26)),
+                 {"k": 0.8}, np.linspace(0.3, 12.0, 20)),
     "meixner_pollaczek": (F.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 50),
                           su11(), 2.0, 1.0, {"k": 1.2},
-                          np.linspace(-4.0, 4.0, 20), range(26)),
+                          np.linspace(-4.0, 4.0, 20)),
     "charlier": (F.CHARLIER, Oscillator(0.5, 1.0, 60), oscillator(1.0), 6.0,
-                 0.5, {"k": 0.5, "h": 1.0}, range(20), range(31)),
+                 0.5, {"k": 0.5, "h": 1.0}, range(20)),
     "hermite": (F.HERMITE, Oscillator(0.5, 2.0, 60), oscillator(0.0), 1.1, 0.7,
-                {"k": 0.5, "h": 2.0}, np.linspace(-5.0, 5.0, 20), range(31)),
+                {"k": 0.5, "h": 2.0}, np.linspace(-5.0, 5.0, 20)),
     "bessel": (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, {"k": 2.0},
-               range(-9, 11), range(30, 51)),
-    # a bilateral window, its truncated edges left out
+               range(-9, 11)),
+    # a bilateral window: both edges truncated
     "meixner_function": (F.MEIXNER_FUNCTION, PrincipalSeries(0.7, 0.3, -25, 25),
                          su11(), 1.0, 1.2, {"rho": 0.7, "eps": 0.3},
-                         np.linspace(-4.0, 4.0, 10), range(2, 49)),
+                         np.linspace(-4.0, 4.0, 10)),
     # tilted su2 windows, where the absolute residual is large
-    "su2_j10": _capped_su2(10.0),
-    "su2_j30": _capped_su2(30.0),
-    "su2_j60": _capped_su2(60.0),
+    "su2_j10": _cli_su2(10.0),
+    "su2_j30": _cli_su2(30.0),
+    "su2_j60": _cli_su2(60.0),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_batched_residual_matches_scalar_reference(case):
-    family, rep, alg, r, s, labels, points, rows = BIT_CASES[case]
-    got = recurrence_residual(family, rep, alg, r, s, rows, points)
-    want = reference_worst(family, rep, alg, r, s, labels, points, rows)
-    if family is F.BESSEL:
-        # the batch takes every order from one backward recurrence, started
-        # above the largest order, and the reference each order from its
-        # own: the components agree to rounding, not bitwise
-        assert got == pytest.approx(want, abs=1e-15)
-    else:
-        assert got == want
+    family, rep, alg, r, s, labels, points = BIT_CASES[case]
+    assert_matches_reference(family, recurrence_residual(family, rep, alg, r, s, points),
+                             reference_worst(reference_residuals(
+                                 family, rep, alg, r, s, labels, points)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_residual_reports_nan_rows():
-    # on the wide tilted su2 window the closed-form components overflow
-    # and some rows are inf - inf; the scalar loop's max skipped them
-    family, rep, alg, r, s, labels, points, rows = _capped_su2(400.0, 0.9)
-    per_row = reference_residuals(family, rep, alg, r, s, labels, points, rows)
-    assert np.isnan(per_row).sum() == 101
-    assert np.isfinite(reference_worst(family, rep, alg, r, s, labels, points, rows))
-    assert np.isnan(recurrence_residual(family, rep, alg, r, s, rows, points))
+    # on the wide tilted su2 window the closed-form components overflow:
+    # 884 of the 8,010 rows are inf - inf and others inf; the scalar loop's
+    # max skipped the NaNs
+    family, rep, alg, r, s, labels, points = _cli_su2(400.0, 0.9)
+    per_row = reference_residuals(family, rep, alg, r, s, labels, points)
+    assert np.isnan(per_row).sum() == 884
+    assert np.isinf(reference_worst(per_row))
+    assert np.isnan(recurrence_residual(family, rep, alg, r, s, points))
+
+
+def test_residual_fails_on_a_perturbed_bessel_argument(monkeypatch):
+    # a Bessel argument wrong by a relative 1e-6 shows where the eigenvectors
+    # live, in the middle of the window, which every interior row reaches
+    rep, alg, r, s = E2(2.0, -40, 40), e2(1.0), 1.3, 0.4
+    L = build_L(rep, alg, r, s)
+    honest = spectral.parameter_map
+
+    def perturbed(*args, **kwargs):
+        params, smap = honest(*args, **kwargs)
+        return dataclasses.replace(params, z=params.z * (1.0 + 1e-6)), smap
+    monkeypatch.setattr(spectral, "parameter_map", perturbed)
+    worst = recurrence_residual(F.BESSEL, rep, alg, r, s,
+                                _spectral_points(F.BESSEL, 10), L=L)
+    assert worst > 1e3 * spectral.scaled_tolerance(1e-11, L)
 
 
 def test_truncated_window_lowest_eigenvalues():
@@ -200,24 +225,16 @@ def test_residual_rejects_bad_rows():
     alg = su11()
     rep = DiscreteSeriesPlus(1.0, 40)
     points = [0.0, 3.0]
-    # the truncated upper edge, and a row past the window
-    with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [0, 20, 40], points)
-    with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [39, 41], points)
-    # doubly truncated window rejects the bottom row as well
-    rep2 = PrincipalSeries(0.7, 0.3, -25, 25)
-    with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER_FUNCTION, rep2, su11(), 1.0, 1.2,
-                            [10, 0], [1.0])
-    # no rows or no points would be a vacuous pass
-    with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [], points)
-    with pytest.raises(ConfigurationError):
-        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [3], [])
+    # no interior row (the one-row window's upper edge is truncated) or no
+    # point would be a vacuous pass
+    with pytest.raises(ConfigurationError, match="no interior rows"):
+        recurrence_residual(F.MEIXNER, DiscreteSeriesPlus(1.0, 0), alg, 1.0,
+                            1.025, points)
+    with pytest.raises(ConfigurationError, match="at least one point"):
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 1.025, [])
     # a state outside the family's regime
     with pytest.raises(ParameterError):
-        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 0.5, [3], points)
+        recurrence_residual(F.MEIXNER, rep, alg, 1.0, 0.5, points)
 
 
 EIGENFUNCTION_CASES = [
