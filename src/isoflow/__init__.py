@@ -15,11 +15,11 @@ from .chain import (ChainState, ChainTrajectory,
                     christoffel_weights, eigen_polys,
                     integrate_chain, pn_time_derivative_check, spectrum_sum,
                     trace_flow_drift, trace_invariants)
-from .families import (BesselParams, CharlierParams, FamilyTag,
-                       HermiteParams, KrawtchoukParams, LaguerreParams,
-                       MeixnerFunctionParams, MeixnerParams,
-                       MeixnerPollaczekParams, POLYNOMIAL_FAMILIES,
-                       SpectralMap, eval_hyper, eval_rec, meixner_function,
+from .families import (FAMILIES, BesselParams, CharlierParams, FamilyEntry,
+                       FamilyTag, HermiteParams, KrawtchoukParams,
+                       LaguerreParams, MeixnerFunctionParams, MeixnerParams,
+                       MeixnerPollaczekParams, SpectralMap, eval_hyper,
+                       eval_rec, meixner_function,
                        meixner_function_recurrence_residual, parameter_map,
                        weight)
 from .flows import (DegenerateRatioError, FlowState, GammaTable,

@@ -29,7 +29,7 @@ from .chain import (chain_isospectrality_drift, chain_path_eigenvalues,
                     christoffel_weights, integrate_chain, spectrum_sum,
                     trace_flow_drift, trace_invariants)
 from .config import ConfigError, load_config
-from .families import FamilyTag, parameter_map
+from .families import FAMILIES, FamilyTag, parameter_map
 from .flows import (IntegrationBlowupError, check_modification,
                     check_sign_conditions, g_at, integrate, modification_report,
                     write_trajectory_csv)
@@ -37,13 +37,10 @@ from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_columns_csv, write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
-                              check_compatible, lax_residual, lax_rows)
+                              check_compatible, lax_residual, lax_rows, rep_labels)
 from .spectral import (compared_eigenvalues, isospectrality_drift,
-                       path_eigenvalues, recurrence_residual, rep_labels,
-                       scaled_tolerance)
+                       path_eigenvalues, recurrence_residual, scaled_tolerance)
 from .verify import GROUPS, run_verify
-
-_FAMILY_NAMES = {tag.value: tag for tag in FamilyTag}
 
 # errors in the input: they exit 2 instead of becoming failed rows
 _INPUT_ERRORS = (ConfigError, ParameterError, ConfigurationError)
@@ -108,14 +105,8 @@ def _int_option(ccfg, key, default):
 
 
 def _spectral_points(family: FamilyTag, count: int) -> np.ndarray:
-    """Family-appropriate spectral sample points (in the family variable)."""
-    if family in (FamilyTag.KRAWTCHOUK, FamilyTag.MEIXNER, FamilyTag.CHARLIER):
-        return np.arange(count, dtype=float)
-    if family is FamilyTag.LAGUERRE:
-        return np.linspace(0.3, 9.0, count)
-    if family is FamilyTag.BESSEL:
-        return np.arange(count, dtype=float) - count // 2
-    return np.linspace(-4.0, 4.0, count)  # Meixner-Pollaczek, Hermite, Meixner functions
+    """The family's ``count`` spectral sample points, in its own variable."""
+    return FAMILIES[family].points(count)
 
 
 def _need_rep(ccfg, rep) -> None:
@@ -124,9 +115,9 @@ def _need_rep(ccfg, rep) -> None:
 
 
 def _family(ccfg) -> FamilyTag:
-    if ccfg.get("family") not in _FAMILY_NAMES:
+    if ccfg.get("family") not in FAMILIES:
         raise ConfigError(f"check '{ccfg['name']}' needs a known 'family' name")
-    return _FAMILY_NAMES[ccfg["family"]]
+    return FamilyTag(ccfg["family"])
 
 
 # Each entry of _RUN reads and validates its check's options from the inputs
@@ -193,15 +184,15 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     _need_rep(ccfg, rep)
     family = _family(ccfg)
     count = _int_option(ccfg, "points", 10)
-    params, _ = parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
-    capped = ""
-    # Krawtchouk points sample the finite lattice 0..N (N = 2j): past it the
-    # family variable is off the spectrum and the residual means nothing
-    if family is FamilyTag.KRAWTCHOUK and count > params.N + 1:
-        count = params.N + 1
-        capped = f"; points capped at the {count} lattice points"
+    parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
     op = initial_L()
     lax_rows(op)
+    capped = ""
+    # a window exact at both edges is the whole finite lattice: points past
+    # its size are off the spectrum and the residual there means nothing
+    if op.lo_exact and op.hi_exact and count > op.size:
+        count = op.size
+        capped = f"; points capped at the {count} lattice points"
     points = _spectral_points(family, count)
 
     def row(**_):

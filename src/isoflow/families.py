@@ -22,15 +22,18 @@ Lambda = slope * x + intercept together with the family parameters.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .representations import ParameterError
+from .representations import (_COMPAT, E2, SU2, DiscreteSeriesPlus, Oscillator,
+                              ParameterError, PrincipalSeries, label_names)
 from .specfun import PrecisionError, loggamma, regularized_2f1, three_term
 
 
@@ -45,10 +48,27 @@ class FamilyTag(str, Enum):
     BESSEL = "bessel"
 
 
-POLYNOMIAL_FAMILIES = (
-    FamilyTag.KRAWTCHOUK, FamilyTag.MEIXNER, FamilyTag.LAGUERRE,
-    FamilyTag.MEIXNER_POLLACZEK, FamilyTag.CHARLIER, FamilyTag.HERMITE,
-)
+class FamilyEntry(NamedTuple):
+    """A family's representation class and its ``isoflow run`` sample points."""
+    representation: type
+    points: Callable[[int], np.ndarray]
+
+
+_lattice = functools.partial(np.arange, dtype=float)
+_axis = functools.partial(np.linspace, -4.0, 4.0)
+
+# the classification: the family that diagonalizes L on each representation
+# (on the discrete series, the one of the state's regime)
+FAMILIES: dict[FamilyTag, FamilyEntry] = {
+    FamilyTag.KRAWTCHOUK: FamilyEntry(SU2, _lattice),
+    FamilyTag.MEIXNER: FamilyEntry(DiscreteSeriesPlus, _lattice),
+    FamilyTag.LAGUERRE: FamilyEntry(DiscreteSeriesPlus, functools.partial(np.linspace, 0.3, 9.0)),
+    FamilyTag.MEIXNER_POLLACZEK: FamilyEntry(DiscreteSeriesPlus, _axis),
+    FamilyTag.CHARLIER: FamilyEntry(Oscillator, _lattice),
+    FamilyTag.HERMITE: FamilyEntry(Oscillator, _axis),
+    FamilyTag.MEIXNER_FUNCTION: FamilyEntry(PrincipalSeries, _axis),
+    FamilyTag.BESSEL: FamilyEntry(E2, lambda count: _lattice(count) - count // 2),
+}
 
 
 # --------------------------------------------------------------------------
@@ -344,9 +364,7 @@ def weight(family: FamilyTag, params, x) -> float:
         rho, eps, c = params.rho, params.eps, params.c
         lg = complex(loggamma(complex(x + eps + 0.5, rho)))
         return math.exp(-x * math.log(c) - 2.0 * lg.real)
-    if fam is FamilyTag.BESSEL:
-        return 1.0
-    raise ParameterError(f"unknown family {family!r}")
+    return 1.0  # Bessel
 
 
 # --------------------------------------------------------------------------
@@ -424,36 +442,31 @@ class SpectralMap:
 
 
 def check_regime(fam: FamilyTag, alg: AlgebraSpec, r: float, s: float) -> None:
-    """Raise ParameterError unless the family matches the algebra class and
-    the sign regime of (r, s) (e.g. a negative-binomial lattice needs
-    s + c > |r| while the hyperbolic axis needs |s + c| < r)."""
+    """Raise ParameterError unless ``alg`` is the algebra of the family's
+    representation (``FAMILIES``) and (r, s) lies in its sign regime (e.g. a
+    negative-binomial lattice needs s + c > |r|, the hyperbolic axis |s + c| < r)."""
+    kind = FAMILIES[fam].representation
+    _need((alg.a, alg.b, alg.epsilon) == _COMPAT[kind],
+          f"family {fam.value} diagonalizes L on {kind.__name__}, which requires "
+          f"(a, b, epsilon) = {_COMPAT[kind]}, got ({alg.a}, {alg.b}, {alg.epsilon})")
     se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
 
     if fam is FamilyTag.KRAWTCHOUK:
-        _need(alg.clas == "su2", f"family {fam.value} needs the compact class")
         _need(math.hypot(se, r) > 0, "zero operator has no spectral map")
-    elif fam in (FamilyTag.MEIXNER, FamilyTag.LAGUERRE, FamilyTag.MEIXNER_POLLACZEK,
-                 FamilyTag.MEIXNER_FUNCTION):
-        _need(alg.clas == "su11", f"family {fam.value} needs the non-compact class")
-        if fam is FamilyTag.MEIXNER:
-            _need(r > 0 and se > r, "negative-binomial case needs s + c > r > 0")
-        elif fam is FamilyTag.LAGUERRE:
-            _need(r > 0 and math.isclose(se, r, rel_tol=1e-12),
-                  "gamma case needs s + c = r > 0")
-        elif fam is FamilyTag.MEIXNER_POLLACZEK:
-            _need(r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r")
-        else:
-            _need(r > 0 and se > r, "bilateral case needs s + c > r > 0")
+    elif fam in (FamilyTag.MEIXNER, FamilyTag.MEIXNER_FUNCTION):
+        _need(r > 0 and se > r, f"family {fam.value} needs s + c > r > 0")
+    elif fam is FamilyTag.LAGUERRE:
+        _need(r > 0 and math.isclose(se, r, rel_tol=1e-12),
+              "gamma case needs s + c = r > 0")
+    elif fam is FamilyTag.MEIXNER_POLLACZEK:
+        _need(r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r")
     elif fam is FamilyTag.CHARLIER:
-        _need(alg.clas == "oscillator", f"family {fam.value} needs the oscillator class")
         _need(alg.c_param != 0.0, "Poisson case needs c != 0")
         _need(r != 0.0, "Poisson case needs r != 0")
     elif fam is FamilyTag.HERMITE:
-        _need(alg.clas == "oscillator", f"family {fam.value} needs the oscillator class")
         _need(alg.c_param == 0.0, "Gaussian case needs c = 0")
         _need(r > 0, "Gaussian case needs r > 0")
     else:
-        _need(alg.clas == "e2", f"family {fam.value} needs the flat class")
         _need(alg.c_param != 0.0, "flat spectral map needs c != 0")
 
 
@@ -465,54 +478,51 @@ def parameter_map(family: FamilyTag, alg: AlgebraSpec, r: float, s: float, *,
     parameters and the spectral change of variable.
 
     Raises ParameterError when the requested family does not match the
-    algebra class or the sign regime of (r, s) (``check_regime``), or a
-    representation label it needs is missing.
+    algebra or the sign regime of (r, s) (``check_regime``), or a label of
+    its representation (``representations.label_names``) is missing.
     """
     fam = FamilyTag(family)
     check_regime(fam, alg, r, s)
+    kind = FAMILIES[fam].representation
+    given = {"j": j, "k": k, "h": h, "rho": rho, "eps": eps}
+    missing = [name for name in label_names(kind) if given[name] is None]
+    _need(not missing, f"family {fam.value} diagonalizes L on {kind.__name__}: "
+                       f"label{'s' * (len(missing) > 1)} {', '.join(missing)} required")
     se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
 
     if fam is FamilyTag.KRAWTCHOUK:
-        _need(j is not None, "label j required")
         C = math.hypot(se, r)
         p = 0.5 + se / (2.0 * C)
         return KrawtchoukParams(p, int(round(2 * j))), SpectralMap(-2.0 * C, 2.0 * C * j)
 
     if fam is FamilyTag.MEIXNER:
-        _need(k is not None, "label k required")
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
         return MeixnerParams(2.0 * k, c), SpectralMap(2.0 * C, 2.0 * C * k)
 
     if fam is FamilyTag.LAGUERRE:
-        _need(k is not None, "label k required")
         return LaguerreParams(2.0 * k - 1.0, r), SpectralMap(1.0, 0.0)
 
     if fam is FamilyTag.MEIXNER_POLLACZEK:
-        _need(k is not None, "label k required")
         C = math.sqrt(r * r - se * se)
         phi = math.acos(-se / r)
         return MeixnerPollaczekParams(k, phi), SpectralMap(2.0 * C, 0.0)
 
     if fam is FamilyTag.MEIXNER_FUNCTION:
-        _need(rho is not None and eps is not None, "labels rho, eps required")
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
         return MeixnerFunctionParams(rho, eps, c), SpectralMap(2.0 * C, 2.0 * C * eps)
 
     if fam is FamilyTag.CHARLIER:
-        _need(k is not None and h is not None, "labels k, h required")
         cpar = alg.c_param
         a = h * r * r / (4.0 * cpar * cpar)
         big = r * r / (2.0 * cpar) + s
         return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * k - big * h)
 
     if fam is FamilyTag.HERMITE:
-        _need(k is not None and h is not None, "labels k, h required")
         return HermiteParams(-h * s, r * math.sqrt(2.0 * h)), SpectralMap(1.0, 0.0)
 
-    _need(k is not None, "label k required")  # Bessel
-    return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0)
+    return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0)  # Bessel
 
 
 def _need(cond: bool, msg: str) -> None:

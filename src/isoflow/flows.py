@@ -34,6 +34,7 @@ import numpy as np
 from .algebra import AlgebraSpec
 from .families import FamilyTag, check_regime
 from .report import relative_error, write_columns_csv
+from .representations import ParameterError
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -340,26 +341,22 @@ def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, g: GFun,
     return SignConditionReport(passed, sigma_req, sigma_given, initial_ok, min_r, min_s)
 
 
-_CLOSED_FORMS: dict[str, Callable[[float, float, float, float], float]] = {
-    # family -> F(r, s, se, C) with m(t) = A0 * F, se = a s + c the
-    # coefficient of the grading element (the regimes of check_regime)
-    "krawtchouk": lambda r, s, se, C: (C + se) / (C - se),
-    "meixner": lambda r, s, se, C: math.exp(-2.0 * math.acosh(se / r)),
-    "laguerre": lambda r, s, se, C: math.exp(-1.0 / r),
-    "meixner_pollaczek": lambda r, s, se, C: math.exp(2.0 * math.acos(se / r)),
-    "charlier": lambda r, s, se, C: r * r,
-    "hermite": lambda r, s, se, C: math.exp(s / r),
-}
-
-# K = g(t) predicted from the flow equations; None where the derivation in
-# circulation carries a sign inconsistency and only constancy is asserted.
-_K_EXPECTED: dict[str, Callable[[AlgebraSpec, Trajectory, float], float | None]] = {
-    "krawtchouk": lambda alg, tr, C: 4.0 * C,
-    "meixner": lambda alg, tr, C: -4.0 * C,
-    "laguerre": lambda alg, tr, C: None,
-    "meixner_pollaczek": lambda alg, tr, C: 4.0 * C,
-    "charlier": lambda alg, tr, C: -4.0 * alg.c_param,
-    "hermite": lambda alg, tr, C: 2.0 * float(tr.r[0]),
+# family -> (F, K): m(t) = A0 * F(r, s, se, C) with se = a s + c (the regimes
+# of check_regime), and K = g(t) from the flow equations, None where the
+# derivation in circulation has a sign inconsistency (constancy is checked alone)
+_MODIFICATIONS: dict[FamilyTag, tuple[Callable[..., float], Callable[..., float | None]]] = {
+    FamilyTag.KRAWTCHOUK: (lambda r, s, se, C: (C + se) / (C - se),
+                           lambda alg, tr, C: 4.0 * C),
+    FamilyTag.MEIXNER: (lambda r, s, se, C: math.exp(-2.0 * math.acosh(se / r)),
+                        lambda alg, tr, C: -4.0 * C),
+    FamilyTag.LAGUERRE: (lambda r, s, se, C: math.exp(-1.0 / r),
+                         lambda alg, tr, C: None),
+    FamilyTag.MEIXNER_POLLACZEK: (lambda r, s, se, C: math.exp(2.0 * math.acos(se / r)),
+                                  lambda alg, tr, C: 4.0 * C),
+    FamilyTag.CHARLIER: (lambda r, s, se, C: r * r,
+                         lambda alg, tr, C: -4.0 * alg.c_param),
+    FamilyTag.HERMITE: (lambda r, s, se, C: math.exp(s / r),
+                        lambda alg, tr, C: 2.0 * float(tr.r[0])),
 }
 
 
@@ -372,12 +369,13 @@ class ModificationReport:
 
 
 def check_modification(family: str, alg: AlgebraSpec, r: float, s: float) -> None:
-    """Raise KeyError for a family without a closed-form modification
-    factor, and ParameterError when the initial state (r, s) lies outside
-    the family's regime (``check_regime``)."""
-    if family not in _CLOSED_FORMS:
-        raise KeyError(f"no closed-form modification for family {family!r}")
-    check_regime(FamilyTag(family), alg, r, s)
+    """Raise ParameterError for a family without a closed-form modification
+    factor, or when the initial state (r, s) lies outside the family's
+    regime (``check_regime``)."""
+    fam = FamilyTag(family)
+    if fam not in _MODIFICATIONS:
+        raise ParameterError(f"no closed-form modification for family {fam.value!r}")
+    check_regime(fam, alg, r, s)
 
 
 def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> ModificationReport:
@@ -399,7 +397,7 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     # C^2 = |I + a c^2|: r^2 + se^2 on su(2), |se^2 - r^2| on su(1,1)
     i0 = invariant(alg, traj.state(0)) + alg.a * alg.c_param ** 2
     C = math.sqrt(abs(i0)) if abs(i0) > 0 else 0.0
-    f = _CLOSED_FORMS[family]
+    f, k_expected = _MODIFICATIONS[family]
     ln_m = np.array([math.log(f(r, s, alg.a * s + alg.c_param, C))
                      for r, s in zip(traj.r, traj.s)])
     dt = np.diff(traj.t)
@@ -419,8 +417,7 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     m_int = np.exp(k_emp * primitive)
     cf_err = float(np.abs(m_cf / m_int - 1.0).max())
 
-    k_exp = _K_EXPECTED[family](alg, traj, C)
-    return ModificationReport(k_emp, max_dev, cf_err, k_exp)
+    return ModificationReport(k_emp, max_dev, cf_err, k_expected(alg, traj, C))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -20,7 +20,7 @@ Displayed actions realized here:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,6 +154,16 @@ def check_compatible(rep: RepresentationSpec, alg: AlgebraSpec) -> None:
             f"{type(rep).__name__} requires (a, b, epsilon) = {(a, b, eps)}, "
             f"got ({alg.a}, {alg.b}, {alg.epsilon})"
         )
+
+
+def label_names(kind) -> tuple[str, ...]:
+    """The fields of a representation class (or spec) but its window bounds."""
+    return tuple(f.name for f in fields(kind) if f.name not in ("n_min", "n_max"))
+
+
+def rep_labels(rep: RepresentationSpec) -> dict:
+    """The labels of ``rep`` by name, as ``families.parameter_map`` takes them."""
+    return {name: getattr(rep, name) for name in label_names(rep)}
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ of the spectrum along a flow, and the flat-case Fourier identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .report import spectrum_drift
 from .representations import (E2, ConfigurationError, RepresentationSpec,
-                              build_L, lax_entries, lax_rows)
+                              build_L, lax_entries, lax_rows, rep_labels)
 from .specfun import bessel_j, eigh_tridiagonal
 
 
@@ -63,13 +63,6 @@ def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
 
 # --------------------------------------------------------------------------
 # closed-form eigenfunctions per family
-
-
-def rep_labels(rep: RepresentationSpec) -> dict:
-    """The labels of ``rep`` that ``parameter_map`` takes (j, k, h, rho, eps):
-    its fields other than the window bounds."""
-    return {f.name: getattr(rep, f.name) for f in fields(rep)
-            if f.name not in ("n_min", "n_max")}
 
 
 def eigenfunction(family: FamilyTag, params, smap: SpectralMap,

@@ -107,10 +107,11 @@ def _grp_closed_form(rng) -> list[CheckResult]:
 def _grp_diagonalization(rng) -> list[CheckResult]:
     out = []
 
-    def run_family(tag, fam, rep, alg, r, s, points):
+    def run_family(fam, rep, alg, r, s, points):
         L = build_L(rep, alg, r, s)
         worst = recurrence_residual(fam, rep, alg, r, s, points, L=L)
-        out.append(check_result(f"diag_residual_{tag}", worst, scaled_tolerance(1e-11, L)))
+        out.append(check_result(f"diag_residual_{fam.value}", worst,
+                                scaled_tolerance(1e-11, L)))
         return L
 
     # compact class: finite lattice, exact spectrum.  s = 0 keeps the
@@ -120,26 +121,23 @@ def _grp_diagonalization(rng) -> list[CheckResult]:
     rep = SU2(10.0)
     alg = su2()
     r, s = 1.0, 0.0
-    L = run_family("krawtchouk", FamilyTag.KRAWTCHOUK, rep, alg, r, s, range(20))
+    L = run_family(FamilyTag.KRAWTCHOUK, rep, alg, r, s, range(20))
     dec = eigs_sym_tridiag(L)
     _, smap = parameter_map(FamilyTag.KRAWTCHOUK, alg, r, s, j=rep.j)
     expected = np.sort(smap.eigenvalue(np.arange(21)))
     out.append(check_result("su2_spectrum_match",
                             float(np.abs(dec.eigenvalues - expected).max()), 1e-10))
 
-    run_family("meixner", FamilyTag.MEIXNER, DiscreteSeriesPlus(1.0, 60),
-               su11(), 1.0, 1.025, range(20))
-    run_family("laguerre", FamilyTag.LAGUERRE, DiscreteSeriesPlus(0.8, 50),
-               su11(), 1.3, 1.3, np.linspace(0.3, 12.0, 20))
-    run_family("meixner_pollaczek", FamilyTag.MEIXNER_POLLACZEK,
-               DiscreteSeriesPlus(1.2, 50), su11(), 2.0, 1.0,
+    run_family(FamilyTag.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025, range(20))
+    run_family(FamilyTag.LAGUERRE, DiscreteSeriesPlus(0.8, 50), su11(), 1.3, 1.3,
+               np.linspace(0.3, 12.0, 20))
+    run_family(FamilyTag.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 50), su11(), 2.0, 1.0,
                np.linspace(-4.0, 4.0, 20))
-    run_family("charlier", FamilyTag.CHARLIER, Oscillator(0.5, 1.0, 60),
-               oscillator(1.0), 6.0, 0.5, range(20))
-    run_family("hermite", FamilyTag.HERMITE, Oscillator(0.5, 2.0, 60),
-               oscillator(0.0), 1.1, 0.7, np.linspace(-5.0, 5.0, 20))
-    run_family("bessel", FamilyTag.BESSEL, E2(2.0, -40, 40), e2(1.0),
-               1.3, 0.4, range(-9, 11))
+    run_family(FamilyTag.CHARLIER, Oscillator(0.5, 1.0, 60), oscillator(1.0), 6.0, 0.5,
+               range(20))
+    run_family(FamilyTag.HERMITE, Oscillator(0.5, 2.0, 60), oscillator(0.0), 1.1, 0.7,
+               np.linspace(-5.0, 5.0, 20))
+    run_family(FamilyTag.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, range(-9, 11))
 
     out.append(check_result("flat_fourier_identity", degenerate_e2_check(2.0, 1.3), 1e-13))
     return out

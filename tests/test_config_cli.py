@@ -274,6 +274,38 @@ def test_family_outside_its_regime_exits_2(tmp_path, capsys):
     assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 0
 
 
+@pytest.mark.parametrize("family, rep, needed", [
+    ("meixner", {"type": "principal_series", "rho": 0.7, "eps": 0.3,
+                 "n_min": -25, "n_max": 25}, "DiscreteSeriesPlus"),
+    ("meixner_function", {"type": "discrete_series", "k": 1.0, "n_max": 40},
+     "PrincipalSeries"),
+])
+def test_family_on_another_representation_names_its_own(tmp_path, capsys, family,
+                                                         rep, needed):
+    """Both windows are su(1,1) ones and the state lies in both families'
+    regime: the error names the representation the family diagonalizes."""
+    cfg = {"algebra": {"class": "su11"}, "representation": rep,
+           "flow": {"r0": 0.8, "s0": 1.2, "dt": 1e-3, "t_end": 0.1,
+                    "policy": {"type": "toda"}},
+           "checks": [{"name": "diagonalization", "tolerance": 1e-11, "family": family}]}
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 2
+    assert needed in capsys.readouterr().err
+    assert list(tmp_path.glob("out/**/*")) == []  # nothing written
+
+
+def test_family_without_a_closed_form_modification_exits_2(tmp_path, capsys):
+    cfg = {"algebra": {"class": "e2", "c": 1},
+           "representation": {"type": "e2", "k": 2, "n_min": -40, "n_max": 40},
+           "flow": {"r0": 0.8, "s0": 0.6, "dt": 1e-3, "t_end": 0.1,
+                    "policy": {"type": "toda"}},
+           "checks": [{"name": "modification", "tolerance": 1e-5, "family": "bessel"}]}
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert "no closed-form modification for family 'bessel'" in err
+    assert "FamilyTag" not in err
+    assert list(tmp_path.glob("out/**/*")) == []  # nothing written
+
+
 def test_nan_diagonalization_rows_fail(tmp_path, capsys):
     # on the tilted j = 400 window the closed-form components overflow and
     # 101 row residuals are NaN: the check reports NaN and fails

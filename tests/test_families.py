@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (CharlierParams, FamilyTag, HermiteParams,
-                     KrawtchoukParams, LaguerreParams, MeixnerFunctionParams,
-                     MeixnerParams, MeixnerPollaczekParams, ParameterError,
-                     eval_hyper, eval_rec, parameter_map, su2, su11,
-                     oscillator, e2, weight)
+from isoflow import (E2, FAMILIES, SU2, CharlierParams, DiscreteSeriesPlus,
+                     FamilyTag, HermiteParams, KrawtchoukParams, LaguerreParams,
+                     MeixnerFunctionParams, MeixnerParams, MeixnerPollaczekParams,
+                     Oscillator, ParameterError, PrincipalSeries, eval_hyper,
+                     eval_rec, parameter_map, su2, su11, oscillator, e2, weight)
+from isoflow.cli import _spectral_points
+from isoflow.representations import rep_labels
 
 F = FamilyTag
 
@@ -231,6 +233,60 @@ def test_parameter_map_case_conditions():
     with pytest.raises(ParameterError):
         # missing representation label
         parameter_map(F.KRAWTCHOUK, su2(), 1.0, 0.2)
+
+
+# one spec of each representation type, with the algebra maker of its class
+SPECS = {SU2: (SU2(3.0), su2), DiscreteSeriesPlus: (DiscreteSeriesPlus(1.0, 40), su11),
+         PrincipalSeries: (PrincipalSeries(0.7, 0.3, -25, 25), su11),
+         Oscillator: (Oscillator(0.5, 1.0, 40), oscillator), E2: (E2(2.0, -40, 40), e2)}
+
+# family -> (c, r, s): a state in its regime
+REGIME_STATES = {
+    F.KRAWTCHOUK: (0.0, 1.0, 0.2), F.MEIXNER: (0.0, 0.8, 1.2),
+    F.LAGUERRE: (0.0, 1.3, 1.3), F.MEIXNER_POLLACZEK: (0.0, 2.0, 1.0),
+    F.CHARLIER: (1.0, 4.0, 0.5), F.HERMITE: (0.0, 1.1, 0.7),
+    F.MEIXNER_FUNCTION: (0.0, 0.8, 1.2), F.BESSEL: (1.0, 1.3, 0.4),
+}
+
+
+def test_every_family_has_one_representation():
+    assert set(FAMILIES) == set(F) == set(REGIME_STATES)
+    assert {entry.representation for entry in FAMILIES.values()} == set(SPECS)
+    assert {f: FAMILIES[f].representation for f in F} == {
+        F.KRAWTCHOUK: SU2, F.MEIXNER: DiscreteSeriesPlus,
+        F.LAGUERRE: DiscreteSeriesPlus, F.MEIXNER_POLLACZEK: DiscreteSeriesPlus,
+        F.MEIXNER_FUNCTION: PrincipalSeries, F.CHARLIER: Oscillator,
+        F.HERMITE: Oscillator, F.BESSEL: E2}
+
+
+@pytest.mark.parametrize("kind", list(SPECS), ids=lambda k: k.__name__)
+@pytest.mark.parametrize("family", list(F), ids=lambda f: f.value)
+def test_parameter_map_accepts_only_the_family_representation(family, kind):
+    """At a state of the family's regime, the algebra and labels of a
+    representation type map only for the family's own type; for each other
+    type the error names the family's own."""
+    c, r, s = REGIME_STATES[family]
+    spec, algebra = SPECS[kind]
+    own = FAMILIES[family].representation
+    if kind is own:
+        parameter_map(family, algebra(c), r, s, **rep_labels(spec))
+    else:
+        with pytest.raises(ParameterError, match=own.__name__):
+            parameter_map(family, algebra(c), r, s, **rep_labels(spec))
+
+
+def test_run_points_of_every_family():
+    """The sample points of ``isoflow run``, bit for bit."""
+    for count in (1, 7, 10):
+        lattice = np.arange(count, dtype=float)
+        axis = np.linspace(-4.0, 4.0, count)
+        expected = {F.KRAWTCHOUK: lattice, F.MEIXNER: lattice, F.CHARLIER: lattice,
+                    F.LAGUERRE: np.linspace(0.3, 9.0, count),
+                    F.BESSEL: lattice - count // 2, F.MEIXNER_POLLACZEK: axis,
+                    F.HERMITE: axis, F.MEIXNER_FUNCTION: axis}
+        for family in F:
+            got = _spectral_points(family, count)
+            assert got.dtype == np.float64 and got.tobytes() == expected[family].tobytes()
 
 
 def test_parameter_map_charlier_scaling():
