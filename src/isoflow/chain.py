@@ -8,11 +8,14 @@ with u_i = g(t) r_i, is isospectral for the symmetric tridiagonal operator
 
     diag = (s_1, s_2 - s_1, ..., s_d - s_{d-1}, -s_d),   off = (r_1, ..., r_d),
 
-whose eigenvalues sum to zero.  The module also carries the closed-form
-trace identities (including a deliberately kept variant of the quadratic one
-that lacks the factor 2 on the off-diagonal sum, for discrepancy detection),
-Christoffel weights and their orthogonality, and the corrected
-time-derivative law for the eigenvector polynomials.
+whose eigenvalues sum to zero.  The flow is integrated by the RK4 path that
+``flows._rk4_source`` generates from the chain's right-hand side
+(``_path_source``), compiled once per d; ``_advance`` runs it for one step.
+The module also carries the closed-form trace identities (including a
+deliberately kept variant of the quadratic one that lacks the factor 2 on
+the off-diagonal sum, for discrepancy detection), Christoffel weights and
+their orthogonality, and the corrected time-derivative law for the
+eigenvector polynomials.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import (GFun, IntegrationBlowupError, Step, _compile_make, _rk4_source,
+from .flows import (GFun, IntegrationBlowupError, RK4Path, _compile_make, _rk4_source,
                     g_at, rk4_path)
 from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal, three_term
@@ -66,11 +69,12 @@ def chain_rhs(state: ChainState, g: GFun) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * r * u, u * (sp[:-2] - 2.0 * sp[1:-1] + sp[2:])
 
 
-def _step_source(d: int) -> str:
-    """Source of ``make(g)``, which returns the rank-d chain flow's RK4 step
-    ``step(t, y, dt)`` on y = (s, r) for ``rk4_path``: ``_rk4_source`` with
-    ``chain_rhs`` written out component by component.  A stage whose input
-    has some r_i <= 0 returns NaN.  The source depends on d alone."""
+def _path_source(d: int) -> str:
+    """Source of ``make(g)``, which returns the rank-d chain flow's RK4 path
+    ``path(t0, y0, dt, n_steps, record_every)`` on y = (s, r) for
+    ``rk4_path``: ``_rk4_source`` with ``chain_rhs`` written out component
+    by component.  A stage whose input has some r_i <= 0 fails the step.
+    The source depends on d alone."""
     idx = range(1, d + 1)
 
     def rhs(k: int, x: str) -> list[str]:
@@ -88,16 +92,21 @@ def _step_source(d: int) -> str:
 
 
 @functools.cache
-def _chain_step(d: int) -> Callable[[GFun], Step]:
-    """``make`` of ``_step_source(d)``, compiled once per d: ``make(g)`` is
-    the RK4 step ``step(t, y, dt)`` of the rank-d chain flow under g."""
-    return _compile_make(_step_source(d), f"<chain RK4 step, d={d}>")
+def _chain_path(d: int) -> Callable[[GFun], RK4Path]:
+    """``make`` of ``_path_source(d)``, compiled once per d: ``make(g)`` is
+    the RK4 path of the rank-d chain flow under g."""
+    return _compile_make(_path_source(d), f"<chain RK4 path, d={d}>")
 
 
 def _advance(state: ChainState, g: GFun, h: float) -> ChainState:
-    """The state one RK4 step of signed size h away (centred differences)."""
-    y = _chain_step(state.d)(g)(state.t, [*state.s, *state.r], h)
-    return ChainState(state.t + h, tuple(y[:state.d]), tuple(y[state.d:]))
+    """The state one RK4 step of signed size h away (centred differences).
+    Raises ValueError as ChainState does when the step leaves the states:
+    ends non-finite, at some r_i <= 0, or fails its stage guard."""
+    d = state.d
+    ts, ys, t_fail = _chain_path(d)(g)(state.t, [*state.s, *state.r], h, 1, 1)
+    if t_fail is not None:
+        raise ValueError("all s_i and r_i must be finite")
+    return ChainState(ts[1], tuple(ys[2 * d:3 * d]), tuple(ys[3 * d:]))
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,7 @@ def integrate_chain(state0: ChainState, g: GFun, dt: float, t_end: float,
     IntegrationBlowupError carrying the last recorded good ChainState."""
     d = state0.d
     try:
-        t, y = rk4_path(_chain_step(d)(g), state0.t, [*state0.s, *state0.r],
+        t, y = rk4_path(_chain_path(d)(g), state0.t, [*state0.s, *state0.r],
                         dt, t_end, record_every)
         if (y[-1, d:] <= 0).any():  # a step's guard sees its stages, not its result
             raise IntegrationBlowupError(f"chain left r_i > 0 at t = {t[-1]:.6g}", (t, y))

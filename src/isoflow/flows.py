@@ -13,13 +13,16 @@ m(t)^x with m(t) = exp(K * int_0^t u/r); per family m(t) also has a closed
 form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
 the rate r (ln m)' / u and its constancy.
 
-``rk4_path`` is the one fixed-step RK4 loop of both flows; it advances a
-state with a step function.  Both flows have u = g(t) r, and ``_rk4_source``
-is the one place the RK4 stages are written: it generates a step as
-straight-line code on floats from a flow's right-hand side, bit for bit the
-vector RK4 expressions.  The rank-1 step on (r, s) is compiled once per
-process, with the algebra and the coupling bound per path; the chain step
-(``chain._chain_step``) once per rank d.
+``rk4_path`` is the one fixed-step RK4 driver of both flows: it checks the
+grid, runs a generated path once and raises on a blow-up.  Both flows have
+u = g(t) r, and ``_rk4_source`` is the one place the RK4 stages are
+written: from a flow's right-hand side it generates the whole fixed-step
+loop, which keeps the state in local floats from the first step to the
+last, writes each step out as straight-line code, bit for bit the vector
+RK4 expressions, and records samples into flat lists of floats.  The
+rank-1 path on (r, s) is compiled once per process, with the algebra and
+the coupling bound per path; the chain path (``chain._chain_path``) once
+per rank d.
 """
 from __future__ import annotations
 
@@ -163,19 +166,21 @@ class Trajectory:
         return float(relative_error(self.invariant, self.invariant[0]).max())
 
 
-Step = Callable[[float, list[float], float], list[float]]
+# path(t0, y0, dt, n_steps, record_every) -> (ts, ys, t_fail), of ``_rk4_source``
+RK4Path = Callable[[float, Sequence[float], float, int, int],
+                   tuple[list[float], list[float], float | None]]
 
 
-def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
+def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: float,
              record_every: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on the grid t0 + (i+1) dt up to t_end: ``step(t, y,
-    dt)`` advances the list of floats y by one RK4 step from t.
+    """Fixed-step RK4 on the grid t0 + i dt (i = 1, 2, ...) up to t_end, by
+    one call of a generated ``path`` over the whole grid.
 
     Returns (t, y) arrays with one row of y per sample: t0, every
     ``record_every``-th step and the last step.  ``dt`` must divide
     ``t_end - t0`` (relative tolerance 1e-9).  Raises IntegrationBlowupError
-    on a non-finite state; its ``last_state`` holds the (t, y) samples
-    recorded before the failing step.
+    at a step that ended non-finite or whose stage failed the flow's guard;
+    its ``last_state`` holds the (t, y) samples recorded before that step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -189,88 +194,88 @@ def rk4_path(step: Step, t0: float, y0: list[float], dt: float, t_end: float,
     if not math.isclose(n_steps * dt, t_end - t0, rel_tol=1e-9):
         raise ValueError(f"dt = {dt!r} does not divide t_end - t0 = "
                          f"{t_end - t0!r} into whole steps")
-
-    # the samples go into one flat list of floats: a list kept per sample
-    # would be a container the cyclic garbage collector scans and promotes
-    # until the path is done, and would set off a full collection every few
-    # long paths
-    ts, ys = [t0], list(y0)
-    t, y = t0, y0
-    isfinite = math.isfinite
-    for i in range(n_steps):
-        y = step(t, y, dt)
-        t = t0 + (i + 1) * dt
-        if not all(map(isfinite, y)):
-            raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
-                                         (np.array(ts), _rows(ys, len(ts))))
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            ts.append(t)
-            ys.extend(y)
-    return np.array(ts), _rows(ys, len(ts))
-
-
-def _rows(flat: list[float], k: int) -> np.ndarray:
-    """The k samples of ``flat`` as a (k, n) array, one sample per row."""
-    return np.array(flat).reshape(k, -1)
+    ts, ys, t_fail = path(t0, y0, dt, n_steps, record_every)
+    samples = np.array(ts), np.array(ys).reshape(len(ts), -1)
+    if t_fail is not None:
+        raise IntegrationBlowupError(f"flow blew up near t = {t_fail:.6g}", samples)
+    return samples
 
 
 def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
                 guard: Callable[[str], str] | None = None, params: str = "") -> str:
-    """Source of ``make(g, <params>)``, which returns the classical RK4 step
-    ``step(t, y, dt)`` of a flow on y = ``names`` for ``rk4_path``, written
-    out on floats with the expression tree of the vector expressions
+    """Source of ``make(g, <params>)``, which returns the classical RK4 path
+    ``path(t0, y0, dt, n_steps, record_every)`` of a flow on y = ``names``
+    for ``rk4_path``: n_steps steps to the times t0 + i dt on local floats,
+    each written out with the expression tree of the vector expressions
     ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``,
     so bit-identical to them.
+
+    The path returns (ts, ys, t_fail): the samples as two flat lists of
+    floats (a list kept per sample would be a container the cyclic garbage
+    collector scans and promotes until the path is done), and None or the t
+    of the step where it stopped, as the new state was non-finite or a
+    stage input failed ``guard``.
 
     A flow supplies ``rhs(k, x)``: the lines that set ``k{k}<name>`` for
     every name at the stage input, whose components are named ``x + name``
     (``x`` is "" at the first stage, where the input is y), from the
-    coupling ``gv`` and the ``params``.  ``guard(x)``, a condition on the
-    stage input, makes the step return NaN, which ``rk4_path`` reports as a
-    blow-up.  ``make`` binds the params and g: a number as the constant
-    ``gc``, or a callable sampled at t, t + dt/2 (for stages 2 and 3) and
-    t + dt."""
-    nans = "[" + ", ".join(["nan"] * len(names)) + "]"
-    body = [f"{', '.join(names)} = y", "h = dt / 2"]
+    coupling ``gv`` and the ``params``, and ``guard(x)``, a condition on
+    the stage input.  ``make`` binds the params and g: a number as the
+    constant ``gc``, or a callable sampled at t, t + dt/2 (for stages 2 and
+    3) and t + dt."""
+    step = []
     x = ""
     for k, g_at, incr in ((1, "t", "h"), (2, "t + h", "h"), (3, None, "dt"),
                           (4, "t + dt", None)):
         if guard is not None:
-            body += [f"if {guard(x)}:", f"    return {nans}"]
+            step += [f"if {guard(x)}:", "    return ts, ys, t0 + i * dt"]
         if g_at is not None:
-            body.append(f"gv = gc if g is None else g({g_at})")
-        body += rhs(k, x)
+            step.append(f"gv = gc if g is None else g({g_at})")
+        step += rhs(k, x)
         if incr is not None:
-            body += [f"x{n} = {n} + {incr} * k{k}{n}" for n in names]
+            step += [f"x{n} = {n} + {incr} * k{k}{n}" for n in names]
         x = "x"
-    body += ["w = dt / 6",
-             "return [" + ", ".join(f"{n} + w * (k1{n} + 2 * k2{n} + 2 * k3{n} + k4{n})"
-                                    for n in names) + "]"]
+    step += [f"{n} = {n} + w * (k1{n} + 2.0 * k2{n} + 2.0 * k3{n} + k4{n})" for n in names]
+    step += ["t = t0 + i * dt",
+             "if not (" + " and ".join(f"isfinite({n})" for n in names) + "):",
+             "    return ts, ys, t",
+             "if i == record_at:",
+             "    ts.append(t)",
+             f"    ys += {', '.join(names)}",
+             "    record_at = min(record_at + record_every, n_steps)"]
     return "\n".join([f"def make(g{', ' + params if params else ''}):",
                       "    gc, g = (None, g) if callable(g) else (float(g), None)",
-                      "    def step(t, y, dt):"]
-                     + ["        " + line for line in body]
-                     + ["    return step", ""])
+                      "    def path(t0, y0, dt, n_steps, record_every):",
+                      f"        {', '.join(names)} = y0",
+                      "        h = dt / 2",
+                      "        w = dt / 6",
+                      "        ts, ys = [t0], list(y0)",
+                      "        t = t0",
+                      "        record_at = min(record_every, n_steps)",
+                      "        for i in range(1, n_steps + 1):"]
+                     + ["            " + line for line in step]
+                     + ["        return ts, ys, None",
+                        "    return path", ""])
 
 
-def _compile_make(source: str, filename: str) -> Callable[..., Step]:
+def _compile_make(source: str, filename: str) -> Callable[..., RK4Path]:
     """The ``make`` that ``source`` (an ``_rk4_source``) defines."""
-    namespace = {"nan": math.nan}
+    namespace = {"isfinite": math.isfinite}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["make"]
 
 
 @functools.cache
-def _rank1_make() -> Callable[..., Step]:
+def _rank1_make() -> Callable[..., RK4Path]:
     """``make(g, a, c, e2)`` of the rank-1 flow on y = [r, s], compiled once
-    per process: the RK4 step of (rdot, sdot) = ``flow_rhs`` under u = g r
+    per process: the RK4 path of (rdot, sdot) = ``flow_rhs`` under u = g r
     with a, c and e2 = 2 epsilon bound, one code object for every algebra
     and coupling."""
     return _compile_make(_rk4_source(
         ("r", "s"),
         lambda k, x: [f"u = gv * {x}r",
                       f"k{k}r, k{k}s = -2.0 * (a * {x}s + c) * u, e2 * {x}r * u"],
-        params="a, c, e2"), "<rank-1 RK4 step>")
+        params="a, c, e2"), "<rank-1 RK4 path>")
 
 
 def integrate(alg: AlgebraSpec, state0: FlowState, g: GFun,
@@ -279,8 +284,8 @@ def integrate(alg: AlgebraSpec, state0: FlowState, g: GFun,
     u is re-sampled at every stage.  Raises IntegrationBlowupError, carrying
     the last recorded FlowState, on non-finite state."""
     try:
-        step = _rank1_make()(g, alg.a, alg.c_param, 2.0 * alg.epsilon)
-        t_arr, y = rk4_path(step, state0.t, [float(state0.r), float(state0.s)],
+        path = _rank1_make()(g, alg.a, alg.c_param, 2.0 * alg.epsilon)
+        t_arr, y = rk4_path(path, state0.t, [float(state0.r), float(state0.s)],
                             dt, t_end, record_every)
     except IntegrationBlowupError as exc:
         t, y = exc.last_state

@@ -11,7 +11,7 @@ from isoflow import (DegenerateRatioError, FlowState, GammaTable,
                      flow_rhs, g_at, integrate, invariant, modification_report,
                      ParameterError, oscillator, su2, su11,
                      write_trajectory_csv)
-from isoflow.flows import rk4_path
+from isoflow.flows import _rank1_make, rk4_path
 
 
 def test_flow_rhs_substitutions():
@@ -167,24 +167,31 @@ def test_blowup_carries_last_state():
     assert 0.0 < last.t < 5.0
 
 
-def test_rk4_path_keeps_no_container_per_sample():
-    """The recorded samples are kept as plain floats: the young generation
-    of the cyclic garbage collector stays small along a long recorded path,
-    where a list kept per sample would add one tracked object per step."""
+@pytest.mark.parametrize("record_every", [1, 20_000])
+def test_rk4_path_keeps_no_container_per_sample(record_every):
+    """The state stays in local floats and the recorded samples are kept as
+    plain floats: the young generation of the cyclic garbage collector stays
+    small along a long path, recorded at every step or only at its end,
+    where a container made per step or kept per sample would add one
+    tracked object per step."""
     peak = 0
 
-    def step(t, y, dt):
+    def probe(t):  # the coupling, sampled three times a step
         nonlocal peak
         peak = max(peak, gc.get_count()[0])
-        return [y[0] + dt, y[1]]
+        return 1.0
 
+    # a = c = 0, 2 epsilon = 1 and r = 1: rdot = 0 and sdot = 1, so each step
+    # adds 1 to s
+    path = _rank1_make()(probe, 0.0, 0.0, 1.0)
     gc.collect()
     gc.disable()
     try:
-        t, y = rk4_path(step, 0.0, [0.0, 1.0], 1.0, 20_000.0, 1)
+        t, y = rk4_path(path, 0.0, [1.0, 0.0], 1.0, 20_000.0, record_every)
     finally:
         gc.enable()
-    assert y.shape == (20_001, 2) and y[-1].tolist() == [20_000.0, 1.0]
+    assert y.shape == (20_000 // record_every + 1, 2)
+    assert t[-1] == 20_000.0 and y[-1].tolist() == [1.0, 20_000.0]
     assert peak < 100
 
 

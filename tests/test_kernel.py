@@ -1,7 +1,9 @@
 """The shared RK4 kernel against two independent routes: numpy RK4 code
 (the two separate loops the rank-1 and chain flows used before they shared
-one kernel, and that kernel as it stood on numpy vectors), bit-for-bit, and
-the exact QR solution of the finite Toda lattice."""
+one kernel, that kernel as it stood on numpy vectors, and its per-step
+driver, which the generated path replaced), bit-for-bit, and the exact QR
+solution of the finite Toda lattice."""
+import math
 import os
 import subprocess
 import sys
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import isoflow.chain
+import isoflow.flows
 from isoflow import (ChainState, FlowState, GammaTable, IntegrationBlowupError,
-                     chain_dense_L, e2, integrate, integrate_chain, invariant,
+                     chain_dense_L, e2, g_at, integrate, integrate_chain, invariant,
                      oscillator, su2, su11)
-from isoflow.chain import _advance, _chain_step, _step_source
+from isoflow.chain import _advance, _chain_path, _path_source
 from isoflow.flows import _rank1_make, flow_rhs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -63,6 +67,14 @@ def np_u(g):
     if isinstance(g, GammaTable):
         return lambda t, r: g.sigma * float(np.interp(t, g.ts, g.values)) * r
     return lambda t, r: float(g) * r
+
+
+def rank1_np_rhs(alg, g):
+    """The rank-1 flow on a numpy vector y = (r, s) under u = g(t) r."""
+    def f(t, y):
+        sd, rd = flow_rhs(alg, FlowState(t, y[0], y[1]), g_at(g, t) * y[0])
+        return np.array([rd, sd])
+    return f
 
 
 def reference_integrate(alg, state0, g, dt, t_end, record_every):
@@ -215,39 +227,43 @@ def test_generated_source_depends_on_d_alone():
         return 0.5 + t
 
     for d in (1, 3):
-        src = _step_source(d)
+        src = _path_source(d)
         assert "0.123456789" not in src and "coupling_probe" not in src
-        steps = [_chain_step(d)(g) for g in (0.123456789, 2.0, coupling_probe, 1)]
-        assert len({step.__code__ for step in steps}) == 1
-        code = steps[0].__code__
+        paths = [_chain_path(d)(g) for g in (0.123456789, 2.0, coupling_probe, 1)]
+        assert len({path.__code__ for path in paths}) == 1
+        code = paths[0].__code__
         assert 0.123456789 not in code.co_consts
         assert "coupling_probe" not in code.co_names + code.co_varnames
-    hits = _chain_step.cache_info().hits
-    _chain_step(3)(0.7)
-    assert _chain_step.cache_info().hits == hits + 1
-    assert _chain_step(3)(0.7).__code__ is not _chain_step(4)(0.7).__code__
+    hits = _chain_path.cache_info().hits
+    _chain_path(3)(0.7)
+    assert _chain_path.cache_info().hits == hits + 1
+    assert _chain_path(3)(0.7).__code__ is not _chain_path(4)(0.7).__code__
 
 
 def test_rank1_step_is_one_code_object_for_every_algebra_and_coupling():
     algebras = (su2(0.37), su11(0.61), oscillator(1.23), e2(0.89))
     couplings = (1.0, -0.77, GammaTable(1, (0.0, 0.4), (0.53, 1.31)))
     make = _rank1_make()
-    steps = [make(g, alg.a, alg.c_param, 2.0 * alg.epsilon)
+    paths = [make(g, alg.a, alg.c_param, 2.0 * alg.epsilon)
              for alg in algebras for g in couplings]
-    assert len({step.__code__ for step in steps}) == 1
+    assert len({path.__code__ for path in paths}) == 1
     assert _rank1_make() is make
-    consts = steps[0].__code__.co_consts + make.__code__.co_consts
+    # by type and value: the loop's integer 1 is not the float a = 1.0
+    consts = {(type(c), c) for c in paths[0].__code__.co_consts + make.__code__.co_consts}
     for alg in algebras:
-        assert alg.a not in consts and alg.c_param not in consts
+        assert (float, alg.a) not in consts and (float, alg.c_param) not in consts
     for gamma in (0.77, -0.77, 0.53, 1.31):
-        assert gamma not in consts
+        assert (float, gamma) not in consts
+    # a baked-in algebra parameter would show
+    baked = compile("def f(r):\n    return 1.0 * r", "<baked>", "exec").co_consts[0]
+    assert (float, su2().a) in {(type(c), c) for c in baked.co_consts}
 
 
 def test_import_compiles_no_step():
     code = ("import isoflow, isoflow.cli\n"
-            "from isoflow.chain import _chain_step\n"
+            "from isoflow.chain import _chain_path\n"
             "from isoflow.flows import _rank1_make\n"
-            "assert _chain_step.cache_info().currsize == 0\n"
+            "assert _chain_path.cache_info().currsize == 0\n"
             "assert _rank1_make.cache_info().currsize == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -266,12 +282,7 @@ def test_every_kth_row_of_full_run_is_the_recorded_run(case, k):
 @pytest.mark.parametrize("record_every", [1, 7])
 def test_rank1_blowup_state_matches_numpy_kernel(record_every):
     alg, st0, g = su11(), FlowState(0.0, 1.0, 1.25), -1.0
-
-    def f(t, y):
-        sd, rd = flow_rhs(alg, FlowState(t, y[0], y[1]), g * y[0])
-        return np.array([rd, sd])
-
-    t, y = np_rk4_samples(f, st0.t, np.array([st0.r, st0.s]), 1e-3, 5.0, record_every)
+    t, y = np_rk4_samples(rank1_np_rhs(alg, g), st0.t, np.array([st0.r, st0.s]), 1e-3, 5.0, record_every)
     with pytest.raises(IntegrationBlowupError) as info:
         integrate(alg, st0, g, 1e-3, 5.0, record_every=record_every)
     assert info.value.last_state == FlowState(t[-1], y[-1, 0], y[-1, 1])
@@ -315,6 +326,93 @@ def test_chain_blowup_at_an_intermediate_stage_matches_numpy_kernel(record_every
     with pytest.raises(IntegrationBlowupError) as info:
         integrate_chain(st0, g, dt, 1.0, record_every=record_every)
     assert info.value.last_state == ChainState(t[-1], tuple(y[-1, :2]), tuple(y[-1, 2:]))
+
+
+def reference_rk4_path(step, t0, y0, dt, t_end, record_every):
+    """The RK4 driver as it stood with one call per step: ``step(t, y, dt)``
+    returns the next state as a new list, whose finiteness the driver
+    checks."""
+    n_steps = int(round((t_end - t0) / dt))
+    ts, ys = [t0], list(y0)
+    t, y = t0, y0
+    for i in range(n_steps):
+        y = step(t, y, dt)
+        t = t0 + (i + 1) * dt
+        if not all(map(math.isfinite, y)):
+            raise IntegrationBlowupError(f"flow blew up near t = {t:.6g}",
+                                         (np.array(ts), np.array(ys).reshape(len(ts), -1)))
+        if (i + 1) % record_every == 0 or i == n_steps - 1:
+            ts.append(t)
+            ys.extend(y)
+    return np.array(ts), np.array(ys).reshape(len(ts), -1)
+
+
+def np_step(f):
+    """``step(t, y, dt)`` of the per-step driver: one numpy RK4 step of f."""
+    def step(t, y, dt):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np_rk4_step(f, t, np.array(y), dt).tolist()
+    return step
+
+
+def nan_after(t_nan):
+    return lambda t: 1.0 if t < t_nan else math.nan
+
+
+CHAIN3 = ChainState(0.0, (0.3, -0.2, 0.4), (1.0, 0.8, 1.2))
+GUARDED = ChainState(0.0, (-2.41,), (0.18,))
+# flow, its arguments, and the per-step numpy RK4 of the same flow
+BLOWUP_CASES = {
+    "su11": (integrate, (su11(), FlowState(0.0, 1.0, 1.25), -1.0, 1e-3, 5.0),
+             rank1_np_rhs(su11(), -1.0)),
+    "rank1_nan_coupling": (integrate, (su2(), FlowState(0.0, 1.0, 0.2), nan_after(0.3),
+                                       1e-2, 1.0),
+                           rank1_np_rhs(su2(), nan_after(0.3))),
+    "chain_overflow": (integrate_chain, (CHAIN3, 60.0, 0.05, 2.0), _guarded_rhs(60.0)),
+    "chain_nan_coupling": (integrate_chain, (CHAIN3, nan_after(0.3), 1e-2, 1.0),
+                           _guarded_rhs(nan_after(0.3))),
+    **{f"chain_stage_guard_{n}": (integrate_chain, (GUARDED, 7.72, 0.2, 0.2 * n),
+                                  _guarded_rhs(7.72))
+       for n in (1, 2, 5)},
+}
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("case", sorted(BLOWUP_CASES))
+def test_blowup_matches_per_step_driver(case, record_every, monkeypatch):
+    """The generated path stops where the per-step driver raised: the same
+    message (its t) and the same last state, after the flow's own reading
+    of the samples."""
+    flow, args, f = BLOWUP_CASES[case]
+
+    def blowup():
+        with pytest.raises(IntegrationBlowupError) as info:
+            flow(*args, record_every=record_every)
+        return str(info.value), info.value.last_state
+
+    got = blowup()
+    for module in (isoflow.flows, isoflow.chain):
+        monkeypatch.setattr(module, "rk4_path",
+                            lambda path, *rest: reference_rk4_path(np_step(f), *rest))
+    assert got == blowup()
+
+
+def test_advance_refuses_to_leave_the_chain_states():
+    # the step ends with r_1 <= 0, and overflows under g = 1e200
+    with pytest.raises(ValueError, match="all r_i must be positive"):
+        _advance(GUARDED, 7.72, 0.2)
+    with pytest.raises(ValueError, match="all s_i and r_i must be finite"):
+        _advance(GUARDED, 1e200, 0.5)
+    # a stage guard stops the one-step path: it hands back the start state
+    # with the failing t, and _advance raises rather than return it
+    # (the state before the fifth step of the intermediate-stage blow-up)
+    g, dt = 17.2, 0.05
+    t, y = np_rk4_samples(_guarded_rhs(g), 0.0, np.array([-0.37, 0.32, 0.34, 0.9]), dt, 1.0, 1)
+    st = ChainState(t[-1], tuple(y[-1, :2]), tuple(y[-1, 2:]))
+    ts, ys, t_fail = _chain_path(2)(g)(st.t, [*st.s, *st.r], dt, 1, 1)
+    assert (ts, ys, t_fail) == ([st.t], [*st.s, *st.r], st.t + dt)
+    with pytest.raises(ValueError, match="all s_i and r_i must be finite"):
+        _advance(st, g, dt)
 
 
 def exact_toda_L(state0, g, t):
