@@ -168,12 +168,11 @@ def eigen_polys(state: ChainState, lam) -> tuple[np.ndarray, np.ndarray]:
     closure residual of the final operator row (zero iff lam is an
     eigenvalue).  For an array ``lam``, p has shape (d+1,) + lam.shape and
     the closure lam's shape."""
-    s, r, d = state.s, state.r, state.d
     lam = np.asarray(lam, dtype=float)
-    # diag[n] = s_{n+1} - s_n (s_0 = 0) on the rows 0..d-1 the recurrence uses
-    diag = np.array([s[0]] + [s[n] - s[n - 1] for n in range(1, d)])
-    p = three_term(lam - diag.reshape((d,) + (1,) * lam.ndim), r)
-    closure = r[d - 1] * p[d - 1] - s[d - 1] * p[d] - lam * p[d]
+    diag, off = build_chain_L(state)
+    # the recurrence reads rows 0..d-1; the last row closes it
+    p = three_term(lam - diag[:-1].reshape((state.d,) + (1,) * lam.ndim), off)
+    closure = off[-1] * p[-2] + diag[-1] * p[-1] - lam * p[-1]
     return p, np.abs(closure)
 
 

@@ -31,7 +31,7 @@ from .chain import (chain_isospectrality_drift, chain_path_eigenvalues,
 from .config import ConfigError, load_config
 from .families import FAMILIES, FamilyTag, parameter_map
 from .flows import (IntegrationBlowupError, check_modification,
-                    check_sign_conditions, g_at, integrate, modification_report,
+                    check_sign_conditions, integrate, modification_report,
                     write_trajectory_csv)
 from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
@@ -104,11 +104,6 @@ def _int_option(ccfg, key, default):
 # isoflow run
 
 
-def _spectral_points(family: FamilyTag, count: int) -> np.ndarray:
-    """The family's ``count`` spectral sample points, in its own variable."""
-    return FAMILIES[family].points(count)
-
-
 def _need_rep(ccfg, rep) -> None:
     if rep is None:
         raise ConfigError(f"check '{ccfg['name']}' needs a representation block")
@@ -131,9 +126,9 @@ def _lax_residual(ccfg, *, rep, initial_L, **_):
     op = initial_L()
     lax_rows(op)
 
-    def row(*, alg, state0, g, **_):
-        u0 = g_at(g, state0.t) * state0.r
-        return _row(ccfg, lax_residual(rep, alg, state0.r, state0.s, u0, L=op))
+    def row(*, traj, **_):
+        return _row(ccfg, lax_residual(rep, traj.alg, traj.r[0], traj.s[0],
+                                       traj.u[0], L=op))
     return row
 
 
@@ -142,9 +137,8 @@ def _invariant_drift(ccfg, **_):
 
 
 def _sign_conditions(ccfg, **_):
-    def row(*, alg, state0, g, full, dt, t_end, **_):
-        report = check_sign_conditions(alg, state0, g, dt=dt, t_end=t_end,
-                                       traj=full)
+    def row(*, full, **_):
+        report = check_sign_conditions(full)
         note = (f"sigma_required={report.sigma_required:+d} "
                 f"sigma_given={report.sigma_given:+d} "
                 f"min_r={report.min_r:.3g} min_s={report.min_s:.3g}")
@@ -160,8 +154,8 @@ def _isospectrality_drift(ccfg, *, rep, **_):
     count = _int_option(ccfg, "count", None)
     compared_eigenvalues(rep, mode, count)
 
-    def row(*, alg, traj, **_):
-        value = isospectrality_drift(traj, rep, alg, mode=mode, count=count)
+    def row(*, traj, **_):
+        value = isospectrality_drift(traj, rep, mode=mode, count=count)
         return _row(ccfg, value, f"mode={mode}")
     return row
 
@@ -171,7 +165,7 @@ def _modification(ccfg, *, alg, state0, **_):
     check_modification(family, alg, state0.r, state0.s)
 
     def row(*, traj, **_):
-        report = modification_report(alg, traj, family)
+        report = modification_report(traj, family)
         note = f"K_empirical={report.K_empirical:.9g}"
         if report.K_expected is not None:
             note += f" K_expected={report.K_expected:.9g}"
@@ -193,7 +187,7 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     if op.lo_exact and op.hi_exact and count > op.size:
         count = op.size
         capped = f"; points capped at the {count} lattice points"
-    points = _spectral_points(family, count)
+    points = FAMILIES[family].points(count)
 
     def row(**_):
         worst = recurrence_residual(family, rep, alg, state0.r, state0.s, points, L=op)
@@ -248,9 +242,7 @@ def _cmd_run(path: str) -> int:
         write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
                            path_eigenvalues(rep, alg, traj.r, traj.s))
 
-    return _finish(outdir, _results(checks, computes, alg=alg, state0=state0,
-                                    g=g, traj=traj, full=full,
-                                    dt=dt, t_end=t_end))
+    return _finish(outdir, _results(checks, computes, traj=traj, full=full))
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,12 @@ def integer(v, name: str, *, positive: bool = False) -> int:
     return int(v)
 
 
-def _integer(cfg: dict, key: str, where: str, default=None) -> int:
+def _integer(cfg: dict, key: str, where: str, default=None, *,
+             positive: bool = False) -> int:
     """``integer`` of ``cfg[key]``, which may be absent when there is a
     ``default``."""
     value = _require(cfg, key, where) if default is None else cfg.get(key, default)
-    return integer(value, f"{where}.{key}")
+    return integer(value, f"{where}.{key}", positive=positive)
 
 
 def build_algebra(cfg: dict) -> AlgebraSpec:
@@ -172,7 +173,7 @@ def build_flow(cfg: dict) -> tuple[FlowState, GFun, float, float, int]:
     t0 = _number(cfg, "t0", "flow", default=0.0)
     dt = _number(cfg, "dt", "flow")
     t_end = _number(cfg, "t_end", "flow")
-    record_every = _integer(cfg, "record_every", "flow", default=1)
+    record_every = _integer(cfg, "record_every", "flow", default=1, positive=True)
     g = build_policy(_require(cfg, "policy", "flow"))
     return FlowState(t0, r0, s0), g, dt, t_end, record_every
 
@@ -197,7 +198,7 @@ def build_chain_flow(cfg: dict):
     g = _number(block, "g", "chain", default=1.0)
     dt = _number(block, "dt", "chain", default=1e-3)
     t_end = _number(block, "t_end", "chain", default=state.t)
-    record_every = _integer(block, "record_every", "chain", default=1)
+    record_every = _integer(block, "record_every", "chain", default=1, positive=True)
     return state, g, dt, t_end, record_every
 
 

@@ -13,6 +13,12 @@ m(t)^x with m(t) = exp(K * int_0^t u/r); per family m(t) also has a closed
 form A0 * F(r(t), s(t)), which ``modification_report`` checks by measuring
 the rate r (ln m)' / u and its constancy.
 
+``integrate`` returns a ``Trajectory``, the record of one flow: its
+algebra, its coupling and the samples (t, r, s), from which u and I are read
+when first used.  The checks of a path (``check_sign_conditions``,
+``modification_report``, ``spectral.isospectrality_drift``) read the flow
+from it.
+
 ``rk4_path`` is the one fixed-step RK4 driver of both flows: it checks the
 grid, runs a generated path once and raises on a blow-up.  Both flows have
 u = g(t) r, and ``_rk4_source`` is the one place the RK4 stages are
@@ -137,19 +143,36 @@ def invariant(alg: AlgebraSpec, state: FlowState) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid samples of the flow: (t_i, r_i, s_i, u_i, I_i)."""
+    """Uniform-grid samples (t_i, r_i, s_i) of the flow of ``alg`` under the
+    coupling ``g``; u_i = g(t_i) r_i and I_i are read from them when first
+    used."""
 
+    alg: AlgebraSpec
+    g: GFun
     t: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    u: np.ndarray
-    invariant: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
 
     def state(self, i: int) -> FlowState:
         return FlowState(float(self.t[i]), float(self.r[i]), float(self.s[i]))
+
+    @functools.cached_property
+    def u(self) -> np.ndarray:
+        """u_i = g(t_i) r_i, the product the RK4 step forms."""
+        g = self.g
+        return (np.array([g(t) for t in self.t.tolist()]) if callable(g)
+                else float(g)) * self.r
+
+    @functools.cached_property
+    def invariant(self) -> np.ndarray:
+        """I_i with the arithmetic of ``invariant`` over Python floats: r ** 2
+        is libm's pow, which can differ from numpy's r * r in the last bit."""
+        eps, a, c2 = self.alg.epsilon, self.alg.a, 2.0 * self.alg.c_param
+        return np.array([eps * r ** 2 + (a * s + c2) * s
+                         for r, s in zip(self.r.tolist(), self.s.tolist())])
 
     def every(self, k: int) -> "Trajectory":
         """Rows 0, k, 2k, ... and the last: from a run recorded at every
@@ -158,8 +181,7 @@ class Trajectory:
             raise ValueError("record_every must be >= 1")
         n = len(self) - 1
         rows = list(range(0, n + 1, k)) + ([n] if n % k else [])
-        return Trajectory(self.t[rows], self.r[rows], self.s[rows],
-                          self.u[rows], self.invariant[rows])
+        return Trajectory(self.alg, self.g, self.t[rows], self.r[rows], self.s[rows])
 
     def invariant_drift(self) -> float:
         """Worst ``relative_error`` of I along the samples against I_0."""
@@ -291,19 +313,7 @@ def integrate(alg: AlgebraSpec, state0: FlowState, g: GFun,
         t, y = exc.last_state
         exc.last_state = FlowState(float(t[-1]), float(y[-1, 0]), float(y[-1, 1]))
         raise
-    r_arr, s_arr = y[:, 0], y[:, 1]
-    # u and I over Python floats, with the arithmetic of the step and of
-    # ``invariant``: r ** 2 is libm's pow, which can differ from r * r in
-    # the last bit
-    t_l, r_l, s_l = t_arr.tolist(), r_arr.tolist(), s_arr.tolist()
-    eps, a, c2 = alg.epsilon, alg.a, 2.0 * alg.c_param
-    if callable(g):
-        u_arr = np.array([g(t) * r for t, r in zip(t_l, r_l)])
-    else:
-        gc = float(g)
-        u_arr = np.array([gc * r for r in r_l])
-    i_arr = np.array([eps * r ** 2 + (a * s + c2) * s for r, s in zip(r_l, s_l)])
-    return Trajectory(t_arr, r_arr, s_arr, u_arr, i_arr)
+    return Trajectory(alg, g, t_arr, y[:, 0], y[:, 1])
 
 
 # --------------------------------------------------------------------------
@@ -320,29 +330,20 @@ class SignConditionReport:
     min_s: float
 
 
-def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, g: GFun,
-                          dt: float = 1e-3, t_end: float = 1.0,
-                          traj: Trajectory | None = None) -> SignConditionReport:
-    """Positivity diagnostic: requires r(0) > 0, s(0) > 0 and the coupling
-    sign sgn(u) = epsilon * sgn(r), i.e. sigma_given = sgn g(t0) equal to
-    ``alg.required_sign()`` (g(t0) = 0 gives sigma_given = 0, which fails);
-    then reports min r, min s over the flow integrated at every step to
-    t_end (at least one step).  ``traj``, when it holds that flow already,
-    is read instead of integrating again."""
-    sigma_req = alg.required_sign()
-    g0 = g_at(g, state0.t)
+def check_sign_conditions(traj: Trajectory) -> SignConditionReport:
+    """Positivity diagnostic of an integrated flow: it passes when r(t0) > 0,
+    s(t0) > 0, the coupling has the sign sgn(u) = epsilon * sgn(r), i.e.
+    sigma_given = sgn g(t0) equals ``alg.required_sign()`` (g(t0) = 0 gives
+    sigma_given = 0, which fails), and min r, min s over the samples are
+    positive.  Only the recorded samples are read: a flow recorded at every
+    step is checked at every step."""
+    st0 = traj.state(0)
+    sigma_req = traj.alg.required_sign()
+    g0 = g_at(traj.g, st0.t)
     sigma_given = (g0 > 0) - (g0 < 0)
-    initial_ok = state0.r > 0 and state0.s > 0
-    hypotheses = initial_ok and sigma_given == sigma_req
-    try:
-        if traj is None or len(traj) < 2:
-            traj = integrate(alg, state0, g, dt,
-                             state0.t + max(t_end - state0.t, dt))
-        min_r = float(traj.r.min())
-        min_s = float(traj.s.min())
-    except IntegrationBlowupError:
-        min_r = min_s = float("-inf")
-    passed = hypotheses and min_r > 0 and min_s > 0
+    initial_ok = st0.r > 0 and st0.s > 0
+    min_r, min_s = float(traj.r.min()), float(traj.s.min())
+    passed = initial_ok and sigma_given == sigma_req and min_r > 0 and min_s > 0
     return SignConditionReport(passed, sigma_req, sigma_given, initial_ok, min_r, min_s)
 
 
@@ -351,17 +352,17 @@ def check_sign_conditions(alg: AlgebraSpec, state0: FlowState, g: GFun,
 # derivation in circulation has a sign inconsistency (constancy is checked alone)
 _MODIFICATIONS: dict[FamilyTag, tuple[Callable[..., float], Callable[..., float | None]]] = {
     FamilyTag.KRAWTCHOUK: (lambda r, s, se, C: (C + se) / (C - se),
-                           lambda alg, tr, C: 4.0 * C),
+                           lambda tr, C: 4.0 * C),
     FamilyTag.MEIXNER: (lambda r, s, se, C: math.exp(-2.0 * math.acosh(se / r)),
-                        lambda alg, tr, C: -4.0 * C),
+                        lambda tr, C: -4.0 * C),
     FamilyTag.LAGUERRE: (lambda r, s, se, C: math.exp(-1.0 / r),
-                         lambda alg, tr, C: None),
+                         lambda tr, C: None),
     FamilyTag.MEIXNER_POLLACZEK: (lambda r, s, se, C: math.exp(2.0 * math.acos(se / r)),
-                                  lambda alg, tr, C: 4.0 * C),
+                                  lambda tr, C: 4.0 * C),
     FamilyTag.CHARLIER: (lambda r, s, se, C: r * r,
-                         lambda alg, tr, C: -4.0 * alg.c_param),
+                         lambda tr, C: -4.0 * tr.alg.c_param),
     FamilyTag.HERMITE: (lambda r, s, se, C: math.exp(s / r),
-                        lambda alg, tr, C: 2.0 * float(tr.r[0])),
+                        lambda tr, C: 2.0 * float(tr.r[0])),
 }
 
 
@@ -383,7 +384,7 @@ def check_modification(family: str, alg: AlgebraSpec, r: float, s: float) -> Non
     check_regime(fam, alg, r, s)
 
 
-def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> ModificationReport:
+def modification_report(traj: Trajectory, family: str) -> ModificationReport:
     """Check the closed-form weight-modification factor along a trajectory.
 
     Computes m_i = F(r_i, s_i) from the family's closed form, then
@@ -393,6 +394,7 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     (trapezoid quadrature on the same grid).  Raises as
     ``check_modification`` on the initial state.
     """
+    alg = traj.alg
     check_modification(family, alg, float(traj.r[0]), float(traj.s[0]))
     if len(traj) < 3:
         raise ValueError("trajectory too short for centered differences")
@@ -422,7 +424,7 @@ def modification_report(alg: AlgebraSpec, traj: Trajectory, family: str) -> Modi
     m_int = np.exp(k_emp * primitive)
     cf_err = float(np.abs(m_cf / m_int - 1.0).max())
 
-    return ModificationReport(k_emp, max_dev, cf_err, k_expected(alg, traj, C))
+    return ModificationReport(k_emp, max_dev, cf_err, k_expected(traj, C))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -165,10 +165,10 @@ def compared_eigenvalues(rep: RepresentationSpec, mode: str,
 
 
 def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
-                         alg: AlgebraSpec, mode: str = "all",
-                         count: int | None = None) -> float:
+                         mode: str = "all", count: int | None = None) -> float:
     """Max absolute eigenvalue drift along the trajectory, from the
-    ``path_eigenvalues`` of L at its samples.
+    ``path_eigenvalues`` of L (on ``rep``, under the trajectory's algebra) at
+    its samples.
 
     mode = "all" compares the full spectrum of the realized window,
     "lowest" only the ``count`` smallest eigenvalues (use for windows whose
@@ -178,7 +178,7 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
     any eigensolve and raise ConfigurationError otherwise.
     """
     keep = compared_eigenvalues(rep, mode, count)
-    return spectrum_drift([lam[keep] for lam in path_eigenvalues(rep, alg, traj.r, traj.s)])
+    return spectrum_drift([lam[keep] for lam in path_eigenvalues(rep, traj.alg, traj.r, traj.s)])
 
 
 # --------------------------------------------------------------------------

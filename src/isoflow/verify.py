@@ -148,7 +148,7 @@ def _grp_isospectrality(rng) -> list[CheckResult]:
     traj = integrate(alg, FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 1.0,
                      record_every=50)
     out = [check_result("isospectral_drift_su2",
-                        isospectrality_drift(traj, SU2(2.5), alg), 1e-8)]
+                        isospectrality_drift(traj, SU2(2.5)), 1e-8)]
     for d in (2, 3, 5):
         ctraj = integrate_chain(_random_chain(rng, d), 1.0, 1e-3, 1.0, record_every=100)
         out.append(check_result(f"isospectral_drift_chain_d{d}",
@@ -167,7 +167,7 @@ def _grp_modification(rng) -> list[CheckResult]:
         ("hermite", oscillator(0.0), FlowState(0.0, 1.1, 0.7), 1.0, 1e-3, 1.0),
     ]
     for fam, alg, st0, g, dt, t_end in runs:
-        rep = modification_report(alg, integrate(alg, st0, g, dt, t_end), fam)
+        rep = modification_report(integrate(alg, st0, g, dt, t_end), fam)
         out.append(check_result(f"modification_constancy_{fam}",
                                 rep.max_constancy_deviation, 1e-6))
         out.append(check_result(f"modification_closed_form_{fam}",

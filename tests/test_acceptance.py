@@ -135,7 +135,7 @@ def test_eigenfunction_rows_every_family():
 def test_spectrum_constant_along_flows():
     traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 1.0,
                      record_every=50)
-    drifts = {"rank1": isospectrality_drift(traj, SU2(2.5), su2())}
+    drifts = {"rank1": isospectrality_drift(traj, SU2(2.5))}
     for d in (2, 3, 5):
         ctraj = integrate_chain(CHAIN_STATES[d], 1.0, 1e-3, 1.0,
                                 record_every=100)
@@ -167,7 +167,7 @@ def test_weight_modification_rate_is_constant():
     flagged = ""
     for fam, alg, st0, g, dt, t_end in runs:
         traj = integrate(alg, st0, g, dt, t_end)
-        rep = modification_report(alg, traj, fam)
+        rep = modification_report(traj, fam)
         worst_const = max(worst_const, rep.max_constancy_deviation)
         assert rep.max_constancy_deviation <= 1e-6, (fam, rep)
         if fam == "krawtchouk":

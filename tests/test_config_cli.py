@@ -246,6 +246,46 @@ def test_run_integrates_once_with_sign_conditions(tmp_path, monkeypatch):
     assert rows_a == rows_b
 
 
+def test_sign_conditions_of_a_zero_length_flow_read_its_one_sample(tmp_path, capsys,
+                                                                   monkeypatch):
+    import isoflow.cli as cli
+    import isoflow.flows as flows
+    calls, integrate = [], flows.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return integrate(*args, **kwargs)
+    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(flows, "integrate", counted)
+    cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
+    cfg["flow"]["t_end"] = 0.0
+    cfg["checks"] = [{"name": "sign_conditions", "tolerance": 0.5}]
+    assert main(["run", _write(tmp_path, cfg)]) == 0
+    # one integration to t_end = t0, and no step past it
+    assert calls == [0.0]
+    assert (tmp_path / "out" / "trajectory.csv").read_text().count("\n") == 2
+    assert "min_r=1 min_s=0.2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, cfg, block, integrator", [
+    ("run", RUN_CFG, "flow", "integrate"),
+    ("chain", CHAIN_CFG, "chain", "integrate_chain"),
+])
+@pytest.mark.parametrize("record_every", [0, -3])
+def test_non_positive_record_every_exits_2_before_integrating(
+        tmp_path, capsys, monkeypatch, command, cfg, block, integrator, record_every):
+    import isoflow.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, integrator, lambda *a, **k: calls.append(a))
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    cfg[block]["record_every"] = record_every
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    assert (f"{block}.record_every must be a positive integer, got {record_every}"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert list(tmp_path.glob("out/**/*")) == []
+
+
 def test_numerical_error_in_a_check_is_a_failed_row(tmp_path, capsys):
     # 1000 steps recorded every 300: the last sample is off the uniform grid
     cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))

@@ -11,7 +11,6 @@ from isoflow import (E2, FAMILIES, SU2, CharlierParams, DiscreteSeriesPlus,
                      MeixnerFunctionParams, MeixnerParams, MeixnerPollaczekParams,
                      Oscillator, ParameterError, PrincipalSeries, eval_hyper,
                      eval_rec, parameter_map, su2, su11, oscillator, e2, weight)
-from isoflow.cli import _spectral_points
 from isoflow.representations import rep_labels
 
 F = FamilyTag
@@ -285,7 +284,7 @@ def test_run_points_of_every_family():
                     F.BESSEL: lattice - count // 2, F.MEIXNER_POLLACZEK: axis,
                     F.HERMITE: axis, F.MEIXNER_FUNCTION: axis}
         for family in F:
-            got = _spectral_points(family, count)
+            got = FAMILIES[family].points(count)
             assert got.dtype == np.float64 and got.tobytes() == expected[family].tobytes()
 
 

@@ -195,33 +195,46 @@ def test_rk4_path_keeps_no_container_per_sample(record_every):
     assert peak < 100
 
 
+def _sign_conditions(alg, state, g, t_end=1.0):
+    """``check_sign_conditions`` of the flow integrated at every step."""
+    return check_sign_conditions(integrate(alg, state, g, 1e-3, t_end))
+
+
 def test_sign_conditions():
-    ok = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), 1.0)
+    ok = _sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), 1.0)
     assert ok.passed and ok.min_r > 0 and ok.min_s > 0
     assert ok.sigma_required == 1 and ok.sigma_given == 1
 
-    wrong_sigma = check_sign_conditions(su11(), FlowState(0.0, 1.0, 1.25),
-                                        1.0, t_end=0.2)
+    wrong_sigma = _sign_conditions(su11(), FlowState(0.0, 1.0, 1.25), 1.0, t_end=0.2)
     assert not wrong_sigma.passed
     assert wrong_sigma.sigma_required == -1 and wrong_sigma.sigma_given == 1
 
     # sigma_given is the sign of g at the initial time
     for g in (-0.5, GammaTable(-1, (0.0, 1.0), (1.0, 2.0)), lambda t: t - 1.0):
-        right = check_sign_conditions(su11(), FlowState(0.0, 1.0, 1.25), g, t_end=0.2)
+        right = _sign_conditions(su11(), FlowState(0.0, 1.0, 1.25), g, t_end=0.2)
         assert right.passed and right.sigma_given == -1
-    zero_g = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), 0.0)
+    zero_g = _sign_conditions(su2(), FlowState(0.0, 1.0, 0.5), 0.0)
     assert not zero_g.passed and zero_g.sigma_given == 0
 
-    bad_start = check_sign_conditions(su2(), FlowState(0.0, -1.0, 0.5), 1.0)
+    bad_start = _sign_conditions(su2(), FlowState(0.0, -1.0, 0.5), 1.0)
     assert not bad_start.passed and not bad_start.initial_ok
 
-    zero_s = check_sign_conditions(su2(), FlowState(0.0, 1.0, 0.0), 1.0)
+    zero_s = _sign_conditions(su2(), FlowState(0.0, 1.0, 0.0), 1.0)
     assert not zero_s.passed
+
+
+def test_sign_conditions_of_one_sample():
+    """A flow integrated to t_end = t0 is its initial sample, and the check
+    reads that sample: no step is taken past the horizon."""
+    traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 0.0)
+    report = check_sign_conditions(traj)
+    assert len(traj) == 1 and report.passed
+    assert (report.min_r, report.min_s) == (1.0, 0.2)
 
 
 def test_modification_su2():
     traj = integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 1e-3, 1.0)
-    rep = modification_report(su2(), traj, "krawtchouk")
+    rep = modification_report(traj, "krawtchouk")
     c_val = math.sqrt(invariant(su2(), FlowState(0.0, 1.0, 0.2)))
     assert rep.max_constancy_deviation < 1e-6
     assert rep.closed_form_max_error < 1e-6
@@ -239,7 +252,7 @@ def test_modification_with_central_shift(family, alg, state, g, dt, t_end):
     """With c != 0 the closed forms read se = s + c, the variable the
     family regimes use, and C^2 = |I + c^2|."""
     traj = integrate(alg, state, g, dt, t_end)
-    rep = modification_report(alg, traj, family)
+    rep = modification_report(traj, family)
     assert rep.max_constancy_deviation < 1e-9
     assert rep.closed_form_max_error < 1e-9
     assert rep.K_empirical == pytest.approx(rep.K_expected, abs=1e-9)
@@ -250,7 +263,7 @@ def test_modification_laguerre_slope_not_asserted():
     against the circulated derivation, so it is reported, not gated."""
     traj = integrate(su11(), FlowState(0.0, 1.3, 1.3), -1.0,
                      1e-4, 0.2)
-    rep = modification_report(su11(), traj, "laguerre")
+    rep = modification_report(traj, "laguerre")
     assert np.abs(traj.r - traj.s).max() < 1e-10
     assert rep.max_constancy_deviation < 1e-6
     assert rep.K_expected is None
@@ -266,22 +279,23 @@ def test_modification_laguerre_slope_not_asserted():
 def test_modification_rejects_state_outside_family_regime(family, state):
     traj = integrate(su11(), state, -1.0, 1e-3, 0.1)
     with pytest.raises(ParameterError):
-        modification_report(su11(), traj, family)
+        modification_report(traj, family)
 
 
 def test_modification_rejects_degenerate_ratio():
     t = np.linspace(0.0, 1.0, 11)
-    flat = Trajectory(t, np.ones_like(t), np.ones_like(t) * 2.0,
-                      np.zeros_like(t), np.ones_like(t))
+    # g = 0: u = g r vanishes at every sample
+    flat = Trajectory(su2(), 0.0, t, np.ones_like(t), np.ones_like(t) * 2.0)
+    assert not flat.u.any()
     with pytest.raises(DegenerateRatioError):
-        modification_report(su2(), flat, "krawtchouk")
+        modification_report(flat, "krawtchouk")
 
 
 def test_modification_needs_three_samples():
     t = np.array([0.0, 1.0])
-    short = Trajectory(t, np.ones(2), np.ones(2) * 0.5, np.ones(2), np.ones(2))
+    short = Trajectory(su2(), 1.0, t, np.ones(2), np.ones(2) * 0.5)
     with pytest.raises(ValueError):
-        modification_report(su2(), short, "krawtchouk")
+        modification_report(short, "krawtchouk")
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -311,8 +325,9 @@ def test_trajectory_csv_matches_row_writer(tmp_path):
                  integrate(oscillator(1.0), FlowState(0.0, 4.0, 0.5),
                            GammaTable(1, (0.0, 0.5, 1.0), (0.7, 1.2, 0.9)),
                            1e-3, 1.0, 1),
-                 Trajectory(edge, edge[::-1], edge * 3, edge + 1, edge / 7),
-                 Trajectory(*[np.zeros(0)] * 5)):
+                 # g = -1 carries the signed zeros into u = -r
+                 Trajectory(su2(), -1.0, edge, edge[::-1], edge * 3),
+                 Trajectory(su2(), 1.0, *[np.zeros(0)] * 3)):
         write_trajectory_csv(tmp_path / "new.csv", traj)
         reference_trajectory_csv(tmp_path / "ref.csv", traj)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -70,7 +70,7 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
     assert calls == [False, True]
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.01, record_every=5)
-    isospectrality_drift(traj, SU2(2.0), alg)
+    isospectrality_drift(traj, SU2(2.0))
     assert calls == [False, True] + [True] * len(traj)
 
 

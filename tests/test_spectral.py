@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
+from isoflow import (FAMILIES, ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      FlowState, Oscillator, ParameterError, PrincipalSeries,
                      SU2, TridiagonalOperator, build_L,
                      degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
@@ -13,7 +13,6 @@ from isoflow import (ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      oscillator, parameter_map, path_eigenvalues,
                      recurrence_residual, su2, su11)
 from isoflow import spectral
-from isoflow.cli import _spectral_points
 from isoflow.specfun import bessel_j
 
 F = FamilyTag
@@ -129,7 +128,7 @@ def _cli_su2(j, s=0.2):
     """The su2 window j at (r, s) = (1, s) with the points that
     ``isoflow run``'s diagonalization check picks (10 points)."""
     return (F.KRAWTCHOUK, SU2(j), su2(), 1.0, s, {"j": j},
-            _spectral_points(F.KRAWTCHOUK, 10))
+            FAMILIES[F.KRAWTCHOUK].points(10))
 
 
 BIT_CASES = {
@@ -192,7 +191,7 @@ def test_residual_fails_on_a_perturbed_bessel_argument(monkeypatch):
         return dataclasses.replace(params, z=params.z * (1.0 + 1e-6)), smap
     monkeypatch.setattr(spectral, "parameter_map", perturbed)
     worst = recurrence_residual(F.BESSEL, rep, alg, r, s,
-                                _spectral_points(F.BESSEL, 10), L=L)
+                                FAMILIES[F.BESSEL].points(10), L=L)
     assert worst > 1e3 * spectral.scaled_tolerance(1e-11, L)
 
 
@@ -285,15 +284,15 @@ def test_isospectrality_along_flow():
     alg = su2()
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
-    assert isospectrality_drift(traj, SU2(2.5), alg) <= 1e-9
+    assert isospectrality_drift(traj, SU2(2.5)) <= 1e-9
 
     alg = su11()
     traj = integrate(alg, FlowState(r=1.0, s=1.25, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     rep = DiscreteSeriesPlus(1.0, 60)
-    assert isospectrality_drift(traj, rep, alg, mode="lowest", count=5) <= 1e-6
+    assert isospectrality_drift(traj, rep, mode="lowest", count=5) <= 1e-6
     with pytest.raises(ValueError):
-        isospectrality_drift(traj, rep, alg, mode="middle")
+        isospectrality_drift(traj, rep, mode="middle")
 
 
 def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
@@ -301,10 +300,10 @@ def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     rep = SU2(6.0)  # 13 rows
-    full = isospectrality_drift(traj, rep, alg)
+    full = isospectrality_drift(traj, rep)
     # the whole window, counted from either end, is the full spectrum
-    assert isospectrality_drift(traj, rep, alg, mode="lowest", count=13) == full
-    assert isospectrality_drift(traj, rep, alg, mode="central", count=13) == full
+    assert isospectrality_drift(traj, rep, mode="lowest", count=13) == full
+    assert isospectrality_drift(traj, rep, mode="central", count=13) == full
 
     calls = []
     monkeypatch.setattr(spectral, "eigh_tridiagonal",
@@ -313,9 +312,9 @@ def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
                         ("lowest", 14), ("lowest", 0), ("central", -1)):
         with pytest.raises(ConfigurationError,
                            match=rf"count <= 13 .*count={count}\b"):
-            isospectrality_drift(traj, rep, alg, mode=mode, count=count)
+            isospectrality_drift(traj, rep, mode=mode, count=count)
     with pytest.raises(ConfigurationError, match="unknown isospectrality mode"):
-        isospectrality_drift(traj, rep, alg, mode="middle", count=3)
+        isospectrality_drift(traj, rep, mode="middle", count=3)
     assert calls == []
 
 

@@ -8,10 +8,9 @@ the closed-form components are far from unit size and the absolute residual
 reaches rounding times that size (the caveat of ``recurrence_residual``)."""
 import pytest
 
-from isoflow import (DiscreteSeriesPlus, E2, FamilyTag, Oscillator, SU2,
+from isoflow import (FAMILIES, DiscreteSeriesPlus, E2, FamilyTag, Oscillator, SU2,
                      build_L, e2, oscillator, recurrence_residual,
                      scaled_tolerance, su2, su11)
-from isoflow.cli import _spectral_points
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -51,5 +50,5 @@ CASES = {
 def test_every_interior_row_holds_at_the_run_points(family, data):
     rep, alg, r, s = CASES[family](data.draw)
     L = build_L(rep, alg, r, s)
-    worst = recurrence_residual(family, rep, alg, r, s, _spectral_points(family, 10), L=L)
+    worst = recurrence_residual(family, rep, alg, r, s, FAMILIES[family].points(10), L=L)
     assert worst <= scaled_tolerance(1e-11, L), (worst, scaled_tolerance(1e-11, L))
