@@ -192,9 +192,14 @@ def chain_path_eigenvalues(traj: ChainTrajectory) -> list[np.ndarray]:
     """The ascending eigenvalues of L at every sample of ``traj``, each
     bitwise ``chain_spectrum`` of that sample (which alone warns about a
     degenerate spectrum): the entries of all samples are built in one pass,
-    then each sample is one eigenvalue-only solve of its row."""
+    then each sample is one eigenvalue-only solve of its row.  Raises
+    ValueError, as that solve does, when an entry is not finite."""
     diag, off = build_chain_L(traj)
-    return [eigh_tridiagonal(dv, ev, eigvals_only=True) for dv, ev in zip(diag, off)]
+    # checked finite as a whole, so the rows are not again
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return [eigh_tridiagonal(dv, ev, eigvals_only=True, check_finite=False)
+            for dv, ev in zip(diag, off)]
 
 
 def spectrum_sum(state: ChainState) -> float:

@@ -1,7 +1,14 @@
 """Special-function kernels: the forward three-term recurrence behind every
 orthonormal polynomial of the package, the regularized Gauss series, Bessel
-J at an array of orders by one backward recurrence, and the package's two
-entry points into scipy.
+J at an array of orders by one backward recurrence, the tridiagonal
+eigensolve (LAPACK ``dstevd``) and log Gamma.
+
+The eigensolve calls the ``dstevd`` of the OpenBLAS that numpy bundles and
+has already loaded; only where numpy ships no such library does it use
+scipy's.  log Gamma is scipy's.  Importing scipy takes longer than importing
+numpy and the rest of the package together, so it is left to the first call
+that needs it: every use of scipy in the package goes through
+``eigh_tridiagonal`` (the fallback) and ``loggamma``.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -9,17 +16,79 @@ exactly the case needed to evaluate bilateral families on an integer lattice.
 """
 from __future__ import annotations
 
+import ctypes
 import math
+from ctypes import byref, c_char, c_int64
+from pathlib import Path
 
 import numpy as np
 
 
-# Importing scipy takes longer than importing numpy and the rest of the
-# package together, so it is left to the first call that needs it: every use
-# of scipy in the package goes through eigh_tridiagonal and loggamma.
+_dstevd = None  # (d, e, compute_v) -> (w, z, info), bound on the first solve
 
 
-_dstevd = None  # scipy.linalg.lapack.dstevd, bound on the first solve
+def _bundled_dstevd():
+    """The ILP64 ``dstevd`` of the OpenBLAS in numpy's own wheel (its
+    ``numpy.libs`` or ``.dylibs`` directory) as a ctypes function, or None
+    where numpy ships no such library (Accelerate, a distribution's or
+    conda's numpy)."""
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        # the names in numpy 2 and in numpy 1 wheels
+        for symbol in ("scipy_dstevd_64_", "dstevd_64_"):
+            try:
+                routine = dll[symbol]
+            except AttributeError:
+                continue
+            # no argtypes: _ilp64_dstevd passes only pointers and ctypes
+            # values, which ctypes hands over without a per-call conversion
+            routine.argtypes, routine.restype = None, None
+            return routine
+    return None
+
+
+_N, _V = ctypes.c_char_p(b"N"), ctypes.c_char_p(b"V")
+_JOBZ_LEN = ctypes.c_size_t(1)  # gfortran's hidden length of the jobz string
+_ONE = byref(c_int64(1))  # read only: LAPACK writes none of n, ldz, lwork, liwork
+_INTS = c_int64 * 3  # n, info, iwork(1) of an eigenvalue-only solve
+
+
+def _ilp64_dstevd(routine):
+    """scipy's ``dstevd(d, e, compute_v)`` over a ctypes ``routine``: the
+    same workspace sizes, fresh storage for every call (ctypes releases the
+    GIL, so no buffer is shared between threads) and ``w``, ``z`` and
+    ``info`` as scipy returns them."""
+    def dstevd(d, e, compute_v):
+        n = d.size
+        if not compute_v:  # lwork = liwork = ldz = 1
+            buf = np.empty(2 * n)  # d, e, work(1)
+            buf[:n] = d
+            buf[n:-1] = e
+            ints = _INTS()
+            ints[0] = n
+            base = c_char.from_buffer(buf)
+            work = byref(base, 8 * (2 * n - 1))
+            routine(_N, ints, byref(base), byref(base, 8 * n), work, _ONE, work,
+                    _ONE, byref(ints, 16), _ONE, byref(ints, 8), _JOBZ_LEN)
+            return buf[:n], None, ints[1]
+        lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+        buf = np.empty(2 * n - 1 + lwork)  # d, e, work
+        buf[:n] = d
+        buf[n:2 * n - 1] = e
+        ints = (c_int64 * (4 + liwork))()  # n, lwork, liwork, info, iwork
+        ints[:3] = n, lwork, liwork
+        zt = np.empty((n, n))  # LAPACK fills it column by column: z is its transpose
+        base = c_char.from_buffer(buf)
+        routine(_V, ints, byref(base), byref(base, 8 * n), byref(c_char.from_buffer(zt)),
+                ints, byref(base, 8 * (2 * n - 1)), byref(ints, 8), byref(ints, 32),
+                byref(ints, 16), byref(ints, 24), _JOBZ_LEN)
+        return buf[:n].copy(), zt.T, ints[3]
+    return dstevd
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False,
@@ -30,8 +99,10 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False,
 
     One call of LAPACK ``dstevd``, the routine ``scipy.linalg.eigh_tridiagonal``
     runs under its ``auto`` driver: the results are scipy's bitwise, and the
-    errors are raised where scipy's wrapper raises them, without the cost of
-    that wrapper.  scipy.linalg is imported on the first solve."""
+    errors are raised where scipy's wrapper raises them.  The routine is
+    bound on the first solve: the ILP64 ``dstevd`` of the OpenBLAS bundled
+    with numpy, called through ctypes, or ``scipy.linalg.lapack.dstevd``
+    where numpy bundles none."""
     global _dstevd
     if check_finite and not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -41,8 +112,12 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False,
         w = d.copy()
         return w if eigvals_only else (w, np.ones((1, 1)))
     if _dstevd is None:
-        from scipy.linalg.lapack import dstevd
-        _dstevd = dstevd
+        routine = _bundled_dstevd()
+        if routine is None:
+            from scipy.linalg.lapack import dstevd
+            _dstevd = dstevd
+        else:
+            _dstevd = _ilp64_dstevd(routine)
     w, v, info = _dstevd(d, e, compute_v=not eigvals_only)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal "

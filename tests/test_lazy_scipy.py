@@ -1,11 +1,16 @@
 """scipy is imported on first use: ``import isoflow`` loads none of it, and
 every use goes through the two functions in ``isoflow.specfun``.  The
 tridiagonal solve, with or without eigenvectors, calls LAPACK's ``dstevd``
-itself and must give scipy's results and raise scipy's errors."""
+itself, from the OpenBLAS bundled with numpy or, where numpy bundles none,
+from scipy; on both paths it must give scipy's results and raise scipy's
+errors."""
+import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,16 +21,18 @@ import scipy.special
 from isoflow import (FlowState, SU2, build_L, eigenvalues, eigs_sym_tridiag,
                      integrate, isospectrality_drift, specfun, spectral, su2)
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+BUNDLED = specfun._bundled_dstevd() is not None
 
 
-def _scipy_modules_after(code: str) -> list[str]:
+def _scipy_modules_after(code: str, cwd=None) -> list[str]:
     """The scipy modules loaded once ``code`` has run in a fresh
     interpreter that imports isoflow from this checkout."""
     probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
                     "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, timeout=120, check=True,
+                          text=True, timeout=120, check=True, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -34,25 +41,53 @@ def test_import_loads_no_scipy():
     assert _scipy_modules_after("import isoflow, isoflow.cli") == []
 
 
-def test_chain_and_mvk_never_load_scipy_special(tmp_path):
-    chain = {"chain": {"s": [0.3, -0.2, 0.4], "r": [1.0, 0.8, 1.2], "g": 1.0,
-                       "dt": 0.01, "t_end": 0.1},
-             "checks": [{"name": "isospectrality_drift", "tolerance": 1e-8}],
-             "output": {"dir": str(tmp_path / "chain")}}
-    mvk = {"chain": {"s": [0.3, -0.2], "r": [1.0, 0.8]}, "degree": 2,
-           "checks": [{"name": "orthogonality", "tolerance": 1e-9}],
-           "output": {"dir": str(tmp_path / "mvk")}}
-    paths = []
-    for name, cfg in (("chain", chain), ("mvk", mvk)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        paths.append(str(path))
-    loaded = _scipy_modules_after(
-        "import isoflow.cli\n"
-        f"assert isoflow.cli.main(['chain', {paths[0]!r}]) == 0\n"
-        f"assert isoflow.cli.main(['mvk', {paths[1]!r}]) == 0")
-    assert "scipy.linalg" in loaded  # the chain spectra are solved
-    assert not [m for m in loaded if m.startswith("scipy.special")]
+def _readme_configs() -> dict[str, dict]:
+    """The README's ``isoflow run``, ``chain`` and ``mvk`` configs."""
+    configs = {}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```json\n(.*?)```", text, re.S):
+        cfg = json.loads(block)
+        if "flow" in cfg:
+            configs["run"] = cfg
+        elif "chain" in cfg:
+            configs["mvk" if "degree" in cfg else "chain"] = cfg
+    return configs
+
+
+# forces the scipy path: numpy's library is not found
+NO_BUNDLED_LIBRARY = "import isoflow.specfun\nisoflow.specfun._bundled_dstevd = lambda: None\n"
+
+
+@pytest.fixture(params=["bundled", "scipy"])
+def path(request, monkeypatch):
+    """Solves through numpy's bundled ``dstevd`` or through scipy's: the
+    binding is dropped, and for scipy's path the locator finds nothing."""
+    if request.param == "bundled" and not BUNDLED:
+        pytest.skip("numpy bundles no ILP64 OpenBLAS with dstevd here")
+    monkeypatch.setattr(specfun, "_dstevd", None)
+    if request.param == "scipy":
+        monkeypatch.setattr(specfun, "_bundled_dstevd", lambda: None)
+    return request.param
+
+
+def test_run_chain_and_mvk_load_no_scipy(path, tmp_path):
+    """``isoflow run`` (a Toda flow), ``chain`` and ``mvk`` on the README
+    configs, in one fresh interpreter, solve their spectra without loading
+    scipy where numpy bundles the library; on scipy's path they load
+    scipy.linalg and no scipy.special."""
+    configs = _readme_configs()
+    assert configs["run"]["flow"]["policy"] == {"type": "toda"}
+    code = NO_BUNDLED_LIBRARY if path == "scipy" else ""
+    code += "import isoflow.cli\n"
+    for command in ("run", "chain", "mvk"):
+        (tmp_path / f"{command}.json").write_text(json.dumps(configs[command]))
+        code += f"assert isoflow.cli.main([{command!r}, '{command}.json']) == 0\n"
+    loaded = _scipy_modules_after(code, cwd=tmp_path)
+    if path == "bundled":
+        assert loaded == []
+    else:
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.special")]
 
 
 def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
@@ -96,23 +131,37 @@ def _same(got, want) -> bool:
             and got.tobytes() == want.tobytes())
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 61, 121])
-def test_eigenvalue_solve_is_scipys_bitwise(n):
-    """Both solves, eigenvalues only and with eigenvectors."""
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        d, e = _tridiagonal(rng, n)
-        got = specfun.eigh_tridiagonal(d, e, eigvals_only=True)
-        want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
-        assert _same(got, want)
-        assert not np.shares_memory(got, d)  # a fresh array, also for the 1x1 exit
-        (lam, vec), (want_lam, want_vec) = (specfun.eigh_tridiagonal(d, e),
-                                            scipy.linalg.eigh_tridiagonal(d, e))
-        assert _same(lam, want_lam) and _same(vec, want_vec)
-        assert not np.shares_memory(lam, d)
+def _cases(rng, n):
+    """Random entries, the matrix split into blocks by zero off-diagonals,
+    and both scaled near 1e-160 and 1e160, where ``dstevd`` scales the
+    matrix before solving and back after."""
+    d, e = _tridiagonal(rng, n)
+    split = e.copy()
+    split[rng.integers(0, n - 1, size=(n - 1 + 3) // 4)] = 0.0
+    cases = [(d, e), (d, split)]
+    for scale in (1e-160, 1e160):
+        cases += [(d * scale, e * scale), (d * scale, split * scale)]
+    return cases
 
 
-def test_eigenvalue_solve_of_rows_is_scipys_bitwise():
+def test_eigenvalue_solve_is_scipys_bitwise(path):
+    """Both solves, eigenvalues only and with eigenvectors, at n = 1..129."""
+    rng = np.random.default_rng(11)
+    for n in range(1, 130):
+        for d, e in _cases(rng, n):
+            got = specfun.eigh_tridiagonal(d, e, eigvals_only=True)
+            want = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)
+            assert _same(got, want), n
+            assert not np.shares_memory(got, d)  # a fresh array, also for the 1x1 exit
+            (lam, vec), (want_lam, want_vec) = (specfun.eigh_tridiagonal(d, e),
+                                                scipy.linalg.eigh_tridiagonal(d, e))
+            assert _same(lam, want_lam) and _same(vec, want_vec), n
+            assert vec.flags.f_contiguous == want_vec.flags.f_contiguous
+            assert not np.shares_memory(lam, d)
+    assert specfun._dstevd is not None  # the solves went through the binding
+
+
+def test_eigenvalue_solve_of_rows_is_scipys_bitwise(path):
     rng = np.random.default_rng(5)
     d, e = rng.normal(size=(9, 13)), rng.uniform(0.1, 1.0, size=(9, 12))
     for dr, er in zip(d, e):
@@ -123,6 +172,46 @@ def test_eigenvalue_solve_of_rows_is_scipys_bitwise():
     got = specfun.eigh_tridiagonal(d[:, 0], e[:8, 0], eigvals_only=True)
     want = scipy.linalg.eigh_tridiagonal(d[:, 0], e[:8, 0], eigvals_only=True)
     assert got.tobytes() == want.tobytes()
+
+
+def test_solves_from_threads_match_serial(path):
+    """ctypes releases the GIL during the LAPACK call: four threads (more
+    than the cores of a small host) solving at once, with the interpreter
+    switching threads as often as it can, must each get the serial results
+    bitwise, so no call may share storage with another."""
+    rng = np.random.default_rng(17)
+    # many matrices of few sizes, so that solves of one size overlap
+    jobs = [(*_tridiagonal(rng, n), only) for n in (6, 40, 90) for _ in range(8)
+            for only in (True, False)]
+
+    def solve(d, e, only):
+        out = specfun.eigh_tridiagonal(d, e, eigvals_only=only)
+        return out.tobytes() if only else out[0].tobytes() + out[1].tobytes()
+    serial = [solve(*job) for job in jobs]
+
+    start = threading.Barrier(4)
+    results = {}
+
+    def worker(k):  # each thread starts at another job
+        start.wait(timeout=60)
+        order = [(i + k * len(jobs) // 4) % len(jobs) for i in range(len(jobs))]
+        results[k] = [(i, solve(*jobs[i])) for _ in range(5) for i in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for got in results.values():
+        assert len(got) == 5 * len(jobs)
+        assert all(out == serial[i] for i, out in got)
 
 
 @pytest.mark.parametrize("d, e, match", [
@@ -140,12 +229,27 @@ def test_eigenvalue_solve_raises_like_scipy(d, e, match):
                 solve(d, e, eigvals_only=eigvals_only)
 
 
-def test_eigenvalue_solve_maps_lapack_info(monkeypatch):
+def _lapack_returning(info: int):
+    """A stand-in for the LAPACK routine that only sets ``info``: for the
+    bundled path a ctypes routine (``info`` is its eleventh argument), for
+    scipy's path a ``dstevd(d, e, compute_v)``."""
+    def routine(*args):
+        ctypes.cast(args[10], ctypes.POINTER(ctypes.c_int64))[0] = info
+
+    def dstevd(d, e, compute_v):
+        return d, None, info
+    return routine, dstevd
+
+
+def test_eigenvalue_solve_maps_lapack_info(path, monkeypatch):
     d, e = np.array([1.0, 2.0]), np.array([0.5])
-    specfun.eigh_tridiagonal(d, e, eigvals_only=True)  # binds dstevd
     for info, exc in ((3, np.linalg.LinAlgError), (-2, ValueError)):
-        monkeypatch.setattr(specfun, "_dstevd",
-                            lambda d, e, compute_v, info=info: (d, None, info))
+        routine, dstevd = _lapack_returning(info)
+        monkeypatch.setattr(specfun, "_dstevd", None)
+        if path == "bundled":
+            monkeypatch.setattr(specfun, "_bundled_dstevd", lambda: routine)
+        else:
+            monkeypatch.setattr(scipy.linalg.lapack, "dstevd", dstevd)
         for eigvals_only in (True, False):
             with pytest.raises(exc, match="stevd"):
                 specfun.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)
