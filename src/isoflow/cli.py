@@ -37,7 +37,7 @@ from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_columns_csv, write_report_csv, write_spectrum_csv)
 from .representations import (ConfigurationError, ParameterError, build_L,
-                              check_compatible, lax_residual, lax_rows, rep_labels)
+                              check_compatible, lax_residual, lax_rows)
 from .spectral import (compared_eigenvalues, isospectrality_drift,
                        path_eigenvalues, recurrence_residual, scaled_tolerance)
 from .verify import GROUPS, run_verify
@@ -178,7 +178,7 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     _need_rep(ccfg, rep)
     family = _family(ccfg)
     count = _int_option(ccfg, "points", 10)
-    parameter_map(family, alg, state0.r, state0.s, **rep_labels(rep))
+    parameter_map(family, rep, alg, state0.r, state0.s)
     op = initial_L()
     lax_rows(op)
     capped = ""

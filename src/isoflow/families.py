@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec
 from .representations import (_COMPAT, E2, SU2, DiscreteSeriesPlus, Oscillator,
-                              ParameterError, PrincipalSeries, label_names)
+                              ParameterError, PrincipalSeries, RepresentationSpec)
 from .specfun import PrecisionError, loggamma, regularized_2f1, three_term
 
 
@@ -444,7 +444,8 @@ class SpectralMap:
 def check_regime(fam: FamilyTag, alg: AlgebraSpec, r: float, s: float) -> None:
     """Raise ParameterError unless ``alg`` is the algebra of the family's
     representation (``FAMILIES``) and (r, s) lies in its sign regime (e.g. a
-    negative-binomial lattice needs s + c > |r|, the hyperbolic axis |s + c| < r)."""
+    negative-binomial lattice needs r > 0 and s + c > r, the hyperbolic axis
+    |s + c| < r)."""
     kind = FAMILIES[fam].representation
     _need((alg.a, alg.b, alg.epsilon) == _COMPAT[kind],
           f"family {fam.value} diagonalizes L on {kind.__name__}, which requires "
@@ -470,59 +471,59 @@ def check_regime(fam: FamilyTag, alg: AlgebraSpec, r: float, s: float) -> None:
         _need(alg.c_param != 0.0, "flat spectral map needs c != 0")
 
 
-def parameter_map(family: FamilyTag, alg: AlgebraSpec, r: float, s: float, *,
-                  j: float | None = None, k: float | None = None,
-                  h: float | None = None, rho: float | None = None,
-                  eps: float | None = None):
-    """Map a flow state (r, s) plus representation labels to the family
-    parameters and the spectral change of variable.
+def parameter_map(family: FamilyTag, rep: RepresentationSpec, alg: AlgebraSpec,
+                  r: float, s: float):
+    """Map a flow state (r, s) on the representation ``rep`` to the family
+    parameters and the spectral change of variable; the family reads its
+    labels (``rep.j``, ``rep.k``, ``rep.h``, ``rep.rho``, ``rep.eps``) from
+    ``rep``.
 
     Raises ParameterError when the requested family does not match the
-    algebra or the sign regime of (r, s) (``check_regime``), or a label of
-    its representation (``representations.label_names``) is missing.
+    algebra or the sign regime of (r, s) (``check_regime``), or ``rep`` is
+    not of the family's representation class (``FAMILIES``).
     """
     fam = FamilyTag(family)
     check_regime(fam, alg, r, s)
     kind = FAMILIES[fam].representation
-    given = {"j": j, "k": k, "h": h, "rho": rho, "eps": eps}
-    missing = [name for name in label_names(kind) if given[name] is None]
-    _need(not missing, f"family {fam.value} diagonalizes L on {kind.__name__}: "
-                       f"label{'s' * (len(missing) > 1)} {', '.join(missing)} required")
+    _need(type(rep) is kind,
+          f"family {fam.value} diagonalizes L on {kind.__name__}, got {type(rep).__name__}")
     se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
 
     if fam is FamilyTag.KRAWTCHOUK:
         C = math.hypot(se, r)
         p = 0.5 + se / (2.0 * C)
-        return KrawtchoukParams(p, int(round(2 * j))), SpectralMap(-2.0 * C, 2.0 * C * j)
+        return (KrawtchoukParams(p, int(round(2 * rep.j))),
+                SpectralMap(-2.0 * C, 2.0 * C * rep.j))
 
     if fam is FamilyTag.MEIXNER:
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
-        return MeixnerParams(2.0 * k, c), SpectralMap(2.0 * C, 2.0 * C * k)
+        return MeixnerParams(2.0 * rep.k, c), SpectralMap(2.0 * C, 2.0 * C * rep.k)
 
     if fam is FamilyTag.LAGUERRE:
-        return LaguerreParams(2.0 * k - 1.0, r), SpectralMap(1.0, 0.0)
+        return LaguerreParams(2.0 * rep.k - 1.0, r), SpectralMap(1.0, 0.0)
 
     if fam is FamilyTag.MEIXNER_POLLACZEK:
         C = math.sqrt(r * r - se * se)
         phi = math.acos(-se / r)
-        return MeixnerPollaczekParams(k, phi), SpectralMap(2.0 * C, 0.0)
+        return MeixnerPollaczekParams(rep.k, phi), SpectralMap(2.0 * C, 0.0)
 
     if fam is FamilyTag.MEIXNER_FUNCTION:
         C = math.sqrt(se * se - r * r)
         c = math.exp(-2.0 * math.acosh(se / r))
-        return MeixnerFunctionParams(rho, eps, c), SpectralMap(2.0 * C, 2.0 * C * eps)
+        return (MeixnerFunctionParams(rep.rho, rep.eps, c),
+                SpectralMap(2.0 * C, 2.0 * C * rep.eps))
 
     if fam is FamilyTag.CHARLIER:
         cpar = alg.c_param
-        a = h * r * r / (4.0 * cpar * cpar)
+        a = rep.h * r * r / (4.0 * cpar * cpar)
         big = r * r / (2.0 * cpar) + s
-        return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * k - big * h)
+        return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * rep.k - big * rep.h)
 
     if fam is FamilyTag.HERMITE:
-        return HermiteParams(-h * s, r * math.sqrt(2.0 * h)), SpectralMap(1.0, 0.0)
+        return HermiteParams(-rep.h * s, r * math.sqrt(2.0 * rep.h)), SpectralMap(1.0, 0.0)
 
-    return BesselParams(k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0)  # Bessel
+    return BesselParams(rep.k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0)  # Bessel
 
 
 def _need(cond: bool, msg: str) -> None:

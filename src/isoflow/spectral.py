@@ -16,7 +16,7 @@ from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .report import spectrum_drift
 from .representations import (E2, ConfigurationError, RepresentationSpec,
-                              build_L, lax_entries, lax_rows, rep_labels)
+                              build_L, lax_entries, lax_rows)
 from .specfun import bessel_j, eigh_tridiagonal
 
 
@@ -114,7 +114,7 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         raise ConfigurationError("residual needs at least one point")
-    params, smap = parameter_map(fam, alg, r, s, **rep_labels(rep))
+    params, smap = parameter_map(fam, rep, alg, r, s)
 
     # psi[k, i] is psi_{rows[i] + k - 1}, from one evaluation of the
     # contiguous components the rows reach; past an exact edge the padded
@@ -149,7 +149,9 @@ def compared_eigenvalues(rep: RepresentationSpec, mode: str,
                          count: int | None) -> slice:
     """The eigenvalues, in ascending order, that ``isospectrality_drift``
     compares on the window of ``rep``.  Raises ConfigurationError for an
-    unknown mode or a count outside the window."""
+    unknown mode or a count outside the window.  On an e2 window the
+    "central" eigenvalues are the ladder 2 c m for every r and s, so they
+    do not move with the flow."""
     lo, hi = rep.window
     size = hi - lo + 1
     if mode == "all":
@@ -175,7 +177,10 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
     upper edge is truncated), "central" the ``count`` eigenvalues closest to
     the spectral center (use for doubly truncated windows).  Both need
     ``1 <= count <= window size``; the mode and count are checked before
-    any eigensolve and raise ConfigurationError otherwise.
+    any eigensolve and raise ConfigurationError otherwise.  On an e2 window
+    the central eigenvalues of L = c H + r (E + E*) form the Wannier-Stark
+    ladder 2 c m for every r and s, so "central" reads rounding noise there
+    whatever the flow does.
     """
     keep = compared_eigenvalues(rep, mode, count)
     return spectrum_drift([lam[keep] for lam in path_eigenvalues(rep, traj.alg, traj.r, traj.s)])

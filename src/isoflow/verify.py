@@ -123,7 +123,7 @@ def _grp_diagonalization(rng) -> list[CheckResult]:
     r, s = 1.0, 0.0
     L = run_family(FamilyTag.KRAWTCHOUK, rep, alg, r, s, range(20))
     dec = eigs_sym_tridiag(L)
-    _, smap = parameter_map(FamilyTag.KRAWTCHOUK, alg, r, s, j=rep.j)
+    _, smap = parameter_map(FamilyTag.KRAWTCHOUK, rep, alg, r, s)
     expected = np.sort(smap.eigenvalue(np.arange(21)))
     out.append(check_result("su2_spectrum_match",
                             float(np.abs(dec.eigenvalues - expected).max()), 1e-10))

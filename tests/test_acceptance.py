@@ -121,7 +121,7 @@ def test_eigenfunction_rows_every_family():
         assert worst <= tol, (tag, worst, tol)
 
     # the compact window also has an exactly known finite spectrum
-    params, smap = parameter_map(FamilyTag.KRAWTCHOUK, su2(), 1.0, 0.0, j=10.0)
+    params, smap = parameter_map(FamilyTag.KRAWTCHOUK, SU2(10.0), su2(), 1.0, 0.0)
     dec = eigs_sym_tridiag(build_L(SU2(10.0), su2(), 1.0, 0.0))
     expected = np.sort([smap.eigenvalue(x) for x in range(21)])
     spec_err = float(np.abs(dec.eigenvalues - expected).max())

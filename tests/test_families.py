@@ -11,7 +11,6 @@ from isoflow import (E2, FAMILIES, SU2, CharlierParams, DiscreteSeriesPlus,
                      MeixnerFunctionParams, MeixnerParams, MeixnerPollaczekParams,
                      Oscillator, ParameterError, PrincipalSeries, eval_hyper,
                      eval_rec, parameter_map, su2, su11, oscillator, e2, weight)
-from isoflow.representations import rep_labels
 
 F = FamilyTag
 
@@ -195,12 +194,12 @@ def test_degree_bounds():
 
 
 def test_parameter_map_frozen_points():
-    params, smap = parameter_map(F.MEIXNER, su11(), 3.0, 5.0, k=1.0)
+    params, smap = parameter_map(F.MEIXNER, DiscreteSeriesPlus(1.0, 40), su11(), 3.0, 5.0)
     assert smap.slope == pytest.approx(8.0)  # 2 C with C = 4
     assert params.c == pytest.approx(1.0 / 9.0, rel=1e-13)
     assert params.beta == pytest.approx(2.0)
 
-    params, smap = parameter_map(F.KRAWTCHOUK, su2(), 3.0, 4.0, j=2.0)
+    params, smap = parameter_map(F.KRAWTCHOUK, SU2(2.0), su2(), 3.0, 4.0)
     assert smap.slope == pytest.approx(-10.0)  # -2 C with C = 5
     assert params.p == pytest.approx(0.9)
     assert params.N == 4
@@ -209,29 +208,26 @@ def test_parameter_map_frozen_points():
     assert smap.eigenvalue(2.0) == pytest.approx(0.0)
     assert smap.to_family_variable(smap.eigenvalue(1.0)) == pytest.approx(1.0)
 
-    params, _ = parameter_map(F.KRAWTCHOUK, su2(), 3.0, 0.0, j=2.0)
+    params, _ = parameter_map(F.KRAWTCHOUK, SU2(2.0), su2(), 3.0, 0.0)
     assert params.p == pytest.approx(0.5)
 
 
 def test_parameter_map_case_conditions():
     with pytest.raises(ParameterError):
         # Meixner needs s_e > r
-        parameter_map(F.MEIXNER, su11(), 3.0, 2.0, k=1.0)
+        parameter_map(F.MEIXNER, DiscreteSeriesPlus(1.0, 40), su11(), 3.0, 2.0)
     with pytest.raises(ParameterError):
         # MP needs |s_e| < r
-        parameter_map(F.MEIXNER_POLLACZEK, su11(), 1.0, 2.0, k=1.0)
+        parameter_map(F.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.0, 40), su11(), 1.0, 2.0)
     with pytest.raises(ParameterError):
         # equal-parameter case needs s = r exactly
-        parameter_map(F.LAGUERRE, su11(), 1.0, 1.2, k=1.0)
+        parameter_map(F.LAGUERRE, DiscreteSeriesPlus(1.0, 40), su11(), 1.0, 1.2)
     with pytest.raises(ParameterError):
         # zero constant term has no Charlier case
-        parameter_map(F.CHARLIER, oscillator(0.0), 1.0, 0.5, k=0.5, h=1.0)
+        parameter_map(F.CHARLIER, Oscillator(0.5, 1.0, 40), oscillator(0.0), 1.0, 0.5)
     with pytest.raises(ParameterError):
         # nonzero constant term has no Hermite case
-        parameter_map(F.HERMITE, oscillator(1.0), 1.0, 0.5, k=0.5, h=1.0)
-    with pytest.raises(ParameterError):
-        # missing representation label
-        parameter_map(F.KRAWTCHOUK, su2(), 1.0, 0.2)
+        parameter_map(F.HERMITE, Oscillator(0.5, 1.0, 40), oscillator(1.0), 1.0, 0.5)
 
 
 # one spec of each representation type, with the algebra maker of its class
@@ -261,17 +257,17 @@ def test_every_family_has_one_representation():
 @pytest.mark.parametrize("kind", list(SPECS), ids=lambda k: k.__name__)
 @pytest.mark.parametrize("family", list(F), ids=lambda f: f.value)
 def test_parameter_map_accepts_only_the_family_representation(family, kind):
-    """At a state of the family's regime, the algebra and labels of a
-    representation type map only for the family's own type; for each other
-    type the error names the family's own."""
+    """At a state of the family's regime, a representation and the algebra of
+    its class map only for the family's own type; for each other type the
+    error names the family's own."""
     c, r, s = REGIME_STATES[family]
     spec, algebra = SPECS[kind]
     own = FAMILIES[family].representation
     if kind is own:
-        parameter_map(family, algebra(c), r, s, **rep_labels(spec))
+        parameter_map(family, spec, algebra(c), r, s)
     else:
         with pytest.raises(ParameterError, match=own.__name__):
-            parameter_map(family, algebra(c), r, s, **rep_labels(spec))
+            parameter_map(family, spec, algebra(c), r, s)
 
 
 def test_run_points_of_every_family():
@@ -290,14 +286,14 @@ def test_run_points_of_every_family():
 
 def test_parameter_map_charlier_scaling():
     c, r, s, k, h = 1.0, 6.0, 0.5, 0.5, 1.0
-    params, smap = parameter_map(F.CHARLIER, oscillator(c), r, s, k=k, h=h)
+    params, smap = parameter_map(F.CHARLIER, Oscillator(k, h, 40), oscillator(c), r, s)
     assert params.a == pytest.approx(h * r * r / (4.0 * c * c))
     big = r * r / (2.0 * c) + s
     assert smap.eigenvalue(0.0) == pytest.approx(2.0 * c * k - big * h)
 
 
 def test_parameter_map_bessel():
-    params, smap = parameter_map(F.BESSEL, e2(1.0), 1.3, 0.0, k=2.0)
+    params, smap = parameter_map(F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.0)
     assert params.z == pytest.approx(2.6)
     assert smap.eigenvalue(3.0) == pytest.approx(6.0)
 

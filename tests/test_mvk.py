@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (TABLE_CHECKS, ChainState, FamilyTag, KrawtchoukParams,
-                     TridiagonalOperator, base_entry_error, build_chain_L,
-                     chain_spectrum, christoffel_weights, eigs_sym_tridiag,
-                     eigen_polys, eval_hyper, krawtchouk_reduction_check,
-                     multi_indices, multinom, mvk_orthogonality_check,
-                     mvk_recurrence_check, mvk_table, mvk_time_derivative_check,
+from isoflow import (TABLE_CHECKS, ChainState, FamilyTag, FlowState, GammaTable,
+                     KrawtchoukParams, TridiagonalOperator, base_entry_error,
+                     build_chain_L, chain_spectrum, christoffel_weights,
+                     eigs_sym_tridiag, eigen_polys, eval_hyper, integrate,
+                     integrate_chain, krawtchouk_reduction_check, multi_indices,
+                     multinom, mvk_orthogonality_check, mvk_recurrence_check,
+                     mvk_table, mvk_time_derivative_check, su2,
                      symmetric_chain_state, unit_index, write_mvk_csv)
 from isoflow.chain import _advance
 from isoflow.flows import g_at
@@ -146,6 +147,39 @@ def test_symmetric_state_shape():
                                      0.6 * 3 * (-1)])
     assert state.r == pytest.approx([0.8 * math.sqrt(3), 0.8 * 2.0,
                                      0.8 * math.sqrt(3)])
+
+
+# a rank-1 coupling g and its negation -g
+SIGN_COUPLINGS = {
+    "constant": (1.0, -1.0),
+    "table": (GammaTable(1, (0, 0.5, 1), (1, 0.6, 1.2)),
+              GammaTable(-1, (0, 0.5, 1), (1, 0.6, 1.2))),
+}
+
+
+@pytest.mark.parametrize("d", [2, 4, 12])
+@pytest.mark.parametrize("coupling", sorted(SIGN_COUPLINGS))
+def test_rank1_flow_is_the_symmetric_chain_under_minus_g(coupling, d):
+    """On su2(c) the rank-1 flow (r, s) under g is the chain flow of
+    ``symmetric_chain_state(s + c, r, d)`` under -g: the two M's differ by
+    that sign.  The chain under +g leaves the rank-1 path by O(1)."""
+    c = 0.3
+    g, minus_g = SIGN_COUPLINGS[coupling]
+    traj = integrate(su2(c), FlowState(0.0, 1.0, 0.2), g, 1e-3, 1.0, 50)
+
+    def gap(chain_g):
+        chain = integrate_chain(symmetric_chain_state(0.2 + c, 1.0, d), chain_g,
+                                1e-3, 1.0, 50)
+        assert chain.t.tobytes() == traj.t.tobytes()
+        worst = 0.0
+        for i, (r, s) in enumerate(zip(traj.r, traj.s)):
+            state = symmetric_chain_state(s + c, r, d)
+            worst = max(worst, np.abs(np.array(state.s) - chain.s[i]).max(),
+                        np.abs(np.array(state.r) - chain.r[i]).max())
+        return worst
+
+    assert gap(minus_g) <= 1e-12
+    assert gap(g) > 1.0
 
 
 def test_csv_format(tmp_path):

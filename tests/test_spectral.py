@@ -7,7 +7,7 @@ import pytest
 
 from isoflow import (FAMILIES, ConfigurationError, DiscreteSeriesPlus, E2, FamilyTag,
                      FlowState, Oscillator, ParameterError, PrincipalSeries,
-                     SU2, TridiagonalOperator, build_L,
+                     SU2, TridiagonalOperator, build_L, compared_eigenvalues,
                      degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
                      eigenvalues, eval_rec, e2, integrate, isospectrality_drift,
                      oscillator, parameter_map, path_eigenvalues,
@@ -44,10 +44,10 @@ def reference_row_residual(family, params, smap, rep, alg, r, s, n, lam):
     return abs(acc)
 
 
-def reference_residuals(family, rep, alg, r, s, labels, points):
+def reference_residuals(family, rep, alg, r, s, points):
     """Every interior row's residual at every point, from the scalar
     reference."""
-    params, smap = parameter_map(family, alg, r, s, **labels)
+    params, smap = parameter_map(family, rep, alg, r, s)
     return [reference_row_residual(family, params, smap, rep, alg, r, s, n,
                                    smap.eigenvalue(x))
             for x in points for n in build_L(rep, alg, r, s).interior_rows()]
@@ -89,69 +89,65 @@ def test_spin_one_spectrum_matches_map():
     r, s = 3.0, 4.0
     L = build_L(rep, alg, r, s)
     dec = eigs_sym_tridiag(L)
-    _, smap = parameter_map(F.KRAWTCHOUK, alg, r, s, j=1.0)
+    _, smap = parameter_map(F.KRAWTCHOUK, rep, alg, r, s)
     want = np.sort([smap.eigenvalue(x) for x in range(3)])
     assert np.abs(dec.eigenvalues - want).max() <= 1e-10
     assert dec.eigenvalues == pytest.approx([-10.0, 0.0, 10.0], abs=1e-10)
 
 
 def test_spectral_map_roundtrip():
-    _, smap = parameter_map(F.KRAWTCHOUK, su2(), 3.0, 4.0, j=2.0)
+    _, smap = parameter_map(F.KRAWTCHOUK, SU2(2.0), su2(), 3.0, 4.0)
     for x in (0.0, 1.0, 3.5):
         assert smap.to_family_variable(smap.eigenvalue(x)) == \
             pytest.approx(x, abs=1e-12)
 
 
 CASES = [
-    # family, rep, alg, r, s, labels, spectral lattice points
-    (F.KRAWTCHOUK, SU2(6.0), su2(), 1.0, 0.2, {"j": 6.0},
+    # family, rep, alg, r, s, spectral lattice points
+    (F.KRAWTCHOUK, SU2(6.0), su2(), 1.0, 0.2,
      [float(x) for x in range(10)]),
-    (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025, {"k": 1.0},
+    (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025,
      [float(x) for x in range(12)]),
-    (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, {"k": 2.0},
+    (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4,
      [float(x) for x in range(-6, 7)]),
 ]
 
 
-@pytest.mark.parametrize("family,rep,alg,r,s,labels,points", CASES)
-def test_recurrence_residual_rows(family, rep, alg, r, s, labels, points):
+@pytest.mark.parametrize("family,rep,alg,r,s,points", CASES)
+def test_recurrence_residual_rows(family, rep, alg, r, s, points):
     L = build_L(rep, alg, r, s)
     tol = 1e-11 * (1.0 + L.inf_norm())
     worst = recurrence_residual(family, rep, alg, r, s, points)
     assert worst <= tol
     assert_matches_reference(family, worst,
                              reference_worst(reference_residuals(
-                                 family, rep, alg, r, s, labels, points)))
+                                 family, rep, alg, r, s, points)))
 
 
 def _cli_su2(j, s=0.2):
     """The su2 window j at (r, s) = (1, s) with the points that
     ``isoflow run``'s diagonalization check picks (10 points)."""
-    return (F.KRAWTCHOUK, SU2(j), su2(), 1.0, s, {"j": j},
+    return (F.KRAWTCHOUK, SU2(j), su2(), 1.0, s,
             FAMILIES[F.KRAWTCHOUK].points(10))
 
 
 BIT_CASES = {
     # the seven families of isoflow verify's diagonalization group
-    "krawtchouk": (F.KRAWTCHOUK, SU2(10.0), su2(), 1.0, 0.0, {"j": 10.0},
-                   range(20)),
+    "krawtchouk": (F.KRAWTCHOUK, SU2(10.0), su2(), 1.0, 0.0, range(20)),
     "meixner": (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025,
-                {"k": 1.0}, range(20)),
+                range(20)),
     "laguerre": (F.LAGUERRE, DiscreteSeriesPlus(0.8, 50), su11(), 1.3, 1.3,
-                 {"k": 0.8}, np.linspace(0.3, 12.0, 20)),
+                 np.linspace(0.3, 12.0, 20)),
     "meixner_pollaczek": (F.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 50),
-                          su11(), 2.0, 1.0, {"k": 1.2},
-                          np.linspace(-4.0, 4.0, 20)),
+                          su11(), 2.0, 1.0, np.linspace(-4.0, 4.0, 20)),
     "charlier": (F.CHARLIER, Oscillator(0.5, 1.0, 60), oscillator(1.0), 6.0,
-                 0.5, {"k": 0.5, "h": 1.0}, range(20)),
+                 0.5, range(20)),
     "hermite": (F.HERMITE, Oscillator(0.5, 2.0, 60), oscillator(0.0), 1.1, 0.7,
-                {"k": 0.5, "h": 2.0}, np.linspace(-5.0, 5.0, 20)),
-    "bessel": (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, {"k": 2.0},
-               range(-9, 11)),
+                np.linspace(-5.0, 5.0, 20)),
+    "bessel": (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, range(-9, 11)),
     # a bilateral window: both edges truncated
     "meixner_function": (F.MEIXNER_FUNCTION, PrincipalSeries(0.7, 0.3, -25, 25),
-                         su11(), 1.0, 1.2, {"rho": 0.7, "eps": 0.3},
-                         np.linspace(-4.0, 4.0, 10)),
+                         su11(), 1.0, 1.2, np.linspace(-4.0, 4.0, 10)),
     # tilted su2 windows, where the absolute residual is large
     "su2_j10": _cli_su2(10.0),
     "su2_j30": _cli_su2(30.0),
@@ -161,10 +157,10 @@ BIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BIT_CASES))
 def test_batched_residual_matches_scalar_reference(case):
-    family, rep, alg, r, s, labels, points = BIT_CASES[case]
+    family, rep, alg, r, s, points = BIT_CASES[case]
     assert_matches_reference(family, recurrence_residual(family, rep, alg, r, s, points),
                              reference_worst(reference_residuals(
-                                 family, rep, alg, r, s, labels, points)))
+                                 family, rep, alg, r, s, points)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -172,8 +168,8 @@ def test_residual_reports_nan_rows():
     # on the wide tilted su2 window the closed-form components overflow:
     # 884 of the 8,010 rows are inf - inf and others inf; the scalar loop's
     # max skipped the NaNs
-    family, rep, alg, r, s, labels, points = _cli_su2(400.0, 0.9)
-    per_row = reference_residuals(family, rep, alg, r, s, labels, points)
+    family, rep, alg, r, s, points = _cli_su2(400.0, 0.9)
+    per_row = reference_residuals(family, rep, alg, r, s, points)
     assert np.isnan(per_row).sum() == 884
     assert np.isinf(reference_worst(per_row))
     assert np.isnan(recurrence_residual(family, rep, alg, r, s, points))
@@ -208,12 +204,12 @@ def test_truncated_window_lowest_eigenvalues():
 def test_eigenfunction_routing():
     # Bessel: order m - n at argument k r / c
     alg = e2(1.0)
-    params, smap = parameter_map(F.BESSEL, alg, 1.3, 0.4, k=2.0)
+    params, smap = parameter_map(F.BESSEL, E2(2.0, -40, 40), alg, 1.3, 0.4)
     got = eigenfunction(F.BESSEL, params, smap, alg, 1.3, 3, smap.eigenvalue(5.0))
     assert got == pytest.approx(bessel_j(2, 2.0 * 1.3), rel=1e-12)
     # Charlier with r/c > 0 alternates sign against the bare polynomial
     alg = oscillator(1.0)
-    params, smap = parameter_map(F.CHARLIER, alg, 6.0, 0.5, k=0.5, h=1.0)
+    params, smap = parameter_map(F.CHARLIER, Oscillator(0.5, 1.0, 40), alg, 6.0, 0.5)
     lam = smap.eigenvalue(4.0)
     x = smap.to_family_variable(lam)
     got = eigenfunction(F.CHARLIER, params, smap, alg, 6.0, 3, lam)
@@ -237,19 +233,19 @@ def test_residual_rejects_bad_rows():
 
 
 EIGENFUNCTION_CASES = [
-    (F.CHARLIER, oscillator(1.0), 6.0, 0.5, {"k": 0.5, "h": 1.0}, [0.0, 4.0, 9.0]),
-    (F.KRAWTCHOUK, su2(), 1.0, 0.2, {"j": 6.0}, [0.0, 2.0, 7.0, 12.0]),
-    (F.MEIXNER_POLLACZEK, su11(), 2.0, 1.0, {"k": 1.2}, [-4.0, 0.5, 3.0]),
-    (F.BESSEL, e2(1.0), 1.3, 0.4, {"k": 2.0}, [-3.0, 5.0]),
-    (F.MEIXNER_FUNCTION, su11(), 1.0, 1.2, {"rho": 0.7, "eps": 0.3}, [-2.0, 1.5]),
+    (F.CHARLIER, Oscillator(0.5, 1.0, 40), oscillator(1.0), 6.0, 0.5, [0.0, 4.0, 9.0]),
+    (F.KRAWTCHOUK, SU2(6.0), su2(), 1.0, 0.2, [0.0, 2.0, 7.0, 12.0]),
+    (F.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 40), su11(), 2.0, 1.0, [-4.0, 0.5, 3.0]),
+    (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, [-3.0, 5.0]),
+    (F.MEIXNER_FUNCTION, PrincipalSeries(0.7, 0.3, -25, 25), su11(), 1.0, 1.2, [-2.0, 1.5]),
 ]
 
 
 def test_eigenfunction_on_an_array_of_eigenvalues():
     # each element equals the scalar call, except for Bessel, whose array
     # takes every order from one backward recurrence (equal to rounding)
-    for family, alg, r, s, labels, xs in EIGENFUNCTION_CASES:
-        params, smap = parameter_map(family, alg, r, s, **labels)
+    for family, rep, alg, r, s, xs in EIGENFUNCTION_CASES:
+        params, smap = parameter_map(family, rep, alg, r, s)
         lam = smap.eigenvalue(np.array(xs))
         got = eigenfunction(family, params, smap, alg, r, 3, lam)
         want = [eigenfunction(family, params, smap, alg, r, 3, float(v)) for v in lam]
@@ -265,8 +261,8 @@ def test_eigenfunction_on_an_array_of_eigenvalues():
 def test_eigenfunction_on_labels_times_eigenvalues():
     # one call over an array of labels is the call per label, with the
     # labels' shape leading; Bessel takes all its orders from one pass
-    for family, alg, r, s, labels, xs in EIGENFUNCTION_CASES:
-        params, smap = parameter_map(family, alg, r, s, **labels)
+    for family, rep, alg, r, s, xs in EIGENFUNCTION_CASES:
+        params, smap = parameter_map(family, rep, alg, r, s)
         lam = smap.eigenvalue(np.array(xs))
         n = np.array([[0, 4], [2, 3], [5, 1]])
         got = eigenfunction(family, params, smap, alg, r, n, lam)
@@ -316,6 +312,18 @@ def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
     with pytest.raises(ConfigurationError, match="unknown isospectrality mode"):
         isospectrality_drift(traj, rep, mode="middle", count=3)
     assert calls == []
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+@pytest.mark.parametrize("r, s", [(1.3, 0.4), (0.5, 2.0), (2.0, -1.0)])
+def test_e2_central_eigenvalues_are_a_ladder(c, r, s):
+    """On an e2 window the central eigenvalues of L = c H + r (E + E*) are
+    the Wannier-Stark ladder 2 c m for every r and s, so the drift of mode
+    "central" is blind to the flow there."""
+    rep = E2(2.0, -40, 40)
+    central = compared_eigenvalues(rep, "central", 5)
+    lam = eigenvalues(build_L(rep, e2(c), r, s))[central]
+    assert np.abs(lam / (2.0 * c) - np.arange(-2, 3)).max() <= 1e-12
 
 
 # one case per representation type: the oscillator's central element acts
