@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,10 +31,6 @@ from .flows import (GFun, IntegrationBlowupError, RK4Path, _compile_make, _rk4_s
 from .report import relative_error, spectrum_drift
 from .specfun import eigh_tridiagonal, three_term
 from .spectral import SpectralDecomposition
-
-
-class DegenerateSpectrumWarning(RuntimeWarning):
-    pass
 
 
 @dataclass(frozen=True)
@@ -177,23 +172,16 @@ def eigen_polys(state: ChainState, lam) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chain_spectrum(state: ChainState) -> np.ndarray:
-    """Ascending eigenvalues; warns when two are numerically degenerate."""
-    diag, off = build_chain_L(state)
-    lam = eigh_tridiagonal(diag, off, eigvals_only=True)
-    gaps = np.diff(lam)
-    scale = 1.0 + float(np.abs(lam).max())
-    if len(gaps) and gaps.min() < 1e-10 * scale:
-        warnings.warn("nearly degenerate eigenvalues; weights ill-conditioned",
-                      DegenerateSpectrumWarning)
-    return lam
+    """Ascending eigenvalues of L."""
+    return eigh_tridiagonal(*build_chain_L(state), eigvals_only=True)
 
 
 def chain_path_eigenvalues(traj: ChainTrajectory) -> list[np.ndarray]:
     """The ascending eigenvalues of L at every sample of ``traj``, each
-    bitwise ``chain_spectrum`` of that sample (which alone warns about a
-    degenerate spectrum): the entries of all samples are built in one pass,
-    then each sample is one eigenvalue-only solve of its row.  Raises
-    ValueError, as that solve does, when an entry is not finite."""
+    bitwise ``chain_spectrum`` of that sample: the entries of all samples
+    are built in one pass, then each sample is one eigenvalue-only solve of
+    its row.  Raises ValueError, as that solve does, when an entry is not
+    finite."""
     diag, off = build_chain_L(traj)
     # checked finite as a whole, so the rows are not again
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):

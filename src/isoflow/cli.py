@@ -22,8 +22,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import config as cfgmod
 from .chain import (chain_isospectrality_drift, chain_path_eigenvalues,
                     christoffel_weights, integrate_chain, spectrum_sum,
@@ -192,8 +190,6 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     def row(**_):
         worst = recurrence_residual(family, rep, alg, state0.r, state0.s, points, L=op)
         note = f"family={family.value}; tolerance scaled by 1+|L|_inf{capped}"
-        if not math.isfinite(worst):
-            note += "; residual non-finite because the closed-form components overflowed"
         return check_result(ccfg["name"], worst,
                             scaled_tolerance(float(ccfg["tolerance"]), op), note=note)
     return row
@@ -270,21 +266,10 @@ def _write_chain_csv(path: str, traj) -> None:
                       [traj.t, *traj.s.T, *traj.r.T])
 
 
-def _poly_row(ccfg, compute) -> CheckResult:
-    """The row of a check computed from the eigenvector polynomials.  They
-    carry 1 / (r_1 ... r_n), so a chain with tiny r_i overflows them, its
-    weights and any table built on them: such a value fails with a note
-    saying so, where numpy's warnings would only repeat it on stderr."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = compute()
-    return _row(ccfg, value, "" if math.isfinite(value) else
-                "non-finite because the eigenvector polynomials overflowed")
-
-
 _CHAIN = {
     "spectrum_sum": lambda ccfg, *, state0, **_: _row(ccfg, spectrum_sum(state0)),
-    "orthogonality": lambda ccfg, *, state0, **_: _poly_row(
-        ccfg, lambda: max(christoffel_weights(state0).orthogonality())),
+    "orthogonality": lambda ccfg, *, state0, **_: _row(
+        ccfg, max(christoffel_weights(state0).orthogonality())),
     "trace_closed_vs_dense": lambda ccfg, *, state0, **_: _row(
         ccfg, trace_invariants(state0).closed_vs_dense.max()),
     "trace_flow_drift": lambda ccfg, *, traj, **_: _row(ccfg, trace_flow_drift(traj).max()),
@@ -319,7 +304,7 @@ def _cmd_chain(path: str) -> int:
 
 
 def _mvk_row(ccfg, *, table, state0):
-    return _poly_row(ccfg, lambda: TABLE_CHECKS[ccfg["name"]](table, state0))
+    return _row(ccfg, TABLE_CHECKS[ccfg["name"]](table, state0))
 
 
 _MVK = dict.fromkeys(TABLE_CHECKS, _mvk_row)
@@ -333,11 +318,15 @@ def _cmd_mvk(path: str) -> int:
     checks = cfgmod.check_list(cfg, MVK_CHECKS)
     outdir = cfgmod.output_dir(cfg)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # see _poly_row
+    def table_rows():
         table = mvk_table(state0, degree)
-    write_mvk_csv(os.path.join(outdir, "mvk.csv"), table)
-    return _finish(outdir, _results(checks, _computes(checks, _MVK),
-                                    table=table, state0=state0))
+        write_mvk_csv(os.path.join(outdir, "mvk.csv"), table)
+        return _results(checks, _computes(checks, _MVK), table=table, state0=state0)
+
+    # the table carries 1 / (r_1 ... r_n) from the eigenvector polynomials:
+    # one that overflows is one failed row and no mvk.csv, as a flow that
+    # blows up is one failed integration row and no trajectory
+    return _finish(outdir, guarded(table_rows, "table", 0.0, _INPUT_ERRORS))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,11 @@ Normalization is fixed so that each family solves the row identity
 
 of the corresponding operator with *positive* off-diagonal, which for the
 negative-binomial and gamma families introduces a (-1)^n relative to the
-classical normalization; ``parameter_map`` returns the affine spectral map
-Lambda = slope * x + intercept together with the family parameters.
+classical normalization.  The Poisson-lattice (Charlier) family does not:
+the operator's eigenvector is its polynomials times (-sgn(r/c))^n, c the
+oscillator algebra's constant, a factor ``spectral.eigenfunction`` applies.
+``parameter_map`` returns the affine spectral map Lambda = slope * x +
+intercept together with the family parameters.
 """
 from __future__ import annotations
 

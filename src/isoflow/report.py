@@ -51,12 +51,15 @@ def check_result(name: str, value: float, tolerance: float,
 
 def guarded(compute, name: str, tolerance: float,
             passthrough: tuple = ()) -> list[CheckResult]:
-    """The rows ``compute()`` returns.  A numerical error (ArithmeticError
-    or ValueError) raised while it runs is instead one failed row ``name``
-    with value NaN and the exception in its note; the ``passthrough``
+    """The rows ``compute()`` returns.  A numerical error raised while it
+    runs is instead one failed row ``name`` with value NaN and the exception
+    in its note: an ArithmeticError or ValueError, and a floating-point
+    overflow, invalid operation or division by zero, which numpy raises here
+    as FloatingPointError (underflow is ignored).  The ``passthrough``
     exceptions (input errors) propagate."""
     try:
-        return compute()
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            return compute()
     except passthrough:
         raise
     except (ArithmeticError, ValueError) as exc:

@@ -124,14 +124,11 @@ def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
     near = np.clip(rows + np.arange(-1, 2)[:, None], 0, L.size - 1)
     first = near[0, 0]
     off = np.concatenate(([0.0], L.off, [0.0]))  # off[n] couples rows n - 1 and n
-    # components that overflow make the residual non-finite, which the
-    # caller reports; numpy's warnings would only repeat that on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        comps = L.base_index + np.arange(first, near[-1, -1] + 1)
-        psi = eigenfunction(fam, params, smap, alg, r, comps, lam)[near - first]
-        acc = (L.diag[rows][:, None] - lam) * psi[1]
-        acc += off[rows][:, None] * psi[0]
-        acc += off[rows + 1][:, None] * psi[2]
+    comps = L.base_index + np.arange(first, near[-1, -1] + 1)
+    psi = eigenfunction(fam, params, smap, alg, r, comps, lam)[near - first]
+    acc = (L.diag[rows][:, None] - lam) * psi[1]
+    acc += off[rows][:, None] * psi[0]
+    acc += off[rows + 1][:, None] * psi[2]
     return float(np.abs(acc).max())
 
 

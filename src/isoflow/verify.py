@@ -293,9 +293,9 @@ GROUPS = {
 def run_verify(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run the suite (or a single named group) with per-group seeded
     randomness, so a group produces identical numbers alone or in the full
-    run.  A group that raises a numerical error (ArithmeticError or
-    ValueError) is one failed row named after it; the other groups still
-    run."""
+    run.  A group that raises a numerical error (see ``report.guarded``:
+    floating-point overflow, invalid and divide included) is one failed row
+    named after it; the other groups still run."""
     names = list(GROUPS)
     if only is not None:
         if only not in GROUPS:

@@ -1,13 +1,14 @@
 """Traceless tridiagonal chain: operator assembly, spectrum, Christoffel
 weights, trace identities, isospectral flow, and the eigenvector-polynomial
 time-derivative law."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from isoflow import (ChainState, DegenerateSpectrumWarning,
-                     IntegrationBlowupError, build_chain_L, chain_dense_L,
-                     chain_isospectrality_drift, chain_path_eigenvalues,
+from isoflow import (ChainState, IntegrationBlowupError, build_chain_L,
+                     chain_dense_L, chain_isospectrality_drift, chain_path_eigenvalues,
                      chain_rhs, chain_spectrum, christoffel_weights,
                      eigen_polys, integrate_chain,
                      pn_time_derivative_check, trace_flow_drift,
@@ -329,7 +330,17 @@ def test_state_rejects_non_finite_entries(s, r):
         ChainState(0.0, s, r)
 
 
-def test_degenerate_spectrum_warns():
-    state = ChainState(0.0, (0.0, 0.0, 0.0), (1.0, 1e-11, 1.0))
-    with pytest.warns(DegenerateSpectrumWarning):
-        chain_spectrum(state)
+@pytest.mark.parametrize("r, conditioned", [((1e-12, 1e-12), True),
+                                             ((1.0, 1e-11, 1.0), False)])
+def test_degenerate_spectrum_is_quiet(r, conditioned):
+    # nearly degenerate eigenvalues give no warning: how well the weights
+    # are conditioned is what the orthogonality rows measure.  They read
+    # 2.2e-16 on the first chain (gaps 1.4e-12) and 8.3e-8 on the second,
+    # whose two pairs of eigenvalues are 1e-11 apart
+    state = ChainState(0.0, (0.0,) * len(r), r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = chain_spectrum(state)
+        primal, dual = christoffel_weights(state).orthogonality()
+    assert np.diff(lam).min() < 1e-10 * (1.0 + np.abs(lam).max())
+    assert (max(primal, dual) <= 1e-12) is conditioned

@@ -348,8 +348,8 @@ def test_family_without_a_closed_form_modification_exits_2(tmp_path, capsys):
 
 
 def test_nan_diagonalization_rows_fail(tmp_path, capsys):
-    # on the tilted j = 400 window the closed-form components overflow and
-    # 101 row residuals are NaN: the check reports NaN and fails
+    # on the tilted j = 400 window the closed-form components overflow:
+    # the check reports NaN against its configured tolerance and fails
     cfg = {"algebra": {"class": "su2"},
            "representation": {"type": "su2", "j": 400},
            "flow": {"r0": 1.0, "s0": 0.9, "dt": 1e-3, "t_end": 1e-3,
@@ -359,14 +359,14 @@ def test_nan_diagonalization_rows_fail(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 1
-    value, _, ok = _report_rows(tmp_path)["diagonalization"]
-    assert value != value and ok == "false"
+    value, tol, ok = _report_rows(tmp_path)["diagonalization"]
+    assert value != value and tol == 1e-11 and ok == "false"
     # the reason is in the row's note, not in numpy warnings on stderr
     assert [str(w.message) for w in caught] == []
     out, err = capsys.readouterr()
     assert err == ""
     assert "FAIL  diagonalization  value=nan" in out
-    assert "non-finite because the closed-form components overflowed" in out
+    assert "(FloatingPointError: overflow encountered in multiply)" in out
 
 
 def test_wide_e2_diagonalization_passes_under_warnings_as_errors(tmp_path, capsys):
@@ -388,14 +388,33 @@ def test_wide_e2_diagonalization_passes_under_warnings_as_errors(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command", ["chain", "mvk"])
+def test_nearly_degenerate_chain_passes_under_warnings_as_errors(tmp_path, capsys, command):
+    # r_i = 1e-12 puts the eigenvalues 1.4e-12 apart, yet the weights are
+    # well conditioned: orthogonality passes and nothing warns
+    cfg = {"chain": {"s": [0, 0], "r": [1e-12, 1e-12]}, "degree": 2,
+           "checks": [{"name": "orthogonality", "tolerance": 1e-9}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, _write(tmp_path, _with_out(cfg, tmp_path))]) == 0
+    value, _, ok = _report_rows(tmp_path)["orthogonality"]
+    assert ok == "true" and value < 1e-15
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["chain", "mvk"])
 def test_overflowing_eigenvector_polynomials_fail_with_a_note(tmp_path, capsys, command):
     # with r_i = 1e-150 the polynomials overflow (p_3 ~ 1/r^3): the rows
-    # built on them are NaN and fail with a note, and numpy stays quiet
+    # built on them are NaN and fail with the overflow in their note, and
+    # numpy stays quiet.  mvk builds its table on them, so its report is
+    # one failed table row in place of the checks, and no mvk.csv
     cfg = {"chain": {"s": [0.3, -0.2, 0.4], "r": [1e-150, 1e-150, 1e-150]},
            "checks": [{"name": "orthogonality", "tolerance": 1e-9}]}
+    expected, files = {"orthogonality": "1e-09"}, ["chain_trajectory.csv", "report.csv",
+                                                   "spectrum.csv"]
     if command == "mvk":
         cfg["degree"] = 1
         cfg["checks"].append({"name": "recurrence", "tolerance": 1e-9})
+        expected, files = {"table": "0"}, ["report.csv"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([command, _write(tmp_path, _with_out(cfg, tmp_path))]) == 1
@@ -403,11 +422,12 @@ def test_overflowing_eigenvector_polynomials_fail_with_a_note(tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert err == ""
     rows = _report_rows(tmp_path)
-    assert len(rows) == len(cfg["checks"])
+    assert list(rows) == list(expected)
     for name, (value, _, ok) in rows.items():
         assert value != value and ok == "false"
-        assert f"FAIL  {name}  value=nan" in out
-    assert out.count("non-finite because the eigenvector polynomials overflowed") == len(rows)
+        assert f"FAIL  {name}  value=nan  tol={expected[name]}" in out
+    assert out.count("(FloatingPointError: overflow encountered in ") == len(rows)
+    assert _csv_files(tmp_path) == files
 
 
 def test_run_builds_L_once(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,16 @@
 """The row builder and the guard shared by isoflow verify and the commands,
 and the spectrum writer."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from isoflow import (SU2, ChainState, ConfigurationError, FlowState,
-                     build_L, chain_spectrum, check_result, eigenvalues,
-                     guarded, integrate, spectrum_drift, su2,
+from isoflow import (GROUPS, SU2, ChainState, ConfigurationError, FlowState,
+                     ParameterError, build_L, chain_spectrum, check_result, eigenvalues,
+                     guarded, integrate, run_verify, spectrum_drift, su2,
                      write_spectrum_csv)
+from isoflow.config import ConfigError
 from isoflow.report import fmt
 
 
@@ -38,6 +40,57 @@ def test_guarded_rows():
     assert math.isnan(row.value) and row.note == "ConfigurationError: bad window"
     with pytest.raises(ConfigurationError):
         guarded(boom, "x", 1e-9, (ConfigurationError,))
+
+
+@pytest.mark.parametrize("compute, event", [
+    (lambda: np.float64(1e300) * 1e300, "overflow"),
+    (lambda: np.sqrt(np.array([-1.0])), "invalid value"),
+    (lambda: np.float64(1.0) / 0.0, "divide by zero"),
+    (lambda: np.exp(np.array([1e3])), "overflow"),
+])
+def test_guarded_floating_point_events_fail(compute, event):
+    # an event numpy would warn about is one failed row with its reason,
+    # whether numpy's own setting is to warn, ignore or raise, and the
+    # setting is left as it was
+    with np.errstate(all="ignore"):
+        (row,) = guarded(lambda: [check_result("y", float(compute()), 1.0)], "x", 1e-9)
+        assert np.geterr()["over"] == "ignore"
+    assert (row.name, row.tolerance, row.passed) == ("x", 1e-9, False)
+    assert math.isnan(row.value)
+    assert row.note.startswith(f"FloatingPointError: {event} encountered in ")
+
+
+def test_guarded_underflow_returns_rows():
+    def tiny():
+        value = float((np.array([1e-300]) * 1e-300)[0] + np.exp(np.array([-1e3]))[0])
+        return [check_result("x", value, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = guarded(tiny, "x", 1.0)
+    assert (row.value, row.passed) == (0.0, True)
+
+
+@pytest.mark.parametrize("error", [ConfigError, ParameterError, ConfigurationError])
+def test_guarded_passes_input_errors_through(error):
+    # every command's input errors are ValueErrors, which the guard would
+    # otherwise turn into a row; one raised after numpy work still propagates
+    def compute():
+        np.exp(np.array([-1e3]))
+        raise error("bad input")
+    with pytest.raises(error, match="bad input"):
+        guarded(compute, "x", 1e-9, (ConfigError, ParameterError, ConfigurationError))
+
+
+@pytest.mark.parametrize("seed", [1 + k * (2 ** 31 // 20) for k in range(20)])
+def test_verify_groups_raise_no_floating_point_event(seed):
+    # the guard fails a whole verify group on any overflow, invalid or
+    # divide: at each of 20 suite seeds every group must still give all its
+    # rows (81 in all, none a group's failure row) and nothing may warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_verify(seed=seed)
+    assert len(rows) == 81
+    assert not [row for row in rows if row.name in GROUPS]
 
 
 def test_spectrum_drift():
