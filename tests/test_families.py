@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (E2, FAMILIES, SU2, CharlierParams, DiscreteSeriesPlus,
-                     FamilyTag, HermiteParams, KrawtchoukParams, LaguerreParams,
-                     MeixnerFunctionParams, MeixnerParams, MeixnerPollaczekParams,
-                     Oscillator, ParameterError, PrincipalSeries, eval_hyper,
-                     eval_rec, parameter_map, su2, su11, oscillator, e2, weight)
+from isoflow import (E2, FAMILIES, SU2, BesselParams, CharlierParams,
+                     DiscreteSeriesPlus, FamilyTag, HermiteParams,
+                     KrawtchoukParams, LaguerreParams, MeixnerFunctionParams,
+                     MeixnerParams, MeixnerPollaczekParams, Oscillator,
+                     ParameterError, PrincipalSeries, check_modification,
+                     eval_hyper, eval_rec, parameter_map, su2, su11, oscillator,
+                     e2, weight)
+from isoflow.families import check_regime
 
 F = FamilyTag
 
@@ -470,3 +473,62 @@ def test_eval_hyper_against_mpmath(family):
                     want = _mp_family(mp, family, P, n, x)
                     err = abs(eval_hyper(family, P, n, float(x)) - want) / max(1, abs(want))
                     assert err <= bound, (P, n, x, float(err))
+
+
+_BESSEL_P, _MF_P = BesselParams(1.0), MeixnerFunctionParams(0.7, 0.3, 0.2)
+
+# (id, call, the exact ParameterError text)
+ERROR_CASES = [
+    ("algebra_mismatch", lambda: check_regime(F.KRAWTCHOUK, su11(), 1.0, 0.5),
+     "family krawtchouk diagonalizes L on SU2, which requires (a, b, epsilon) = "
+     "(1.0, 0.0, 1), got (1.0, 0.0, -1)"),
+    ("class_mismatch",
+     lambda: parameter_map(F.KRAWTCHOUK, E2(2.0, -5, 5), su2(), 1.0, 0.5),
+     "family krawtchouk diagonalizes L on SU2, got E2"),
+    ("krawtchouk_zero", lambda: check_regime(F.KRAWTCHOUK, su2(), 0.0, 0.0),
+     "zero operator has no spectral map"),
+    ("meixner", lambda: check_regime(F.MEIXNER, su11(), 1.0, 0.5),
+     "family meixner needs s + c > r > 0"),
+    ("meixner_function", lambda: check_regime(F.MEIXNER_FUNCTION, su11(), -1.0, 2.0),
+     "family meixner_function needs s + c > r > 0"),
+    ("laguerre", lambda: check_regime(F.LAGUERRE, su11(), 1.0, 1.2),
+     "gamma case needs s + c = r > 0"),
+    ("meixner_pollaczek", lambda: check_regime(F.MEIXNER_POLLACZEK, su11(), 1.0, 1.5),
+     "hyperbolic case needs |s + c| < r"),
+    ("charlier_c", lambda: check_regime(F.CHARLIER, oscillator(0.0), 1.0, 0.5),
+     "Poisson case needs c != 0"),
+    ("charlier_r", lambda: check_regime(F.CHARLIER, oscillator(1.0), 0.0, 0.5),
+     "Poisson case needs r != 0"),
+    ("hermite_c", lambda: check_regime(F.HERMITE, oscillator(1.0), 1.0, 0.5),
+     "Gaussian case needs c = 0"),
+    ("hermite_r", lambda: check_regime(F.HERMITE, oscillator(0.0), -1.0, 0.5),
+     "Gaussian case needs r > 0"),
+    ("bessel_flat", lambda: check_regime(F.BESSEL, e2(0.0), 1.0, 0.5),
+     "flat spectral map needs c != 0"),
+    ("rec_bessel", lambda: eval_rec(F.BESSEL, _BESSEL_P, 2, 0.5),
+     "no polynomial recurrence for family 'bessel'"),
+    ("rec_meixner_function", lambda: eval_rec(F.MEIXNER_FUNCTION, _MF_P, 2, 0.5),
+     "no polynomial recurrence for family 'meixner_function'"),
+    ("hyper_bessel", lambda: eval_hyper(F.BESSEL, _BESSEL_P, 2, 0.5),
+     "no hypergeometric sum for family 'bessel'"),
+    ("hyper_meixner_function", lambda: eval_hyper(F.MEIXNER_FUNCTION, _MF_P, 2, 0.5),
+     "no hypergeometric sum for family 'meixner_function'"),
+    ("modification_bessel", lambda: check_modification(F.BESSEL, e2(1.0), 1.3, 0.4),
+     "no closed-form modification for family 'bessel'"),
+    ("modification_meixner_function",
+     lambda: check_modification(F.MEIXNER_FUNCTION, su11(), 0.8, 1.2),
+     "no closed-form modification for family 'meixner_function'"),
+    ("rec_degree", lambda: eval_rec(F.KRAWTCHOUK, KrawtchoukParams(0.5, 5), 7, 1.0),
+     "degree 7 exceeds lattice size 5"),
+    ("hyper_degree", lambda: eval_hyper(F.KRAWTCHOUK, KrawtchoukParams(0.5, 5), 7, 1.0),
+     "degree 7 exceeds lattice size 5"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in ERROR_CASES],
+                         ids=[case[0] for case in ERROR_CASES])
+def test_family_error_messages(call, message):
+    """Every family error, word for word."""
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert str(err.value) == message
