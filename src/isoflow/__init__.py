@@ -17,14 +17,13 @@ from .chain import (ChainState, ChainTrajectory, TraceInvariants, build_chain_L,
 from .families import (FAMILIES, BesselParams, CharlierParams, FamilyEntry,
                        FamilyTag, HermiteParams, KrawtchoukParams,
                        LaguerreParams, MeixnerFunctionParams, MeixnerParams,
-                       MeixnerPollaczekParams, SpectralMap, eval_hyper,
-                       eval_rec, meixner_function,
+                       MeixnerPollaczekParams, SpectralMap, check_modification,
+                       eval_hyper, eval_rec, meixner_function,
                        meixner_function_recurrence_residual, parameter_map,
                        weight)
 from .flows import (DegenerateRatioError, FlowState, GammaTable,
                     IntegrationBlowupError, ModificationReport,
-                    SignConditionReport, Trajectory, check_modification,
-                    check_sign_conditions, flow_rhs, g_at, integrate,
+                    SignConditionReport, Trajectory, check_sign_conditions, flow_rhs, g_at, integrate,
                     invariant, modification_report, write_trajectory_csv)
 from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
                   krawtchouk_reduction_check, multi_indices,

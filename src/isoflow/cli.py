@@ -27,10 +27,9 @@ from .chain import (chain_isospectrality_drift, chain_path_eigenvalues,
                     christoffel_weights, integrate_chain, spectrum_sum,
                     trace_flow_drift, trace_invariants)
 from .config import ConfigError, load_config
-from .families import FAMILIES, FamilyTag, parameter_map
-from .flows import (IntegrationBlowupError, check_modification,
-                    check_sign_conditions, integrate, modification_report,
-                    write_trajectory_csv)
+from .families import FAMILIES, FamilyTag, check_modification, parameter_map
+from .flows import (IntegrationBlowupError, check_sign_conditions, integrate,
+                    modification_report, write_trajectory_csv)
 from .mvk import TABLE_CHECKS, mvk_table, write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_columns_csv, write_report_csv, write_spectrum_csv)

@@ -3,8 +3,11 @@
 Six polynomial families (binomial, negative-binomial, gamma, hyperbolic,
 Poisson and Gaussian lattices), a bilateral non-polynomial family built on
 the regularized Gauss series, and an integer-order Bessel family for the
-degenerate flat case.  Every polynomial family is available through two
-independent routes — a three-term recurrence (``eval_rec``: one pass of
+degenerate flat case.  Each family is one record (``FamilyEntry``) in
+``FAMILIES``: its representation, ``isoflow run`` points, regime,
+parameter map, recurrence, sum, weight, eigenvector and weight
+modification.  Every polynomial family is available through two independent
+routes — a three-term recurrence (``eval_rec``: one pass of
 ``specfun.three_term`` over an array of degrees and points) and a
 terminating hypergeometric sum (``eval_hyper``: one degree at one point,
 exact-rational where real) — which the test-suite cross-checks.
@@ -18,7 +21,7 @@ of the corresponding operator with *positive* off-diagonal, which for the
 negative-binomial and gamma families introduces a (-1)^n relative to the
 classical normalization.  The Poisson-lattice (Charlier) family does not:
 the operator's eigenvector is its polynomials times (-sgn(r/c))^n, c the
-oscillator algebra's constant, a factor ``spectral.eigenfunction`` applies.
+oscillator algebra's constant, a factor its record's eigenvector applies.
 ``parameter_map`` returns the affine spectral map Lambda = slope * x +
 intercept together with the family parameters.
 """
@@ -37,7 +40,7 @@ import numpy as np
 from .algebra import AlgebraSpec
 from .representations import (_COMPAT, E2, SU2, DiscreteSeriesPlus, Oscillator,
                               ParameterError, PrincipalSeries, RepresentationSpec)
-from .specfun import PrecisionError, loggamma, regularized_2f1, three_term
+from .specfun import PrecisionError, bessel_j, loggamma, regularized_2f1, three_term
 
 
 class FamilyTag(str, Enum):
@@ -49,29 +52,6 @@ class FamilyTag(str, Enum):
     HERMITE = "hermite"
     MEIXNER_FUNCTION = "meixner_function"
     BESSEL = "bessel"
-
-
-class FamilyEntry(NamedTuple):
-    """A family's representation class and its ``isoflow run`` sample points."""
-    representation: type
-    points: Callable[[int], np.ndarray]
-
-
-_lattice = functools.partial(np.arange, dtype=float)
-_axis = functools.partial(np.linspace, -4.0, 4.0)
-
-# the classification: the family that diagonalizes L on each representation
-# (on the discrete series, the one of the state's regime)
-FAMILIES: dict[FamilyTag, FamilyEntry] = {
-    FamilyTag.KRAWTCHOUK: FamilyEntry(SU2, _lattice),
-    FamilyTag.MEIXNER: FamilyEntry(DiscreteSeriesPlus, _lattice),
-    FamilyTag.LAGUERRE: FamilyEntry(DiscreteSeriesPlus, functools.partial(np.linspace, 0.3, 9.0)),
-    FamilyTag.MEIXNER_POLLACZEK: FamilyEntry(DiscreteSeriesPlus, _axis),
-    FamilyTag.CHARLIER: FamilyEntry(Oscillator, _lattice),
-    FamilyTag.HERMITE: FamilyEntry(Oscillator, _axis),
-    FamilyTag.MEIXNER_FUNCTION: FamilyEntry(PrincipalSeries, _axis),
-    FamilyTag.BESSEL: FamilyEntry(E2, lambda count: _lattice(count) - count // 2),
-}
 
 
 # --------------------------------------------------------------------------
@@ -188,104 +168,6 @@ def _check_degree(n) -> np.ndarray:
     return deg.astype(int)
 
 
-# --------------------------------------------------------------------------
-# recurrence route
-
-
-def eval_rec(family: FamilyTag, params, n, x):
-    """Evaluate the orthonormal family members of degree ``n`` at ``x`` by
-    one pass of the three-term recurrence (``specfun.three_term``) from
-    degree zero up to the largest degree asked for.
-
-    ``n`` is an int or an array of ints and ``x`` a number or an array; the
-    result has shape ``n.shape + x.shape`` (a float for an int ``n`` at a
-    number ``x``)."""
-    deg = _check_degree(n)
-    top = int(deg.max(initial=0))
-    fam = FamilyTag(family)
-    x = np.asarray(x, dtype=float)
-    # the recurrence coefficients of degrees m = 0..top-1, as columns over x
-    m = np.arange(top).reshape((top,) + (1,) * x.ndim)
-    if fam is FamilyTag.KRAWTCHOUK:
-        p, N = params.p, params.N
-        if top > N:
-            raise ParameterError(f"degree {top} exceeds lattice size {N}")
-        a = np.sqrt(p * (1 - p) * (m + 1) * (N - m))
-        mid = p * N + m * (1 - 2 * p) - x
-    elif fam is FamilyTag.MEIXNER:
-        beta, c = params.beta, params.c
-        a = np.sqrt(c * (m + 1) * (m + beta)) / (1 - c)
-        mid = x - (m + (m + beta) * c) / (1 - c)
-    elif fam is FamilyTag.LAGUERRE:
-        alpha = params.alpha
-        a = np.sqrt((m + 1) * (m + alpha + 1))
-        mid = x / params.scale - (2 * m + alpha + 1)
-    elif fam is FamilyTag.MEIXNER_POLLACZEK:
-        lam, phi = params.lam, params.phi
-        a = np.sqrt((m + 1) * (m + 2 * lam))
-        mid = 2 * x * math.sin(phi) + 2 * (m + lam) * math.cos(phi)
-    elif fam is FamilyTag.CHARLIER:
-        av = params.a
-        a = np.sqrt(av * (m + 1))
-        mid = m + av - x
-    elif fam is FamilyTag.HERMITE:
-        a = np.sqrt(m + 1.0)
-        mid = np.broadcast_to(math.sqrt(2.0) * ((x - params.shift) / params.scale),
-                              (top,) + x.shape)
-    else:
-        raise ParameterError(f"no polynomial recurrence for family {fam.value!r}")
-    vals = three_term(mid, a.ravel())[deg]
-    return float(vals) if vals.ndim == 0 else vals
-
-
-# --------------------------------------------------------------------------
-# hypergeometric route
-
-
-def eval_hyper(family: FamilyTag, params, n: int, x: float) -> float:
-    """Evaluate the same orthonormal family member through its terminating
-    hypergeometric sum — an independent route used to cross-check
-    ``eval_rec``."""
-    n = int(_check_degree(n))
-    fam = FamilyTag(family)
-    if fam is FamilyTag.KRAWTCHOUK:
-        p, N = params.p, params.N
-        if n > N:
-            raise ParameterError(f"degree {n} exceeds lattice size {N}")
-        pref = (p / (1 - p)) ** (n / 2.0) * math.sqrt(math.comb(N, n))
-        return pref * _hyp_terminating(n, [-float(x)], [-float(N)], 1.0 / p)
-    if fam is FamilyTag.MEIXNER:
-        beta, c = params.beta, params.c
-        pref = (-1.0) ** n * math.sqrt(_poch(beta, n) * c ** n / math.factorial(n))
-        return pref * _hyp_terminating(n, [-float(x)], [beta], 1.0 - 1.0 / c)
-    if fam is FamilyTag.LAGUERRE:
-        alpha = params.alpha
-        xt = x / params.scale
-        pref = (-1.0) ** n * math.sqrt(_poch(alpha + 1, n) / math.factorial(n))
-        return pref * _hyp_terminating(n, [], [alpha + 1], xt)
-    if fam is FamilyTag.MEIXNER_POLLACZEK:
-        lam, phi = params.lam, params.phi
-        pref = cmath.exp(1j * n * phi) * math.sqrt(_poch(2 * lam, n) / math.factorial(n))
-        z = 1.0 - cmath.exp(-2j * phi)
-        series, scale = _hyp_terminating_complex(n, [complex(lam, x)], [2 * lam], z)
-        val = pref * series
-        if abs(val.imag) > 1e-12 * max(1.0, abs(pref) * scale):
-            raise PrecisionError(f"non-real value {val} in a real family")
-        return val.real
-    if fam is FamilyTag.CHARLIER:
-        av = params.a
-        pref = math.sqrt(av ** n / math.factorial(n))
-        return pref * _hyp_terminating(n, [-float(x)], [], -1.0 / av)
-    if fam is FamilyTag.HERMITE:
-        xt = (x - params.shift) / params.scale
-        total = 0.0
-        for m in range(n // 2 + 1):
-            total += ((-1.0) ** m * 2.0 ** (n / 2.0 - 2 * m) * xt ** (n - 2 * m)
-                      / (math.factorial(m) * math.factorial(n - 2 * m)))
-        return math.sqrt(math.factorial(n)) * total
-    raise ParameterError(f"no hypergeometric sum for family {fam.value!r}")
-
-
 def _hyp_terminating(n, upper_extra, lower, z):
     """sum_{k=0}^{n} (-n)_k prod (u)_k z^k / (prod (l)_k k!), summed by term
     ratios.  Valid for any z because the sum is finite.
@@ -327,47 +209,6 @@ def _hyp_terminating_complex(n, upper_extra, lower, z):
         total = total + term
         scale = max(scale, abs(total), abs(term))
     return total, scale
-
-
-# --------------------------------------------------------------------------
-# weights
-
-
-def weight(family: FamilyTag, params, x) -> float:
-    """Orthogonality weight (probability mass or density) at ``x``."""
-    fam = FamilyTag(family)
-    if fam is FamilyTag.KRAWTCHOUK:
-        p, N = params.p, params.N
-        xi = int(round(x))
-        return math.comb(N, xi) * p ** xi * (1 - p) ** (N - xi)
-    if fam is FamilyTag.MEIXNER:
-        beta, c = params.beta, params.c
-        return math.exp(math.lgamma(beta + x) - math.lgamma(beta)
-                        - math.lgamma(x + 1) + x * math.log(c)
-                        + beta * math.log(1 - c))
-    if fam is FamilyTag.LAGUERRE:
-        alpha, scale = params.alpha, params.scale
-        xt = x / scale
-        if xt <= 0:
-            return 0.0
-        return math.exp(alpha * math.log(xt) - xt - math.lgamma(alpha + 1)) / scale
-    if fam is FamilyTag.MEIXNER_POLLACZEK:
-        lam, phi = params.lam, params.phi
-        lg = complex(loggamma(complex(lam, x)))
-        return ((2 * math.sin(phi)) ** (2 * lam)
-                / (2 * math.pi * math.gamma(2 * lam))
-                * math.exp((2 * phi - math.pi) * x + 2 * lg.real))
-    if fam is FamilyTag.CHARLIER:
-        av = params.a
-        return math.exp(-av + x * math.log(av) - math.lgamma(x + 1))
-    if fam is FamilyTag.HERMITE:
-        xt = (x - params.shift) / params.scale
-        return math.exp(-xt * xt) / (math.sqrt(math.pi) * params.scale)
-    if fam is FamilyTag.MEIXNER_FUNCTION:
-        rho, eps, c = params.rho, params.eps, params.c
-        lg = complex(loggamma(complex(x + eps + 0.5, rho)))
-        return math.exp(-x * math.log(c) - 2.0 * lg.real)
-    return 1.0  # Bessel
 
 
 # --------------------------------------------------------------------------
@@ -426,10 +267,6 @@ def meixner_function_recurrence_residual(n: int, x: float,
     return abs(lhs - rhs)
 
 
-# --------------------------------------------------------------------------
-# flow-state -> family parameters
-
-
 @dataclass(frozen=True)
 class SpectralMap:
     """Affine change of variable Lambda = slope * x + intercept between the
@@ -444,34 +281,275 @@ class SpectralMap:
         return self.slope * x + self.intercept
 
 
+# --------------------------------------------------------------------------
+# the records, and their fields that are not one expression
+
+
+def _krawtchouk_map(rep, alg, r, s, se):
+    C = math.hypot(se, r)
+    p = 0.5 + se / (2.0 * C)
+    return KrawtchoukParams(p, int(round(2 * rep.j))), SpectralMap(-2.0 * C, 2.0 * C * rep.j)
+
+
+def _krawtchouk_rec(par, m, x):
+    p, N = par.p, par.N
+    _need(len(m) <= N, f"degree {len(m)} exceeds lattice size {N}")
+    return np.sqrt(p * (1 - p) * (m + 1) * (N - m)), p * N + m * (1 - 2 * p) - x
+
+
+def _krawtchouk_sum(par, n, x):
+    p, N = par.p, par.N
+    _need(n <= N, f"degree {n} exceeds lattice size {N}")
+    pref = (p / (1 - p)) ** (n / 2.0) * math.sqrt(math.comb(N, n))
+    return pref * _hyp_terminating(n, [-float(x)], [-float(N)], 1.0 / p)
+
+
+def _krawtchouk_weight(par, x):
+    p, N, xi = par.p, par.N, int(round(x))
+    return math.comb(N, xi) * p ** xi * (1 - p) ** (N - xi)
+
+
+def _su11_map(r, se, make, shift):
+    """(make(c), SpectralMap(2C, 2C shift)), C^2 = se^2 - r^2, c = e^(-2 acosh(se/r))."""
+    C = math.sqrt(se * se - r * r)
+    return make(math.exp(-2.0 * math.acosh(se / r))), SpectralMap(2.0 * C, 2.0 * C * shift)
+
+
+def _laguerre_weight(par, x):
+    xt = x / par.scale
+    if xt <= 0:
+        return 0.0
+    return math.exp(par.alpha * math.log(xt) - xt - math.lgamma(par.alpha + 1)) / par.scale
+
+
+def _meixner_pollaczek_sum(par, n, x):
+    lam, phi = par.lam, par.phi
+    pref = cmath.exp(1j * n * phi) * math.sqrt(_poch(2 * lam, n) / math.factorial(n))
+    z = 1.0 - cmath.exp(-2j * phi)
+    series, scale = _hyp_terminating_complex(n, [complex(lam, x)], [2 * lam], z)
+    val = pref * series
+    if abs(val.imag) > 1e-12 * max(1.0, abs(pref) * scale):
+        raise PrecisionError(f"non-real value {val} in a real family")
+    return val.real
+
+
+def _charlier_map(rep, alg, r, s, se):
+    c = alg.c_param
+    return (CharlierParams(rep.h * r * r / (4.0 * c * c)),
+            SpectralMap(2.0 * c, 2.0 * c * rep.k - (r * r / (2.0 * c) + s) * rep.h))
+
+
+def _hermite_sum(par, n, x):
+    xt = (x - par.shift) / par.scale
+    total = 0.0
+    for m in range(n // 2 + 1):
+        total += ((-1.0) ** m * 2.0 ** (n / 2.0 - 2 * m) * xt ** (n - 2 * m)
+                  / (math.factorial(m) * math.factorial(n - 2 * m)))
+    return math.sqrt(math.factorial(n)) * total
+
+
+def _hermite_weight(par, x):
+    xt = (x - par.shift) / par.scale
+    return math.exp(-xt * xt) / (math.sqrt(math.pi) * par.scale)
+
+
+def _polynomial(fam, par, alg, r, n, x, sign=1.0):
+    """sign^n p_n(x) (``eval_rec``): the eigenvector of a polynomial family."""
+    return (sign ** n).reshape(n.shape + (1,) * np.ndim(x)) * eval_rec(fam, par, n, x)
+
+
+class FamilyEntry(NamedTuple):
+    """One family's record, each field read by one function (named after
+    it), with ``par`` the family's parameter record and se = a s + c the
+    coefficient of the grading element.  A field calls the module's
+    functions by their names when it runs.  ``regime`` holds (test(r, se,
+    c), message) pairs (``check_regime``); ``parameters(rep, alg, r, s,
+    se)`` gives (par, SpectralMap) (``parameter_map``); ``recurrence(par,
+    m, x)`` the coefficients (a_m, mid_m) over an array of degrees m
+    (``eval_rec``); ``hyper(par, n, x)`` the terminating sum (``eval_hyper``);
+    ``eigenvector(fam, par, alg, r, n, x)`` the components psi_n of L's
+    eigenvector (``spectral.eigenfunction``); ``modification`` the weight
+    factor F(r, s, se, C) along a flow and its rate K(alg, r0, C)
+    (``flows.modification_report``).  None where the family has none."""
+    representation: type
+    points: Callable[[int], np.ndarray]
+    regime: tuple[tuple[Callable[..., bool], str], ...]
+    parameters: Callable[..., tuple]
+    weight: Callable[..., float]
+    recurrence: Callable[..., tuple] | None = None
+    hyper: Callable[..., float] | None = None
+    eigenvector: Callable[..., np.ndarray] = _polynomial
+    modification: tuple[Callable[..., float], Callable[..., float | None]] | None = None
+
+
+_lattice = functools.partial(np.arange, dtype=float)
+_axis = functools.partial(np.linspace, -4.0, 4.0)
+
+# the classification: the family that diagonalizes L on each representation
+# (on the discrete series, the one of the state's regime)
+FAMILIES: dict[FamilyTag, FamilyEntry] = {
+    FamilyTag.KRAWTCHOUK: FamilyEntry(
+        SU2, _lattice,
+        regime=((lambda r, se, c: math.hypot(se, r) > 0, "zero operator has no spectral map"),),
+        parameters=_krawtchouk_map, weight=_krawtchouk_weight,
+        recurrence=_krawtchouk_rec, hyper=_krawtchouk_sum,
+        modification=(lambda r, s, se, C: (C + se) / (C - se), lambda alg, r0, C: 4.0 * C)),
+    FamilyTag.MEIXNER: FamilyEntry(
+        DiscreteSeriesPlus, _lattice,
+        regime=((lambda r, se, c: r > 0 and se > r, "family meixner needs s + c > r > 0"),),
+        parameters=lambda rep, alg, r, s, se: _su11_map(
+            r, se, lambda c: MeixnerParams(2.0 * rep.k, c), rep.k),
+        weight=lambda par, x: math.exp(
+            math.lgamma(par.beta + x) - math.lgamma(par.beta) - math.lgamma(x + 1)
+            + x * math.log(par.c) + par.beta * math.log(1 - par.c)),
+        recurrence=lambda par, m, x: (
+            np.sqrt(par.c * (m + 1) * (m + par.beta)) / (1 - par.c),
+            x - (m + (m + par.beta) * par.c) / (1 - par.c)),
+        hyper=lambda par, n, x: (
+            (-1.0) ** n * math.sqrt(_poch(par.beta, n) * par.c ** n / math.factorial(n))
+            * _hyp_terminating(n, [-float(x)], [par.beta], 1.0 - 1.0 / par.c)),
+        modification=(lambda r, s, se, C: math.exp(-2.0 * math.acosh(se / r)),
+                      lambda alg, r0, C: -4.0 * C)),
+    FamilyTag.LAGUERRE: FamilyEntry(
+        DiscreteSeriesPlus, functools.partial(np.linspace, 0.3, 9.0),
+        regime=((lambda r, se, c: r > 0 and math.isclose(se, r, rel_tol=1e-12),
+                 "gamma case needs s + c = r > 0"),),
+        parameters=lambda rep, alg, r, s, se: (LaguerreParams(2.0 * rep.k - 1.0, r),
+                                               SpectralMap(1.0, 0.0)),
+        weight=_laguerre_weight,
+        recurrence=lambda par, m, x: (np.sqrt((m + 1) * (m + par.alpha + 1)),
+                                      x / par.scale - (2 * m + par.alpha + 1)),
+        hyper=lambda par, n, x: (
+            (-1.0) ** n * math.sqrt(_poch(par.alpha + 1, n) / math.factorial(n))
+            * _hyp_terminating(n, [], [par.alpha + 1], x / par.scale)),
+        # no predicted rate: the derivation in circulation has a sign
+        # inconsistency, so the constancy is checked alone
+        modification=(lambda r, s, se, C: math.exp(-1.0 / r), lambda alg, r0, C: None)),
+    FamilyTag.MEIXNER_POLLACZEK: FamilyEntry(
+        DiscreteSeriesPlus, _axis,
+        regime=((lambda r, se, c: r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r"),),
+        parameters=lambda rep, alg, r, s, se: (
+            MeixnerPollaczekParams(rep.k, math.acos(-se / r)),
+            SpectralMap(2.0 * math.sqrt(r * r - se * se), 0.0)),
+        weight=lambda par, x: ((2 * math.sin(par.phi)) ** (2 * par.lam)
+                               / (2 * math.pi * math.gamma(2 * par.lam))
+                               * math.exp((2 * par.phi - math.pi) * x
+                                          + 2 * complex(loggamma(complex(par.lam, x))).real)),
+        recurrence=lambda par, m, x: (
+            np.sqrt((m + 1) * (m + 2 * par.lam)),
+            2 * x * math.sin(par.phi) + 2 * (m + par.lam) * math.cos(par.phi)),
+        hyper=_meixner_pollaczek_sum,
+        modification=(lambda r, s, se, C: math.exp(2.0 * math.acos(se / r)),
+                      lambda alg, r0, C: 4.0 * C)),
+    FamilyTag.CHARLIER: FamilyEntry(
+        Oscillator, _lattice,
+        regime=((lambda r, se, c: c != 0.0, "Poisson case needs c != 0"),
+                (lambda r, se, c: r != 0.0, "Poisson case needs r != 0")),
+        parameters=_charlier_map,
+        weight=lambda par, x: math.exp(-par.a + x * math.log(par.a) - math.lgamma(x + 1)),
+        recurrence=lambda par, m, x: (np.sqrt(par.a * (m + 1)), m + par.a - x),
+        hyper=lambda par, n, x: (math.sqrt(par.a ** n / math.factorial(n))
+                                 * _hyp_terminating(n, [-float(x)], [], -1.0 / par.a)),
+        eigenvector=lambda fam, par, alg, r, n, x: _polynomial(
+            fam, par, alg, r, n, x, -math.copysign(1.0, r / alg.c_param)),
+        modification=(lambda r, s, se, C: r * r, lambda alg, r0, C: -4.0 * alg.c_param)),
+    FamilyTag.HERMITE: FamilyEntry(
+        Oscillator, _axis,
+        regime=((lambda r, se, c: c == 0.0, "Gaussian case needs c = 0"),
+                (lambda r, se, c: r > 0, "Gaussian case needs r > 0")),
+        parameters=lambda rep, alg, r, s, se: (
+            HermiteParams(-rep.h * s, r * math.sqrt(2.0 * rep.h)), SpectralMap(1.0, 0.0)),
+        weight=_hermite_weight,
+        recurrence=lambda par, m, x: (
+            np.sqrt(m + 1.0),
+            np.broadcast_to(math.sqrt(2.0) * ((x - par.shift) / par.scale),
+                            m.shape[:1] + x.shape)),
+        hyper=_hermite_sum,
+        modification=(lambda r, s, se, C: math.exp(s / r), lambda alg, r0, C: 2.0 * r0)),
+    FamilyTag.MEIXNER_FUNCTION: FamilyEntry(
+        PrincipalSeries, _axis,
+        regime=((lambda r, se, c: r > 0 and se > r,
+                 "family meixner_function needs s + c > r > 0"),),
+        parameters=lambda rep, alg, r, s, se: _su11_map(
+            r, se, lambda c: MeixnerFunctionParams(rep.rho, rep.eps, c), rep.eps),
+        weight=lambda par, x: math.exp(-x * math.log(par.c) - 2.0 * complex(
+            loggamma(complex(x + par.eps + 0.5, par.rho))).real),
+        eigenvector=lambda fam, par, alg, r, n, x: meixner_function(n, x, par)),
+    FamilyTag.BESSEL: FamilyEntry(
+        E2, lambda count: _lattice(count) - count // 2,
+        regime=((lambda r, se, c: c != 0.0, "flat spectral map needs c != 0"),),
+        parameters=lambda rep, alg, r, s, se: (BesselParams(rep.k * r / alg.c_param),
+                                               SpectralMap(2.0 * alg.c_param, 0.0)),
+        weight=lambda par, x: 1.0,
+        eigenvector=lambda fam, par, alg, r, n, x: bessel_j(
+            -np.subtract.outer(n, np.rint(x)).astype(int), par.z)),
+}
+
+
+# --------------------------------------------------------------------------
+# the routes, one field each
+
+
+def eval_rec(family: FamilyTag, params, n, x):
+    """Evaluate the orthonormal family members of degree ``n`` at ``x`` by
+    one pass of the three-term recurrence (``specfun.three_term``) from
+    degree zero up to the largest degree asked for.
+
+    ``n`` is an int or an array of ints and ``x`` a number or an array; the
+    result has shape ``n.shape + x.shape`` (a float for an int ``n`` at a
+    number ``x``)."""
+    deg = _check_degree(n)
+    top = int(deg.max(initial=0))
+    fam = FamilyTag(family)
+    recurrence = FAMILIES[fam].recurrence
+    _need(recurrence is not None, f"no polynomial recurrence for family {fam.value!r}")
+    x = np.asarray(x, dtype=float)
+    # the recurrence coefficients of degrees m = 0..top-1, as columns over x
+    a, mid = recurrence(params, np.arange(top).reshape((top,) + (1,) * x.ndim), x)
+    vals = three_term(mid, a.ravel())[deg]
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def eval_hyper(family: FamilyTag, params, n: int, x: float) -> float:
+    """Evaluate the same orthonormal family member through its terminating
+    hypergeometric sum — an independent route used to cross-check
+    ``eval_rec``."""
+    n = int(_check_degree(n))
+    fam = FamilyTag(family)
+    hyper = FAMILIES[fam].hyper
+    _need(hyper is not None, f"no hypergeometric sum for family {fam.value!r}")
+    return hyper(params, n, x)
+
+
+def weight(family: FamilyTag, params, x) -> float:
+    """Orthogonality weight (probability mass or density) at ``x``."""
+    return FAMILIES[FamilyTag(family)].weight(params, x)
+
+
 def check_regime(fam: FamilyTag, alg: AlgebraSpec, r: float, s: float) -> None:
     """Raise ParameterError unless ``alg`` is the algebra of the family's
     representation (``FAMILIES``) and (r, s) lies in its sign regime (e.g. a
     negative-binomial lattice needs r > 0 and s + c > r, the hyperbolic axis
     |s + c| < r)."""
-    kind = FAMILIES[fam].representation
+    entry = FAMILIES[fam]
+    kind = entry.representation
     _need((alg.a, alg.b, alg.epsilon) == _COMPAT[kind],
           f"family {fam.value} diagonalizes L on {kind.__name__}, which requires "
           f"(a, b, epsilon) = {_COMPAT[kind]}, got ({alg.a}, {alg.b}, {alg.epsilon})")
     se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
+    for test, message in entry.regime:
+        _need(test(r, se, alg.c_param), message)
 
-    if fam is FamilyTag.KRAWTCHOUK:
-        _need(math.hypot(se, r) > 0, "zero operator has no spectral map")
-    elif fam in (FamilyTag.MEIXNER, FamilyTag.MEIXNER_FUNCTION):
-        _need(r > 0 and se > r, f"family {fam.value} needs s + c > r > 0")
-    elif fam is FamilyTag.LAGUERRE:
-        _need(r > 0 and math.isclose(se, r, rel_tol=1e-12),
-              "gamma case needs s + c = r > 0")
-    elif fam is FamilyTag.MEIXNER_POLLACZEK:
-        _need(r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r")
-    elif fam is FamilyTag.CHARLIER:
-        _need(alg.c_param != 0.0, "Poisson case needs c != 0")
-        _need(r != 0.0, "Poisson case needs r != 0")
-    elif fam is FamilyTag.HERMITE:
-        _need(alg.c_param == 0.0, "Gaussian case needs c = 0")
-        _need(r > 0, "Gaussian case needs r > 0")
-    else:
-        _need(alg.c_param != 0.0, "flat spectral map needs c != 0")
+
+def check_modification(family: str, alg: AlgebraSpec, r: float, s: float):
+    """The family's modification (F, K).  Raise ParameterError for a family
+    without a closed-form one, or when the initial state (r, s) lies outside
+    the family's regime (``check_regime``)."""
+    fam = FamilyTag(family)
+    modification = FAMILIES[fam].modification
+    _need(modification is not None, f"no closed-form modification for family {fam.value!r}")
+    check_regime(fam, alg, r, s)
+    return modification
 
 
 def parameter_map(family: FamilyTag, rep: RepresentationSpec, alg: AlgebraSpec,
@@ -487,46 +565,11 @@ def parameter_map(family: FamilyTag, rep: RepresentationSpec, alg: AlgebraSpec,
     """
     fam = FamilyTag(family)
     check_regime(fam, alg, r, s)
-    kind = FAMILIES[fam].representation
+    entry = FAMILIES[fam]
+    kind = entry.representation
     _need(type(rep) is kind,
           f"family {fam.value} diagonalizes L on {kind.__name__}, got {type(rep).__name__}")
-    se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
-
-    if fam is FamilyTag.KRAWTCHOUK:
-        C = math.hypot(se, r)
-        p = 0.5 + se / (2.0 * C)
-        return (KrawtchoukParams(p, int(round(2 * rep.j))),
-                SpectralMap(-2.0 * C, 2.0 * C * rep.j))
-
-    if fam is FamilyTag.MEIXNER:
-        C = math.sqrt(se * se - r * r)
-        c = math.exp(-2.0 * math.acosh(se / r))
-        return MeixnerParams(2.0 * rep.k, c), SpectralMap(2.0 * C, 2.0 * C * rep.k)
-
-    if fam is FamilyTag.LAGUERRE:
-        return LaguerreParams(2.0 * rep.k - 1.0, r), SpectralMap(1.0, 0.0)
-
-    if fam is FamilyTag.MEIXNER_POLLACZEK:
-        C = math.sqrt(r * r - se * se)
-        phi = math.acos(-se / r)
-        return MeixnerPollaczekParams(rep.k, phi), SpectralMap(2.0 * C, 0.0)
-
-    if fam is FamilyTag.MEIXNER_FUNCTION:
-        C = math.sqrt(se * se - r * r)
-        c = math.exp(-2.0 * math.acosh(se / r))
-        return (MeixnerFunctionParams(rep.rho, rep.eps, c),
-                SpectralMap(2.0 * C, 2.0 * C * rep.eps))
-
-    if fam is FamilyTag.CHARLIER:
-        cpar = alg.c_param
-        a = rep.h * r * r / (4.0 * cpar * cpar)
-        big = r * r / (2.0 * cpar) + s
-        return CharlierParams(a), SpectralMap(2.0 * cpar, 2.0 * cpar * rep.k - big * rep.h)
-
-    if fam is FamilyTag.HERMITE:
-        return HermiteParams(-rep.h * s, r * math.sqrt(2.0 * rep.h)), SpectralMap(1.0, 0.0)
-
-    return BesselParams(rep.k * r / alg.c_param), SpectralMap(2.0 * alg.c_param, 0.0)  # Bessel
+    return entry.parameters(rep, alg, r, s, alg.a * s + alg.c_param)
 
 
 def _need(cond: bool, msg: str) -> None:

@@ -41,9 +41,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .families import FamilyTag, check_regime
+from .families import check_modification
 from .report import relative_error, write_columns_csv
-from .representations import ParameterError
 
 
 class IntegrationBlowupError(RuntimeError):
@@ -347,41 +346,12 @@ def check_sign_conditions(traj: Trajectory) -> SignConditionReport:
     return SignConditionReport(passed, sigma_req, sigma_given, initial_ok, min_r, min_s)
 
 
-# family -> (F, K): m(t) = A0 * F(r, s, se, C) with se = a s + c (the regimes
-# of check_regime), and K = g(t) from the flow equations, None where the
-# derivation in circulation has a sign inconsistency (constancy is checked alone)
-_MODIFICATIONS: dict[FamilyTag, tuple[Callable[..., float], Callable[..., float | None]]] = {
-    FamilyTag.KRAWTCHOUK: (lambda r, s, se, C: (C + se) / (C - se),
-                           lambda tr, C: 4.0 * C),
-    FamilyTag.MEIXNER: (lambda r, s, se, C: math.exp(-2.0 * math.acosh(se / r)),
-                        lambda tr, C: -4.0 * C),
-    FamilyTag.LAGUERRE: (lambda r, s, se, C: math.exp(-1.0 / r),
-                         lambda tr, C: None),
-    FamilyTag.MEIXNER_POLLACZEK: (lambda r, s, se, C: math.exp(2.0 * math.acos(se / r)),
-                                  lambda tr, C: 4.0 * C),
-    FamilyTag.CHARLIER: (lambda r, s, se, C: r * r,
-                         lambda tr, C: -4.0 * tr.alg.c_param),
-    FamilyTag.HERMITE: (lambda r, s, se, C: math.exp(s / r),
-                        lambda tr, C: 2.0 * float(tr.r[0])),
-}
-
-
 @dataclass(frozen=True)
 class ModificationReport:
     K_empirical: float
     max_constancy_deviation: float
     closed_form_max_error: float
     K_expected: float | None
-
-
-def check_modification(family: str, alg: AlgebraSpec, r: float, s: float) -> None:
-    """Raise ParameterError for a family without a closed-form modification
-    factor, or when the initial state (r, s) lies outside the family's
-    regime (``check_regime``)."""
-    fam = FamilyTag(family)
-    if fam not in _MODIFICATIONS:
-        raise ParameterError(f"no closed-form modification for family {fam.value!r}")
-    check_regime(fam, alg, r, s)
 
 
 def modification_report(traj: Trajectory, family: str) -> ModificationReport:
@@ -391,11 +361,12 @@ def modification_report(traj: Trajectory, family: str) -> ModificationReport:
     g_i = r_i * (ln m)'_i / u_i by centered differences, the empirical
     constant K = mean(g), the worst deviation of g from K, and the worst
     relative error of m(t)/m(0) against exp(K * int_0^t u/r d tau)
-    (trapezoid quadrature on the same grid).  Raises as
-    ``check_modification`` on the initial state.
+    (trapezoid quadrature on the same grid), with F and the predicted K of
+    the family's record.  Raises as ``families.check_modification`` on the
+    initial state.
     """
     alg = traj.alg
-    check_modification(family, alg, float(traj.r[0]), float(traj.s[0]))
+    f, k_expected = check_modification(family, alg, float(traj.r[0]), float(traj.s[0]))
     if len(traj) < 3:
         raise ValueError("trajectory too short for centered differences")
     if np.any(np.abs(traj.r) < 1e-300) or np.any(np.abs(traj.u) < 1e-300):
@@ -404,7 +375,6 @@ def modification_report(traj: Trajectory, family: str) -> ModificationReport:
     # C^2 = |I + a c^2|: r^2 + se^2 on su(2), |se^2 - r^2| on su(1,1)
     i0 = invariant(alg, traj.state(0)) + alg.a * alg.c_param ** 2
     C = math.sqrt(abs(i0)) if abs(i0) > 0 else 0.0
-    f, k_expected = _MODIFICATIONS[family]
     ln_m = np.array([math.log(f(r, s, alg.a * s + alg.c_param, C))
                      for r, s in zip(traj.r, traj.s)])
     dt = np.diff(traj.t)
@@ -424,7 +394,7 @@ def modification_report(traj: Trajectory, family: str) -> ModificationReport:
     m_int = np.exp(k_emp * primitive)
     cf_err = float(np.abs(m_cf / m_int - 1.0).max())
 
-    return ModificationReport(k_emp, max_dev, cf_err, k_expected(traj, C))
+    return ModificationReport(k_emp, max_dev, cf_err, k_expected(alg, float(traj.r[0]), C))
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:

@@ -10,14 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, e2
-from .families import (FamilyTag, SpectralMap, eval_rec, meixner_function,
-                       parameter_map)
+from .families import FAMILIES, FamilyTag, SpectralMap, parameter_map
 from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .report import spectrum_drift
 from .representations import (E2, ConfigurationError, RepresentationSpec,
                               build_L, lax_entries, lax_rows)
-from .specfun import bessel_j, eigh_tridiagonal
+from .specfun import eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
 
 
 # --------------------------------------------------------------------------
-# closed-form eigenfunctions per family
+# closed-form eigenfunctions
 
 
 def eigenfunction(family: FamilyTag, params, smap: SpectralMap,
@@ -71,18 +70,10 @@ def eigenfunction(family: FamilyTag, params, smap: SpectralMap,
     eigenvalue ``lam``, in the operator's orthonormal basis.  ``n_label``
     may be an array of labels and ``lam`` an array of eigenvalues; the
     result then has shape ``n_label.shape + lam.shape``, from one call of
-    the family's evaluator."""
+    the family's evaluator (its record's ``eigenvector``)."""
     fam = FamilyTag(family)
-    n = np.asarray(n_label)
-    x = smap.to_family_variable(lam)
-    if fam is FamilyTag.BESSEL:
-        return bessel_j(-np.subtract.outer(n, np.rint(x)).astype(int), params.z)
-    if fam is FamilyTag.MEIXNER_FUNCTION:
-        return meixner_function(n, x, params)
-    sign = 1.0
-    if fam is FamilyTag.CHARLIER:
-        sign = -math.copysign(1.0, r / alg.c_param)
-    return (sign ** n).reshape(n.shape + (1,) * np.ndim(x)) * eval_rec(fam, params, n, x)
+    return FAMILIES[fam].eigenvector(fam, params, alg, r, np.asarray(n_label),
+                                     smap.to_family_variable(lam))
 
 
 def recurrence_residual(family: FamilyTag, rep: RepresentationSpec,
