@@ -23,8 +23,9 @@ from .families import (FAMILIES, BesselParams, CharlierParams, FamilyEntry,
                        weight)
 from .flows import (DegenerateRatioError, FlowState, GammaTable,
                     IntegrationBlowupError, ModificationReport,
-                    SignConditionReport, Trajectory, check_sign_conditions, flow_rhs, g_at, integrate,
-                    invariant, modification_report, write_trajectory_csv)
+                    SignConditionReport, Trajectory, check_sign_conditions,
+                    flow_rhs, g_at, integrate, invariant, modification_report,
+                    write_trajectory_csv)
 from .mvk import (TABLE_CHECKS, MVKTable, base_entry_error,
                   krawtchouk_reduction_check, multi_indices,
                   multinom, mvk_orthogonality_check, mvk_recurrence_check,

@@ -163,9 +163,7 @@ def _modification(ccfg, *, alg, state0, **_):
 
     def row(*, traj, **_):
         report = modification_report(traj, family)
-        note = f"K_empirical={report.K_empirical:.9g}"
-        if report.K_expected is not None:
-            note += f" K_expected={report.K_expected:.9g}"
+        note = f"K_empirical={report.K_empirical:.9g} K_expected={report.K_expected:.9g}"
         return _row(ccfg, max(report.max_constancy_deviation,
                               report.closed_form_max_error), note)
     return row

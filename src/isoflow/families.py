@@ -359,14 +359,14 @@ def _polynomial(fam, par, alg, r, n, x, sign=1.0):
 
 
 class FamilyEntry(NamedTuple):
-    """One family's record, each field read by one function (named after
-    it), with ``par`` the family's parameter record and se = a s + c the
-    coefficient of the grading element.  A field calls the module's
-    functions by their names when it runs.  ``regime`` holds (test(r, se,
-    c), message) pairs (``check_regime``); ``parameters(rep, alg, r, s,
-    se)`` gives (par, SpectralMap) (``parameter_map``); ``recurrence(par,
-    m, x)`` the coefficients (a_m, mid_m) over an array of degrees m
-    (``eval_rec``); ``hyper(par, n, x)`` the terminating sum (``eval_hyper``);
+    """One family's record, each field read by one function, with ``par``
+    the family's parameter record and se = a s + c the coefficient of the
+    grading element.  A field calls the module's functions by their names
+    when it runs.  ``regime`` holds (test(r, se, c), message) pairs
+    (``check_regime``); ``parameters(rep, alg, r, s, se)`` gives (par,
+    SpectralMap) (``parameter_map``); ``recurrence(par, m, x)`` the
+    coefficients (a_m, mid_m) over an array of degrees m (``eval_rec``);
+    ``hyper(par, n, x)`` the terminating sum (``eval_hyper``);
     ``eigenvector(fam, par, alg, r, n, x)`` the components psi_n of L's
     eigenvector (``spectral.eigenfunction``); ``modification`` the weight
     factor F(r, s, se, C) along a flow and its rate K(alg, r0, C)
@@ -379,7 +379,7 @@ class FamilyEntry(NamedTuple):
     recurrence: Callable[..., tuple] | None = None
     hyper: Callable[..., float] | None = None
     eigenvector: Callable[..., np.ndarray] = _polynomial
-    modification: tuple[Callable[..., float], Callable[..., float | None]] | None = None
+    modification: tuple[Callable[..., float], Callable[..., float]] | None = None
 
 
 _lattice = functools.partial(np.arange, dtype=float)
@@ -422,9 +422,9 @@ FAMILIES: dict[FamilyTag, FamilyEntry] = {
         hyper=lambda par, n, x: (
             (-1.0) ** n * math.sqrt(_poch(par.alpha + 1, n) / math.factorial(n))
             * _hyp_terminating(n, [], [par.alpha + 1], x / par.scale)),
-        # no predicted rate: the derivation in circulation has a sign
-        # inconsistency, so the constancy is checked alone
-        modification=(lambda r, s, se, C: math.exp(-1.0 / r), lambda alg, r0, C: None)),
+        # the weight x^alpha e^(-x/r) gives ln m = -1/r; with rdot = -2 se u,
+        # K = r (ln m)' / u = -2 se / r = -2 on the regime se = r
+        modification=(lambda r, s, se, C: math.exp(-1.0 / r), lambda alg, r0, C: -2.0)),
     FamilyTag.MEIXNER_POLLACZEK: FamilyEntry(
         DiscreteSeriesPlus, _axis,
         regime=((lambda r, se, c: r > 0 and abs(se) < r, "hyperbolic case needs |s + c| < r"),),

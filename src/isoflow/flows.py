@@ -351,7 +351,7 @@ class ModificationReport:
     K_empirical: float
     max_constancy_deviation: float
     closed_form_max_error: float
-    K_expected: float | None
+    K_expected: float
 
 
 def modification_report(traj: Trajectory, family: str) -> ModificationReport:

@@ -172,19 +172,9 @@ def _grp_modification(rng) -> list[CheckResult]:
                                 rep.max_constancy_deviation, 1e-6))
         out.append(check_result(f"modification_closed_form_{fam}",
                                 rep.closed_form_max_error, 1e-6))
-        if fam == "krawtchouk":
-            out.append(check_result("modification_rate_krawtchouk",
-                                    abs(rep.K_empirical - rep.K_expected), 1e-5,
-                                    note=f"rate {rep.K_empirical:.9g} vs 4C"))
-        elif rep.K_expected is None:
-            out.append(check_result(f"modification_rate_{fam}", rep.K_empirical, math.inf,
-                                    note="empirical slope is twice the circulated "
-                                         "derivation; constancy gated, slope flagged"))
-        else:
-            out.append(check_result(f"modification_rate_{fam}",
-                                    abs(rep.K_empirical - rep.K_expected), 1e-4,
-                                    note=f"rate {rep.K_empirical:.9g} vs "
-                                         f"{rep.K_expected:.9g}"))
+        tol, want = (1e-5, "4C") if fam == "krawtchouk" else (1e-4, f"{rep.K_expected:.9g}")
+        out.append(check_result(f"modification_rate_{fam}", abs(rep.K_empirical - rep.K_expected),
+                                tol, note=f"rate {rep.K_empirical:.9g} vs {want}"))
     return out
 
 
@@ -206,7 +196,7 @@ def _grp_meixner_functions(rng) -> list[CheckResult]:
     gram = [[float(np.sum(w * vn * vm)) for vm in vals] for vn in vals]
     worst = max([0.0] + [abs(gram[n][m]) / math.sqrt(gram[n][n] * gram[m][m])
                          for n in range(len(vals)) for m in range(len(vals)) if n != m])
-    out.append(check_result("meixner_function_orthogonality", worst, 1e-4))
+    out.append(check_result("meixner_function_orthogonality", worst, 1e-12))
     return out
 
 

@@ -162,27 +162,20 @@ def test_weight_modification_rate_is_constant():
         ("hermite", oscillator(0.0), FlowState(0.0, 1.1, 0.7), 1.0,
          1e-3, 1.0),
     ]
-    worst_const = 0.0
-    rate_err = None
-    flagged = ""
+    worst_const = worst_rate = 0.0
     for fam, alg, st0, g, dt, t_end in runs:
         traj = integrate(alg, st0, g, dt, t_end)
         rep = modification_report(traj, fam)
         worst_const = max(worst_const, rep.max_constancy_deviation)
         assert rep.max_constancy_deviation <= 1e-6, (fam, rep)
-        if fam == "krawtchouk":
-            rate_err = abs(rep.K_empirical - rep.K_expected)
-            assert rate_err <= 1e-5, rep
-        elif rep.K_expected is None:
-            # constancy gated above; the slope disagrees with the
-            # circulated derivation by a factor two, so it is flagged
-            # rather than gated
-            flagged = f"; {fam} slope {rep.K_empirical:.6g} flagged, not gated"
-    ok = worst_const <= 1e-6 and rate_err is not None and rate_err <= 1e-5
+        rate_err = abs(rep.K_empirical - rep.K_expected)
+        assert rate_err <= (1e-5 if fam == "krawtchouk" else 1e-4), (fam, rep)
+        worst_rate = max(worst_rate, rate_err)
+    ok = worst_const <= 1e-6 and worst_rate <= 1e-4
     _line("weight_modification", ok,
           f"worst constancy deviation {worst_const:.3e} over six families "
-          f"(tol 1e-6); compact rate error vs 4C {rate_err:.3e} "
-          f"(tol 1e-5){flagged}")
+          f"(tol 1e-6); worst rate error vs the predicted K {worst_rate:.3e} "
+          f"(tol 1e-4, 1e-5 for the compact 4C)")
     assert ok
 
 

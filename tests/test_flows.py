@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (DegenerateRatioError, FlowState, GammaTable,
-                     IntegrationBlowupError, Trajectory, check_sign_conditions,
-                     flow_rhs, g_at, integrate, invariant, modification_report,
-                     ParameterError, oscillator, su2, su11,
-                     write_trajectory_csv)
+from isoflow import (FAMILIES, DegenerateRatioError, FamilyTag, FlowState,
+                     GammaTable, IntegrationBlowupError, Trajectory,
+                     check_sign_conditions, flow_rhs, g_at, integrate,
+                     invariant, modification_report, ParameterError,
+                     oscillator, run_verify, su2, su11, write_trajectory_csv)
 from isoflow.flows import _rank1_make, rk4_path
 
 
@@ -258,16 +258,36 @@ def test_modification_with_central_shift(family, alg, state, g, dt, t_end):
     assert rep.K_empirical == pytest.approx(rep.K_expected, abs=1e-9)
 
 
-def test_modification_laguerre_slope_not_asserted():
-    """The equal-parameter stratum is preserved; the measured slope runs
-    against the circulated derivation, so it is reported, not gated."""
+def test_modification_laguerre_slope_is_minus_two():
+    """The equal-parameter stratum is preserved, and along it the weight
+    x^alpha e^(-x/r) modifies at the predicted rate K = -2 se / r = -2."""
     traj = integrate(su11(), FlowState(0.0, 1.3, 1.3), -1.0,
                      1e-4, 0.2)
     rep = modification_report(traj, "laguerre")
     assert np.abs(traj.r - traj.s).max() < 1e-10
     assert rep.max_constancy_deviation < 1e-6
-    assert rep.K_expected is None
-    assert rep.K_empirical == pytest.approx(-2.0, abs=1e-3)
+    assert rep.K_expected == -2
+    assert rep.K_empirical == pytest.approx(-2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 0.5])
+@pytest.mark.parametrize("family", ["krawtchouk", "meixner", "laguerre",
+                                    "meixner_pollaczek", "charlier", "hermite"])
+def test_rate_row_fails_under_a_power_of_the_closed_form(monkeypatch, family, kappa):
+    """Negative control of verify's rate rows: with F -> F^kappa the rate
+    is kappa K, so modification_rate_<family> fails by at least 100x its
+    gate.  The family's constancy and closed-form rows still pass (a power
+    of the right F keeps a constant rate, and the closed form is compared
+    at the measured rate), and so does every other row: the rate row is
+    the one that sees this fault."""
+    tag = FamilyTag(family)
+    F, K = FAMILIES[tag].modification
+    monkeypatch.setitem(FAMILIES, tag, FAMILIES[tag]._replace(
+        modification=(lambda r, s, se, C: F(r, s, se, C) ** kappa, K)))
+    rows = {row.name: row for row in run_verify(only="modification")}
+    rate = rows.pop(f"modification_rate_{family}")
+    assert not rate.passed and rate.value >= 100 * rate.tolerance, rate
+    assert len(rows) == 17 and all(row.passed for row in rows.values())
 
 
 @pytest.mark.parametrize("family, state", [

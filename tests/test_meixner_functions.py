@@ -1,9 +1,12 @@
 """Bilateral second-kind family on the shifted integer lattice."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from isoflow import (FamilyTag, MeixnerFunctionParams, meixner_function,
-                     meixner_function_recurrence_residual, weight)
+                     meixner_function_recurrence_residual, run_verify, weight)
+from isoflow import verify
 
 PARAMS = MeixnerFunctionParams(0.7, 0.3, 0.2)
 
@@ -92,3 +95,22 @@ def test_against_mpmath():
     want = np.array([[float(_mpmath_meixner_function(mp, int(n), float(x))) for x in xs]
                      for n in ns])
     assert (np.abs(got - want) <= 4.4e-13 * np.abs(want)).all()
+
+
+def _orthogonality_row():
+    rows = {row.name: row for row in run_verify(only="meixner_functions")}
+    return rows["meixner_function_orthogonality"]
+
+
+def test_orthogonality_row_fails_when_rho_moves_in_the_functions_only(monkeypatch):
+    """Negative control of verify's meixner_function_orthogonality: the row
+    reads 2.0e-15 against 1e-12; with rho moved by a relative 1e-6 in the
+    functions but not in the weight it reads about 6.0e-7."""
+    assert _orthogonality_row().value < 1e-14
+
+    def moved(n, x, params):
+        return meixner_function(n, x, dataclasses.replace(params, rho=params.rho * (1 + 1e-6)))
+    monkeypatch.setattr(verify, "meixner_function", moved)
+    row = _orthogonality_row()
+    assert not row.passed and row.value >= 100 * row.tolerance, row
+    assert row.value == pytest.approx(6.0e-7, rel=0.05)
