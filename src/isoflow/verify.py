@@ -18,35 +18,34 @@ Groups (run individually with ``isoflow verify --only <group>``):
 Informational rows (tolerance = inf) record quantities that are reported
 but deliberately not gated, e.g. residuals of sign-negated variants that
 are kept only so their failure stays visible.  Every row is built by
-``report.check_result``; the quantities that ``isoflow run|chain|mvk``
-also report come from the same library functions, one row per component
-here where the command reports their max.
+``report.check_result``.  The rows of a quantity that ``isoflow run``,
+``chain`` or ``mvk`` also reports are those of the command's check: the
+group hands its states to ``checks.run_checks``, ``chain_checks`` or
+``mvk_checks`` and writes one row per component of each check's reading,
+where the command writes their max.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .algebra import e2, oscillator, su2, su11
-from .chain import (ChainState, build_chain_L, chain_isospectrality_drift,
-                    christoffel_weights, integrate_chain,
-                    pn_time_derivative_check, spectrum_sum, trace_flow_drift,
-                    trace_invariants)
-from .operators import TridiagonalOperator
+from .chain import (ChainState, build_chain_L, christoffel_weights,
+                    pn_time_derivative_check)
+from .checks import chain_checks, mvk_checks, run_checks
 from .config import DEFAULT_SEED
 from .families import (FamilyTag, MeixnerFunctionParams, meixner_function,
                        meixner_function_recurrence_residual, parameter_map,
                        weight)
 from .flows import FlowState, integrate, modification_report
-from .mvk import (TABLE_CHECKS, krawtchouk_reduction_check, mvk_table,
-                  mvk_time_derivative_check)
+from .mvk import krawtchouk_reduction_check, mvk_time_derivative_check
+from .operators import TridiagonalOperator
 from .report import CheckResult, check_result, guarded
 from .representations import (E2, DiscreteSeriesPlus, Oscillator,
-                              PrincipalSeries, SU2, build_L, lax_residual)
-from .spectral import (degenerate_e2_check, eigs_sym_tridiag,
-                       isospectrality_drift, recurrence_residual,
-                       scaled_tolerance)
+                              PrincipalSeries, SU2, build_L)
+from .spectral import degenerate_e2_check, eigs_sym_tridiag
 
 
 def _random_chain(rng, d: int) -> ChainState:
@@ -54,34 +53,45 @@ def _random_chain(rng, d: int) -> ChainState:
                       tuple(rng.uniform(0.5, 1.5, d)))
 
 
+def _check(name: str, tolerance: float, **options) -> dict:
+    return {"name": name, "tolerance": tolerance, **options}
+
+
+def _rows(built, names, tolerances=None) -> list[CheckResult]:
+    """The component rows of a command's checks, ``built`` as
+    ``checks.run_checks`` and its kin return it: the i-th is renamed
+    ``names[i]``, and gated at ``tolerances[i]`` (``<=``) when given."""
+    parts = [part for row in built[1] for part in row()]
+    if tolerances is None:
+        return [replace(part, name=name) for name, part in zip(names, parts, strict=True)]
+    return [check_result(name, part.value, tol, note=part.note)
+            for name, part, tol in zip(names, parts, tolerances, strict=True)]
+
+
 # --------------------------------------------------------------------------
 
 
 def _grp_lax(rng) -> list[CheckResult]:
     cases = [
-        ("su2", SU2(2.5), su2(), 0.8, 0.6, 0.3),
-        ("discrete", DiscreteSeriesPlus(1.0, 40), su11(), 0.8, 1.2, 0.3),
-        ("principal", PrincipalSeries(0.7, 0.3, -25, 25), su11(), 0.8, 1.2, 0.3),
-        ("oscillator", Oscillator(0.5, 1.0, 40), oscillator(1.0), 0.8, 0.6, 0.3),
-        ("e2", E2(2.0, -25, 25), e2(1.0), 0.8, 0.6, 0.3),
+        ("su2", SU2(2.5), su2(), 0.6),
+        ("discrete", DiscreteSeriesPlus(1.0, 40), su11(), 1.2),
+        ("principal", PrincipalSeries(0.7, 0.3, -25, 25), su11(), 1.2),
+        ("oscillator", Oscillator(0.5, 1.0, 40), oscillator(1.0), 0.6),
+        ("e2", E2(2.0, -25, 25), e2(1.0), 0.6),
     ]
-    # wall time is deliberately not a report row: reports must be
-    # byte-reproducible under a fixed seed, and callers who care about the
-    # time budget measure it around this call
-    return [check_result(f"lax_residual_{tag}", lax_residual(rep, alg, r, s, u), 1e-12)
-            for tag, rep, alg, r, s, u in cases]
+    # r = 0.8 under g = 0.3 / 0.8: u = g r = 0.3 exactly, and nothing is
+    # integrated.  Wall time is not a row: reports are byte-reproducible
+    return [row for tag, rep, alg, s in cases for row in _rows(run_checks(
+        alg, rep, FlowState(0.0, 0.8, s), 0.3 / 0.8, None,
+        [_check("lax_residual", 1e-12)]), [f"lax_residual_{tag}"])]
 
 
 def _grp_invariant(rng) -> list[CheckResult]:
-    cases = [
-        ("su2", su2(), FlowState(0.0, 1.0, 0.0), 1.0),
-        ("su11", su11(), FlowState(0.0, 1.0, 1.25), 1.0),
-        ("oscillator", oscillator(1.0), FlowState(0.0, 2.0, 3.0), 1.0),
-        ("e2", e2(1.0), FlowState(0.0, 1.0, 0.5), 1.0),
-    ]
-    return [check_result(f"invariant_drift_{tag}", integrate(
-                alg, st0, g, 1e-3, 2.0, record_every=20).invariant_drift(), 1e-10)
-            for tag, alg, st0, g in cases]
+    cases = [("su2", su2(), 1.0, 0.0), ("su11", su11(), 1.0, 1.25),
+             ("oscillator", oscillator(1.0), 2.0, 3.0), ("e2", e2(1.0), 1.0, 0.5)]
+    return [row for tag, alg, r, s in cases for row in _rows(run_checks(
+        alg, None, FlowState(0.0, r, s), 1.0, (1e-3, 2.0, 20),
+        [_check("invariant_drift", 1e-10)]), [f"invariant_drift_{tag}"])]
 
 
 def _grp_closed_form(rng) -> list[CheckResult]:
@@ -93,10 +103,8 @@ def _grp_closed_form(rng) -> list[CheckResult]:
     out = [check_result("closed_form_orbit_error", max(err_s, err_r), 1e-9)]
 
     # step-halving contraction of the integrator at t = 1
-    ys = []
-    for dt in (2e-3, 1e-3, 5e-4):
-        tr = integrate(alg, st0, 1.0, dt, 1.0)
-        ys.append(np.array([tr.r[-1], tr.s[-1]]))
+    ys = [np.array([tr.r[-1], tr.s[-1]])
+          for tr in (integrate(alg, st0, 1.0, dt, 1.0) for dt in (2e-3, 1e-3, 5e-4))]
     num = float(np.abs(ys[0] - ys[1]).max())
     den = float(np.abs(ys[1] - ys[2]).max())
     ratio = num / den if den > 0 else math.inf
@@ -105,54 +113,43 @@ def _grp_closed_form(rng) -> list[CheckResult]:
 
 
 def _grp_diagonalization(rng) -> list[CheckResult]:
-    out = []
-
-    def run_family(fam, rep, alg, r, s, points):
-        L = build_L(rep, alg, r, s)
-        worst = recurrence_residual(fam, rep, alg, r, s, points, L=L)
-        out.append(check_result(f"diag_residual_{fam.value}", worst,
-                                scaled_tolerance(1e-11, L)))
-        return L
-
-    # compact class: finite lattice, exact spectrum.  s = 0 keeps the
-    # lattice weight balanced over the 21-point window; a tilted weight
-    # inflates the closed-form eigenvector's tail components and with them
-    # the attainable absolute-residual floor.
-    rep = SU2(10.0)
-    alg = su2()
-    r, s = 1.0, 0.0
-    L = run_family(FamilyTag.KRAWTCHOUK, rep, alg, r, s, range(20))
-    dec = eigs_sym_tridiag(L)
-    _, smap = parameter_map(FamilyTag.KRAWTCHOUK, rep, alg, r, s)
+    F = FamilyTag
+    # (family, representation, algebra, r, s, points).  The compact class
+    # first: finite lattice, exact spectrum; s = 0 keeps the lattice weight
+    # balanced over the 21-point window (a tilted one inflates the tail of
+    # the closed-form eigenvector and with it the absolute-residual floor)
+    cases = [
+        (F.KRAWTCHOUK, SU2(10.0), su2(), 1.0, 0.0, range(20)),
+        (F.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025, range(20)),
+        (F.LAGUERRE, DiscreteSeriesPlus(0.8, 50), su11(), 1.3, 1.3, np.linspace(0.3, 12.0, 20)),
+        (F.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 50), su11(), 2.0, 1.0,
+         np.linspace(-4.0, 4.0, 20)),
+        (F.CHARLIER, Oscillator(0.5, 1.0, 60), oscillator(1.0), 6.0, 0.5, range(20)),
+        (F.HERMITE, Oscillator(0.5, 2.0, 60), oscillator(0.0), 1.1, 0.7,
+         np.linspace(-5.0, 5.0, 20)),
+        (F.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, range(-9, 11)),
+    ]
+    out = [row for fam, rep, alg, r, s, points in cases for row in _rows(run_checks(
+        alg, rep, FlowState(0.0, r, s), 0.0, None,
+        [_check("diagonalization", 1e-11, family=fam.value)], points=points),
+        [f"diag_residual_{fam.value}"])]
+    _, rep, alg, r, s, _ = cases[0]
+    _, smap = parameter_map(F.KRAWTCHOUK, rep, alg, r, s)
     expected = np.sort(smap.eigenvalue(np.arange(21)))
-    out.append(check_result("su2_spectrum_match",
-                            float(np.abs(dec.eigenvalues - expected).max()), 1e-10))
-
-    run_family(FamilyTag.MEIXNER, DiscreteSeriesPlus(1.0, 60), su11(), 1.0, 1.025, range(20))
-    run_family(FamilyTag.LAGUERRE, DiscreteSeriesPlus(0.8, 50), su11(), 1.3, 1.3,
-               np.linspace(0.3, 12.0, 20))
-    run_family(FamilyTag.MEIXNER_POLLACZEK, DiscreteSeriesPlus(1.2, 50), su11(), 2.0, 1.0,
-               np.linspace(-4.0, 4.0, 20))
-    run_family(FamilyTag.CHARLIER, Oscillator(0.5, 1.0, 60), oscillator(1.0), 6.0, 0.5,
-               range(20))
-    run_family(FamilyTag.HERMITE, Oscillator(0.5, 2.0, 60), oscillator(0.0), 1.1, 0.7,
-               np.linspace(-5.0, 5.0, 20))
-    run_family(FamilyTag.BESSEL, E2(2.0, -40, 40), e2(1.0), 1.3, 0.4, range(-9, 11))
-
+    dec = eigs_sym_tridiag(build_L(rep, alg, r, s))
+    out.insert(1, check_result("su2_spectrum_match",
+                               float(np.abs(dec.eigenvalues - expected).max()), 1e-10))
     out.append(check_result("flat_fourier_identity", degenerate_e2_check(2.0, 1.3), 1e-13))
     return out
 
 
 def _grp_isospectrality(rng) -> list[CheckResult]:
-    alg = su2()
-    traj = integrate(alg, FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 1.0,
-                     record_every=50)
-    out = [check_result("isospectral_drift_su2",
-                        isospectrality_drift(traj, SU2(2.5)), 1e-8)]
+    iso = [_check("isospectrality_drift", 1e-8)]
+    out = _rows(run_checks(su2(), SU2(2.5), FlowState(0.0, 1.0, 0.0), 1.0, (1e-3, 1.0, 50),
+                           iso), ["isospectral_drift_su2"])
     for d in (2, 3, 5):
-        ctraj = integrate_chain(_random_chain(rng, d), 1.0, 1e-3, 1.0, record_every=100)
-        out.append(check_result(f"isospectral_drift_chain_d{d}",
-                                chain_isospectrality_drift(ctraj), 1e-8))
+        out += _rows(chain_checks(_random_chain(rng, d), 1.0, (1e-3, 1.0, 100), iso),
+                     [f"isospectral_drift_chain_d{d}"])
     return out
 
 
@@ -202,23 +199,17 @@ def _grp_meixner_functions(rng) -> list[CheckResult]:
 
 def _grp_chain(rng) -> list[CheckResult]:
     st = _random_chain(rng, 4)
-    cw = christoffel_weights(st)
-    primal, dual = cw.orthogonality()
+    out = _rows(chain_checks(st, 1.0, (1e-3, 1.0, 100), [
+        _check("spectrum_sum", 1e-12), _check("orthogonality", 1e-12),
+        _check("trace_closed_vs_dense", 1e-10), _check("tr2_variant_detected", 0.1),
+        _check("trace_flow_drift", 1e-9)]), [
+        "chain_trace_zero", "chain_orthogonality", "chain_dual_orthogonality",
+        *(f"chain_trace{k}_closed_vs_dense" for k in (2, 3, 4)),
+        "chain_trace2_unit_variant_detected",
+        *(f"chain_trace{k}_flow_drift" for k in (2, 3, 4))])
     dec = eigs_sym_tridiag(TridiagonalOperator(0, *build_chain_L(st)))
-    tr = trace_invariants(st)
-    out = [check_result("chain_trace_zero", spectrum_sum(st), 1e-12),
-           check_result("chain_orthogonality", primal, 1e-12),
-           check_result("chain_dual_orthogonality", dual, 1e-12),
-           check_result("chain_weights_dual_route", float(np.abs(
-               np.sort(cw.weights) - np.sort(dec.weights)).max()), 1e-12)]
-    out += [check_result(f"chain_trace{k}_closed_vs_dense", err, 1e-10)
-            for k, err in zip((2, 3, 4), tr.closed_vs_dense)]
-    out.append(check_result("chain_trace2_unit_variant_detected", tr.variant_gap, 0.1, ">",
-                            note="variant lacking the factor 2 on sum r_i^2 differs "
-                                 "from the dense trace, as it must"))
-    drift = trace_flow_drift(integrate_chain(st, 1.0, 1e-3, 1.0, record_every=100))
-    out += [check_result(f"chain_trace{k}_flow_drift", err, 1e-9)
-            for k, err in zip((2, 3, 4), drift)]
+    out.insert(3, check_result("chain_weights_dual_route", float(np.abs(
+        np.sort(christoffel_weights(st).weights) - np.sort(dec.weights)).max()), 1e-12))
     return out
 
 
@@ -228,13 +219,10 @@ _MVK_TOL = {"base_entry": 1e-15, "orthogonality": 1e-9, "dual_orthogonality": 1e
 
 
 def _grp_mvk(rng) -> list[CheckResult]:
-    out = []
-    for d, N in ((2, 2), (2, 3), (3, 2)):
-        st = _random_chain(rng, d)
-        table = mvk_table(st, N)
-        out += [check_result(f"mvk_{name}_d{d}N{N}", check(table, st), _MVK_TOL[name])
-                for name, check in TABLE_CHECKS.items()]
-    return out
+    checks = [_check(name, tol) for name, tol in _MVK_TOL.items()]
+    return [row for d, N in ((2, 2), (2, 3), (3, 2))
+            for row in _rows(mvk_checks(_random_chain(rng, d), N, checks),
+                             [f"mvk_{name}_d{d}N{N}" for name in _MVK_TOL])]
 
 
 def _grp_time_derivative(rng) -> list[CheckResult]:
@@ -287,13 +275,10 @@ def run_verify(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckR
     floating-point overflow, invalid and divide included) is one failed row
     named after it; the other groups still run."""
     names = list(GROUPS)
-    if only is not None:
-        if only not in GROUPS:
-            raise KeyError(f"unknown group {only!r}; choose from {names}")
-        names = [only]
-    order = list(GROUPS)
+    if only is not None and only not in GROUPS:
+        raise KeyError(f"unknown group {only!r}; choose from {names}")
     results: list[CheckResult] = []
-    for name in names:
-        rng = np.random.default_rng([seed, order.index(name)])
+    for name in names if only is None else [only]:
+        rng = np.random.default_rng([seed, names.index(name)])
         results += guarded(lambda: GROUPS[name](rng), name, math.nan)
     return results

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from isoflow import ChainState, integrate_chain
-from isoflow.cli import _CHAIN, CHAIN_CHECKS, _computes, _results
+from isoflow import ChainState
+from isoflow.checks import CHAIN_CHECKS, chain_checks
+from isoflow.cli import _results
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -43,8 +44,7 @@ def _chain_and_coupling(draw):
 @hypothesis.given(_chain_and_coupling())
 def test_chain_checks_hold_on_random_flows(case):
     state, g = case
-    traj = integrate_chain(state, g, 1e-3, 0.2, record_every=20)
-    rows = _results(CHECKS, _computes(CHECKS, _CHAIN), state0=state, traj=traj)
+    rows = _results(CHECKS, chain_checks(state, g, (1e-3, 0.2, 20), CHECKS)[1])
     assert [row.name for row in rows] == [c["name"] for c in CHECKS]
     for row in rows:
         # tr2_variant_detected passes when the variant's gap exceeds 0.1

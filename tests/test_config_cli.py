@@ -221,14 +221,14 @@ def test_unsorted_gamma_table_exits_2(tmp_path, capsys):
 
 
 def test_run_integrates_once_with_sign_conditions(tmp_path, monkeypatch):
-    import isoflow.cli as cli
+    import isoflow.checks as checks
     import isoflow.flows as flows
     calls, integrate = [], flows.integrate
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("record_every"))
         return integrate(*args, **kwargs)
-    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(checks, "integrate", counted)
     monkeypatch.setattr(flows, "integrate", counted)
     assert main(["run", _write(tmp_path, _with_out(RUN_CFG, tmp_path, "a"))]) == 0
     assert calls == [1]
@@ -247,14 +247,14 @@ def test_run_integrates_once_with_sign_conditions(tmp_path, monkeypatch):
 
 def test_sign_conditions_of_a_zero_length_flow_read_its_one_sample(tmp_path, capsys,
                                                                    monkeypatch):
-    import isoflow.cli as cli
+    import isoflow.checks as checks
     import isoflow.flows as flows
     calls, integrate = [], flows.integrate
 
     def counted(*args, **kwargs):
         calls.append(args[4])
         return integrate(*args, **kwargs)
-    monkeypatch.setattr(cli, "integrate", counted)
+    monkeypatch.setattr(checks, "integrate", counted)
     monkeypatch.setattr(flows, "integrate", counted)
     cfg = json.loads(json.dumps(_with_out(RUN_CFG, tmp_path)))
     cfg["flow"]["t_end"] = 0.0
@@ -273,9 +273,9 @@ def test_sign_conditions_of_a_zero_length_flow_read_its_one_sample(tmp_path, cap
 @pytest.mark.parametrize("record_every", [0, -3])
 def test_non_positive_record_every_exits_2_before_integrating(
         tmp_path, capsys, monkeypatch, command, cfg, block, integrator, record_every):
-    import isoflow.cli as cli
+    import isoflow.checks as checks
     calls = []
-    monkeypatch.setattr(cli, integrator, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(checks, integrator, lambda *a, **k: calls.append(a))
     cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
     cfg[block]["record_every"] = record_every
     assert main([command, _write(tmp_path, cfg)]) == 2
@@ -431,7 +431,7 @@ def test_overflowing_eigenvector_polynomials_fail_with_a_note(tmp_path, capsys, 
 
 
 def test_run_builds_L_once(tmp_path, monkeypatch, capsys):
-    import isoflow.cli as cli
+    import isoflow.checks as checks
     import isoflow.representations as representations
     import isoflow.spectral as spectral
     calls, build_L_ = [], representations.build_L
@@ -439,7 +439,7 @@ def test_run_builds_L_once(tmp_path, monkeypatch, capsys):
     def counted(*args, **kwargs):
         calls.append(args)
         return build_L_(*args, **kwargs)
-    for module in (cli, representations, spectral):
+    for module in (checks, representations, spectral):
         monkeypatch.setattr(module, "build_L", counted)
     assert main(["run", _write(tmp_path, _with_out(RUN_CFG, tmp_path))]) == 0
     assert len(calls) == 1
