@@ -1,15 +1,11 @@
-"""The checks of ``isoflow run``, ``isoflow chain`` and ``isoflow mvk``, one
-registry per command: the only code that computes a command's rows and the
-rows of ``isoflow verify`` that a command also reports.
-
-An entry ``entry(ccfg, **setup)`` validates the options of the configured
-check ``ccfg`` before anything runs (a rejected option exits 2 before a flow
-is integrated or a file written) and returns ``row(**computed)``, which
-gives the check's components, one row each at the check's tolerance.  A
-command writes their ``command_row``; verify writes them under its own
-names.  ``run_checks``, ``chain_checks`` and ``mvk_checks`` return what they
-built and one such function per check, which their caller computes under
-its own guard.
+"""The registries of ``isoflow run``, ``chain`` and ``mvk``: the only code
+that computes a command's rows and the rows of ``isoflow verify`` that a
+command also reports.  An entry ``entry(ccfg, **setup)`` validates the
+options of the configured check ``ccfg`` before anything runs and returns
+``row(**computed)``, the check's components as rows at its tolerance: a
+command writes their ``command_row``, verify one row each under its names.
+``run_checks``, ``chain_checks`` and ``mvk_checks`` return what they built
+and one such function per check, which the caller computes under its guard.
 """
 from __future__ import annotations
 
@@ -111,7 +107,8 @@ def _modification(ccfg, *, alg, state0, **_):
         report = modification_report(traj, family)
         note = f"K_empirical={report.K_empirical:.9g} K_expected={report.K_expected:.9g}"
         return _parts(ccfg, note, constancy=report.max_constancy_deviation,
-                      closed_form=report.closed_form_max_error)
+                      closed_form=report.closed_form_max_error,
+                      rate=abs(report.K_empirical - report.K_expected))
     return row
 
 
@@ -137,14 +134,9 @@ def _diagonalization(ccfg, *, alg, rep, state0, initial_L, **_):
     return row
 
 
-RUN_CHECKS = {
-    "lax_residual": _lax_residual,
-    "invariant_drift": _invariant_drift,
-    "sign_conditions": _sign_conditions,
-    "isospectrality_drift": _isospectrality_drift,
-    "modification": _modification,
-    "diagonalization": _diagonalization,
-}
+RUN_CHECKS = {"lax_residual": _lax_residual, "invariant_drift": _invariant_drift,
+              "sign_conditions": _sign_conditions, "isospectrality_drift": _isospectrality_drift,
+              "modification": _modification, "diagonalization": _diagonalization}
 
 
 def run_checks(alg, rep, state0, g, grid, checks, **computed):
@@ -169,10 +161,7 @@ def run_checks(alg, rep, state0, g, grid, checks, **computed):
 
 
 # isoflow chain: setup (state0), computed (traj)
-
-
-def _traces(ccfg, values, *args) -> list[CheckResult]:
-    return _parts(ccfg, *args, **dict(zip(("tr2", "tr3", "tr4"), values)))
+_TRACES = ("tr2", "tr3", "tr4")
 
 
 def _spectrum_sum(ccfg, *, state0, **_):
@@ -185,11 +174,11 @@ def _orthogonality(ccfg, *, state0, **_):
 
 
 def _trace_closed_vs_dense(ccfg, *, state0, **_):
-    return lambda **_: _traces(ccfg, trace_invariants(state0).closed_vs_dense)
+    return lambda **_: _parts(ccfg, **dict(zip(_TRACES, trace_invariants(state0).closed_vs_dense)))
 
 
 def _trace_flow_drift(ccfg, **_):
-    return lambda *, traj, **_: _traces(ccfg, trace_flow_drift(traj))
+    return lambda *, traj, **_: _parts(ccfg, **dict(zip(_TRACES, trace_flow_drift(traj))))
 
 
 def _tr2_variant_detected(ccfg, *, state0, **_):
@@ -201,14 +190,11 @@ def _chain_isospectrality_drift(ccfg, **_):
     return lambda *, traj, **_: _parts(ccfg, drift=chain_isospectrality_drift(traj))
 
 
-CHAIN_CHECKS = {
-    "spectrum_sum": _spectrum_sum,
-    "orthogonality": _orthogonality,
-    "trace_closed_vs_dense": _trace_closed_vs_dense,
-    "trace_flow_drift": _trace_flow_drift,
-    "tr2_variant_detected": _tr2_variant_detected,
-    "isospectrality_drift": _chain_isospectrality_drift,
-}
+CHAIN_CHECKS = {"spectrum_sum": _spectrum_sum, "orthogonality": _orthogonality,
+                "trace_closed_vs_dense": _trace_closed_vs_dense,
+                "trace_flow_drift": _trace_flow_drift,
+                "tr2_variant_detected": _tr2_variant_detected,
+                "isospectrality_drift": _chain_isospectrality_drift}
 
 
 def chain_checks(state0, g, grid, checks):

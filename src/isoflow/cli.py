@@ -68,16 +68,11 @@ def _report_blowup(outdir: str, exc: IntegrationBlowupError) -> int:
 
 
 def _results(checks, rows) -> list[CheckResult]:
-    """The ``command_row`` of each configured check from its row function
-    under ``guarded``: a numerical error is a failed row, an input error
-    exits 2."""
+    """The ``command_row`` of each check under ``guarded``: a numerical error
+    is a failed row, an input error exits 2."""
     return [result for c, row in zip(checks, rows)
             for result in guarded(lambda: [command_row(c["name"], row())], c["name"],
                                   float(c["tolerance"]), _INPUT_ERRORS)]
-
-
-# ---------------------------------------------------------------------------
-# isoflow run
 
 
 def _cmd_run(path: str) -> int:
@@ -101,10 +96,6 @@ def _cmd_run(path: str) -> int:
     return _finish(outdir, _results(checks, rows))
 
 
-# ---------------------------------------------------------------------------
-# isoflow verify
-
-
 def _cmd_verify(only, seed) -> int:
     outdir = cfgmod.output_dir({})
     t0 = time.perf_counter()
@@ -114,10 +105,6 @@ def _cmd_verify(only, seed) -> int:
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed "
           f"in {elapsed:.2f}s")
     return code
-
-
-# ---------------------------------------------------------------------------
-# isoflow chain
 
 
 def _write_chain_csv(path: str, traj) -> None:
@@ -141,10 +128,6 @@ def _cmd_chain(path: str) -> int:
     return _finish(outdir, _results(checks, rows))
 
 
-# ---------------------------------------------------------------------------
-# isoflow mvk
-
-
 def _cmd_mvk(path: str) -> int:
     cfg = load_config(path)
     state0 = cfgmod.build_chain_state(cfg.get("chain"))
@@ -161,9 +144,6 @@ def _cmd_mvk(path: str) -> int:
     # one that overflows is one failed row and no mvk.csv, as a flow that
     # blows up is one failed integration row and no trajectory
     return _finish(outdir, guarded(table_rows, "table", 0.0, _INPUT_ERRORS))
-
-
-# ---------------------------------------------------------------------------
 
 
 def _seed(text: str) -> int:

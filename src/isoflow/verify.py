@@ -17,12 +17,9 @@ Groups (run individually with ``isoflow verify --only <group>``):
 
 Informational rows (tolerance = inf) record quantities that are reported
 but deliberately not gated, e.g. residuals of sign-negated variants that
-are kept only so their failure stays visible.  Every row is built by
-``report.check_result``.  The rows of a quantity that ``isoflow run``,
-``chain`` or ``mvk`` also reports are those of the command's check: the
-group hands its states to ``checks.run_checks``, ``chain_checks`` or
-``mvk_checks`` and writes one row per component of each check's reading,
-where the command writes their max.
+are kept only so their failure stays visible.  A quantity that ``isoflow
+run|chain|mvk`` also reports comes from the command's registry entry
+(``checks``): verify writes one row per component, the command their max.
 """
 from __future__ import annotations
 
@@ -39,7 +36,7 @@ from .config import DEFAULT_SEED
 from .families import (FamilyTag, MeixnerFunctionParams, meixner_function,
                        meixner_function_recurrence_residual, parameter_map,
                        weight)
-from .flows import FlowState, integrate, modification_report
+from .flows import FlowState, integrate
 from .mvk import krawtchouk_reduction_check, mvk_time_derivative_check
 from .operators import TridiagonalOperator
 from .report import CheckResult, check_result, guarded
@@ -154,25 +151,19 @@ def _grp_isospectrality(rng) -> list[CheckResult]:
 
 
 def _grp_modification(rng) -> list[CheckResult]:
-    out = []
-    runs = [
-        ("krawtchouk", su2(), FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 1.0),
-        ("meixner", su11(), FlowState(0.0, 1.0, 1.25), -1.0, 1e-4, 0.2),
-        ("laguerre", su11(), FlowState(0.0, 1.3, 1.3), -1.0, 1e-4, 0.2),
-        ("meixner_pollaczek", su11(), FlowState(0.0, 2.0, 1.0), -1.0, 1e-4, 0.2),
-        ("charlier", oscillator(1.0), FlowState(0.0, 2.0, 3.0), 1.0, 1e-3, 1.0),
-        ("hermite", oscillator(0.0), FlowState(0.0, 1.1, 0.7), 1.0, 1e-3, 1.0),
+    runs = [  # (family, algebra, r, s, g, dt, t_end)
+        ("krawtchouk", su2(), 1.0, 0.0, 1.0, 1e-3, 1.0),
+        ("meixner", su11(), 1.0, 1.25, -1.0, 1e-4, 0.2),
+        ("laguerre", su11(), 1.3, 1.3, -1.0, 1e-4, 0.2),
+        ("meixner_pollaczek", su11(), 2.0, 1.0, -1.0, 1e-4, 0.2),
+        ("charlier", oscillator(1.0), 2.0, 3.0, 1.0, 1e-3, 1.0),
+        ("hermite", oscillator(0.0), 1.1, 0.7, 1.0, 1e-3, 1.0),
     ]
-    for fam, alg, st0, g, dt, t_end in runs:
-        rep = modification_report(integrate(alg, st0, g, dt, t_end), fam)
-        out.append(check_result(f"modification_constancy_{fam}",
-                                rep.max_constancy_deviation, 1e-6))
-        out.append(check_result(f"modification_closed_form_{fam}",
-                                rep.closed_form_max_error, 1e-6))
-        tol, want = (1e-5, "4C") if fam == "krawtchouk" else (1e-4, f"{rep.K_expected:.9g}")
-        out.append(check_result(f"modification_rate_{fam}", abs(rep.K_empirical - rep.K_expected),
-                                tol, note=f"rate {rep.K_empirical:.9g} vs {want}"))
-    return out
+    return [row for fam, alg, r, s, g, dt, t_end in runs for row in _rows(run_checks(
+        alg, None, FlowState(0.0, r, s), g, (dt, t_end, 1),
+        [_check("modification", 1e-6, family=fam)]),
+        [f"modification_{part}_{fam}" for part in ("constancy", "closed_form", "rate")],
+        [1e-6, 1e-6, 1e-5 if fam == "krawtchouk" else 1e-4])]
 
 
 def _grp_meixner_functions(rng) -> list[CheckResult]:
@@ -180,10 +171,7 @@ def _grp_meixner_functions(rng) -> list[CheckResult]:
     worst = 0.0
     for trial in range(50):
         n = int(rng.integers(-8, 9))
-        if trial % 2 == 0:
-            x = float(rng.integers(-8, 9))
-        else:
-            x = float(rng.uniform(-6.0, 6.0))
+        x = float(rng.integers(-8, 9) if trial % 2 == 0 else rng.uniform(-6.0, 6.0))
         worst = max(worst, meixner_function_recurrence_residual(n, x, params))
     out = [check_result("meixner_function_recurrence", worst, 1e-6)]
 
@@ -253,19 +241,11 @@ def _grp_reduction(rng) -> list[CheckResult]:
     return out
 
 
-GROUPS = {
-    "lax": _grp_lax,
-    "invariant": _grp_invariant,
-    "closed_form": _grp_closed_form,
-    "diagonalization": _grp_diagonalization,
-    "isospectrality": _grp_isospectrality,
-    "modification": _grp_modification,
-    "meixner_functions": _grp_meixner_functions,
-    "chain": _grp_chain,
-    "mvk": _grp_mvk,
-    "time_derivative": _grp_time_derivative,
-    "reduction": _grp_reduction,
-}
+GROUPS = {"lax": _grp_lax, "invariant": _grp_invariant, "closed_form": _grp_closed_form,
+          "diagonalization": _grp_diagonalization, "isospectrality": _grp_isospectrality,
+          "modification": _grp_modification, "meixner_functions": _grp_meixner_functions,
+          "chain": _grp_chain, "mvk": _grp_mvk, "time_derivative": _grp_time_derivative,
+          "reduction": _grp_reduction}
 
 
 def run_verify(only: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -10,9 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from isoflow import (E2, SU2, ChainState, DiscreteSeriesPlus, GammaTable, Oscillator,
-                     PrincipalSeries, build_L, chain_spectrum, check_result,
-                     config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
+from isoflow import (E2, FAMILIES, SU2, ChainState, DiscreteSeriesPlus, FamilyTag,
+                     GammaTable, Oscillator, PrincipalSeries, build_L, chain_spectrum,
+                     check_result, config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
 from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
 
@@ -283,6 +283,23 @@ def test_non_positive_record_every_exits_2_before_integrating(
             in capsys.readouterr().err)
     assert calls == []
     assert list(tmp_path.glob("out/**/*")) == []
+
+
+@pytest.mark.parametrize("kappa", [2.0, 0.5])
+def test_modification_row_sees_the_rate(tmp_path, capsys, monkeypatch, kappa):
+    """A wrong closed form F^kappa still has a constant rate and fits its own
+    exponential, so only |K_empirical - K_expected| shows it: the command's
+    row is the max of constancy, closed form and rate."""
+    record = FAMILIES[FamilyTag.KRAWTCHOUK]
+    f, k_expected = record.modification
+    monkeypatch.setitem(FAMILIES, FamilyTag.KRAWTCHOUK, record._replace(
+        modification=(lambda r, s, se, C: f(r, s, se, C) ** kappa, k_expected)))
+    cfg = dict(RUN_CFG, representation={"type": "su2", "j": 3},
+               checks=[{"name": "modification", "tolerance": 1e-5, "family": "krawtchouk"}])
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path))]) == 1
+    value, tol, ok = _report_rows(tmp_path)["modification"]
+    assert ok == "false" and value >= 100 * tol
+    assert "K_empirical=" in capsys.readouterr().out
 
 
 def test_numerical_error_in_a_check_is_a_failed_row(tmp_path, capsys):
@@ -762,13 +779,104 @@ def _verify_chain_state(rng, d):
     return {"s": list(rng.uniform(-0.5, 0.5, d)), "r": list(rng.uniform(0.5, 1.5, d))}
 
 
+def _verify_run(tmp_path, sub, algebra, rep, r0, s0, g, grid, check):
+    """The one row of ``isoflow run`` on a verify state at t = 0: ``grid``
+    is (dt, t_end, record_every), t_end = 0 where verify integrates
+    nothing."""
+    dt, t_end, every = grid
+    sigma = 1 if g > 0 else -1
+    cfg = {"algebra": algebra, "flow": {
+        "r0": r0, "s0": s0, "dt": dt, "t_end": t_end, "record_every": every,
+        "policy": {"type": "signed_scaled", "sigma": sigma, "gamma": sigma * g}},
+        "checks": [check]}
+    if rep is not None:
+        cfg["representation"] = rep
+    assert main(["run", _write(tmp_path, _with_out(cfg, tmp_path, sub))]) == 0
+    (value, _, _), = _report_rows(tmp_path, sub).values()
+    return value
+
+
+# verify's rank-1 states as isoflow run blocks: lax (representation, algebra, s0 at
+# r0 = 0.8, u = 0.3), invariant and modification (algebra, r0, s0, g, grid)
+VERIFY_LAX = {
+    "su2": ({"type": "su2", "j": 2.5}, {"class": "su2"}, 0.6),
+    "discrete": ({"type": "discrete_series", "k": 1.0, "n_max": 40}, {"class": "su11"}, 1.2),
+    "principal": ({"type": "principal_series", "rho": 0.7, "eps": 0.3, "n_min": -25,
+                   "n_max": 25}, {"class": "su11"}, 1.2),
+    "oscillator": ({"type": "oscillator", "k": 0.5, "h": 1.0, "n_max": 40},
+                   {"class": "oscillator", "c": 1.0}, 0.6),
+    "e2": ({"type": "e2", "k": 2.0, "n_min": -25, "n_max": 25}, {"class": "e2", "c": 1.0}, 0.6),
+}
+VERIFY_INVARIANT = {"su2": ({"class": "su2"}, 1.0, 0.0),
+                    "su11": ({"class": "su11"}, 1.0, 1.25),
+                    "oscillator": ({"class": "oscillator", "c": 1.0}, 2.0, 3.0),
+                    "e2": ({"class": "e2", "c": 1.0}, 1.0, 0.5)}
+VERIFY_MODIFICATION = {
+    "krawtchouk": ({"class": "su2"}, 1.0, 0.0, 1.0, (1e-3, 1.0, 1)),
+    "meixner": ({"class": "su11"}, 1.0, 1.25, -1.0, (1e-4, 0.2, 1)),
+    "laguerre": ({"class": "su11"}, 1.3, 1.3, -1.0, (1e-4, 0.2, 1)),
+    "meixner_pollaczek": ({"class": "su11"}, 2.0, 1.0, -1.0, (1e-4, 0.2, 1)),
+    "charlier": ({"class": "oscillator", "c": 1.0}, 2.0, 3.0, 1.0, (1e-3, 1.0, 1)),
+    "hermite": ({"class": "oscillator", "c": 0.0}, 1.1, 0.7, 1.0, (1e-3, 1.0, 1)),
+}
+# the diagonalization states whose verify points are the family's 20 points
+VERIFY_DIAGONALIZATION = {
+    "krawtchouk": ({"type": "su2", "j": 10}, {"class": "su2"}, 1.0, 0.0),
+    "meixner": ({"type": "discrete_series", "k": 1.0, "n_max": 60}, {"class": "su11"},
+                1.0, 1.025),
+    "meixner_pollaczek": ({"type": "discrete_series", "k": 1.2, "n_max": 50},
+                          {"class": "su11"}, 2.0, 1.0),
+    "charlier": ({"type": "oscillator", "k": 0.5, "h": 1.0, "n_max": 60},
+                 {"class": "oscillator", "c": 1.0}, 6.0, 0.5),
+}
+NO_FLOW = (1e-3, 0.0, 1)
+
+
 @pytest.mark.parametrize("seed", [12345, 7])
 def test_commands_report_the_max_of_verify_rows(tmp_path, seed):
-    """isoflow chain and isoflow mvk on verify's group states give, row by
-    row, exactly the max of verify's rows for the same quantity."""
+    """isoflow run, chain and mvk on verify's group states give, row by row,
+    exactly the max of verify's rows for the same quantity."""
     def group(name):
         return ({r.name: r.value for r in run_verify(only=name, seed=seed)},
                 np.random.default_rng([seed, list(GROUPS).index(name)]))
+
+    rows, _ = group("lax")
+    for tag, (rep, algebra, s0) in VERIFY_LAX.items():
+        assert _verify_run(tmp_path, f"l{tag}", algebra, rep, 0.8, s0, 0.3 / 0.8, NO_FLOW,
+                           {"name": "lax_residual", "tolerance": 1e-12}) == rows[
+            f"lax_residual_{tag}"], tag
+
+    rows, _ = group("invariant")
+    for tag, (algebra, r0, s0) in VERIFY_INVARIANT.items():
+        assert _verify_run(tmp_path, f"i{tag}", algebra, None, r0, s0, 1.0, (1e-3, 2.0, 20),
+                           {"name": "invariant_drift", "tolerance": 1e-10}) == rows[
+            f"invariant_drift_{tag}"], tag
+
+    rows, _ = group("modification")
+    for fam, (algebra, r0, s0, g, grid) in VERIFY_MODIFICATION.items():
+        got = _verify_run(tmp_path, f"m{fam}", algebra, None, r0, s0, g, grid,
+                          {"name": "modification", "tolerance": 1e-5, "family": fam})
+        assert got == max(rows[f"modification_{part}_{fam}"]
+                          for part in ("constancy", "closed_form", "rate")), fam
+
+    rows, _ = group("diagonalization")
+    for fam, (rep, algebra, r0, s0) in VERIFY_DIAGONALIZATION.items():
+        assert _verify_run(tmp_path, f"d{fam}", algebra, rep, r0, s0, 1.0, NO_FLOW,
+                           {"name": "diagonalization", "tolerance": 1e-11, "family": fam,
+                            "points": 20}) == rows[f"diag_residual_{fam}"], fam
+
+    rows, rng = group("isospectrality")
+    assert _verify_run(tmp_path, "isu2", {"class": "su2"}, {"type": "su2", "j": 2.5}, 1.0,
+                       0.0, 1.0, (1e-3, 1.0, 50),
+                       {"name": "isospectrality_drift", "tolerance": 1e-8}) == rows[
+        "isospectral_drift_su2"]
+    for d in (2, 3, 5):
+        cfg = {"chain": {**_verify_chain_state(rng, d), "g": 1.0, "dt": 1e-3,
+                         "t_end": 1.0, "record_every": 100},
+               "checks": [{"name": "isospectrality_drift", "tolerance": 1e-8}]}
+        assert main(["chain", _write(tmp_path, _with_out(cfg, tmp_path, f"c{d}"))]) == 0
+        (value, _, _), = _report_rows(tmp_path, f"c{d}").values()
+        assert value == rows[f"isospectral_drift_chain_d{d}"], d
 
     rows, rng = group("chain")
     cfg = {"chain": {**_verify_chain_state(rng, 4), "g": 1.0, "dt": 1e-3,

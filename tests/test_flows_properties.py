@@ -1,10 +1,10 @@
 """Property tests of the rank-1 flow checks.
 
-The ``modification`` run check, max(constancy deviation, closed-form error)
-of ``modification_report``, stays within the README's tolerance 1e-5 for
-every family with a closed-form weight modification, on random states of its
-regime and random couplings; and every other family asked for at such a
-state is rejected with ParameterError.
+The ``modification`` run check, max(constancy deviation, closed-form error,
+|K_empirical - K_expected|) of ``modification_report``, stays within the
+README's tolerance 1e-5 for every family with a closed-form weight
+modification, on random states of its regime and random couplings; and every
+other family asked for at such a state is rejected with ParameterError.
 
 The ``sign_conditions`` and ``invariant_drift`` checks pass on random
 positive states of every algebra class under the coupling sign it requires,
@@ -66,7 +66,8 @@ def test_modification_check_holds_in_the_regime(family, data):
     alg, r, s, g, dt, t_end = CASES[family](data.draw)
     traj = integrate(alg, FlowState(0.0, r, s), g, dt, t_end)
     report = modification_report(traj, family)
-    value = max(report.max_constancy_deviation, report.closed_form_max_error)
+    value = max(report.max_constancy_deviation, report.closed_form_max_error,
+                abs(report.K_empirical - report.K_expected))
     assert value <= TOLERANCE, (value, alg, r, s, g)
     for other in set(F) - {family}:
         with pytest.raises(ParameterError):
