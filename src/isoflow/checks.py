@@ -10,8 +10,7 @@ and one such function per check, which the caller computes under its guard.
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+import math
 
 from . import config as cfgmod
 from .chain import (chain_isospectrality_drift, christoffel_weights,
@@ -38,8 +37,10 @@ def _parts(ccfg, note="", direction="<=", tolerance=None, **parts) -> list[Check
 def command_row(name: str, parts: list[CheckResult]) -> CheckResult:
     """The row ``name`` of a command's check: the max of its components (NaN
     if one is), passing when they all pass."""
-    return CheckResult(name, float(np.max([p.value for p in parts])), parts[0].tolerance,
-                       all(p.passed for p in parts), parts[0].note)
+    values = [p.value for p in parts]
+    value = math.nan if any(map(math.isnan, values)) else max(values)
+    return CheckResult(name, value, parts[0].tolerance, all(p.passed for p in parts),
+                       parts[0].note)
 
 
 def _int_option(ccfg, key, default):

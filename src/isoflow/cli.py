@@ -27,8 +27,8 @@ from .chain import chain_path_eigenvalues
 from .checks import (CHAIN_CHECKS, MVK_CHECKS, RUN_CHECKS, chain_checks,
                      command_row, mvk_checks, run_checks)
 from .config import ConfigError, load_config
-# ``integrate`` is bound here as well as in ``checks``, where it runs: the
-# benchmark's tracer wraps and restores it at every binding
+# ``integrate`` runs in ``checks``; the name stays bound here because
+# bench/selftest.py reads ``cli.integrate`` after tracing
 from .flows import IntegrationBlowupError, integrate, write_trajectory_csv  # noqa: F401
 from .mvk import write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
