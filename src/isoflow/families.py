@@ -40,7 +40,7 @@ import numpy as np
 from .algebra import AlgebraSpec
 from .representations import (_COMPAT, E2, SU2, DiscreteSeriesPlus, Oscillator,
                               ParameterError, PrincipalSeries, RepresentationSpec)
-from .specfun import PrecisionError, bessel_j, loggamma, regularized_2f1, three_term
+from .specfun import PrecisionError, abs_gamma, bessel_j, log_abs_gamma, regularized_2f1, three_term
 
 
 class FamilyTag(str, Enum):
@@ -228,27 +228,24 @@ def meixner_function(n, x, params: MeixnerFunctionParams):
     number), one series per entry.
     """
     n, x = np.asarray(n), np.asarray(x, dtype=float)
-    vals = np.array([[_meixner_value(ni, xi, params) for xi in x.ravel().tolist()]
+    vals = np.array([_meixner_values(ni, x.ravel().tolist(), params)
                      for ni in n.ravel().tolist()]).reshape(n.shape + x.shape)
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _meixner_value(n: int, x: float, params: MeixnerFunctionParams) -> float:
+def _meixner_values(n: int, xs: list[float], params: MeixnerFunctionParams) -> list[float]:
+    """m_n at each point of ``xs``, with the order's prefactor computed once."""
     rho, eps, c = params.rho, params.eps, params.c
-    a = complex(n + eps + 0.5, rho)
-    b = complex(n + eps + 0.5, -rho)
-    cpar = float(n + 1 - x)
-    if cpar == round(cpar):
-        cpar = int(round(cpar))
-    z = c / (c - 1.0)
-    f_val = regularized_2f1(a, b, cpar, z)
-    pref = (math.sqrt(c) / (c - 1.0)) ** n
-    gam = math.exp(complex(loggamma(a)).real)  # |Gamma(a)| = sqrt(Gamma(a) Gamma(conj a))
-    val = pref * gam * (1.0 - c) ** (-eps) * f_val
-    val = complex(val)
-    if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
-        raise PrecisionError(f"non-real bilateral value {val}")
-    return val.real
+    a, z = complex(n + eps + 0.5, rho), c / (c - 1.0)
+    # |Gamma(a)| = sqrt(Gamma(a) Gamma(conj a))
+    norm = (math.sqrt(c) / (c - 1.0)) ** n * abs_gamma(a.real, rho) * (1.0 - c) ** (-eps)
+    out = []
+    for x in xs:
+        val = complex(norm * regularized_2f1(a, a.conjugate(), n + 1 - x, z))
+        if abs(val.imag) > 1e-8 * (1.0 + abs(val.real)):
+            raise PrecisionError(f"non-real bilateral value {val}")
+        out.append(val.real)
+    return out
 
 
 def meixner_function_recurrence_residual(n: int, x: float,
@@ -434,7 +431,7 @@ FAMILIES: dict[FamilyTag, FamilyEntry] = {
         weight=lambda par, x: ((2 * math.sin(par.phi)) ** (2 * par.lam)
                                / (2 * math.pi * math.gamma(2 * par.lam))
                                * math.exp((2 * par.phi - math.pi) * x
-                                          + 2 * complex(loggamma(complex(par.lam, x))).real)),
+                                          + 2 * log_abs_gamma(par.lam, x))),
         recurrence=lambda par, m, x: (
             np.sqrt((m + 1) * (m + 2 * par.lam)),
             2 * x * math.sin(par.phi) + 2 * (m + par.lam) * math.cos(par.phi)),
@@ -472,8 +469,8 @@ FAMILIES: dict[FamilyTag, FamilyEntry] = {
                  "family meixner_function needs s + c > r > 0"),),
         parameters=lambda rep, alg, r, s, se: _su11_map(
             r, se, lambda c: MeixnerFunctionParams(rep.rho, rep.eps, c), rep.eps),
-        weight=lambda par, x: math.exp(-x * math.log(par.c) - 2.0 * complex(
-            loggamma(complex(x + par.eps + 0.5, par.rho))).real),
+        weight=lambda par, x: math.exp(-x * math.log(par.c)
+                                       - 2.0 * log_abs_gamma(x + par.eps + 0.5, par.rho)),
         eigenvector=lambda fam, par, alg, r, n, x: meixner_function(n, x, par)),
     FamilyTag.BESSEL: FamilyEntry(
         E2, lambda count: _lattice(count) - count // 2,

@@ -1,14 +1,13 @@
 """Special-function kernels: the forward three-term recurrence behind every
 orthonormal polynomial of the package, the regularized Gauss series, Bessel
 J at an array of orders by one backward recurrence, the tridiagonal
-eigensolve (LAPACK ``dstevd``) and log Gamma.
+eigensolve (LAPACK ``dstevd``) and |Gamma(x + iy)|.
 
 The eigensolve calls the ``dstevd`` of the OpenBLAS that numpy bundles and
 has already loaded; only where numpy ships no such library does it use
-scipy's.  log Gamma is scipy's.  Importing scipy takes longer than importing
-numpy and the rest of the package together, so it is left to the first call
-that needs it: every use of scipy in the package goes through
-``eigh_tridiagonal`` (the fallback) and ``loggamma``.
+scipy's, imported there on the first solve (importing scipy takes longer than
+importing numpy and the rest of the package together).  That fallback is the
+package's one use of scipy: |Gamma| comes from the ``math`` module.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -128,11 +127,37 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False,
     return w if eigvals_only else (w, v)
 
 
-def loggamma(z):
-    """``scipy.special.loggamma``, with scipy.special imported on first
-    use."""
-    from scipy.special import loggamma
-    return loggamma(z)
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of log Gamma (DLMF 5.11.1)
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _gamma_split(x: float, y: float) -> tuple[float, float]:
+    """(x0, e) with |Gamma(x + iy)| = |Gamma(x0)| exp(e): x0 = x, or 1 where
+    x is a pole of the real Gamma (then y != 0).  Gamma(z) = Gamma(z + n) /
+    (z (z + 1) ... (z + n - 1)) moves the real part to w = x0 + n >= 10,
+    where the Stirling series gives log|Gamma(w + iy)| - log Gamma(w)."""
+    e = 0.0
+    if x <= 0 and x == int(x):
+        e = -0.5 * math.fsum(math.log((x + k) ** 2 + y * y) for k in range(1 - int(x)))
+        x = 1.0
+    n = max(0, math.ceil(10.0 - x))
+    w, z = x + n, complex(x + n, y)
+    e -= 0.5 * sum(math.log1p((y / (x + k)) ** 2) for k in range(n))
+    e += sum(b * ((z ** (1 - 2 * k)).real - w ** (1 - 2 * k)) for k, b in enumerate(_STIRLING, 1))
+    return x, e + (w - 0.5) * 0.5 * math.log1p((y / w) ** 2) - y * math.atan2(y, w)
+
+
+def abs_gamma(x: float, y: float) -> float:
+    """|Gamma(x + iy)| for real x and y, from ``math.gamma``."""
+    x0, e = _gamma_split(x, y)
+    return abs(math.gamma(x0)) * math.exp(e)
+
+
+def log_abs_gamma(x: float, y: float) -> float:
+    """log|Gamma(x + iy)| for real x and y, from ``math.lgamma``: finite
+    where |Gamma| over- or underflows."""
+    x0, e = _gamma_split(x, y)
+    return math.lgamma(x0) + e
 
 
 class PrecisionError(ArithmeticError):
@@ -147,9 +172,9 @@ def _is_nonpositive_int(x) -> bool:
     return x <= 0 and float(x) == round(float(x))
 
 
-def regularized_2f1(a, b, c, z):
-    """2F1(a, b; c; z) / Gamma(c), by direct summation of the regularized
-    series sum_k (a)_k (b)_k z^k / (k! Gamma(c+k)).
+def regularized_2f1(a, b, c: float, z):
+    """2F1(a, b; c; z) / Gamma(c) for a real c (a complex c raises TypeError),
+    by direct summation of the series sum_k (a)_k (b)_k z^k / (k! Gamma(c+k)).
 
     Terminating cases (a or b a non-positive integer) are summed as finite
     polynomials for any z.  Otherwise a Pfaff transform
@@ -158,7 +183,9 @@ def regularized_2f1(a, b, c, z):
     When c = -m is a non-positive integer the first 1 + m terms vanish
     identically and summation starts at k0 = 1 - c.
     """
-    complex_out = any(isinstance(v, complex) for v in (a, b, c, z))
+    if isinstance(c, complex):
+        raise TypeError(f"regularized_2f1 takes a real c, got {c!r}")
+    complex_out = any(isinstance(v, complex) for v in (a, b, z))
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
 
     if not terminating and abs(z) >= 0.75:
@@ -173,15 +200,14 @@ def regularized_2f1(a, b, c, z):
             raise PrecisionError(f"series argument |z| = {abs(z):.3g} >= 1")
 
     if _is_nonpositive_int(c):
-        k0 = int(round(1 - (c.real if isinstance(c, complex) else c)))
+        k0 = int(round(1 - c))
         term = (z ** k0) / math.factorial(k0)
         for i in range(k0):
             term = term * (a + i) * (b + i)
     else:
         k0 = 0
-        term = complex(np.exp(-loggamma(complex(c))))
-        if not complex_out:
-            term = term.real
+        # 1/Gamma(c); past c = 171.6 Gamma overflows and its reciprocal underflows
+        term = 1.0 / math.gamma(c) if c < 171.0 else math.exp(-math.lgamma(c))
 
     total = term
     quiet = 0

@@ -1,9 +1,9 @@
 """scipy is imported on first use: ``import isoflow`` loads none of it, and
-every use goes through the two functions in ``isoflow.specfun``.  The
+its one use is the fallback of ``isoflow.specfun.eigh_tridiagonal``.  The
 tridiagonal solve, with or without eigenvectors, calls LAPACK's ``dstevd``
 itself, from the OpenBLAS bundled with numpy or, where numpy bundles none,
 from scipy; on both paths it must give scipy's results and raise scipy's
-errors."""
+errors.  |Gamma| comes from the ``math`` module, checked against mpmath."""
 import ctypes
 import json
 import os
@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 
 from isoflow import (FlowState, SU2, build_L, eigenvalues, eigs_sym_tridiag,
                      integrate, isospectrality_drift, specfun, spectral, su2)
@@ -90,6 +89,37 @@ def test_run_chain_and_mvk_load_no_scipy(path, tmp_path):
         assert not [m for m in loaded if m.startswith("scipy.special")]
 
 
+# a Toda run whose diagonalization check evaluates the Meixner functions,
+# |Gamma| and 1/Gamma included, on a principal-series window
+MEIXNER_FUNCTION_RUN = {
+    "algebra": {"class": "su11"},
+    "representation": {"type": "principal_series", "rho": 0.7, "eps": 0.3,
+                       "n_min": -10, "n_max": 10},
+    "flow": {"r0": 0.8, "s0": 1.2, "dt": 1e-3, "t_end": 0.1, "policy": {"type": "toda"}},
+    "checks": [{"name": "diagonalization", "tolerance": 1e-9, "family": "meixner_function"}],
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_verify_and_meixner_function_run_load_no_scipy(path, tmp_path, command):
+    """The full ``isoflow verify`` and ``isoflow run`` with a
+    ``meixner_function`` diagonalization, each in a fresh interpreter, load
+    no scipy where numpy bundles the library, and no scipy.special on
+    scipy's path."""
+    code = NO_BUNDLED_LIBRARY if path == "scipy" else ""
+    args = [command]
+    if command == "run":
+        (tmp_path / "run.json").write_text(json.dumps(MEIXNER_FUNCTION_RUN))
+        args.append("run.json")
+    code += f"import isoflow.cli\nassert isoflow.cli.main({args!r}) == 0\n"
+    loaded = _scipy_modules_after(code, cwd=tmp_path)
+    if path == "bundled":
+        assert loaded == []
+    else:
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.special")]
+
+
 def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
     calls = []
 
@@ -117,9 +147,29 @@ def test_wrappers_return_scipy_results():
     for got, want in zip(specfun.eigh_tridiagonal(d, e),
                          scipy.linalg.eigh_tridiagonal(d, e)):
         assert np.array_equal(got, want)
-    for z in (0.5 + 0.0j, 2.5 + 1.3j, -3.7 + 0.2j, 0.01 - 40.0j, 170.0 + 5.0j):
-        got, want = complex(specfun.loggamma(z)), complex(scipy.special.loggamma(z))
-        assert (got.real, got.imag) == (want.real, want.imag)
+
+
+def test_gamma_against_mpmath():
+    """log|Gamma(x + iy)|, |Gamma(x + iy)| and 1/Gamma(c) against 40-digit
+    values, within 4e-15 max(1, |log Gamma|) (1.2e-15 measured): x in
+    [-50, 60], poles of the real Gamma included, at y = 0.2, 0.7 and in
+    [0.05, 5]; the Meixner-Pollaczek weight's lam + ix; real c with
+    negative non-integers."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    tol = 4e-15
+    args = [(x, y) for x in np.linspace(-50.0, 60.0, 221).tolist()
+            for y in [0.2, 0.7, *np.linspace(0.05, 5.0, 8).tolist()]]
+    args += [(lam, x) for lam in (0.5, 1.0, 2.5) for x in np.linspace(-30.0, 30.0, 61).tolist()]
+    for x, y in args:
+        want = mp.log(abs(mp.gamma(mp.mpc(x, y))))
+        bound = tol * max(1, abs(want))
+        assert abs(specfun.log_abs_gamma(x, y) - want) <= bound, (x, y)
+        assert abs(specfun.abs_gamma(x, y) / mp.exp(want) - 1) <= bound, (x, y)
+    for c in np.arange(-50.25, 170.5, 0.5).tolist():
+        want = mp.rgamma(c)
+        bound = tol * max(1, abs(mp.log(abs(want))))
+        assert abs(specfun.regularized_2f1(0.4, 0.9, c, 0.0) / want - 1) <= bound, c
 
 
 def _tridiagonal(rng, n):

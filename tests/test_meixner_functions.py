@@ -1,5 +1,6 @@
 """Bilateral second-kind family on the shifted integer lattice."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -65,11 +66,11 @@ def test_arrays_of_orders_and_points_are_the_scalar_calls():
     assert meixner_function([], xs, PARAMS).shape == (0, 3)
 
 
-def _mpmath_meixner_function(mp, n, x):
+def _mpmath_meixner_function(mp, n, x, params=PARAMS):
     """m_n(x) at 60 digits from its definition, summing the regularized
     series sum_k (a)_k (b)_k z^k / (k! Gamma(n + 1 - x + k)) term by term
     (1/Gamma vanishes at the poles)."""
-    rho, eps, c = (mp.mpf(v) for v in (PARAMS.rho, PARAMS.eps, PARAMS.c))
+    rho, eps, c = (mp.mpf(v) for v in (params.rho, params.eps, params.c))
     a = mp.mpc(n + eps + mp.mpf(1) / 2, rho)
     b = mp.conj(a)
     cpar, z = n + 1 - mp.mpf(x), c / (c - 1)
@@ -86,8 +87,8 @@ def _mpmath_meixner_function(mp, n, x):
 
 def test_against_mpmath():
     """At verify's parameters, n in [-9, 2] and x in [-8, 8] on a half-integer
-    grid: within 4.4e-13 relative (4.37e-13 measured).  Past n = 2 the float
-    series loses digits fast (2.2e-12 at n = 3, 1.9e-4 at n = 9)."""
+    grid: within 4.4e-13 relative (4.386e-13 measured, at n = -7, x = 8).  Past
+    n = 2 the float series loses digits fast (2.2e-12 at n = 3, 1.9e-4 at n = 9)."""
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 60
     ns, xs = np.arange(-9, 3), np.linspace(-8.0, 8.0, 33)
@@ -97,6 +98,28 @@ def test_against_mpmath():
     assert (np.abs(got - want) <= 4.4e-13 * np.abs(want)).all()
 
 
+def test_half_integer_eps_at_the_poles_of_the_real_gamma():
+    """At eps = 1/2, x + eps + 1/2 is an integer: |Gamma(x + 1 + i rho)| at
+    x <= -1 sits over a pole of the real Gamma.  The weight at the integers
+    in [-40, 40] is within 1e-13 relative of 40-digit values (3.6e-14
+    measured) and m_n for n in [-3, 2], x in [-8, 8] on a half-integer grid
+    within 4e-13 (2.4e-13 measured, the float series' own error)."""
+    mp = pytest.importorskip("mpmath")
+    params = MeixnerFunctionParams(0.7, 0.5, 0.2)
+    mp.mp.dps = 40
+    for x in range(-40, 41):
+        got = weight(FamilyTag.MEIXNER_FUNCTION, params, float(x))
+        want = mp.mpf(params.c) ** -x / abs(mp.gamma(mp.mpc(x + 1, params.rho))) ** 2
+        assert math.isfinite(got) and abs(got / want - 1) <= 1e-13, x
+    mp.mp.dps = 60
+    ns, xs = range(-3, 3), np.linspace(-8.0, 8.0, 33)
+    got = meixner_function(ns, xs, params)
+    want = np.array([[float(_mpmath_meixner_function(mp, n, float(x), params)) for x in xs]
+                     for n in ns])
+    assert np.isfinite(got).all()
+    assert (np.abs(got - want) <= 4e-13 * np.abs(want)).all()
+
+
 def _orthogonality_row():
     rows = {row.name: row for row in run_verify(only="meixner_functions")}
     return rows["meixner_function_orthogonality"]
@@ -104,7 +127,7 @@ def _orthogonality_row():
 
 def test_orthogonality_row_fails_when_rho_moves_in_the_functions_only(monkeypatch):
     """Negative control of verify's meixner_function_orthogonality: the row
-    reads 2.0e-15 against 1e-12; with rho moved by a relative 1e-6 in the
+    reads 2.0e-16 against 1e-12; with rho moved by a relative 1e-6 in the
     functions but not in the weight it reads about 6.0e-7."""
     assert _orthogonality_row().value < 1e-14
 

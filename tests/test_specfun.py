@@ -22,6 +22,21 @@ def test_2f1_at_origin_is_reciprocal_gamma():
             1.0 / math.gamma(c), rel=1e-14)
 
 
+def test_2f1_reciprocal_gamma_underflows_past_the_largest_gamma():
+    # Gamma(200.5) is past the largest double: 1/Gamma(c) reads 0, no OverflowError
+    assert regularized_2f1(0.4, 0.9, 200.5, 0.3) == 0.0
+    # between 171 and 171.6, where Gamma(c) is still finite, either route serves
+    assert regularized_2f1(0.4, 0.9, 171.2, 0.0) == pytest.approx(
+        1.0 / math.gamma(171.2), rel=1e-13)
+
+
+def test_2f1_takes_a_real_c():
+    with pytest.raises(TypeError, match="real c"):
+        regularized_2f1(0.4, 0.9, complex(1.5, 0.2), 0.3)
+    with pytest.raises(TypeError, match="real c"):
+        regularized_2f1(0.4, 0.9, 1.5 + 0j, 0.3)
+
+
 def test_2f1_terminating():
     # a = -1 truncates after two terms for any z
     got = regularized_2f1(-1.0, 2.0, 3.0, 0.7)
