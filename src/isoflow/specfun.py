@@ -148,14 +148,13 @@ def _gamma_split(x: float, y: float) -> tuple[float, float]:
 
 
 def abs_gamma(x: float, y: float) -> float:
-    """|Gamma(x + iy)| for real x and y, from ``math.gamma``."""
+    """|Gamma(x + iy)| from ``math.gamma``: exp(log_abs_gamma) would carry the log's rounding."""
     x0, e = _gamma_split(x, y)
     return abs(math.gamma(x0)) * math.exp(e)
 
 
 def log_abs_gamma(x: float, y: float) -> float:
-    """log|Gamma(x + iy)| for real x and y, from ``math.lgamma``: finite
-    where |Gamma| over- or underflows."""
+    """log|Gamma(x + iy)| from ``math.lgamma``: finite where |Gamma| over- or underflows."""
     x0, e = _gamma_split(x, y)
     return math.lgamma(x0) + e
 

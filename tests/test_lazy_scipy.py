@@ -151,25 +151,25 @@ def test_wrappers_return_scipy_results():
 
 def test_gamma_against_mpmath():
     """log|Gamma(x + iy)|, |Gamma(x + iy)| and 1/Gamma(c) against 40-digit
-    values, within 4e-15 max(1, |log Gamma|) (1.2e-15 measured): x in
+    values, within 4e-15 max(1, |log Gamma|) (7.9e-16 measured): x in
     [-50, 60], poles of the real Gamma included, at y = 0.2, 0.7 and in
     [0.05, 5]; the Meixner-Pollaczek weight's lam + ix; real c with
     negative non-integers."""
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
     tol = 4e-15
     args = [(x, y) for x in np.linspace(-50.0, 60.0, 221).tolist()
             for y in [0.2, 0.7, *np.linspace(0.05, 5.0, 8).tolist()]]
     args += [(lam, x) for lam in (0.5, 1.0, 2.5) for x in np.linspace(-30.0, 30.0, 61).tolist()]
-    for x, y in args:
-        want = mp.log(abs(mp.gamma(mp.mpc(x, y))))
-        bound = tol * max(1, abs(want))
-        assert abs(specfun.log_abs_gamma(x, y) - want) <= bound, (x, y)
-        assert abs(specfun.abs_gamma(x, y) / mp.exp(want) - 1) <= bound, (x, y)
-    for c in np.arange(-50.25, 170.5, 0.5).tolist():
-        want = mp.rgamma(c)
-        bound = tol * max(1, abs(mp.log(abs(want))))
-        assert abs(specfun.regularized_2f1(0.4, 0.9, c, 0.0) / want - 1) <= bound, c
+    with mp.workdps(40):
+        for x, y in args:
+            want = mp.log(abs(mp.gamma(mp.mpc(x, y))))
+            bound = tol * max(1, abs(want))
+            assert abs(specfun.log_abs_gamma(x, y) - want) <= bound, (x, y)
+            assert abs(specfun.abs_gamma(x, y) / mp.exp(want) - 1) <= bound, (x, y)
+        for c in np.arange(-50.25, 170.5, 0.5).tolist():
+            want = mp.rgamma(c)
+            bound = tol * max(1, abs(mp.log(abs(want))))
+            assert abs(specfun.regularized_2f1(0.4, 0.9, c, 0.0) / want - 1) <= bound, c
 
 
 def _tridiagonal(rng, n):
