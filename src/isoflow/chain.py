@@ -29,7 +29,7 @@ import numpy as np
 from .flows import (GFun, IntegrationBlowupError, RK4Path, _compile_make, _rk4_source,
                     g_at, rk4_path)
 from .report import relative_error, spectrum_drift
-from .specfun import eigh_tridiagonal, three_term
+from .specfun import eigh_tridiagonal, eigvals_rows, three_term
 from .spectral import SpectralDecomposition
 
 
@@ -180,14 +180,14 @@ def chain_path_eigenvalues(traj: ChainTrajectory) -> list[np.ndarray]:
     """The ascending eigenvalues of L at every sample of ``traj``, each
     bitwise ``chain_spectrum`` of that sample: the entries of all samples
     are built in one pass, then each sample is one eigenvalue-only solve of
-    its row.  Raises ValueError, as that solve does, when an entry is not
-    finite."""
+    its row (``specfun.eigvals_rows``, serial below its row size of 40, so
+    for every chain up to d = 38).  Raises ValueError, as that solve does,
+    when an entry is not finite."""
     diag, off = build_chain_L(traj)
     # checked finite as a whole, so the rows are not again
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
-    return [eigh_tridiagonal(dv, ev, eigvals_only=True, check_finite=False)
-            for dv, ev in zip(diag, off)]
+    return eigvals_rows(eigh_tridiagonal, diag, off)
 
 
 def spectrum_sum(state: ChainState) -> float:

@@ -161,7 +161,7 @@ def run_checks(alg, rep, state0, g, grid, checks, **computed):
     return traj, [functools.partial(row, traj=traj, full=full, **computed) for row in rows]
 
 
-# isoflow chain: setup (state0), computed (traj)
+# isoflow chain: setup (state0, invariants), computed (traj)
 _TRACES = ("tr2", "tr3", "tr4")
 
 
@@ -174,17 +174,17 @@ def _orthogonality(ccfg, *, state0, **_):
         ("primal", "dual"), christoffel_weights(state0).orthogonality())))
 
 
-def _trace_closed_vs_dense(ccfg, *, state0, **_):
-    return lambda **_: _parts(ccfg, **dict(zip(_TRACES, trace_invariants(state0).closed_vs_dense)))
+def _trace_closed_vs_dense(ccfg, *, invariants, **_):
+    return lambda **_: _parts(ccfg, **dict(zip(_TRACES, invariants().closed_vs_dense)))
 
 
 def _trace_flow_drift(ccfg, **_):
     return lambda *, traj, **_: _parts(ccfg, **dict(zip(_TRACES, trace_flow_drift(traj))))
 
 
-def _tr2_variant_detected(ccfg, *, state0, **_):
+def _tr2_variant_detected(ccfg, *, invariants, **_):
     return lambda **_: _parts(ccfg, "variant lacking the factor 2 on sum r_i^2", ">",
-                              gap=trace_invariants(state0).variant_gap)
+                              gap=invariants().variant_gap)
 
 
 def _chain_isospectrality_drift(ccfg, **_):
@@ -201,7 +201,9 @@ CHAIN_CHECKS = {"spectrum_sum": _spectrum_sum, "orthogonality": _orthogonality,
 def chain_checks(state0, g, grid, checks):
     """The chain flow from ``state0`` under ``g`` on the grid ``(dt, t_end,
     record_every)`` and the row function of each check."""
-    rows = [CHAIN_CHECKS[c["name"]](c, state0=state0) for c in checks]
+    # the trace invariants of state0, computed once for the checks that read them
+    invariants = functools.cache(lambda: trace_invariants(state0))
+    rows = [CHAIN_CHECKS[c["name"]](c, state0=state0, invariants=invariants) for c in checks]
     dt, t_end, record_every = grid
     traj = integrate_chain(state0, g, dt, t_end, record_every=record_every)
     return traj, [functools.partial(row, traj=traj) for row in rows]

@@ -16,7 +16,7 @@ from .operators import TridiagonalOperator
 from .report import spectrum_drift
 from .representations import (E2, ConfigurationError, RepresentationSpec,
                               build_L, lax_entries, lax_rows)
-from .specfun import eigh_tridiagonal
+from .specfun import eigh_tridiagonal, eigvals_rows
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,14 @@ def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
     """The ``eigenvalues`` of L at every sample (r[i], s[i]) of a path, each
     bitwise those of ``build_L(rep, alg, r[i], s[i])``.  The generators are
     built once and the entries of all samples in one pass; each sample is
-    then one eigenvalue-only solve of its row.  Raises ValueError, as
-    ``build_L`` does, when a sample or an entry is not finite."""
+    then one eigenvalue-only solve of its row through this module's
+    ``eigh_tridiagonal``, the rows shared between the CPUs as
+    ``specfun.eigvals_rows`` shares them.  Raises ValueError, as ``build_L``
+    does, when a sample or an entry is not finite."""
     _, diag, off = lax_entries(rep, alg, np.asarray(r, dtype=float)[:, None],
                                np.asarray(s, dtype=float)[:, None])
     # the entries were checked finite as a whole, so the rows are not again
-    return [eigh_tridiagonal(d, e, eigvals_only=True, check_finite=False)
-            for d, e in zip(diag, off)]
+    return eigvals_rows(eigh_tridiagonal, diag, off)
 
 
 # --------------------------------------------------------------------------

@@ -465,6 +465,24 @@ def test_run_builds_L_once(tmp_path, monkeypatch, capsys):
         assert rows[name][2] == "true"
 
 
+def test_chain_computes_the_trace_invariants_once(tmp_path, monkeypatch):
+    """trace_closed_vs_dense and tr2_variant_detected read one
+    ``trace_invariants(state0)``, and their rows are its values."""
+    import isoflow.checks as checks
+    calls, trace_invariants_ = [], checks.trace_invariants
+
+    def counted(state):
+        calls.append(state)
+        return trace_invariants_(state)
+    monkeypatch.setattr(checks, "trace_invariants", counted)
+    assert main(["chain", _write(tmp_path, _with_out(CHAIN_CFG, tmp_path))]) == 0
+    assert len(calls) == 1
+    tr = trace_invariants_(calls[0])
+    rows = _report_rows(tmp_path)
+    assert rows["trace_closed_vs_dense"][0] == max(tr.closed_vs_dense)
+    assert rows["tr2_variant_detected"][0] == tr.variant_gap
+
+
 def test_mvk_demo(tmp_path):
     code = main(["mvk", _write(tmp_path, _with_out(MVK_CFG, tmp_path))])
     assert code == 0

@@ -3,7 +3,10 @@ its one use is the fallback of ``isoflow.specfun.eigh_tridiagonal``.  The
 tridiagonal solve, with or without eigenvectors, calls LAPACK's ``dstevd``
 itself, from the OpenBLAS bundled with numpy or, where numpy bundles none,
 from scipy; on both paths it must give scipy's results and raise scipy's
-errors.  |Gamma| comes from the ``math`` module, checked against mpmath."""
+errors.  The bundled call releases the GIL, so the row solver of a path
+(``specfun.eigvals_rows``) splits its rows between threads there, and only
+there, with the serial loop's results and errors.  |Gamma| comes from the
+``math`` module, checked against mpmath."""
 import ctypes
 import json
 import os
@@ -11,14 +14,16 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from isoflow import (FlowState, SU2, build_L, eigenvalues, eigs_sym_tridiag,
-                     integrate, isospectrality_drift, specfun, spectral, su2)
+from isoflow import (DiscreteSeriesPlus, FlowState, SU2, build_L, eigenvalues,
+                     eigs_sym_tridiag, integrate, isospectrality_drift, specfun,
+                     spectral, su2, su11)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -262,6 +267,116 @@ def test_solves_from_threads_match_serial(path):
     for got in results.values():
         assert len(got) == 5 * len(jobs)
         assert all(out == serial[i] for i, out in got)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Whether ``_dstevd`` was bound, for each thread started from here on."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(specfun._dstevd is not None)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def _serial_rows(diag, off):
+    return [specfun.eigh_tridiagonal(d, e, eigvals_only=True, check_finite=False)
+            for d, e in zip(diag, off)]
+
+
+@pytest.mark.parametrize("n", [21, 40, 121])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("rows", [1, 3, 10])
+def test_row_solver_is_the_serial_loop(path, started, monkeypatch, n, cpus, rows):
+    """``eigvals_rows`` gives the serial loop's results bitwise, with one
+    thread per CPU beyond the caller's (at most one per row) where the rows
+    are split: on the bundled routine, from n = SPLIT_MIN_N, for two or more
+    rows; no thread otherwise, and none before ``_dstevd`` is bound."""
+    monkeypatch.setattr(specfun, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(n + rows)
+    diag, off = rng.normal(size=(rows, n)), rng.uniform(0.1, 1.0, size=(rows, n - 1))
+    got = specfun.eigvals_rows(specfun.eigh_tridiagonal, diag, off)
+    assert [w.tobytes() for w in got] == [w.tobytes() for w in _serial_rows(diag, off)]
+    split = path == "bundled" and n >= specfun.SPLIT_MIN_N and rows >= 2
+    assert started == [True] * (min(rows, cpus) - 1 if split else 0)
+
+
+def test_row_solver_raises_the_first_failing_row(path, monkeypatch, capfd):
+    """A LinAlgError of a row in the second share surfaces as the serial loop
+    raises it, the first failing row's, after every thread has ended, and
+    nothing reaches stderr (``threading.excepthook`` writes there)."""
+    rng = np.random.default_rng(23)
+    diag, off = rng.normal(size=(10, 40)), rng.uniform(0.1, 1.0, size=(10, 39))
+    index = {d.tobytes(): i for i, d in enumerate(diag)}
+
+    def failing_at(bad):
+        def solve(d, e, **kwargs):
+            i = index[d.tobytes()]
+            if i in bad:
+                raise np.linalg.LinAlgError(f"row {i} did not converge")
+            return specfun.eigh_tridiagonal(d, e, **kwargs)
+        return solve
+    threads = threading.active_count()
+    # the shares of two CPUs are rows 0-4 and 5-9
+    for bad, first in (({7, 9}, 7), ({3, 8}, 3), ({5}, 5)):
+        for cpus in (1, 2):
+            monkeypatch.setattr(specfun, "_cpus", lambda: cpus)
+            with pytest.raises(np.linalg.LinAlgError, match=f"^row {first} "):
+                specfun.eigvals_rows(failing_at(bad), diag, off)
+            assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
+
+
+def test_row_solver_threads_run_under_the_callers_errstate(monkeypatch):
+    """Each share runs in a copy of the caller's context, so numpy's errstate
+    (a context variable) holds in the threads as in the caller."""
+    monkeypatch.setattr(specfun, "_cpus", lambda: 4)
+    seen = []
+
+    def solve(d, e, **kwargs):
+        seen.append((threading.current_thread(), np.geterr()))
+        return specfun.eigh_tridiagonal(d, e, **kwargs)
+    rng = np.random.default_rng(29)
+    diag, off = rng.normal(size=(8, 40)), rng.uniform(0.1, 1.0, size=(8, 39))
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        caller = np.geterr()
+        specfun.eigvals_rows(solve, diag, off)
+    assert caller != np.geterr()
+    assert len(seen) == 8
+    assert all(err == caller for _, err in seen)
+    if BUNDLED:
+        assert len({thread for thread, _ in seen}) == 4
+
+
+def test_split_path_solves_every_row_through_the_module_binding(monkeypatch):
+    """Above the cutoff, split between threads, ``path_eigenvalues`` still
+    solves each sample's row once through ``spectral.eigh_tridiagonal``."""
+    monkeypatch.setattr(specfun, "_cpus", lambda: 2)
+    solved, lock = [], threading.Lock()
+
+    def counted(d, e, **kwargs):
+        with lock:
+            solved.append((d.tobytes(), e.tobytes()))
+        return specfun.eigh_tridiagonal(d, e, **kwargs)
+    monkeypatch.setattr(spectral, "eigh_tridiagonal", counted)
+    rep, alg = DiscreteSeriesPlus(1.0, 40), su11()
+    traj = integrate(alg, FlowState(r=1.0, s=1.25, t=0.0), 1.0,
+                     dt=1e-3, t_end=0.05, record_every=5)
+    got = spectral.path_eigenvalues(rep, alg, traj.r, traj.s)
+    rows = [build_L(rep, alg, r, s) for r, s in zip(traj.r, traj.s)]
+    assert rows[0].size >= specfun.SPLIT_MIN_N
+    assert Counter(solved) == Counter((L.diag.tobytes(), L.off.tobytes()) for L in rows)
+    assert [w.tobytes() for w in got] == [eigenvalues(L).tobytes() for L in rows]
+
+
+def test_cpus_is_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert specfun._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert specfun._cpus() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("d, e, match", [
