@@ -9,7 +9,7 @@ scipy's, imported there on the first solve (importing scipy takes longer than
 importing numpy and the rest of the package together).  That fallback is the
 package's one use of scipy: |Gamma| comes from the ``math`` module.  The
 bundled routine is called through ctypes, which releases the GIL, so
-``eigvals_rows`` solves the rows of a path on every CPU of the process there.
+``eigvals_rows`` splits the rows of a large enough path between two CPUs there.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -142,6 +142,14 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False,
 # on 101 rows x2.03 at n = 13, x0.90 at 21, x0.66 at 33, x0.68 at 41; on 11
 # rows x1.13 at 27, x0.95 at 33, x0.86 at 41.
 SPLIT_MIN_N = 40
+# The least work, rows x n^2, of a share: a thread's start and join must be
+# paid for.  Two threads over the serial loop (2 vCPUs, median of 21
+# alternating runs): at n = 40, x1.73 on 2 rows, x1.12 on 5, x0.93 on 11; at
+# n = 60, x1.23 on 3, x0.92 on 5; at n = 121, x0.74 on 2.
+SHARE_MIN_WORK = 8000
+# The most shares of a path: only two threads were measured against the
+# serial loop, so a host with more CPUs still uses two.
+MAX_SHARES = 2
 
 
 def _cpus() -> int:
@@ -159,19 +167,20 @@ def eigvals_rows(solve, diag: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
     finite), in row order: the spectra of a path, ``solve`` being the
     caller's binding of ``eigh_tridiagonal``.
 
-    With at least two rows of at least ``SPLIT_MIN_N`` entries, on the
-    bundled ``dstevd`` (ctypes releases the GIL during the call; scipy's
-    holds it), the rows are split into contiguous shares, one per CPU in
-    the process's affinity mask: the caller solves the first, and one
-    thread that this call starts and joins solves each other share, in a
-    copy of the caller's context (numpy's ``errstate`` is a context
-    variable).  The results are the serial loop's bitwise, and the first
-    failing row raises, once every thread has ended, as in that loop."""
-    rows = len(diag)
+    On the bundled ``dstevd`` (ctypes releases the GIL during the call;
+    scipy's holds it), rows of at least ``SPLIT_MIN_N`` entries are split
+    into contiguous shares: at most ``MAX_SHARES``, no more than the CPUs
+    in the process's affinity mask, and each of at least ``SHARE_MIN_WORK``
+    (rows x n^2).  The caller solves the first share, and one thread that
+    this call starts and joins solves each other share, in a copy of the
+    caller's context (numpy's ``errstate`` is a context variable); a share
+    whose thread cannot be started is solved by the caller.  The results
+    are the serial loop's bitwise, and the first failing row raises, once
+    every thread has ended, as in that loop."""
+    rows, n = diag.shape
     shares = 1
-    if (rows >= 2 and diag.shape[1] >= SPLIT_MIN_N
-            and getattr(_dstevd or _bind(), "releases_gil", False)):
-        shares = min(rows, _cpus())
+    if n >= SPLIT_MIN_N and getattr(_dstevd or _bind(), "releases_gil", False):
+        shares = max(1, min(rows, _cpus(), MAX_SHARES, rows * n * n // SHARE_MIN_WORK))
     out = [None] * rows
     errors = [None] * shares
     bounds = [rows * k // shares for k in range(shares + 1)]
@@ -183,12 +192,17 @@ def eigvals_rows(solve, diag: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
         except BaseException as exc:  # raised by the caller, in row order
             errors[k] = exc
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, k))
-               for k in range(1, shares)]
-    for t in threads:
-        t.start()
-    run(0)
-    for t in threads:
+    started = []
+    try:
+        for k in range(1, shares):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            t.start()
+            started.append(t)
+    except RuntimeError:  # no thread to be had (a process limit): the caller goes on
+        pass
+    for k in (0, *range(len(started) + 1, shares)):
+        run(k)
+    for t in started:
         t.join()
     for exc in errors:
         if exc is not None:

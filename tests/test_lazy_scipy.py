@@ -291,17 +291,59 @@ def _serial_rows(diag, off):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 @pytest.mark.parametrize("rows", [1, 3, 10])
 def test_row_solver_is_the_serial_loop(path, started, monkeypatch, n, cpus, rows):
-    """``eigvals_rows`` gives the serial loop's results bitwise, with one
-    thread per CPU beyond the caller's (at most one per row) where the rows
-    are split: on the bundled routine, from n = SPLIT_MIN_N, for two or more
-    rows; no thread otherwise, and none before ``_dstevd`` is bound."""
+    """``eigvals_rows`` gives the serial loop's results bitwise.  It starts
+    one thread per share beyond the caller's where the rows are split: on
+    the bundled routine, from n = SPLIT_MIN_N, into at most MAX_SHARES
+    shares, no more than the CPUs or the rows, each of at least
+    SHARE_MIN_WORK (rows x n^2).  No thread otherwise, and none before
+    ``_dstevd`` is bound."""
     monkeypatch.setattr(specfun, "_cpus", lambda: cpus)
     rng = np.random.default_rng(n + rows)
     diag, off = rng.normal(size=(rows, n)), rng.uniform(0.1, 1.0, size=(rows, n - 1))
     got = specfun.eigvals_rows(specfun.eigh_tridiagonal, diag, off)
     assert [w.tobytes() for w in got] == [w.tobytes() for w in _serial_rows(diag, off)]
-    split = path == "bundled" and n >= specfun.SPLIT_MIN_N and rows >= 2
-    assert started == [True] * (min(rows, cpus) - 1 if split else 0)
+    shares = 1
+    if path == "bundled" and n >= specfun.SPLIT_MIN_N:
+        shares = max(1, min(rows, cpus, specfun.MAX_SHARES,
+                            rows * n * n // specfun.SHARE_MIN_WORK))
+    assert started == [True] * (shares - 1)
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_row_solver_solves_a_share_whose_thread_cannot_start(monkeypatch, capfd, failing):
+    """A share whose thread fails to start (``RuntimeError: can't start new
+    thread`` under a process limit), and every later one, is solved by the
+    caller: the results are the serial loop's, the first failing row still
+    raises in row order, and the threads that did start are joined."""
+    monkeypatch.setattr(specfun, "_cpus", lambda: 4)
+    monkeypatch.setattr(specfun, "MAX_SHARES", 4)
+    calls = []
+
+    class Refused(threading.Thread):
+        def start(self):
+            calls.append(self)
+            if len(calls) >= failing:
+                raise RuntimeError("can't start new thread")
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Refused)
+    rng = np.random.default_rng(31)
+    diag, off = rng.normal(size=(8, 80)), rng.uniform(0.1, 1.0, size=(8, 79))
+    threads = threading.active_count()
+    got = specfun.eigvals_rows(specfun.eigh_tridiagonal, diag, off)
+    assert [w.tobytes() for w in got] == [w.tobytes() for w in _serial_rows(diag, off)]
+    assert len(calls) == (failing if BUNDLED else 0)  # none tried after a refused one
+    assert threading.active_count() == threads
+    index = {d.tobytes(): i for i, d in enumerate(diag)}
+
+    def solve(d, e, **kwargs):  # rows 5 and 7 fail; the shares are 0-1, 2-3, 4-5, 6-7
+        if index[d.tobytes()] in (5, 7):
+            raise np.linalg.LinAlgError(f"row {index[d.tobytes()]} did not converge")
+        return specfun.eigh_tridiagonal(d, e, **kwargs)
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError, match="^row 5 "):
+        specfun.eigvals_rows(solve, diag, off)
+    assert threading.active_count() == threads
+    assert capfd.readouterr().err == ""
 
 
 def test_row_solver_raises_the_first_failing_row(path, monkeypatch, capfd):
@@ -334,13 +376,14 @@ def test_row_solver_threads_run_under_the_callers_errstate(monkeypatch):
     """Each share runs in a copy of the caller's context, so numpy's errstate
     (a context variable) holds in the threads as in the caller."""
     monkeypatch.setattr(specfun, "_cpus", lambda: 4)
+    monkeypatch.setattr(specfun, "MAX_SHARES", 4)
     seen = []
 
     def solve(d, e, **kwargs):
         seen.append((threading.current_thread(), np.geterr()))
         return specfun.eigh_tridiagonal(d, e, **kwargs)
     rng = np.random.default_rng(29)
-    diag, off = rng.normal(size=(8, 40)), rng.uniform(0.1, 1.0, size=(8, 39))
+    diag, off = rng.normal(size=(8, 80)), rng.uniform(0.1, 1.0, size=(8, 79))
     with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
         caller = np.geterr()
         specfun.eigvals_rows(solve, diag, off)
