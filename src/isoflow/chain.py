@@ -69,7 +69,12 @@ def _path_source(d: int) -> str:
     ``path(t0, y0, dt, n_steps, record_every)`` on y = (s, r) for
     ``rk4_path``: ``_rk4_source`` with ``chain_rhs`` written out component
     by component.  A stage whose input has some r_i <= 0 fails the step.
-    The source depends on d alone."""
+    The guard is a chain of comparisons, ``xr1 <= 0 or ... or xrd <= 0``,
+    with no call; it sees an r_i <= 0 that a NaN r_j precedes, which
+    ``min(...) <= 0`` would miss, but such a stage fails its step anyway:
+    the NaN reaches the step's end, whose finite check stops the path at
+    the same t0 + i dt with the same samples.  The source depends on d
+    alone."""
     idx = range(1, d + 1)
 
     def rhs(k: int, x: str) -> list[str]:
@@ -80,8 +85,7 @@ def _path_source(d: int) -> str:
                    for i in idx])
 
     def guard(x: str) -> str:
-        r = ", ".join(f"{x}r{i}" for i in idx)
-        return f"{f'min({r})' if d > 1 else r} <= 0"
+        return " or ".join(f"{x}r{i} <= 0" for i in idx)
 
     return _rk4_source([f"s{i}" for i in idx] + [f"r{i}" for i in idx], rhs, guard)
 

@@ -176,8 +176,7 @@ class Trajectory:
     def every(self, k: int) -> "Trajectory":
         """Rows 0, k, 2k, ... and the last: from a run recorded at every
         step, the samples ``integrate(..., record_every=k)`` records."""
-        if k < 1:
-            raise ValueError("record_every must be >= 1")
+        k = _whole_record_every(k)
         n = len(self) - 1
         rows = list(range(0, n + 1, k)) + ([n] if n % k else [])
         return Trajectory(self.alg, self.g, self.t[rows], self.r[rows], self.s[rows])
@@ -185,6 +184,15 @@ class Trajectory:
     def invariant_drift(self) -> float:
         """Worst ``relative_error`` of I along the samples against I_0."""
         return float(relative_error(self.invariant, self.invariant[0]).max())
+
+
+def _whole_record_every(k) -> int:
+    """``record_every`` as an int; it must be a whole number >= 1 (an int,
+    or a float such as 10.0), else ValueError: a fraction or NaN would
+    never equal a step index."""
+    if not (k >= 1 and float(k).is_integer()):
+        raise ValueError(f"record_every must be a whole number >= 1, got {k!r}")
+    return int(k)
 
 
 # path(t0, y0, dt, n_steps, record_every) -> (ts, ys, t_fail), of ``_rk4_source``
@@ -198,7 +206,8 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
     one call of a generated ``path`` over the whole grid.
 
     Returns (t, y) arrays with one row of y per sample: t0, every
-    ``record_every``-th step and the last step.  ``dt`` must divide
+    ``record_every``-th step and the last step; ``record_every`` is a whole
+    number >= 1 (``_whole_record_every``).  ``dt`` must divide
     ``t_end - t0`` (relative tolerance 1e-9).  Raises IntegrationBlowupError
     at a step that ended non-finite or whose stage failed the flow's guard;
     its ``last_state`` holds the (t, y) samples recorded before that step.
@@ -209,8 +218,7 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
         raise ValueError(f"t0 = {t0!r} and t_end = {t_end!r} must be finite")
     if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    record_every = _whole_record_every(record_every)
     n_steps = int(round((t_end - t0) / dt))
     if not math.isclose(n_steps * dt, t_end - t0, rel_tol=1e-9):
         raise ValueError(f"dt = {dt!r} does not divide t_end - t0 = "
@@ -229,7 +237,9 @@ def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
     for ``rk4_path``: n_steps steps to the times t0 + i dt on local floats,
     each written out with the expression tree of the vector expressions
     ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``,
-    so bit-identical to them.
+    so bit-identical to them.  Inside the loop no function is called but
+    ``isfinite``, a callable coupling ``g`` and ``ts.append`` (a list append,
+    which the interpreter specializes).
 
     The path returns (ts, ys, t_fail): the samples as two flat lists of
     floats (a list kept per sample would be a container the cyclic garbage
@@ -263,7 +273,9 @@ def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
              "if i == record_at:",
              "    ts.append(t)",
              f"    ys += {', '.join(names)}",
-             "    record_at = min(record_at + record_every, n_steps)"]
+             "    record_at += record_every",
+             "    if record_at > n_steps:",
+             "        record_at = n_steps"]
     return "\n".join([f"def make(g{', ' + params if params else ''}):",
                       "    gc, g = (None, g) if callable(g) else (float(g), None)",
                       "    def path(t0, y0, dt, n_steps, record_every):",
@@ -286,17 +298,22 @@ def _compile_make(source: str, filename: str) -> Callable[..., RK4Path]:
     return namespace["make"]
 
 
-@functools.cache
-def _rank1_make() -> Callable[..., RK4Path]:
-    """``make(g, a, c, e2)`` of the rank-1 flow on y = [r, s], compiled once
-    per process: the RK4 path of (rdot, sdot) = ``flow_rhs`` under u = g r
-    with a, c and e2 = 2 epsilon bound, one code object for every algebra
-    and coupling."""
-    return _compile_make(_rk4_source(
+def _rank1_source() -> str:
+    """Source of ``make(g, a, c, e2)``, which returns the rank-1 flow's RK4
+    path on y = [r, s]: (rdot, sdot) = ``flow_rhs`` under u = g r with a, c
+    and e2 = 2 epsilon bound."""
+    return _rk4_source(
         ("r", "s"),
         lambda k, x: [f"u = gv * {x}r",
                       f"k{k}r, k{k}s = -2.0 * (a * {x}s + c) * u, e2 * {x}r * u"],
-        params="a, c, e2"), "<rank-1 RK4 path>")
+        params="a, c, e2")
+
+
+@functools.cache
+def _rank1_make() -> Callable[..., RK4Path]:
+    """``make`` of ``_rank1_source``, compiled once per process: one code
+    object for every algebra and coupling."""
+    return _compile_make(_rank1_source(), "<rank-1 RK4 path>")
 
 
 def integrate(alg: AlgebraSpec, state0: FlowState, g: GFun,
@@ -375,8 +392,10 @@ def modification_report(traj: Trajectory, family: str) -> ModificationReport:
     # C^2 = |I + a c^2|: r^2 + se^2 on su(2), |se^2 - r^2| on su(1,1)
     i0 = invariant(alg, traj.state(0)) + alg.a * alg.c_param ** 2
     C = math.sqrt(abs(i0)) if abs(i0) > 0 else 0.0
-    ln_m = np.array([math.log(f(r, s, alg.a * s + alg.c_param, C))
-                     for r, s in zip(traj.r, traj.s)])
+    # over Python floats, which give the IEEE results of numpy's scalars
+    a, c = alg.a, alg.c_param
+    ln_m = np.array([math.log(f(r, s, a * s + c, C))
+                     for r, s in zip(traj.r.tolist(), traj.s.tolist())])
     dt = np.diff(traj.t)
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("modification check needs a uniform grid")

@@ -1,5 +1,6 @@
 """Coupled flow equations: conserved quantity, closed-form orbit, RK4 order,
 sign diagnostics, and the weight-modification factor."""
+import dataclasses
 import gc
 import math
 
@@ -11,7 +12,8 @@ from isoflow import (FAMILIES, DegenerateRatioError, FamilyTag, FlowState,
                      check_sign_conditions, flow_rhs, g_at, integrate,
                      invariant, modification_report, ParameterError,
                      oscillator, run_verify, su2, su11, write_trajectory_csv)
-from isoflow.flows import _rank1_make, rk4_path
+from isoflow.families import check_modification
+from isoflow.flows import ModificationReport, _rank1_make, rk4_path
 
 
 def test_flow_rhs_substitutions():
@@ -316,6 +318,47 @@ def test_modification_needs_three_samples():
     short = Trajectory(su2(), 1.0, t, np.ones(2), np.ones(2) * 0.5)
     with pytest.raises(ValueError):
         modification_report(short, "krawtchouk")
+
+
+def reference_modification_report(traj, family):
+    """``modification_report`` as it stood with F evaluated over the
+    trajectory's numpy scalars, with alg.a and alg.c_param read per sample."""
+    alg = traj.alg
+    f, k_expected = check_modification(family, alg, float(traj.r[0]), float(traj.s[0]))
+    i0 = invariant(alg, traj.state(0)) + alg.a * alg.c_param ** 2
+    C = math.sqrt(abs(i0)) if abs(i0) > 0 else 0.0
+    ln_m = np.array([math.log(f(r, s, alg.a * s + alg.c_param, C))
+                     for r, s in zip(traj.r, traj.s)])
+    h = float(np.diff(traj.t)[0])
+    dln = (ln_m[2:] - ln_m[:-2]) / (2.0 * h)
+    g = traj.r[1:-1] * dln / traj.u[1:-1]
+    k_emp = float(g.mean())
+    max_dev = float(np.abs(g - k_emp).max())
+    ratio = traj.u / traj.r
+    primitive = np.concatenate(([0.0], np.cumsum((ratio[1:] + ratio[:-1]) / 2.0 * np.diff(traj.t))))
+    cf_err = float(np.abs(np.exp(ln_m - ln_m[0]) / np.exp(k_emp * primitive) - 1.0).max())
+    return ModificationReport(k_emp, max_dev, cf_err, k_expected(alg, float(traj.r[0]), C))
+
+
+# the (family, algebra, r, s, g, dt, t_end) of verify's modification group
+VERIFY_MODIFICATION_RUNS = [
+    ("krawtchouk", su2(), 1.0, 0.0, 1.0, 1e-3, 1.0),
+    ("meixner", su11(), 1.0, 1.25, -1.0, 1e-4, 0.2),
+    ("laguerre", su11(), 1.3, 1.3, -1.0, 1e-4, 0.2),
+    ("meixner_pollaczek", su11(), 2.0, 1.0, -1.0, 1e-4, 0.2),
+    ("charlier", oscillator(1.0), 2.0, 3.0, 1.0, 1e-3, 1.0),
+    ("hermite", oscillator(0.0), 1.1, 0.7, 1.0, 1e-3, 1.0),
+]
+
+
+@pytest.mark.parametrize("family, alg, r, s, g, dt, t_end", VERIFY_MODIFICATION_RUNS,
+                         ids=[run[0] for run in VERIFY_MODIFICATION_RUNS])
+def test_modification_report_matches_numpy_scalar_loop_bitwise(family, alg, r, s, g, dt,
+                                                               t_end):
+    traj = integrate(alg, FlowState(0.0, r, s), g, dt, t_end)
+    got = dataclasses.astuple(modification_report(traj, family))
+    want = dataclasses.astuple(reference_modification_report(traj, family))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -3,6 +3,7 @@
 one kernel, that kernel as it stood on numpy vectors, and its per-step
 driver, which the generated path replaced), bit-for-bit, and the exact QR
 solution of the finite Toda lattice."""
+import ast
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from isoflow import (ChainState, FlowState, GammaTable, IntegrationBlowupError,
                      chain_dense_L, e2, g_at, integrate, integrate_chain, invariant,
                      oscillator, su2, su11)
 from isoflow.chain import _advance, _chain_path, _path_source
-from isoflow.flows import _rank1_make, flow_rhs
+from isoflow.flows import _rank1_make, _rank1_source, flow_rhs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -259,6 +260,19 @@ def test_rank1_step_is_one_code_object_for_every_algebra_and_coupling():
     assert (float, su2().a) in {(type(c), c) for c in baked.co_consts}
 
 
+@pytest.mark.parametrize("source", [_rank1_source(), *map(_path_source, (1, 2, 16))],
+                         ids=["rank1", "chain_d1", "chain_d2", "chain_d16"])
+def test_step_loop_calls_no_builtin(source):
+    """The only calls inside the generated step loop are the finite check,
+    the coupling and the sample append (a list append, which the
+    interpreter specializes): no min, no range, no len."""
+    loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    calls = {ast.unparse(node.func) for stmt in loops[0].body for node in ast.walk(stmt)
+             if isinstance(node, ast.Call)}
+    assert calls == {"isfinite", "g", "ts.append"}
+
+
 def test_import_compiles_no_step():
     code = ("import isoflow, isoflow.cli\n"
             "from isoflow.chain import _chain_path\n"
@@ -326,6 +340,51 @@ def test_chain_blowup_at_an_intermediate_stage_matches_numpy_kernel(record_every
     with pytest.raises(IntegrationBlowupError) as info:
         integrate_chain(st0, g, dt, 1.0, record_every=record_every)
     assert info.value.last_state == ChainState(t[-1], tuple(y[-1, :2]), tuple(y[-1, 2:]))
+
+
+def test_stage_guard_sees_a_nonpositive_r_after_a_nan():
+    """At the first stage input r_1 is NaN (u_1 = inf, k1r1 = inf * 0) and
+    r_2 < 0.  The guard's chain of comparisons stops the step there; a
+    ``min(r_1, r_2) <= 0`` guard would not (the min is the NaN), but the NaN
+    would end the step non-finite.  Either way the path stops the first
+    step at t = dt with the initial state, as the numpy kernel does."""
+    st0, g, dt = ChainState(0.0, (0.1, 0.2), (1e200, 0.5)), 1e200, 1e-3
+    y0 = np.array([*st0.s, *st0.r])
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = np_chain_rhs(0.0, y0, g)
+    x = y0 + dt / 2 * k1
+    assert math.isinf(g * 1e200) and math.isnan(k1[2]) and math.isnan(x[2]) and x[3] < 0
+    assert not min(x[2], x[3]) <= 0
+
+    t, y = np_rk4_samples(_guarded_rhs(g), st0.t, y0, dt, 0.01, 1)
+    assert t.tolist() == [0.0] and y.tolist() == [y0.tolist()]
+    assert _chain_path(2)(g)(st0.t, y0.tolist(), dt, 10, 1) == ([0.0], y0.tolist(), dt)
+    with pytest.raises(IntegrationBlowupError, match="near t = 0.001") as info:
+        integrate_chain(st0, g, dt, 0.01)
+    assert info.value.last_state == ChainState(t[-1], tuple(y[-1, :2]), tuple(y[-1, 2:]))
+    assert info.value.last_state == st0
+
+
+@pytest.mark.parametrize("record_every", [2.5, 0.5, math.nan, math.inf, -3])
+def test_record_every_must_be_a_whole_number(record_every):
+    with pytest.raises(ValueError, match="record_every must be a whole number >= 1"):
+        integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 0.1, 1.0, record_every=record_every)
+    with pytest.raises(ValueError, match="record_every must be a whole number >= 1"):
+        integrate_chain(CHAIN3, 1.0, 0.1, 1.0, record_every=record_every)
+    with pytest.raises(ValueError, match="record_every must be a whole number >= 1"):
+        integrate(su2(), FlowState(0.0, 1.0, 0.2), 1.0, 0.1, 1.0).every(record_every)
+
+
+def test_integral_float_record_every_is_its_integer():
+    st0 = FlowState(0.0, 1.0, 0.2)
+    got, want = (integrate(su2(), st0, 1.0, 0.01, 1.0, record_every=k) for k in (10.0, 10))
+    assert len(got) == 11 and np.array_equal(got.t, want.t)
+    assert np.array_equal(got.r, want.r) and np.array_equal(got.s, want.s)
+    full = integrate(su2(), st0, 1.0, 0.01, 1.0)
+    assert np.array_equal(full.every(10.0).r, want.r)
+    got, want = (integrate_chain(CHAIN3, 1.0, 0.01, 0.5, record_every=k) for k in (10.0, 10))
+    assert len(got) == 6 and np.array_equal(got.t, want.t)
+    assert np.array_equal(got.s, want.s) and np.array_equal(got.r, want.r)
 
 
 def reference_rk4_path(step, t0, y0, dt, t_end, record_every):
