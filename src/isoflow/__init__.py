@@ -42,9 +42,9 @@ from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               lax_residual, lax_rows)
 from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, compared_eigenvalues,
-                       degenerate_e2_check, eigenfunction, eigenvalues,
-                       eigs_sym_tridiag, isospectrality_drift,
-                       path_eigenvalues, recurrence_residual, scaled_tolerance)
+                       degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
+                       isospectrality_drift, path_eigenvalues,
+                       recurrence_residual, scaled_tolerance)
 from .verify import GROUPS, run_verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,12 +4,11 @@ J at an array of orders by one backward recurrence, the tridiagonal
 eigensolve (LAPACK ``dstevd``) and |Gamma(x + iy)|.
 
 The eigensolve calls the ``dstevd`` of the OpenBLAS that numpy bundles and
-has already loaded; only where numpy ships no such library does it use
-scipy's, imported there on the first solve (importing scipy takes longer than
-importing numpy and the rest of the package together).  That fallback is the
-package's one use of scipy: |Gamma| comes from the ``math`` module.  The
-bundled routine is called through ctypes, which releases the GIL, so
-``eigvals_rows`` splits the rows of a large enough path between two CPUs there.
+has already loaded, else numpy's own LAPACK (``dsyevd``) on the dense matrix.
+numpy is the package's one dependency (|Gamma| comes from the ``math``
+module; scipy is only the tests' oracle).  The bundled routine is called
+through ctypes, which releases the GIL, so ``eigvals_rows`` splits the rows
+of a large enough path between two CPUs there.
 
 The regularized series 2F1(a,b;c;z)/Gamma(c) stays finite when c is a
 non-positive integer (the leading terms are annihilated by 1/Gamma), which is
@@ -63,10 +62,9 @@ _INTS = c_int64 * 3  # n, info, iwork(1) of an eigenvalue-only solve
 
 
 def _ilp64_dstevd(routine):
-    """scipy's ``dstevd(d, e, compute_v)`` over a ctypes ``routine``: the
-    same workspace sizes, fresh storage for every call (ctypes releases the
-    GIL, so no buffer is shared between threads) and ``w``, ``z`` and
-    ``info`` as scipy returns them."""
+    """``dstevd(d, e, compute_v) -> (w, z, info)`` over a ctypes ``routine``,
+    in fresh storage for every call (ctypes releases the GIL, so no buffer
+    is shared between threads)."""
     def dstevd(d, e, compute_v):
         n = d.size
         if not compute_v:  # lwork = liwork = ldz = 1
@@ -96,15 +94,23 @@ def _ilp64_dstevd(routine):
     return dstevd
 
 
+def _numpy_dstevd(d, e, compute_v):
+    """``(w, z, 0)`` from numpy's ``dsyevd`` on the dense matrix, which it
+    reduces with trivial reflectors to the bands ``dstevd`` solves (bitwise
+    the same results on OpenBLAS), ``z`` in Fortran order; raises LinAlgError."""
+    a = np.diag(d)  # the bands by index: adding np.diag(e, 1) turns -0.0 into 0.0
+    a.flat[1::d.size + 1] = a.flat[d.size::d.size + 1] = e
+    if not compute_v:
+        return np.linalg.eigvalsh(a), None, 0
+    w, z = np.linalg.eigh(a)
+    return w, np.asfortranarray(z), 0
+
+
 def _bind():
-    """Bind ``_dstevd`` now (the bundled routine, else scipy's) and return it."""
+    """Bind ``_dstevd`` now (the bundled routine, else numpy's) and return it."""
     global _dstevd
     routine = _bundled_dstevd()
-    if routine is None:
-        from scipy.linalg.lapack import dstevd
-        _dstevd = dstevd
-    else:
-        _dstevd = _ilp64_dstevd(routine)
+    _dstevd = _numpy_dstevd if routine is None else _ilp64_dstevd(routine)
     return _dstevd
 
 
@@ -115,11 +121,10 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, eigvals_only: bool = False,
     ``d`` and off-diagonal ``e``, two 1-D float64 arrays.
 
     One call of LAPACK ``dstevd``, the routine ``scipy.linalg.eigh_tridiagonal``
-    runs under its ``auto`` driver: the results are scipy's bitwise, and the
-    errors are raised where scipy's wrapper raises them.  The routine is
-    bound on the first solve: the ILP64 ``dstevd`` of the OpenBLAS bundled
-    with numpy, called through ctypes, or ``scipy.linalg.lapack.dstevd``
-    where numpy bundles none."""
+    runs under its ``auto`` driver (the tests hold the results bitwise, and
+    the input errors, to scipy's), bound on the first solve: the ILP64
+    ``dstevd`` of the OpenBLAS bundled with numpy, called through ctypes, or
+    ``numpy.linalg``'s dense solve (``_numpy_dstevd``) where numpy bundles none."""
     if check_finite and not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("array must not contain infs or NaNs")
     if d.size != e.size + 1:
@@ -167,16 +172,17 @@ def eigvals_rows(solve, diag: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
     finite), in row order: the spectra of a path, ``solve`` being the
     caller's binding of ``eigh_tridiagonal``.
 
-    On the bundled ``dstevd`` (ctypes releases the GIL during the call;
-    scipy's holds it), rows of at least ``SPLIT_MIN_N`` entries are split
-    into contiguous shares: at most ``MAX_SHARES``, no more than the CPUs
-    in the process's affinity mask, and each of at least ``SHARE_MIN_WORK``
-    (rows x n^2).  The caller solves the first share, and one thread that
-    this call starts and joins solves each other share, in a copy of the
-    caller's context (numpy's ``errstate`` is a context variable); a share
-    whose thread cannot be started is solved by the caller.  The results
-    are the serial loop's bitwise, and the first failing row raises, once
-    every thread has ended, as in that loop."""
+    On the bundled ``dstevd`` (ctypes releases the GIL during the call; no
+    crossover is measured for numpy's fallback), rows of at least
+    ``SPLIT_MIN_N`` entries are split into contiguous shares: at most
+    ``MAX_SHARES``, no more than the CPUs in the process's affinity mask,
+    and each of at least ``SHARE_MIN_WORK`` (rows x n^2).  The caller solves
+    the first share, and one thread that this call starts and joins solves
+    each other share, in a copy of the caller's context (numpy's
+    ``errstate`` is a context variable); a share whose thread cannot be
+    started is solved by the caller.  The results are the serial loop's
+    bitwise, and the first failing row raises, once every thread has ended,
+    as in that loop."""
     rows, n = diag.shape
     shares = 1
     if n >= SPLIT_MIN_N and getattr(_dstevd or _bind(), "releases_gil", False):

@@ -39,20 +39,14 @@ def eigs_sym_tridiag(op: TridiagonalOperator) -> SpectralDecomposition:
     return SpectralDecomposition(lam, vec, vec[0, :] ** 2)
 
 
-def eigenvalues(op: TridiagonalOperator) -> np.ndarray:
-    """Ascending eigenvalues of ``op`` from the eigenvalue-only solve, the
-    root-free QL/QR of LAPACK's ``sterf``: no eigenvectors are formed.  They
-    agree with ``eigs_sym_tridiag(op).eigenvalues`` to rounding."""
-    return eigh_tridiagonal(op.diag, op.off, eigvals_only=True)
-
-
 def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
                      s) -> list[np.ndarray]:
-    """The ``eigenvalues`` of L at every sample (r[i], s[i]) of a path, each
-    bitwise those of ``build_L(rep, alg, r[i], s[i])``.  The generators are
-    built once and the entries of all samples in one pass; each sample is
-    then one eigenvalue-only solve of its row through this module's
-    ``eigh_tridiagonal``, the rows shared between the CPUs as
+    """The ascending eigenvalues of L at every sample (r[i], s[i]) of a path,
+    from the eigenvalue-only solve (LAPACK's root-free ``sterf``), each
+    bitwise those of the bands of ``build_L(rep, alg, r[i], s[i])``.  The
+    generators are built once and the entries of all samples in one pass;
+    each sample is then one eigenvalue-only solve of its row through this
+    module's ``eigh_tridiagonal``, the rows shared between the CPUs as
     ``specfun.eigvals_rows`` shares them.  Raises ValueError, as ``build_L``
     does, when a sample or an entry is not finite."""
     _, diag, off = lax_entries(rep, alg, np.asarray(r, dtype=float)[:, None],

@@ -1,12 +1,15 @@
-"""scipy is imported on first use: ``import isoflow`` loads none of it, and
-its one use is the fallback of ``isoflow.specfun.eigh_tridiagonal``.  The
-tridiagonal solve, with or without eigenvectors, calls LAPACK's ``dstevd``
-itself, from the OpenBLAS bundled with numpy or, where numpy bundles none,
-from scipy; on both paths it must give scipy's results and raise scipy's
-errors.  The bundled call releases the GIL, so the row solver of a path
-(``specfun.eigvals_rows``) splits its rows between threads there, and only
-there, with the serial loop's results and errors.  |Gamma| comes from the
-``math`` module, checked against mpmath."""
+"""numpy is the package's one runtime dependency, and scipy only the tests'
+oracle: no module of the package imports scipy, and no command loads it.
+The tridiagonal solve ``isoflow.specfun.eigh_tridiagonal``, with or without
+eigenvectors, calls LAPACK's ``dstevd`` from the OpenBLAS bundled with numpy
+or, where numpy bundles none, numpy's own ``dsyevd`` on the dense matrix; on
+both paths it must give scipy's results bitwise and raise scipy's input
+errors, and every command must write the same bytes.  The bundled call
+releases the GIL, so the row solver of a path (``specfun.eigvals_rows``)
+splits its rows between threads there, and only there, with the serial
+loop's results and errors.  |Gamma| comes from the ``math`` module, checked
+against mpmath."""
+import ast
 import ctypes
 import json
 import os
@@ -21,20 +24,38 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isoflow import (DiscreteSeriesPlus, FlowState, SU2, build_L, eigenvalues,
-                     eigs_sym_tridiag, integrate, isospectrality_drift, specfun,
-                     spectral, su2, su11)
+from isoflow import (DiscreteSeriesPlus, FlowState, SU2, build_L, eigs_sym_tridiag,
+                     integrate, isospectrality_drift, specfun, spectral, su2, su11)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 BUNDLED = specfun._bundled_dstevd() is not None
 
 
+# blocks scipy: importing it or any of its modules raises ImportError
+NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+# forces numpy's dense solve: numpy's bundled library is not found
+NO_BUNDLED_LIBRARY = "import isoflow.specfun\nisoflow.specfun._bundled_dstevd = lambda: None\n"
+
+
+def _on_path(path: str, code: str, block_scipy: bool = False) -> str:
+    """``code`` on the solve ``path`` ("bundled" or "numpy"), checking
+    afterwards that the solves went through that path's binding; the numpy
+    path and ``block_scipy`` block scipy first."""
+    head = NO_SCIPY if block_scipy or path == "numpy" else ""
+    head += NO_BUNDLED_LIBRARY if path == "numpy" else ""
+    return head + code + (
+        "\nfrom isoflow import specfun\nassert specfun._dstevd is not None\n"
+        f"assert (specfun._dstevd is specfun._numpy_dstevd) == {path == 'numpy'}\n")
+
+
 def _scipy_modules_after(code: str, cwd=None) -> list[str]:
     """The scipy modules loaded once ``code`` has run in a fresh
-    interpreter that imports isoflow from this checkout."""
+    interpreter that imports isoflow from this checkout (a blocked module,
+    None in ``sys.modules``, is not loaded)."""
     probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
-                    "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+                    "m for m, mod in sys.modules.items() if mod is not None"
+                    " and (m == 'scipy' or m.startswith('scipy.')))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=120, check=True, cwd=cwd,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -43,6 +64,23 @@ def _scipy_modules_after(code: str, cwd=None) -> list[str]:
 
 def test_import_loads_no_scipy():
     assert _scipy_modules_after("import isoflow, isoflow.cli") == []
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """Every import statement of ``src/isoflow``, also on code paths that no
+    test runs: none is of scipy (numpy's, which every module makes, is seen)."""
+    imported = []
+    for module in sorted((SRC / "isoflow").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += [(name.split(".")[0], f"{module.name}:{node.lineno}") for name in names]
+    assert "numpy" in {top for top, _ in imported}
+    assert [where for top, where in imported if top == "scipy"] == []
 
 
 def _readme_configs() -> dict[str, dict]:
@@ -58,18 +96,17 @@ def _readme_configs() -> dict[str, dict]:
     return configs
 
 
-# forces the scipy path: numpy's library is not found
-NO_BUNDLED_LIBRARY = "import isoflow.specfun\nisoflow.specfun._bundled_dstevd = lambda: None\n"
-
-
-@pytest.fixture(params=["bundled", "scipy"])
+# the numpy path keeps the test id "scipy" of the days when scipy's dstevd
+# served a numpy without the bundled library, so the ids stay stable
+@pytest.fixture(params=["bundled", pytest.param("numpy", id="scipy")])
 def path(request, monkeypatch):
-    """Solves through numpy's bundled ``dstevd`` or through scipy's: the
-    binding is dropped, and for scipy's path the locator finds nothing."""
+    """Solves through numpy's bundled ``dstevd`` or through numpy's dense
+    ``dsyevd``: the binding is dropped, and for the numpy path the locator
+    finds nothing."""
     if request.param == "bundled" and not BUNDLED:
         pytest.skip("numpy bundles no ILP64 OpenBLAS with dstevd here")
     monkeypatch.setattr(specfun, "_dstevd", None)
-    if request.param == "scipy":
+    if request.param == "numpy":
         monkeypatch.setattr(specfun, "_bundled_dstevd", lambda: None)
     return request.param
 
@@ -77,21 +114,14 @@ def path(request, monkeypatch):
 def test_run_chain_and_mvk_load_no_scipy(path, tmp_path):
     """``isoflow run`` (a Toda flow), ``chain`` and ``mvk`` on the README
     configs, in one fresh interpreter, solve their spectra without loading
-    scipy where numpy bundles the library; on scipy's path they load
-    scipy.linalg and no scipy.special."""
+    scipy on either path, and on the numpy path with scipy blocked."""
     configs = _readme_configs()
     assert configs["run"]["flow"]["policy"] == {"type": "toda"}
-    code = NO_BUNDLED_LIBRARY if path == "scipy" else ""
-    code += "import isoflow.cli\n"
+    code = "import isoflow.cli\n"
     for command in ("run", "chain", "mvk"):
         (tmp_path / f"{command}.json").write_text(json.dumps(configs[command]))
         code += f"assert isoflow.cli.main([{command!r}, '{command}.json']) == 0\n"
-    loaded = _scipy_modules_after(code, cwd=tmp_path)
-    if path == "bundled":
-        assert loaded == []
-    else:
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.special")]
+    assert _scipy_modules_after(_on_path(path, code), cwd=tmp_path) == []
 
 
 # a Toda run whose diagonalization check evaluates the Meixner functions,
@@ -109,20 +139,43 @@ MEIXNER_FUNCTION_RUN = {
 def test_verify_and_meixner_function_run_load_no_scipy(path, tmp_path, command):
     """The full ``isoflow verify`` and ``isoflow run`` with a
     ``meixner_function`` diagonalization, each in a fresh interpreter, load
-    no scipy where numpy bundles the library, and no scipy.special on
-    scipy's path."""
-    code = NO_BUNDLED_LIBRARY if path == "scipy" else ""
+    no scipy on either path, and on the numpy path with scipy blocked."""
     args = [command]
     if command == "run":
         (tmp_path / "run.json").write_text(json.dumps(MEIXNER_FUNCTION_RUN))
         args.append("run.json")
-    code += f"import isoflow.cli\nassert isoflow.cli.main({args!r}) == 0\n"
-    loaded = _scipy_modules_after(code, cwd=tmp_path)
-    if path == "bundled":
-        assert loaded == []
-    else:
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.special")]
+    code = f"import isoflow.cli\nassert isoflow.cli.main({args!r}) == 0\n"
+    assert _scipy_modules_after(_on_path(path, code), cwd=tmp_path) == []
+
+
+def test_numpy_path_writes_the_bundled_bytes(tmp_path):
+    """With scipy blocked, ``isoflow verify`` at seeds 12345 and 7 and
+    ``run``, ``chain`` and ``mvk`` on the README configs write the same
+    bytes on numpy's dense solve as on the bundled ``dstevd``: every CSV of
+    the one fresh interpreter per path."""
+    if not BUNDLED:
+        pytest.skip("numpy bundles no ILP64 OpenBLAS with dstevd here")
+    configs = _readme_configs()
+    jobs = {f"verify_{seed}": ["verify", "--seed", str(seed)] for seed in (12345, 7)}
+    jobs.update({command: [command, f"{command}.json"] for command in ("run", "chain", "mvk")})
+    code = "import os\nimport isoflow.cli\n"
+    for name, args in jobs.items():
+        code += (f"os.environ['ISOFLOW_OUT'] = os.path.join('out', {name!r})\n"
+                 f"assert isoflow.cli.main({args!r}) == 0\n")
+    written = {}
+    for path in ("bundled", "numpy"):
+        cwd = tmp_path / path
+        cwd.mkdir()
+        for command in ("run", "chain", "mvk"):
+            (cwd / f"{command}.json").write_text(json.dumps(configs[command]))
+        assert _scipy_modules_after(_on_path(path, code, block_scipy=True), cwd=cwd) == []
+        written[path] = {f.relative_to(cwd / "out").as_posix(): f.read_bytes()
+                         for f in (cwd / "out").rglob("*.csv")}
+    assert {"verify_12345/report.csv", "verify_7/report.csv", "run/spectrum.csv",
+            "chain/spectrum.csv", "mvk/mvk.csv"} <= set(written["bundled"])
+    assert sorted(written["numpy"]) == sorted(written["bundled"])
+    for name, data in written["bundled"].items():
+        assert written["numpy"][name] == data, name
 
 
 def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
@@ -136,12 +189,11 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
     alg = su2()
     L = build_L(SU2(2.0), alg, 1.0, 0.2)
     eigs_sym_tridiag(L)
-    eigenvalues(L)
-    assert calls == [False, True]
+    assert calls == [False]
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.01, record_every=5)
     isospectrality_drift(traj, SU2(2.0))
-    assert calls == [False, True] + [True] * len(traj)
+    assert calls == [False] + [True] * len(traj)
 
 
 def test_wrappers_return_scipy_results():
@@ -412,7 +464,8 @@ def test_split_path_solves_every_row_through_the_module_binding(monkeypatch):
     rows = [build_L(rep, alg, r, s) for r, s in zip(traj.r, traj.s)]
     assert rows[0].size >= specfun.SPLIT_MIN_N
     assert Counter(solved) == Counter((L.diag.tobytes(), L.off.tobytes()) for L in rows)
-    assert [w.tobytes() for w in got] == [eigenvalues(L).tobytes() for L in rows]
+    assert [w.tobytes() for w in got] == [
+        spectral.eigh_tridiagonal(L.diag, L.off, eigvals_only=True).tobytes() for L in rows]
 
 
 def test_cpus_is_the_affinity_mask(monkeypatch):
@@ -438,26 +491,30 @@ def test_eigenvalue_solve_raises_like_scipy(d, e, match):
 
 
 def _lapack_returning(info: int):
-    """A stand-in for the LAPACK routine that only sets ``info``: for the
-    bundled path a ctypes routine (``info`` is its eleventh argument), for
-    scipy's path a ``dstevd(d, e, compute_v)``."""
+    """A stand-in for the bundled ctypes routine that only sets ``info``, its
+    eleventh argument."""
     def routine(*args):
         ctypes.cast(args[10], ctypes.POINTER(ctypes.c_int64))[0] = info
-
-    def dstevd(d, e, compute_v):
-        return d, None, info
-    return routine, dstevd
+    return routine
 
 
 def test_eigenvalue_solve_maps_lapack_info(path, monkeypatch):
+    """The bundled routine's ``info`` raises scipy's errors; on the numpy
+    path numpy's own LinAlgError propagates as numpy raised it."""
     d, e = np.array([1.0, 2.0]), np.array([0.5])
+    if path == "numpy":
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        for eigvals_only in (True, False):
+            with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+                specfun.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)
+        return
     for info, exc in ((3, np.linalg.LinAlgError), (-2, ValueError)):
-        routine, dstevd = _lapack_returning(info)
+        routine = _lapack_returning(info)
         monkeypatch.setattr(specfun, "_dstevd", None)
-        if path == "bundled":
-            monkeypatch.setattr(specfun, "_bundled_dstevd", lambda: routine)
-        else:
-            monkeypatch.setattr(scipy.linalg.lapack, "dstevd", dstevd)
+        monkeypatch.setattr(specfun, "_bundled_dstevd", lambda: routine)
         for eigvals_only in (True, False):
             with pytest.raises(exc, match="stevd"):
                 specfun.eigh_tridiagonal(d, e, eigvals_only=eigvals_only)
