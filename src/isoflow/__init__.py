@@ -9,9 +9,8 @@ __version__ = "0.1.0"
 
 from .algebra import AlgebraSpec, e2, oscillator, su2, su11
 from .chain import (ChainState, ChainTrajectory, TraceInvariants, build_chain_L,
-                    chain_dense_L, chain_isospectrality_drift,
-                    chain_path_eigenvalues, chain_rhs, chain_spectrum,
-                    christoffel_weights, eigen_polys,
+                    chain_dense_L, chain_isospectrality_drift, chain_rhs,
+                    chain_spectrum, christoffel_weights, eigen_polys,
                     integrate_chain, pn_time_derivative_check, spectrum_sum,
                     trace_flow_drift, trace_invariants)
 from .families import (FAMILIES, BesselParams, CharlierParams, FamilyEntry,
@@ -39,7 +38,7 @@ from .representations import (ConfigurationError, DiscreteSeriesPlus, E2,
                               Generators, Oscillator, ParameterError,
                               PrincipalSeries, RepresentationSpec, SU2,
                               build_generators, build_L, check_compatible,
-                              lax_residual, lax_rows)
+                              lax_entries, lax_residual, lax_rows)
 from .specfun import PrecisionError, bessel_j, regularized_2f1
 from .spectral import (SpectralDecomposition, compared_eigenvalues,
                        degenerate_e2_check, eigenfunction, eigs_sym_tridiag,

@@ -29,8 +29,8 @@ import numpy as np
 from .flows import (GFun, IntegrationBlowupError, RK4Path, _compile_make, _rk4_source,
                     g_at, rk4_path)
 from .report import relative_error, spectrum_drift
-from .specfun import eigh_tridiagonal, eigvals_rows, three_term
-from .spectral import SpectralDecomposition
+from .specfun import eigh_tridiagonal, three_term
+from .spectral import SpectralDecomposition, path_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -180,20 +180,6 @@ def chain_spectrum(state: ChainState) -> np.ndarray:
     return eigh_tridiagonal(*build_chain_L(state), eigvals_only=True)
 
 
-def chain_path_eigenvalues(traj: ChainTrajectory) -> list[np.ndarray]:
-    """The ascending eigenvalues of L at every sample of ``traj``, each
-    bitwise ``chain_spectrum`` of that sample: the entries of all samples
-    are built in one pass, then each sample is one eigenvalue-only solve of
-    its row (``specfun.eigvals_rows``, serial below its row size of 40, so
-    for every chain up to d = 38).  Raises ValueError, as that solve does,
-    when an entry is not finite."""
-    diag, off = build_chain_L(traj)
-    # checked finite as a whole, so the rows are not again
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    return eigvals_rows(eigh_tridiagonal, diag, off)
-
-
 def spectrum_sum(state: ChainState) -> float:
     """|sum of the eigenvalues|, zero for the traceless operator."""
     return abs(float(np.sum(chain_spectrum(state))))
@@ -282,8 +268,9 @@ def trace_flow_drift(traj: ChainTrajectory) -> np.ndarray:
 
 
 def chain_isospectrality_drift(traj: ChainTrajectory) -> float:
-    """``spectrum_drift`` of the ``chain_path_eigenvalues`` of ``traj``."""
-    return spectrum_drift(chain_path_eigenvalues(traj))
+    """``spectrum_drift`` of the ``spectral.path_eigenvalues`` of the bands
+    of ``traj`` (``build_chain_L``)."""
+    return spectrum_drift(path_eigenvalues(*build_chain_L(traj)))
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import config as cfgmod
-from .chain import chain_path_eigenvalues
+from .chain import build_chain_L
 from .checks import (CHAIN_CHECKS, MVK_CHECKS, RUN_CHECKS, chain_checks,
                      command_row, mvk_checks, run_checks)
 from .config import ConfigError, load_config
@@ -33,7 +33,7 @@ from .flows import IntegrationBlowupError, integrate, write_trajectory_csv  # no
 from .mvk import write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_columns_csv, write_report_csv, write_spectrum_csv)
-from .representations import ConfigurationError, ParameterError, check_compatible
+from .representations import ConfigurationError, ParameterError, check_compatible, lax_entries
 from .spectral import path_eigenvalues
 from .verify import GROUPS, run_verify
 
@@ -91,8 +91,9 @@ def _cmd_run(path: str) -> int:
     outdir = cfgmod.output_dir(cfg)
     write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj)
     if rep is not None:
+        bands = lax_entries(rep, alg, traj.r[:, None], traj.s[:, None])
         write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
-                           path_eigenvalues(rep, alg, traj.r, traj.s))
+                           path_eigenvalues(*bands))
     return _finish(outdir, _results(checks, rows))
 
 
@@ -124,7 +125,7 @@ def _cmd_chain(path: str) -> int:
     outdir = cfgmod.output_dir(cfg)
     _write_chain_csv(os.path.join(outdir, "chain_trajectory.csv"), traj)
     write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
-                       chain_path_eigenvalues(traj))
+                       path_eigenvalues(*build_chain_L(traj)))
     return _finish(outdir, _results(checks, rows))
 
 

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algebra import AlgebraSpec
-from .representations import (_COMPAT, E2, SU2, DiscreteSeriesPlus, Oscillator,
+from .representations import (E2, SU2, DiscreteSeriesPlus, Oscillator,
                               ParameterError, PrincipalSeries, RepresentationSpec)
 from .specfun import PrecisionError, abs_gamma, bessel_j, log_abs_gamma, regularized_2f1, three_term
 
@@ -530,9 +530,9 @@ def check_regime(fam: FamilyTag, alg: AlgebraSpec, r: float, s: float) -> None:
     |s + c| < r)."""
     entry = FAMILIES[fam]
     kind = entry.representation
-    _need((alg.a, alg.b, alg.epsilon) == _COMPAT[kind],
+    _need((alg.a, alg.b, alg.epsilon) == kind.ALGEBRA,
           f"family {fam.value} diagonalizes L on {kind.__name__}, which requires "
-          f"(a, b, epsilon) = {_COMPAT[kind]}, got ({alg.a}, {alg.b}, {alg.epsilon})")
+          f"(a, b, epsilon) = {kind.ALGEBRA}, got ({alg.a}, {alg.b}, {alg.epsilon})")
     se = alg.a * s + alg.c_param  # coefficient multiplying the grading element
     for test, message in entry.regime:
         _need(test(r, se, alg.c_param), message)

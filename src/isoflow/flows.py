@@ -212,8 +212,8 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
     at a step that ended non-finite or whose stage failed the flow's guard;
     its ``last_state`` holds the (t, y) samples recorded before that step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not dt > 0:  # NaN too
+        raise ValueError(f"dt = {dt!r} must be positive")
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"t0 = {t0!r} and t_end = {t_end!r} must be finite")
     if t_end < t0:

@@ -21,6 +21,7 @@ Displayed actions realized here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,12 +38,18 @@ class ConfigurationError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# representation specs
+# representation specs: each states its laws as class attributes, not fields
+# (ALGEBRA, the (a, b, epsilon) it requires; EXACT_EDGES, whether the low and
+# high edges of its window are exact) and ``actions(n)``, H's eigenvalue and
+# E's coefficient at the basis indices n and N's scalar, as displayed above
 
 
 @dataclass(frozen=True)
 class SU2:
     """Finite representation of dimension 2j+1; j a nonnegative half-integer."""
+
+    ALGEBRA: ClassVar[tuple[float, float, int]] = (1.0, 0.0, +1)
+    EXACT_EDGES: ClassVar[tuple[bool, bool]] = (True, True)
 
     j: float
 
@@ -54,10 +61,16 @@ class SU2:
     def window(self) -> tuple[int, int]:
         return 0, int(round(2 * self.j))
 
+    def actions(self, n):
+        return 2.0 * (n - self.j), np.sqrt((n + 1) * (2.0 * self.j - n)), 0.0
+
 
 @dataclass(frozen=True)
 class DiscreteSeriesPlus:
     """Positive discrete series on l2(N), truncated at n_max (inclusive)."""
+
+    ALGEBRA: ClassVar[tuple[float, float, int]] = (1.0, 0.0, -1)
+    EXACT_EDGES: ClassVar[tuple[bool, bool]] = (True, False)
 
     k: float
     n_max: int
@@ -72,11 +85,17 @@ class DiscreteSeriesPlus:
     def window(self) -> tuple[int, int]:
         return 0, self.n_max
 
+    def actions(self, n):
+        return 2.0 * (self.k + n), np.sqrt((n + 1) * (2 * self.k + n)), 0.0
+
 
 @dataclass(frozen=True)
 class PrincipalSeries:
     """Principal unitary series on l2(Z) with spectral parameter
     lambda = -1/2 + i*rho, truncated to [n_min, n_max]."""
+
+    ALGEBRA: ClassVar[tuple[float, float, int]] = (1.0, 0.0, -1)
+    EXACT_EDGES: ClassVar[tuple[bool, bool]] = (False, False)
 
     rho: float
     eps: float
@@ -95,10 +114,17 @@ class PrincipalSeries:
     def window(self) -> tuple[int, int]:
         return self.n_min, self.n_max
 
+    def actions(self, n):
+        return (2.0 * (self.eps + n), np.sqrt((n + self.eps + 0.5) ** 2 + self.rho ** 2),
+                0.0)
+
 
 @dataclass(frozen=True)
 class Oscillator:
     """Lowest-weight oscillator-algebra representation on l2(N); N acts by -h."""
+
+    ALGEBRA: ClassVar[tuple[float, float, int]] = (0.0, 1.0, +1)
+    EXACT_EDGES: ClassVar[tuple[bool, bool]] = (True, False)
 
     k: float
     h: float
@@ -116,10 +142,16 @@ class Oscillator:
     def window(self) -> tuple[int, int]:
         return 0, self.n_max
 
+    def actions(self, n):
+        return 2.0 * (self.k + n), np.sqrt(self.h * (n + 1)), -self.h
+
 
 @dataclass(frozen=True)
 class E2:
     """e(2) representation on l2(Z) with shift weight k, truncated to [n_min, n_max]."""
+
+    ALGEBRA: ClassVar[tuple[float, float, int]] = (0.0, 0.0, +1)
+    EXACT_EDGES: ClassVar[tuple[bool, bool]] = (False, False)
 
     k: float
     n_min: int
@@ -135,23 +167,17 @@ class E2:
     def window(self) -> tuple[int, int]:
         return self.n_min, self.n_max
 
+    def actions(self, n):
+        return 2.0 * n, np.full(n.shape, self.k), 0.0
+
 
 RepresentationSpec = SU2 | DiscreteSeriesPlus | PrincipalSeries | Oscillator | E2
 
-_COMPAT = {
-    SU2: (1.0, 0.0, +1),
-    DiscreteSeriesPlus: (1.0, 0.0, -1),
-    PrincipalSeries: (1.0, 0.0, -1),
-    Oscillator: (0.0, 1.0, +1),
-    E2: (0.0, 0.0, +1),
-}
-
 
 def check_compatible(rep: RepresentationSpec, alg: AlgebraSpec) -> None:
-    a, b, eps = _COMPAT[type(rep)]
-    if (alg.a, alg.b, alg.epsilon) != (a, b, eps):
+    if (alg.a, alg.b, alg.epsilon) != rep.ALGEBRA:
         raise ConfigurationError(
-            f"{type(rep).__name__} requires (a, b, epsilon) = {(a, b, eps)}, "
+            f"{type(rep).__name__} requires (a, b, epsilon) = {rep.ALGEBRA}, "
             f"got ({alg.a}, {alg.b}, {alg.epsilon})"
         )
 
@@ -162,43 +188,26 @@ def check_compatible(rep: RepresentationSpec, alg: AlgebraSpec) -> None:
 
 @dataclass(frozen=True)
 class Generators:
-    """Matrix elements of (H, E, F, N) on the window.
+    """Matrix elements of (H, E, F, N) on the window of a representation.
 
-    ``h_diag[i]`` is the H eigenvalue at basis index base_index+i,
-    ``e_coeff[i]`` the coefficient of E: e_n -> e_coeff * e_{n+1} at
-    n = base_index+i, and ``n_scalar`` the scalar by which the central
-    element acts.  F enters L and M only through E* = epsilon*F, whose
-    coefficients are those of E transposed, so it is not stored.
+    ``h_diag[i]`` is the H eigenvalue at the window's i-th basis index n,
+    ``e_coeff[i]`` the coefficient of E: e_n -> e_coeff * e_{n+1}, and
+    ``n_scalar`` the scalar by which the central element acts.  F enters L
+    and M only through E* = epsilon*F, whose coefficients are those of E
+    transposed, so it is not stored.
     """
 
-    base_index: int
     h_diag: np.ndarray
     e_coeff: np.ndarray
     n_scalar: float
-    lo_exact: bool
-    hi_exact: bool
 
 
 def build_generators(rep: RepresentationSpec) -> Generators:
+    """The representation's ``actions`` on its window; the coefficient of E
+    at the top index, which raises out of the window, is dropped."""
     lo, hi = rep.window
-    n = np.arange(lo, hi + 1, dtype=float)
-    up = n[:-1]  # indices carrying the E coefficient to the next basis vector
-    if isinstance(rep, SU2):
-        e = np.sqrt((up + 1) * (2.0 * rep.j - up))
-        return Generators(lo, 2.0 * (n - rep.j), e, 0.0, True, True)
-    if isinstance(rep, DiscreteSeriesPlus):
-        e = np.sqrt((up + 1) * (2 * rep.k + up))
-        return Generators(lo, 2.0 * (rep.k + n), e, 0.0, True, False)
-    if isinstance(rep, PrincipalSeries):
-        e = np.sqrt((up + rep.eps + 0.5) ** 2 + rep.rho ** 2)
-        return Generators(lo, 2.0 * (rep.eps + n), e, 0.0, False, False)
-    if isinstance(rep, Oscillator):
-        e = np.sqrt(rep.h * (up + 1))
-        return Generators(lo, 2.0 * (rep.k + n), e, -rep.h, True, False)
-    if isinstance(rep, E2):
-        e = np.full(len(up), rep.k)
-        return Generators(lo, 2.0 * n, e, 0.0, False, False)
-    raise ParameterError(f"unknown representation spec {rep!r}")
+    h_diag, e_coeff, n_scalar = rep.actions(np.arange(lo, hi + 1, dtype=float))
+    return Generators(h_diag, e_coeff[:-1], n_scalar)
 
 
 # --------------------------------------------------------------------------
@@ -206,11 +215,10 @@ def build_generators(rep: RepresentationSpec) -> Generators:
 
 
 def lax_entries(rep: RepresentationSpec, alg: AlgebraSpec, r, s):
-    """The generators of ``rep`` and the diagonal and off-diagonal of
-    L = cH + s(aH + bN) + r(E + E*) at a scalar (r, s), or at a column of
-    samples (shape (k, 1) each), which gives (k, n) and (k, n - 1) arrays
-    with one sample per row.  Raises ValueError when a sample or an entry
-    is not finite."""
+    """The diagonal and off-diagonal of L = cH + s(aH + bN) + r(E + E*) at a
+    scalar (r, s), or at a column of samples (shape (k, 1) each), which
+    gives the bands of a path: (k, n) and (k, n - 1) arrays with one sample
+    per row.  Raises ValueError when a sample or an entry is not finite."""
     check_compatible(rep, alg)
     if not (np.isfinite(r).all() and np.isfinite(s).all()):
         raise ValueError("r and s must be finite")
@@ -219,13 +227,13 @@ def lax_entries(rep: RepresentationSpec, alg: AlgebraSpec, r, s):
     off = r * g.e_coeff  # E* = epsilon*F contributes the same coefficient, symmetrically
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("non-finite entries")
-    return g, diag, off
+    return diag, off
 
 
 def build_L(rep: RepresentationSpec, alg: AlgebraSpec, r: float, s: float) -> TridiagonalOperator:
     """Symmetric tridiagonal matrix of L = cH + s(aH + bN) + r(E + E*)."""
-    g, diag, off = lax_entries(rep, alg, r, s)
-    return TridiagonalOperator(g.base_index, diag, off, g.lo_exact, g.hi_exact)
+    diag, off = lax_entries(rep, alg, r, s)
+    return TridiagonalOperator(rep.window[0], diag, off, *rep.EXACT_EDGES)
 
 
 def lax_rows(op: TridiagonalOperator) -> range:

@@ -1,6 +1,7 @@
-"""Spectral checks for the rank-1 operators: symmetric tridiagonal
-eigensolves, row-identity residuals of the closed-form eigenfunctions, drift
-of the spectrum along a flow, and the flat-case Fourier identity.
+"""Spectral checks: symmetric tridiagonal eigensolves, the spectra of a
+path of either flow (``path_eigenvalues``), row-identity residuals of the
+rank-1 closed-form eigenfunctions, drift of the spectrum along a flow, and
+the flat-case Fourier identity.
 """
 from __future__ import annotations
 
@@ -39,19 +40,18 @@ def eigs_sym_tridiag(op: TridiagonalOperator) -> SpectralDecomposition:
     return SpectralDecomposition(lam, vec, vec[0, :] ** 2)
 
 
-def path_eigenvalues(rep: RepresentationSpec, alg: AlgebraSpec, r,
-                     s) -> list[np.ndarray]:
-    """The ascending eigenvalues of L at every sample (r[i], s[i]) of a path,
-    from the eigenvalue-only solve (LAPACK's root-free ``sterf``), each
-    bitwise those of the bands of ``build_L(rep, alg, r[i], s[i])``.  The
-    generators are built once and the entries of all samples in one pass;
-    each sample is then one eigenvalue-only solve of its row through this
-    module's ``eigh_tridiagonal``, the rows shared between the CPUs as
-    ``specfun.eigvals_rows`` shares them.  Raises ValueError, as ``build_L``
-    does, when a sample or an entry is not finite."""
-    _, diag, off = lax_entries(rep, alg, np.asarray(r, dtype=float)[:, None],
-                               np.asarray(s, dtype=float)[:, None])
-    # the entries were checked finite as a whole, so the rows are not again
+def path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
+    """The ascending eigenvalues of every row of a path's bands ``diag``
+    (k, n) and ``off`` (k, n - 1), one sample per row: the ``lax_entries``
+    of a rank-1 flow's samples (r and s as columns) or the ``build_chain_L``
+    of a chain trajectory.  Each row is one eigenvalue-only solve (LAPACK's
+    root-free ``sterf``) through this module's ``eigh_tridiagonal``, looked
+    up at the call, so each spectrum is bitwise that of its sample's own
+    bands; the rows are shared between the CPUs as ``specfun.eigvals_rows``
+    shares them.  Raises ValueError when an entry is not finite."""
+    # checked finite as a whole, so the rows are not again
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
     return eigvals_rows(eigh_tridiagonal, diag, off)
 
 
@@ -152,8 +152,8 @@ def compared_eigenvalues(rep: RepresentationSpec, mode: str,
 def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
                          mode: str = "all", count: int | None = None) -> float:
     """Max absolute eigenvalue drift along the trajectory, from the
-    ``path_eigenvalues`` of L (on ``rep``, under the trajectory's algebra) at
-    its samples.
+    ``path_eigenvalues`` of the bands of L (on ``rep``, under the
+    trajectory's algebra) at its samples.
 
     mode = "all" compares the full spectrum of the realized window,
     "lowest" only the ``count`` smallest eigenvalues (use for windows whose
@@ -166,7 +166,8 @@ def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
     whatever the flow does.
     """
     keep = compared_eigenvalues(rep, mode, count)
-    return spectrum_drift([lam[keep] for lam in path_eigenvalues(rep, traj.alg, traj.r, traj.s)])
+    bands = lax_entries(rep, traj.alg, traj.r[:, None], traj.s[:, None])
+    return spectrum_drift([lam[keep] for lam in path_eigenvalues(*bands)])
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Structure constants, representation matrices, and the Lax identity."""
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -129,12 +130,75 @@ def test_parameter_validation():
 
 
 def test_window_flags():
-    g = build_generators(SU2(3.0))
-    assert g.lo_exact and g.hi_exact
-    g = build_generators(DiscreteSeriesPlus(1.0, 20))
-    assert g.lo_exact and not g.hi_exact
-    g = build_generators(PrincipalSeries(0.7, 0.0, -10, 10))
-    assert not g.lo_exact and not g.hi_exact
+    for rep, alg, flags in ((SU2(3.0), su2(), (True, True)),
+                            (DiscreteSeriesPlus(1.0, 20), su11(), (True, False)),
+                            (PrincipalSeries(0.7, 0.0, -10, 10), su11(), (False, False))):
+        assert rep.EXACT_EDGES == flags
+        op = build_L(rep, alg, 0.8, 0.3)
+        assert (op.lo_exact, op.hi_exact) == flags
+
+
+def _five_branch_generators(rep):
+    """The generators as they were built before each representation stated
+    its own laws: (base index, H diagonal, E coefficients, N scalar, lower
+    edge exact, upper edge exact) from one branch per class."""
+    lo, hi = rep.window
+    n = np.arange(lo, hi + 1, dtype=float)
+    up = n[:-1]
+    if isinstance(rep, SU2):
+        e = np.sqrt((up + 1) * (2.0 * rep.j - up))
+        return lo, 2.0 * (n - rep.j), e, 0.0, True, True
+    if isinstance(rep, DiscreteSeriesPlus):
+        e = np.sqrt((up + 1) * (2 * rep.k + up))
+        return lo, 2.0 * (rep.k + n), e, 0.0, True, False
+    if isinstance(rep, PrincipalSeries):
+        e = np.sqrt((up + rep.eps + 0.5) ** 2 + rep.rho ** 2)
+        return lo, 2.0 * (rep.eps + n), e, 0.0, False, False
+    if isinstance(rep, Oscillator):
+        e = np.sqrt(rep.h * (up + 1))
+        return lo, 2.0 * (rep.k + n), e, -rep.h, True, False
+    assert isinstance(rep, E2)
+    return lo, 2.0 * n, np.full(len(up), rep.k), 0.0, False, False
+
+
+# the (a, b, epsilon) each representation class required before it stated
+# its own
+_COMPATIBILITY_TABLE = {SU2: (1.0, 0.0, +1), DiscreteSeriesPlus: (1.0, 0.0, -1),
+                        PrincipalSeries: (1.0, 0.0, -1), Oscillator: (0.0, 1.0, +1),
+                        E2: (0.0, 0.0, +1)}
+ALGEBRAS = {"su2": su2(), "su11": su11(), "oscillator": oscillator(1.0), "e2": e2(1.0)}
+
+
+@pytest.mark.parametrize("rep", [rep for rep, _ in ALL_CASES]
+                         + [SU2(0.0), SU2(0.5), E2(1.5, 3, 3), PrincipalSeries(0.2, 0.9, -1, 0)],
+                         ids=repr)
+def test_generators_are_the_five_branch_ones_bitwise(rep):
+    base, h_diag, e_coeff, n_scalar, lo_exact, hi_exact = _five_branch_generators(rep)
+    g = build_generators(rep)
+    assert g.h_diag.tobytes() == h_diag.tobytes()
+    assert g.e_coeff.tobytes() == e_coeff.tobytes()
+    assert g.n_scalar == n_scalar and type(g.n_scalar) is type(n_scalar)
+    alg = next(alg for alg in ALGEBRAS.values()
+               if (alg.a, alg.b, alg.epsilon) == _COMPATIBILITY_TABLE[type(rep)])
+    op = build_L(rep, alg, 0.8, 0.3)
+    assert (op.base_index, op.lo_exact, op.hi_exact) == (base, lo_exact, hi_exact)
+    # the laws are class attributes, not fields a config block would read
+    assert {"ALGEBRA", "EXACT_EDGES"}.isdisjoint(f.name for f in dataclasses.fields(rep))
+
+
+@pytest.mark.parametrize("alg_name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("rep", [rep for rep, _ in ALL_CASES], ids=lambda rep: type(rep).__name__)
+def test_build_L_accepts_the_pairs_of_the_compatibility_table(rep, alg_name):
+    alg = ALGEBRAS[alg_name]
+    required = _COMPATIBILITY_TABLE[type(rep)]
+    assert type(rep).ALGEBRA == required
+    if (alg.a, alg.b, alg.epsilon) == required:
+        build_L(rep, alg, 0.8, 0.3)
+        return
+    with pytest.raises(ConfigurationError) as info:
+        build_L(rep, alg, 0.8, 0.3)
+    assert str(info.value) == (f"{type(rep).__name__} requires (a, b, epsilon) = "
+                               f"{required}, got ({alg.a}, {alg.b}, {alg.epsilon})")
 
 
 hypothesis = pytest.importorskip("hypothesis")

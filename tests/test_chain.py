@@ -8,9 +8,9 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from isoflow import (ChainState, IntegrationBlowupError, build_chain_L,
-                     chain_dense_L, chain_isospectrality_drift, chain_path_eigenvalues,
-                     chain_rhs, chain_spectrum, christoffel_weights,
-                     eigen_polys, integrate_chain,
+                     chain_dense_L, chain_isospectrality_drift, chain_rhs,
+                     chain_spectrum, christoffel_weights, eigen_polys,
+                     integrate_chain, path_eigenvalues,
                      pn_time_derivative_check, trace_flow_drift,
                      trace_invariants)
 from isoflow.chain import _advance
@@ -75,7 +75,7 @@ def test_path_operators_are_the_per_state_ones(d):
     r_before = traj.r.copy()
     diag, off = build_chain_L(traj)
     dense = chain_dense_L(traj)
-    spectra = chain_path_eigenvalues(traj)
+    spectra = path_eigenvalues(diag, off)
     assert diag.shape == (len(traj), d + 1) and off.shape == (len(traj), d)
     assert dense.shape == (len(traj), d + 1, d + 1)
     for i in range(len(traj)):

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (FAMILIES, DegenerateRatioError, FamilyTag, FlowState,
+from isoflow import (FAMILIES, ChainState, DegenerateRatioError, FamilyTag, FlowState,
                      GammaTable, IntegrationBlowupError, Trajectory,
-                     check_sign_conditions, flow_rhs, g_at, integrate,
+                     check_sign_conditions, flow_rhs, g_at, integrate, integrate_chain,
                      invariant, modification_report, ParameterError,
                      oscillator, run_verify, su2, su11, write_trajectory_csv)
 from isoflow.families import check_modification
@@ -158,6 +158,16 @@ def test_dt_must_divide_horizon():
     # whole step counts within rounding are accepted
     assert len(integrate(su2(), FlowState(0.0, 1.0, 0.5), 1.0, 0.1, 0.3)) == 4
     assert len(integrate(su2(), FlowState(0.2, 1.0, 0.5), 1.0, 0.1, 0.2)) == 1
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan])
+def test_dt_must_be_positive_on_both_flows(dt):
+    """A NaN step, which no ``dt <= 0`` test catches, is rejected by name
+    as a step that is not positive, not by the step count it would give."""
+    with pytest.raises(ValueError, match=r"dt = .* must be positive"):
+        integrate(su2(), FlowState(0.0, 1.0, 0.5), 1.0, dt, 1.0)
+    with pytest.raises(ValueError, match=r"dt = .* must be positive"):
+        integrate_chain(ChainState(0.0, (0.3, -0.2), (1.0, 0.8)), 1.0, dt, 1.0)
 
 
 def test_blowup_carries_last_state():

@@ -24,8 +24,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isoflow import (DiscreteSeriesPlus, FlowState, SU2, build_L, eigs_sym_tridiag,
-                     integrate, isospectrality_drift, specfun, spectral, su2, su11)
+from isoflow import (ChainState, DiscreteSeriesPlus, FlowState, SU2, build_L, cli,
+                     eigs_sym_tridiag, integrate, integrate_chain, isospectrality_drift,
+                     lax_entries, specfun, spectral, su2, su11)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -178,7 +179,7 @@ def test_numpy_path_writes_the_bundled_bytes(tmp_path):
         assert written["numpy"][name] == data, name
 
 
-def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
+def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch, tmp_path):
     calls = []
 
     def counted(d, e, **kwargs):
@@ -194,6 +195,18 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch):
                      dt=1e-3, t_end=0.01, record_every=5)
     isospectrality_drift(traj, SU2(2.0))
     assert calls == [False] + [True] * len(traj)
+
+    # the chain's path solves, for ``isoflow chain``'s spectrum.csv and its
+    # drift row, one eigenvalue-only solve per recorded state each
+    del calls[:]
+    config = _readme_configs()["chain"]
+    (tmp_path / "chain.json").write_text(json.dumps(config))
+    monkeypatch.setenv("ISOFLOW_OUT", str(tmp_path / "out"))
+    assert cli.main(["chain", str(tmp_path / "chain.json")]) == 0
+    c = config["chain"]
+    chain = integrate_chain(ChainState(0.0, c["s"], c["r"]), c["g"], c["dt"], c["t_end"],
+                            c["record_every"])
+    assert len(chain) > 1 and calls == [True] * (2 * len(chain))
 
 
 def test_wrappers_return_scipy_results():
@@ -460,7 +473,7 @@ def test_split_path_solves_every_row_through_the_module_binding(monkeypatch):
     rep, alg = DiscreteSeriesPlus(1.0, 40), su11()
     traj = integrate(alg, FlowState(r=1.0, s=1.25, t=0.0), 1.0,
                      dt=1e-3, t_end=0.05, record_every=5)
-    got = spectral.path_eigenvalues(rep, alg, traj.r, traj.s)
+    got = spectral.path_eigenvalues(*lax_entries(rep, alg, traj.r[:, None], traj.s[:, None]))
     rows = [build_L(rep, alg, r, s) for r, s in zip(traj.r, traj.s)]
     assert rows[0].size >= specfun.SPLIT_MIN_N
     assert Counter(solved) == Counter((L.diag.tobytes(), L.off.tobytes()) for L in rows)

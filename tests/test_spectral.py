@@ -10,7 +10,7 @@ from isoflow import (FAMILIES, ConfigurationError, DiscreteSeriesPlus, E2, Famil
                      SU2, TridiagonalOperator, build_L, compared_eigenvalues,
                      degenerate_e2_check, eigenfunction, eigs_sym_tridiag,
                      eval_rec, e2, integrate, isospectrality_drift,
-                     oscillator, parameter_map, path_eigenvalues,
+                     lax_entries, oscillator, parameter_map, path_eigenvalues,
                      recurrence_residual, su2, su11)
 from isoflow import spectral
 from isoflow.specfun import bessel_j
@@ -339,17 +339,26 @@ PATH_CASES = {
 }
 
 
+def _path_bands(rep, alg, r, s):
+    """The bands of L at the samples (r[i], s[i]) of a rank-1 path."""
+    return lax_entries(rep, alg, np.asarray(r, dtype=float)[:, None],
+                       np.asarray(s, dtype=float)[:, None])
+
+
 @pytest.mark.parametrize("case", sorted(PATH_CASES))
 def test_path_eigenvalues_match_build_L_bitwise(case):
     rep, alg = PATH_CASES[case]
     rng = np.random.default_rng(11)
     r, s = rng.uniform(0.2, 2.0, 23), rng.uniform(-1.5, 1.5, 23)
     r[0], s[0] = 1.0, 0.0
-    got = path_eigenvalues(rep, alg, r, s)
-    want = [spectral.eigh_tridiagonal(L.diag, L.off, eigvals_only=True)
-            for L in (build_L(rep, alg, ri, si) for ri, si in zip(r.tolist(), s.tolist()))]
+    diag, off = _path_bands(rep, alg, r, s)
+    got = path_eigenvalues(diag, off)
+    ops = [build_L(rep, alg, ri, si) for ri, si in zip(r.tolist(), s.tolist())]
+    want = [spectral.eigh_tridiagonal(L.diag, L.off, eigvals_only=True) for L in ops]
     assert len(got) == len(want)
-    for g, w in zip(got, want):
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert diag[i].tobytes() == ops[i].diag.tobytes()
+        assert off[i].tobytes() == ops[i].off.tobytes()
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
@@ -362,25 +371,35 @@ def test_path_eigenvalues_solve_each_row_through_the_module_binding(monkeypatch)
         keys.append((d.tobytes(), e.tobytes()))
         return solve(d, e, **kwargs)
     monkeypatch.setattr(spectral, "eigh_tridiagonal", counted)
-    path_eigenvalues(rep, alg, r, s)
+    path_eigenvalues(*_path_bands(rep, alg, r, s))
     assert keys == [(L.diag.tobytes(), L.off.tobytes())
                     for L in (build_L(rep, alg, ri, si) for ri, si in zip(r, s))]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_path_eigenvalues_keep_build_L_errors():
+    """The bands of a rank-1 path raise ``build_L``'s errors at its samples,
+    and ``path_eigenvalues`` rejects bands that are not finite."""
     rep, alg = PATH_CASES["su2"]
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="r and s must be finite"):
-            path_eigenvalues(rep, alg, [1.0, bad], [0.0, 0.0])
+            _path_bands(rep, alg, [1.0, bad], [0.0, 0.0])
         with pytest.raises(ValueError, match="r and s must be finite"):
-            path_eigenvalues(rep, alg, [1.0, 1.0], [bad, 0.0])
+            _path_bands(rep, alg, [1.0, 1.0], [bad, 0.0])
     with pytest.raises(ValueError, match="non-finite entries"):
         build_L(rep, alg, 1e308, 0.0)
     with pytest.raises(ValueError, match="non-finite entries"):
-        path_eigenvalues(rep, alg, [1.0, 1e308], [0.0, 0.0])
+        _path_bands(rep, alg, [1.0, 1e308], [0.0, 0.0])
     with pytest.raises(ConfigurationError):
-        path_eigenvalues(rep, su11(), [1.0], [0.0])
+        _path_bands(rep, su11(), [1.0], [0.0])
+    diag, off = _path_bands(rep, alg, [1.0, 0.5], [0.0, 0.2])
+    for bad in (np.nan, np.inf, -np.inf):
+        for band in (diag, off):
+            broken = band.copy()
+            broken[1, -1] = bad
+            bands = (broken, off) if band is diag else (diag, broken)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                path_eigenvalues(*bands)
 
 
 def test_flat_operator_fourier_identity():
