@@ -26,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .flows import (GFun, IntegrationBlowupError, RK4Path, _compile_make, _rk4_source,
                     g_at, rk4_path)
 from .report import relative_error, spectrum_drift
-from .specfun import eigh_tridiagonal, three_term
+from .specfun import three_term
 from .spectral import SpectralDecomposition, path_eigenvalues
 
 
@@ -68,26 +69,32 @@ def _path_source(d: int) -> str:
     """Source of ``make(g)``, which returns the rank-d chain flow's RK4 path
     ``path(t0, y0, dt, n_steps, record_every)`` on y = (s, r) for
     ``rk4_path``: ``_rk4_source`` with ``chain_rhs`` written out component
-    by component.  A stage whose input has some r_i <= 0 fails the step.
-    The guard is a chain of comparisons, ``xr1 <= 0 or ... or xrd <= 0``,
-    with no call; it sees an r_i <= 0 that a NaN r_j precedes, which
-    ``min(...) <= 0`` would miss, but such a stage fails its step anyway:
-    the NaN reaches the step's end, whose finite check stops the path at
-    the same t0 + i dt with the same samples.  The source depends on d
-    alone."""
+    by component as sigma p: sdot_i = 2 (r_i u_i) and rdot_i = 1 (u_i lap_i)
+    with lap_i = s_{i-1} - 2 s_i + s_{i+1}.  The end rows drop the zero
+    terms s_0 and s_{d+1}, which changes only the sign of a zero lap_i: it
+    is added to r_i > 0, so no state bit moves.  A stage whose input has
+    some r_i <= 0 fails the step.  The guard is a chain of comparisons,
+    ``xr1 <= 0 or ... or xrd <= 0``, with no call; it sees an r_i <= 0 that
+    a NaN r_j precedes, which ``min(...) <= 0`` would miss, but such a
+    stage fails its step anyway: the NaN reaches the step's end, whose
+    finite check stops the path at the same t0 + i dt with the same
+    samples.  The source depends on d alone."""
     idx = range(1, d + 1)
 
+    def lap(x: str, i: int) -> str:
+        return ((f"{x}s{i - 1} - " if i > 1 else "-") + f"2.0 * {x}s{i}"
+                + (f" + {x}s{i + 1}" if i < d else ""))
+
     def rhs(k: int, x: str) -> list[str]:
-        s = ["0.0", *(f"{x}s{i}" for i in idx), "0.0"]
         return ([f"u{i} = gv * {x}r{i}" for i in idx]
-                + [f"k{k}s{i} = 2.0 * {x}r{i} * u{i}" for i in idx]
-                + [f"k{k}r{i} = u{i} * ({s[i - 1]} - 2.0 * {s[i]} + {s[i + 1]})"
-                   for i in idx])
+                + [f"p{k}s{i} = {x}r{i} * u{i}" for i in idx]
+                + [f"p{k}r{i} = u{i} * ({lap(x, i)})" for i in idx])
 
     def guard(x: str) -> str:
         return " or ".join(f"{x}r{i} <= 0" for i in idx)
 
-    return _rk4_source([f"s{i}" for i in idx] + [f"r{i}" for i in idx], rhs, guard)
+    return _rk4_source([f"s{i}" for i in idx] + [f"r{i}" for i in idx],
+                       ["2.0"] * d + ["1.0"] * d, rhs, guard)
 
 
 @functools.cache
@@ -176,8 +183,9 @@ def eigen_polys(state: ChainState, lam) -> tuple[np.ndarray, np.ndarray]:
 
 
 def chain_spectrum(state: ChainState) -> np.ndarray:
-    """Ascending eigenvalues of L."""
-    return eigh_tridiagonal(*build_chain_L(state), eigvals_only=True)
+    """Ascending eigenvalues of L, solved through ``spectral.eigh_tridiagonal``
+    looked up at the call, as every spectral solve is."""
+    return spectral.eigh_tridiagonal(*build_chain_L(state), eigvals_only=True)
 
 
 def spectrum_sum(state: ChainState) -> float:

@@ -24,11 +24,22 @@ grid, runs a generated path once and raises on a blow-up.  Both flows have
 u = g(t) r, and ``_rk4_source`` is the one place the RK4 stages are
 written: from a flow's right-hand side it generates the whole fixed-step
 loop, which keeps the state in local floats from the first step to the
-last, writes each step out as straight-line code, bit for bit the vector
-RK4 expressions, and records samples into flat lists of floats.  The
-rank-1 path on (r, s) is compiled once per process, with the algebra and
-the coupling bound per path; the chain path (``chain._chain_path``) once
-per rank d.
+last, writes each step out as straight-line code and records samples into
+flat lists of floats.  A flow states each derivative as sigma p, a signed
+power of two sigma times the rest p (here sigma = -2 for r and e2 =
+2 epsilon for s); the path forms p alone and folds sigma, and RK4's
+doubled k2 and k3, into step multipliers it computes once.  Scaling by a
+power of two is exact, so each product rounds the same real number as the
+vector RK4 expressions and the path is bit for bit a numpy RK4, with two
+exceptions.  An intermediate within a factor of 4 of the largest float, in
+the subnormal range, or a dt < 2**-1020 can round differently: near
+overflow the unscaled intermediates can stay finite one more step, so a
+diverging flow may be reported a step later.  And a component with
+sigma < 0 that is -0.0 at a step's start, where its increments sum to zero
+exactly (r = -0.0, the rank-1 flow's fixed point), keeps -0.0 where numpy
+gives +0.0.  The rank-1 path on (r, s) is compiled once per process, with
+the algebra and the coupling bound per path; the chain path
+(``chain._chain_path``) once per rank d.
 """
 from __future__ import annotations
 
@@ -208,9 +219,10 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
     Returns (t, y) arrays with one row of y per sample: t0, every
     ``record_every``-th step and the last step; ``record_every`` is a whole
     number >= 1 (``_whole_record_every``).  ``dt`` must divide
-    ``t_end - t0`` (relative tolerance 1e-9).  Raises IntegrationBlowupError
-    at a step that ended non-finite or whose stage failed the flow's guard;
-    its ``last_state`` holds the (t, y) samples recorded before that step.
+    ``t_end - t0`` (relative tolerance 1e-9) into a finite number of steps,
+    else ValueError.  Raises IntegrationBlowupError at a step that ended
+    non-finite or whose stage failed the flow's guard; its ``last_state``
+    holds the (t, y) samples recorded before that step.
     """
     if not dt > 0:  # NaN too
         raise ValueError(f"dt = {dt!r} must be positive")
@@ -219,7 +231,11 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
     if t_end < t0:
         raise ValueError("t_end must not precede the initial time")
     record_every = _whole_record_every(record_every)
-    n_steps = int(round((t_end - t0) / dt))
+    steps = (t_end - t0) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"dt = {dt!r} gives no finite step count over t_end - t0 = "
+                         f"{t_end - t0!r}")
+    n_steps = int(round(steps))
     if not math.isclose(n_steps * dt, t_end - t0, rel_tol=1e-9):
         raise ValueError(f"dt = {dt!r} does not divide t_end - t0 = "
                          f"{t_end - t0!r} into whole steps")
@@ -230,16 +246,15 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
     return samples
 
 
-def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
+def _rk4_source(names: Sequence[str], sigmas: Sequence[str],
+                rhs: Callable[[int, str], list[str]],
                 guard: Callable[[str], str] | None = None, params: str = "") -> str:
     """Source of ``make(g, <params>)``, which returns the classical RK4 path
     ``path(t0, y0, dt, n_steps, record_every)`` of a flow on y = ``names``
-    for ``rk4_path``: n_steps steps to the times t0 + i dt on local floats,
-    each written out with the expression tree of the vector expressions
-    ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``,
-    so bit-identical to them.  Inside the loop no function is called but
-    ``isfinite``, a callable coupling ``g`` and ``ts.append`` (a list append,
-    which the interpreter specializes).
+    for ``rk4_path``: n_steps steps to the times t0 + i dt on local floats.
+    Inside the loop no function is called but ``isfinite``, a callable
+    coupling ``g`` and ``ts.append`` (a list append, which the interpreter
+    specializes).
 
     The path returns (ts, ys, t_fail): the samples as two flat lists of
     floats (a list kept per sample would be a container the cyclic garbage
@@ -247,26 +262,46 @@ def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
     of the step where it stopped, as the new state was non-finite or a
     stage input failed ``guard``.
 
-    A flow supplies ``rhs(k, x)``: the lines that set ``k{k}<name>`` for
-    every name at the stage input, whose components are named ``x + name``
-    (``x`` is "" at the first stage, where the input is y), from the
-    coupling ``gv`` and the ``params``, and ``guard(x)``, a condition on
-    the stage input.  ``make`` binds the params and g: a number as the
-    constant ``gc``, or a callable sampled at t, t + dt/2 (for stages 2 and
-    3) and t + dt."""
+    A flow states each component's derivative as k = sigma p, with sigma a
+    signed power of two (``sigmas``, one expression per name: a float or a
+    param) and p the rest: ``rhs(k, x)`` gives the lines that set
+    ``p{k}<name>`` for every name at the stage input, whose components are
+    named ``x + name`` (``x`` is "" at the first stage, where the input is
+    y), from the coupling ``gv`` and the ``params``, and ``guard(x)`` a
+    condition on the stage input.  ``make`` binds the params and g: a
+    number as the constants ``gc`` and ``gc2 = 2 gc``, or a callable sampled
+    at t, t + dt/2 (for stages 2 and 3) and t + dt.  Stages 2 and 3 read
+    the doubled coupling 2 g(t + dt/2), so they form 2p where RK4 doubles
+    k2 and k3, and the path computes the multipliers sigma dt/2,
+    sigma dt/4 and sigma dt/6 once (dt/2 and dt/6 rounded as the vector
+    expressions round them).  A step is then
+
+        x = y + (sigma dt/2) p1,   x = y + (sigma dt/4) (2 p2),
+        x = y + (sigma dt/2) (2 p3),
+        y = y + (sigma dt/6) (p1 + 2 p2 + 2 p3 + p4).
+
+    Each product rounds the same real number as the vector expressions
+    ``y + dt/2*k``, ``y + dt*k3`` and ``y + dt/6*(k1 + 2*k2 + 2*k3 + k4)``
+    do, so the path is bit-identical to them within the limits the module
+    docstring states.  The -0.0 limit is the sum's: where sigma < 0 and the
+    four p sum to zero exactly, sigma (p1 + ...) is -0.0 where k1 + ... is
+    +0.0."""
+    sig = list(dict.fromkeys(sigmas))
+    m = {n: sig.index(sg) for n, sg in zip(names, sigmas)}
     step = []
     x = ""
-    for k, g_at, incr in ((1, "t", "h"), (2, "t + h", "h"), (3, None, "dt"),
-                          (4, "t + dt", None)):
+    for k, coupling, mult in ((1, "gc if g is None else g(t)", "h"),
+                              (2, "gc2 if g is None else 2.0 * g(t + h)", "q"),
+                              (3, None, "h"), (4, "gc if g is None else g(t + dt)", None)):
         if guard is not None:
             step += [f"if {guard(x)}:", "    return ts, ys, t0 + i * dt"]
-        if g_at is not None:
-            step.append(f"gv = gc if g is None else g({g_at})")
+        if coupling is not None:
+            step.append(f"gv = {coupling}")
         step += rhs(k, x)
-        if incr is not None:
-            step += [f"x{n} = {n} + {incr} * k{k}{n}" for n in names]
+        if mult is not None:
+            step += [f"x{n} = {n} + {mult}{m[n]} * p{k}{n}" for n in names]
         x = "x"
-    step += [f"{n} = {n} + w * (k1{n} + 2.0 * k2{n} + 2.0 * k3{n} + k4{n})" for n in names]
+    step += [f"{n} = {n} + w{m[n]} * (p1{n} + p2{n} + p3{n} + p4{n})" for n in names]
     step += ["t = t0 + i * dt",
              "if not (" + " and ".join(f"isfinite({n})" for n in names) + "):",
              "    return ts, ys, t",
@@ -277,15 +312,19 @@ def _rk4_source(names: Sequence[str], rhs: Callable[[int, str], list[str]],
              "    if record_at > n_steps:",
              "        record_at = n_steps"]
     return "\n".join([f"def make(g{', ' + params if params else ''}):",
-                      "    gc, g = (None, g) if callable(g) else (float(g), None)",
+                      "    gc, gc2, g = ((None, None, g) if callable(g)",
+                      "                  else (float(g), 2.0 * float(g), None))",
                       "    def path(t0, y0, dt, n_steps, record_every):",
                       f"        {', '.join(names)} = y0",
                       "        h = dt / 2",
-                      "        w = dt / 6",
-                      "        ts, ys = [t0], list(y0)",
-                      "        t = t0",
-                      "        record_at = min(record_every, n_steps)",
-                      "        for i in range(1, n_steps + 1):"]
+                      "        q = h / 2",
+                      "        w = dt / 6"]
+                     + [f"        {v}{j} = {sg} * {v}" for j, sg in enumerate(sig)
+                        for v in "hqw"]
+                     + ["        ts, ys = [t0], list(y0)",
+                        "        t = t0",
+                        "        record_at = min(record_every, n_steps)",
+                        "        for i in range(1, n_steps + 1):"]
                      + ["            " + line for line in step]
                      + ["        return ts, ys, None",
                         "    return path", ""])
@@ -301,11 +340,12 @@ def _compile_make(source: str, filename: str) -> Callable[..., RK4Path]:
 def _rank1_source() -> str:
     """Source of ``make(g, a, c, e2)``, which returns the rank-1 flow's RK4
     path on y = [r, s]: (rdot, sdot) = ``flow_rhs`` under u = g r with a, c
-    and e2 = 2 epsilon bound."""
+    and e2 = 2 epsilon bound, stated as sigma p: rdot = -2 ((a s + c) u)
+    and sdot = e2 (r u), the sigma e2 = +-2 bound with the algebra."""
     return _rk4_source(
-        ("r", "s"),
+        ("r", "s"), ("-2.0", "e2"),
         lambda k, x: [f"u = gv * {x}r",
-                      f"k{k}r, k{k}s = -2.0 * (a * {x}s + c) * u, e2 * {x}r * u"],
+                      f"p{k}r, p{k}s = (a * {x}s + c) * u, {x}r * u"],
         params="a, c, e2")
 
 

@@ -157,6 +157,16 @@ def test_non_dividing_dt_exits_2(tmp_path, capsys, command, cfg, block):
 
 @pytest.mark.parametrize("command, cfg, block", [("run", RUN_CFG, "flow"),
                                                  ("chain", CHAIN_CFG, "chain")])
+def test_overflowing_step_count_exits_2(tmp_path, capsys, command, cfg, block):
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    cfg[block].update({"dt": 1e-320, "t_end": 1})
+    assert main([command, _write(tmp_path, cfg)]) == 2
+    assert "dt = 1e-320 gives no finite step count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, cfg, block", [("run", RUN_CFG, "flow"),
+                                                 ("chain", CHAIN_CFG, "chain")])
 def test_infinite_t_end_exits_2(tmp_path, capsys, command, cfg, block):
     cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
     cfg[block]["t_end"] = math.inf  # json writes Infinity, which json reads back

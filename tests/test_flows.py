@@ -170,6 +170,18 @@ def test_dt_must_be_positive_on_both_flows(dt):
         integrate_chain(ChainState(0.0, (0.3, -0.2), (1.0, 0.8)), 1.0, dt, 1.0)
 
 
+@pytest.mark.parametrize("dt, t0, t_end", [(1e-320, 0.0, 1.0), (1e-300, -1e300, 1e300),
+                                         (1.0, -1e308, 1e308)])
+def test_step_count_must_be_finite_on_both_flows(dt, t0, t_end):
+    """A step count (t_end - t0) / dt that overflows is rejected by name,
+    not left to int() to raise OverflowError."""
+    match = rf"dt = {dt!r} gives no finite step count over t_end - t0 = "
+    with pytest.raises(ValueError, match=match):
+        integrate(su2(), FlowState(t0, 1.0, 0.5), 1.0, dt, t_end)
+    with pytest.raises(ValueError, match=match):
+        integrate_chain(ChainState(t0, (0.3, -0.2), (1.0, 0.8)), 1.0, dt, t_end)
+
+
 def test_blowup_carries_last_state():
     with pytest.raises(IntegrationBlowupError) as info:
         integrate(su11(), FlowState(0.0, 1.0, 1.25), -1.0,

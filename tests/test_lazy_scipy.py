@@ -24,9 +24,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from isoflow import (ChainState, DiscreteSeriesPlus, FlowState, SU2, build_L, cli,
-                     eigs_sym_tridiag, integrate, integrate_chain, isospectrality_drift,
-                     lax_entries, specfun, spectral, su2, su11)
+from isoflow import (ChainState, DiscreteSeriesPlus, FlowState, SU2, build_L,
+                     christoffel_weights, cli, eigs_sym_tridiag, integrate, integrate_chain,
+                     isospectrality_drift, lax_entries, mvk_table, pn_time_derivative_check,
+                     specfun, spectral, spectrum_sum, su2, su11)
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -197,7 +198,8 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch, tmp_path)
     assert calls == [False] + [True] * len(traj)
 
     # the chain's path solves, for ``isoflow chain``'s spectrum.csv and its
-    # drift row, one eigenvalue-only solve per recorded state each
+    # drift row, one eigenvalue-only solve per recorded state each, and the
+    # spectrum_sum and orthogonality rows' solve of the initial state
     del calls[:]
     config = _readme_configs()["chain"]
     (tmp_path / "chain.json").write_text(json.dumps(config))
@@ -206,7 +208,17 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch, tmp_path)
     c = config["chain"]
     chain = integrate_chain(ChainState(0.0, c["s"], c["r"]), c["g"], c["dt"], c["t_end"],
                             c["record_every"])
-    assert len(chain) > 1 and calls == [True] * (2 * len(chain))
+    assert [ch["name"] for ch in config["checks"]][:2] == ["spectrum_sum", "orthogonality"]
+    assert len(chain) > 1 and calls == [True] * (2 * len(chain) + 2)
+
+    # a chain state's own spectrum (``chain.chain_spectrum``): one
+    # eigenvalue-only solve for each of its callers
+    state = chain.state(0)
+    for solve in (spectrum_sum, christoffel_weights, lambda st: mvk_table(st, 2),
+                  lambda st: pn_time_derivative_check(st, c["g"])):
+        del calls[:]
+        solve(state)
+        assert calls == [True]
 
 
 def test_wrappers_return_scipy_results():
