@@ -74,11 +74,14 @@ def _path_source(d: int) -> str:
     terms s_0 and s_{d+1}, which changes only the sign of a zero lap_i: it
     is added to r_i > 0, so no state bit moves.  A stage whose input has
     some r_i <= 0 fails the step.  The guard is a chain of comparisons,
-    ``xr1 <= 0 or ... or xrd <= 0``, with no call; it sees an r_i <= 0 that
-    a NaN r_j precedes, which ``min(...) <= 0`` would miss, but such a
+    ``xr1 <= 0.0 or ... or xrd <= 0.0``, with no call; it sees an r_i <= 0
+    that a NaN r_j precedes, which ``min(...) <= 0`` would miss, but such a
     stage fails its step anyway: the NaN reaches the step's end, whose
     finite check stops the path at the same t0 + i dt with the same
-    samples.  The source depends on d alone."""
+    samples.  The bound is the float 0.0, not the int 0: both give the same
+    result for every float (-0.0, NaN and +-inf too), but CPython (3.11 on)
+    specializes a comparison of two floats and leaves one of a float with
+    an int on its generic path.  The source depends on d alone."""
     idx = range(1, d + 1)
 
     def lap(x: str, i: int) -> str:
@@ -91,7 +94,7 @@ def _path_source(d: int) -> str:
                 + [f"p{k}r{i} = u{i} * ({lap(x, i)})" for i in idx])
 
     def guard(x: str) -> str:
-        return " or ".join(f"{x}r{i} <= 0" for i in idx)
+        return " or ".join(f"{x}r{i} <= 0.0" for i in idx)
 
     return _rk4_source([f"s{i}" for i in idx] + [f"r{i}" for i in idx],
                        ["2.0"] * d + ["1.0"] * d, rhs, guard)

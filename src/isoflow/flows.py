@@ -220,9 +220,11 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
     ``record_every``-th step and the last step; ``record_every`` is a whole
     number >= 1 (``_whole_record_every``).  ``dt`` must divide
     ``t_end - t0`` (relative tolerance 1e-9) into a finite number of steps,
-    else ValueError.  Raises IntegrationBlowupError at a step that ended
-    non-finite or whose stage failed the flow's guard; its ``last_state``
-    holds the (t, y) samples recorded before that step.
+    at most 2**53, else ValueError: above 2**53 a step index i no longer
+    converts to a float exactly, so t0 + i dt would repeat grid times.
+    Raises IntegrationBlowupError at a step that ended non-finite or whose
+    stage failed the flow's guard; its ``last_state`` holds the (t, y)
+    samples recorded before that step.
     """
     if not dt > 0:  # NaN too
         raise ValueError(f"dt = {dt!r} must be positive")
@@ -236,6 +238,9 @@ def rk4_path(path: RK4Path, t0: float, y0: Sequence[float], dt: float, t_end: fl
         raise ValueError(f"dt = {dt!r} gives no finite step count over t_end - t0 = "
                          f"{t_end - t0!r}")
     n_steps = int(round(steps))
+    if n_steps > 2 ** 53:
+        raise ValueError(f"dt = {dt!r} divides t_end - t0 = {t_end - t0!r} into "
+                         f"{n_steps:.3g} steps, more than 2**53")
     if not math.isclose(n_steps * dt, t_end - t0, rel_tol=1e-9):
         raise ValueError(f"dt = {dt!r} does not divide t_end - t0 = "
                          f"{t_end - t0!r} into whole steps")

@@ -318,10 +318,15 @@ def krawtchouk_reduction_check(s: float, r: float, d: int, N: int) -> tuple[floa
 
 def write_mvk_csv(path, table: MVKTable) -> None:
     """CSV with header sigma,rho,P; multi-indices dash-separated, rows in
-    lexicographic (rho, sigma) order."""
+    lexicographic (rho, sigma) order.  Each column rho is one fill of the
+    table's template ``"<sigma>,%s,%.17g\\n"`` over every sigma, with rho in
+    every ``%s`` (the labels hold only digits and dashes, so they go into
+    the template as they are)."""
     labels = ["-".join(map(str, t)) for t in table.indices]
+    template = "".join([sigma + ",%s,%.17g\n" for sigma in labels])
     with open(path, "w", newline="") as fh:
         fh.write("sigma,rho,P\n")
         for rho, column in zip(labels, table.values.T.tolist()):
-            fh.writelines("%s,%s,%.17g\n" % (sigma, rho, v)
-                          for sigma, v in zip(labels, column))
+            fields = [rho] * (2 * len(column))
+            fields[1::2] = column
+            fh.write(template % tuple(fields))

@@ -5,7 +5,11 @@ import filecmp
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from isoflow import (E2, FAMILIES, SU2, ChainState, DiscreteSeriesPlus, FamilyTa
                      check_result, config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
 from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 RUN_CFG = {
     "algebra": {"class": "su2"},
@@ -163,6 +169,22 @@ def test_overflowing_step_count_exits_2(tmp_path, capsys, command, cfg, block):
     assert main([command, _write(tmp_path, cfg)]) == 2
     assert "dt = 1e-320 gives no finite step count" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, cfg, block", [("run", RUN_CFG, "flow"),
+                                                 ("chain", CHAIN_CFG, "chain")])
+def test_step_count_past_two_to_the_53_exits_2(tmp_path, command, cfg, block):
+    """1 / 1e-300 steps is a finite count that divides the horizon, but one
+    no path would finish: the command exits 2 at once, in a process of its
+    own under a timeout, and writes no CSV."""
+    cfg = json.loads(json.dumps(_with_out(cfg, tmp_path)))
+    cfg[block].update({"dt": 1e-300, "t_end": 1})
+    proc = subprocess.run([sys.executable, "-m", "isoflow.cli", command, _write(tmp_path, cfg)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert "dt = 1e-300 divides t_end - t0 = 1.0 into" in proc.stderr
+    assert list(tmp_path.glob("out/**/*.csv")) == []
 
 
 @pytest.mark.parametrize("command, cfg, block", [("run", RUN_CFG, "flow"),

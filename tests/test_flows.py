@@ -182,6 +182,29 @@ def test_step_count_must_be_finite_on_both_flows(dt, t0, t_end):
         integrate_chain(ChainState(t0, (0.3, -0.2), (1.0, 0.8)), 1.0, dt, t_end)
 
 
+def test_step_count_is_at_most_two_to_the_53():
+    """Up to 2**53 steps every index i is a float exactly; past it t0 + i dt
+    would repeat grid times.  A stub path records the step count it is
+    given, so no path runs that long.  2**53 + 1 is no float, so the least
+    count past the bound that a quotient (t_end - t0) / dt gives is
+    2**53 + 2."""
+    calls = []
+
+    def path(t0, y0, dt, n_steps, record_every):
+        calls.append(n_steps)
+        return [t0], list(y0), None
+
+    rk4_path(path, 0.0, [1.0], 1.0, 2.0 ** 53, 1)
+    assert calls == [2 ** 53]
+    over = math.nextafter(2.0 ** 53, math.inf)
+    assert over == 2 ** 53 + 2
+    for dt, t_end in ((1.0, over), (1e-300, 1.0)):
+        with pytest.raises(ValueError, match=rf"dt = {dt!r} divides t_end - t0 = "
+                                             rf"{t_end!r} into .* more than 2\*\*53"):
+            rk4_path(path, 0.0, [1.0], dt, t_end, 1)
+    assert calls == [2 ** 53]
+
+
 def test_blowup_carries_last_state():
     with pytest.raises(IntegrationBlowupError) as info:
         integrate(su11(), FlowState(0.0, 1.0, 1.25), -1.0,

@@ -273,6 +273,20 @@ def test_step_loop_calls_no_builtin(source):
     assert calls == {"isfinite", "g", "ts.append"}
 
 
+@pytest.mark.parametrize("source", [_rank1_source(), *map(_path_source, (1, 2, 16))],
+                         ids=["rank1", "chain_d1", "chain_d2", "chain_d16"])
+def test_step_loop_numbers_are_floats(source):
+    """Every number written inside the generated step loop is a float: an
+    int literal that meets a float (a guard's ``r <= 0``) takes the
+    interpreter's generic comparison or arithmetic, where two floats take
+    its specialized one."""
+    loops = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    numbers = [node.value for stmt in loops[0].body for node in ast.walk(stmt)
+               if isinstance(node, ast.Constant) and type(node.value) in (int, float)]
+    assert numbers and all(type(v) is float for v in numbers), numbers
+
+
 def test_import_compiles_no_step():
     code = ("import isoflow, isoflow.cli\n"
             "from isoflow.chain import _chain_path\n"
