@@ -31,7 +31,7 @@ from .flows import (GFun, IntegrationBlowupError, RK4Path, _compile_make, _rk4_s
                     g_at, rk4_path)
 from .report import relative_error, spectrum_drift
 from .specfun import three_term
-from .spectral import SpectralDecomposition, path_eigenvalues
+from .spectral import SpectralDecomposition
 
 
 @dataclass(frozen=True)
@@ -278,10 +278,11 @@ def trace_flow_drift(traj: ChainTrajectory) -> np.ndarray:
     return relative_error(dense, dense[0]).max(axis=0)
 
 
-def chain_isospectrality_drift(traj: ChainTrajectory) -> float:
-    """``spectrum_drift`` of the ``spectral.path_eigenvalues`` of the bands
-    of ``traj`` (``build_chain_L``)."""
-    return spectrum_drift(path_eigenvalues(*build_chain_L(traj)))
+def chain_isospectrality_drift(spectra: list[np.ndarray]) -> float:
+    """``spectrum_drift`` of a chain path's ``spectra``, one per sample: the
+    ``spectral.path_eigenvalues`` of its ``build_chain_L`` bands, solved
+    once for this drift and ``spectrum.csv``."""
+    return spectrum_drift(spectra)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,9 @@ options of the configured check ``ccfg`` before anything runs and returns
 command writes their ``command_row``, verify one row each under its names.
 ``run_checks``, ``chain_checks`` and ``mvk_checks`` return what they built
 and one such function per check, which the caller computes under its guard.
+``run_checks`` and ``chain_checks`` also return ``spectra``, the cached
+solve of the flow's recorded samples: the drift row and the command's
+``spectrum.csv`` both read it, so each recorded state is solved once.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import functools
 import math
 
 from . import config as cfgmod
-from .chain import (chain_isospectrality_drift, christoffel_weights,
+from .chain import (build_chain_L, chain_isospectrality_drift, christoffel_weights,
                     integrate_chain, spectrum_sum, trace_flow_drift,
                     trace_invariants)
 from .config import ConfigError
@@ -21,8 +24,8 @@ from .families import FAMILIES, FamilyTag, check_modification, parameter_map
 from .flows import check_sign_conditions, g_at, integrate, modification_report
 from .mvk import TABLE_CHECKS, mvk_table
 from .report import CheckResult, check_result
-from .representations import build_L, lax_residual, lax_rows
-from .spectral import (compared_eigenvalues, isospectrality_drift,
+from .representations import build_L, lax_entries, lax_residual, lax_rows
+from .spectral import (compared_eigenvalues, isospectrality_drift, path_eigenvalues,
                        recurrence_residual, scaled_tolerance)
 
 
@@ -62,7 +65,7 @@ def _family(ccfg) -> FamilyTag:
     return FamilyTag(ccfg["family"])
 
 
-# isoflow run: setup (alg, rep, state0, g, initial_L), computed (traj, full)
+# isoflow run: setup (alg, rep, state0, g, initial_L), computed (traj, full, spectra)
 
 
 def _lax_residual(ccfg, *, alg, rep, state0, g, initial_L, **_):
@@ -96,8 +99,8 @@ def _isospectrality_drift(ccfg, *, rep, **_):
     mode = ccfg.get("mode", "all")
     count = _int_option(ccfg, "count", None)
     compared_eigenvalues(rep, mode, count)
-    return lambda *, traj, **_: _parts(
-        ccfg, f"mode={mode}", drift=isospectrality_drift(traj, rep, mode=mode, count=count))
+    return lambda *, spectra, **_: _parts(
+        ccfg, f"mode={mode}", drift=isospectrality_drift(spectra(), rep, mode=mode, count=count))
 
 
 def _modification(ccfg, *, alg, state0, **_):
@@ -143,7 +146,8 @@ RUN_CHECKS = {"lax_residual": _lax_residual, "invariant_drift": _invariant_drift
 def run_checks(alg, rep, state0, g, grid, checks, **computed):
     """The flow of ``alg`` from ``state0`` under the coupling ``g`` on the
     grid ``(dt, t_end, record_every)`` (None, and nothing integrated, with
-    no grid) and the row function of each check, handed ``computed``."""
+    no grid), the cached spectra of L on ``rep`` at its recorded samples and
+    the row function of each check, handed ``computed``."""
     # L at the initial state, built once for the checks that read it
     initial_L = functools.cache(lambda: build_L(rep, alg, state0.r, state0.s))
     rows = [RUN_CHECKS[c["name"]](c, alg=alg, rep=rep, state0=state0, g=g,
@@ -158,10 +162,13 @@ def run_checks(alg, rep, state0, g, grid, checks, **computed):
                          record_every=1 if every_step else record_every)
         if every_step:
             full, traj = traj, traj.every(record_every)
-    return traj, [functools.partial(row, traj=traj, full=full, **computed) for row in rows]
+    spectra = functools.cache(lambda: path_eigenvalues(
+        *lax_entries(rep, alg, traj.r[:, None], traj.s[:, None])))
+    return traj, spectra, [functools.partial(row, traj=traj, full=full, spectra=spectra,
+                                             **computed) for row in rows]
 
 
-# isoflow chain: setup (state0, invariants), computed (traj)
+# isoflow chain: setup (state0, invariants), computed (traj, spectra)
 _TRACES = ("tr2", "tr3", "tr4")
 
 
@@ -188,7 +195,7 @@ def _tr2_variant_detected(ccfg, *, invariants, **_):
 
 
 def _chain_isospectrality_drift(ccfg, **_):
-    return lambda *, traj, **_: _parts(ccfg, drift=chain_isospectrality_drift(traj))
+    return lambda *, spectra, **_: _parts(ccfg, drift=chain_isospectrality_drift(spectra()))
 
 
 CHAIN_CHECKS = {"spectrum_sum": _spectrum_sum, "orthogonality": _orthogonality,
@@ -200,13 +207,15 @@ CHAIN_CHECKS = {"spectrum_sum": _spectrum_sum, "orthogonality": _orthogonality,
 
 def chain_checks(state0, g, grid, checks):
     """The chain flow from ``state0`` under ``g`` on the grid ``(dt, t_end,
-    record_every)`` and the row function of each check."""
+    record_every)``, the cached spectra of its samples and the row function
+    of each check."""
     # the trace invariants of state0, computed once for the checks that read them
     invariants = functools.cache(lambda: trace_invariants(state0))
     rows = [CHAIN_CHECKS[c["name"]](c, state0=state0, invariants=invariants) for c in checks]
     dt, t_end, record_every = grid
     traj = integrate_chain(state0, g, dt, t_end, record_every=record_every)
-    return traj, [functools.partial(row, traj=traj) for row in rows]
+    spectra = functools.cache(lambda: path_eigenvalues(*build_chain_L(traj)))
+    return traj, spectra, [functools.partial(row, traj=traj, spectra=spectra) for row in rows]
 
 
 # isoflow mvk: no setup, computed (table, state0)

@@ -23,7 +23,6 @@ import sys
 import time
 
 from . import config as cfgmod
-from .chain import build_chain_L
 from .checks import (CHAIN_CHECKS, MVK_CHECKS, RUN_CHECKS, chain_checks,
                      command_row, mvk_checks, run_checks)
 from .config import ConfigError, load_config
@@ -33,8 +32,7 @@ from .flows import IntegrationBlowupError, integrate, write_trajectory_csv  # no
 from .mvk import write_mvk_csv
 from .report import (CheckResult, all_passed, check_result, guarded,
                      write_columns_csv, write_report_csv, write_spectrum_csv)
-from .representations import ConfigurationError, ParameterError, check_compatible, lax_entries
-from .spectral import path_eigenvalues
+from .representations import ConfigurationError, ParameterError, check_compatible
 from .verify import GROUPS, run_verify
 
 # errors in the input: they exit 2 instead of becoming failed rows
@@ -85,15 +83,13 @@ def _cmd_run(path: str) -> int:
     state0, g, *grid = cfgmod.build_flow(cfg.get("flow"))
     checks = cfgmod.check_list(cfg, RUN_CHECKS)
     try:
-        traj, rows = run_checks(alg, rep, state0, g, grid, checks)
+        traj, spectra, rows = run_checks(alg, rep, state0, g, grid, checks)
     except IntegrationBlowupError as exc:
         return _report_blowup(cfgmod.output_dir(cfg), exc)
     outdir = cfgmod.output_dir(cfg)
     write_trajectory_csv(os.path.join(outdir, "trajectory.csv"), traj)
     if rep is not None:
-        bands = lax_entries(rep, alg, traj.r[:, None], traj.s[:, None])
-        write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
-                           path_eigenvalues(*bands))
+        write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra())
     return _finish(outdir, _results(checks, rows))
 
 
@@ -119,13 +115,12 @@ def _cmd_chain(path: str) -> int:
     state0, g, *grid = cfgmod.build_chain_flow(cfg)
     checks = cfgmod.check_list(cfg, CHAIN_CHECKS)
     try:
-        traj, rows = chain_checks(state0, g, grid, checks)
+        traj, spectra, rows = chain_checks(state0, g, grid, checks)
     except IntegrationBlowupError as exc:
         return _report_blowup(cfgmod.output_dir(cfg), exc)
     outdir = cfgmod.output_dir(cfg)
     _write_chain_csv(os.path.join(outdir, "chain_trajectory.csv"), traj)
-    write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t,
-                       path_eigenvalues(*build_chain_L(traj)))
+    write_spectrum_csv(os.path.join(outdir, "spectrum.csv"), traj.t, spectra())
     return _finish(outdir, _results(checks, rows))
 
 

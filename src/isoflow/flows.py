@@ -15,9 +15,9 @@ the rate r (ln m)' / u and its constancy.
 
 ``integrate`` returns a ``Trajectory``, the record of one flow: its
 algebra, its coupling and the samples (t, r, s), from which u and I are read
-when first used.  The checks of a path (``check_sign_conditions``,
-``modification_report``, ``spectral.isospectrality_drift``) read the flow
-from it.
+when first used.  The checks of a path read it: ``check_sign_conditions``
+and ``modification_report`` the flow, ``spectral.isospectrality_drift``
+the spectra of its samples, solved once per path.
 
 ``rk4_path`` is the one fixed-step RK4 driver of both flows: it checks the
 grid, runs a generated path once and raises on a blow-up.  Both flows have

@@ -96,21 +96,24 @@ def write_report_csv(path, results: list[CheckResult]) -> None:
 
 def write_columns_csv(path, names, columns) -> None:
     """Header ``names`` joined by commas, then one row per sample of the
-    equal-length 1-D ``columns``, every field at 17 significant digits."""
+    equal-length 1-D ``columns``, every field at 17 significant digits.
+    Columns of unequal lengths raise ValueError."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
-        fh.write("".join([row % values for values in zip(*(c.tolist() for c in columns))]))
+        rows = zip(*(c.tolist() for c in columns), strict=True)
+        fh.write("".join([row % values for values in rows]))
 
 
 def write_spectrum_csv(path, times, spectra) -> None:
     """Header t,index,lambda; spectra[i] is the ascending spectrum at
-    times[i].  Each spectrum is one fill of the row template of its size,
-    ``"%s0,%.17g\\n%s1,%.17g\\n..."`` with the time field in every ``%s``."""
+    times[i], one per time (ValueError otherwise).  Each spectrum is one
+    fill of the row template of its size, ``"%s0,%.17g\\n%s1,%.17g\\n..."``
+    with the time field in every ``%s``."""
     templates = {}
     with open(path, "w", newline="") as fh:
         fh.write("t,index,lambda\n")
-        for t, lam in zip(times, spectra):
+        for t, lam in zip(times, spectra, strict=True):
             values = np.asarray(lam).tolist()
             n = len(values)
             if n not in templates:

@@ -12,11 +12,10 @@ import numpy as np
 
 from .algebra import AlgebraSpec, e2
 from .families import FAMILIES, FamilyTag, SpectralMap, parameter_map
-from .flows import Trajectory
 from .operators import TridiagonalOperator
 from .report import spectrum_drift
 from .representations import (E2, ConfigurationError, RepresentationSpec,
-                              build_L, lax_entries, lax_rows)
+                              build_L, lax_rows)
 from .specfun import eigh_tridiagonal, eigvals_rows
 
 
@@ -48,7 +47,9 @@ def path_eigenvalues(diag: np.ndarray, off: np.ndarray) -> list[np.ndarray]:
     root-free ``sterf``) through this module's ``eigh_tridiagonal``, looked
     up at the call, so each spectrum is bitwise that of its sample's own
     bands; the rows are shared between the CPUs as ``specfun.eigvals_rows``
-    shares them.  Raises ValueError when an entry is not finite."""
+    shares them.  ``isoflow run`` and ``isoflow chain`` call it once per
+    path (``checks``' cached ``spectra``), for ``spectrum.csv`` and the
+    drift alike.  Raises ValueError when an entry is not finite."""
     # checked finite as a whole, so the rows are not again
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -149,25 +150,24 @@ def compared_eigenvalues(rep: RepresentationSpec, mode: str,
     return slice(start, start + count)
 
 
-def isospectrality_drift(traj: Trajectory, rep: RepresentationSpec,
+def isospectrality_drift(spectra: list[np.ndarray], rep: RepresentationSpec,
                          mode: str = "all", count: int | None = None) -> float:
-    """Max absolute eigenvalue drift along the trajectory, from the
-    ``path_eigenvalues`` of the bands of L (on ``rep``, under the
-    trajectory's algebra) at its samples.
+    """Max absolute eigenvalue drift along a path from ``spectra``, the
+    ``path_eigenvalues`` of L on ``rep`` at its samples (one per sample, as
+    ``spectrum.csv`` holds them); it solves nothing itself.
 
     mode = "all" compares the full spectrum of the realized window,
     "lowest" only the ``count`` smallest eigenvalues (use for windows whose
     upper edge is truncated), "central" the ``count`` eigenvalues closest to
     the spectral center (use for doubly truncated windows).  Both need
     ``1 <= count <= window size``; the mode and count are checked before
-    any eigensolve and raise ConfigurationError otherwise.  On an e2 window
-    the central eigenvalues of L = c H + r (E + E*) form the Wannier-Stark
-    ladder 2 c m for every r and s, so "central" reads rounding noise there
-    whatever the flow does.
+    any spectrum is read and raise ConfigurationError otherwise.  On an e2
+    window the central eigenvalues of L = c H + r (E + E*) form the
+    Wannier-Stark ladder 2 c m for every r and s, so "central" reads
+    rounding noise there whatever the flow does.
     """
     keep = compared_eigenvalues(rep, mode, count)
-    bands = lax_entries(rep, traj.alg, traj.r[:, None], traj.s[:, None])
-    return spectrum_drift([lam[keep] for lam in path_eigenvalues(*bands)])
+    return spectrum_drift([lam[keep] for lam in spectra])
 
 
 # --------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _rows(built, names, tolerances=None) -> list[CheckResult]:
     """The component rows of a command's checks, ``built`` as
     ``checks.run_checks`` and its kin return it: the i-th is renamed
     ``names[i]``, and gated at ``tolerances[i]`` (``<=``) when given."""
-    parts = [part for row in built[1] for part in row()]
+    parts = [part for row in built[-1] for part in row()]
     if tolerances is None:
         return [replace(part, name=name) for name, part in zip(names, parts, strict=True)]
     return [check_result(name, part.value, tol, note=part.note)

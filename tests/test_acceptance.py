@@ -18,12 +18,12 @@ from isoflow import (ChainState, DiscreteSeriesPlus, E2, FamilyTag,
                      chain_isospectrality_drift, chain_spectrum,
                      christoffel_weights, e2, eigen_polys, eigs_sym_tridiag,
                      integrate, integrate_chain, isospectrality_drift,
-                     krawtchouk_reduction_check, lax_residual,
+                     krawtchouk_reduction_check, lax_entries, lax_residual,
                      meixner_function, meixner_function_recurrence_residual,
                      modification_report, mvk_orthogonality_check,
                      mvk_recurrence_check, mvk_table,
                      mvk_time_derivative_check, oscillator, parameter_map,
-                     pn_time_derivative_check, recurrence_residual,
+                     path_eigenvalues, pn_time_derivative_check, recurrence_residual,
                      run_verify, su2, su11, trace_invariants, unit_index,
                      weight)
 
@@ -135,11 +135,13 @@ def test_eigenfunction_rows_every_family():
 def test_spectrum_constant_along_flows():
     traj = integrate(su2(), FlowState(0.0, 1.0, 0.0), 1.0, 1e-3, 1.0,
                      record_every=50)
-    drifts = {"rank1": isospectrality_drift(traj, SU2(2.5))}
+    bands = lax_entries(SU2(2.5), traj.alg, traj.r[:, None], traj.s[:, None])
+    drifts = {"rank1": isospectrality_drift(path_eigenvalues(*bands), SU2(2.5))}
     for d in (2, 3, 5):
         ctraj = integrate_chain(CHAIN_STATES[d], 1.0, 1e-3, 1.0,
                                 record_every=100)
-        drifts[f"chain_d{d}"] = chain_isospectrality_drift(ctraj)
+        drifts[f"chain_d{d}"] = chain_isospectrality_drift(
+            path_eigenvalues(*build_chain_L(ctraj)))
     worst = max(drifts.values())
     ok = worst <= 1e-8
     _line("isospectrality", ok,

@@ -16,7 +16,8 @@ import pytest
 
 from isoflow import (E2, FAMILIES, SU2, ChainState, DiscreteSeriesPlus, FamilyTag,
                      GammaTable, Oscillator, PrincipalSeries, build_L, chain_spectrum,
-                     check_result, config as cfgmod, eigs_sym_tridiag, scaled_tolerance)
+                     check_result, compared_eigenvalues, config as cfgmod, eigs_sym_tridiag,
+                     scaled_tolerance)
 from isoflow.cli import _finish, main
 from isoflow.verify import GROUPS, run_verify
 
@@ -652,6 +653,39 @@ def test_spectrum_csv_holds_the_compared_eigenvalues(tmp_path, capsys, algebra,
         L = build_L(window, alg, r, s)
         err = np.abs(row - eigs_sym_tridiag(L).eigenvalues).max()
         assert err <= scaled_tolerance(64 * np.finfo(float).eps, L)
+
+
+@pytest.mark.parametrize("algebra,rep,r0,s0,mode,count", [
+    ({"class": "su2"}, {"type": "su2", "j": 6}, 1.0, 0.2, "central", 5),
+    ({"class": "su11"}, {"type": "discrete_series", "k": 1.0, "n_max": 40}, 0.55, 0.7,
+     "lowest", 5),
+    ({"class": "oscillator", "c": 1.0},
+     {"type": "oscillator", "k": 0.5, "h": 1.0, "n_max": 40}, 4.0, 0.5, "lowest", 8),
+])
+def test_spectrum_csv_and_drift_read_the_recorded_samples(tmp_path, capsys, algebra, rep,
+                                                          r0, s0, mode, count):
+    """With sign_conditions configured the flow is integrated at every step
+    and its recorded samples taken from those rows: spectrum.csv holds one
+    block per recorded sample, and the drift recomputed from the file under
+    the mode's slice is the report row's, to the last bit."""
+    cfg = _with_out({
+        "algebra": algebra, "representation": rep,
+        "flow": {"r0": r0, "s0": s0, "dt": 0.001, "t_end": 0.2,
+                 "record_every": 20, "policy": {"type": "toda"}},
+        "checks": [{"name": "sign_conditions", "tolerance": 0.5},
+                   {"name": "isospectrality_drift", "tolerance": 1e-8,
+                    "mode": mode, "count": count}]}, tmp_path)
+    assert main(["run", _write(tmp_path, cfg)]) in (0, 1)
+    out = tmp_path / "out"
+    t = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 0]
+    spec = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    lam = spec[:, 2].reshape(len(t), -1)
+    # 200 steps recorded every 20th: 11 samples, not the 201 integrated
+    assert len(t) == 11 and (spec[:, 0].reshape(lam.shape) == t[:, None]).all()
+    assert (spec[:, 1].reshape(lam.shape) == np.arange(lam.shape[1])).all()
+    keep = compared_eigenvalues(cfgmod.build_representation(rep), mode, count)
+    drift = float(np.abs(lam[:, keep] - lam[0, keep]).max())
+    assert _report_rows(tmp_path)["isospectrality_drift"][0] == drift
 
 
 @pytest.mark.parametrize("kind, rep", [

@@ -194,22 +194,42 @@ def test_every_spectral_solve_looks_up_the_module_binding(monkeypatch, tmp_path)
     assert calls == [False]
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.01, record_every=5)
-    isospectrality_drift(traj, SU2(2.0))
+    spectra = spectral.path_eigenvalues(*lax_entries(SU2(2.0), alg, traj.r[:, None],
+                                                     traj.s[:, None]))
+    assert calls == [False] + [True] * len(traj)
+    # the drift reads the path's spectra and solves nothing
+    isospectrality_drift(spectra, SU2(2.0))
     assert calls == [False] + [True] * len(traj)
 
-    # the chain's path solves, for ``isoflow chain``'s spectrum.csv and its
-    # drift row, one eigenvalue-only solve per recorded state each, and the
+    # ``isoflow chain`` solves its path once, for spectrum.csv and the drift
+    # row alike: one eigenvalue-only solve per recorded state, and the
     # spectrum_sum and orthogonality rows' solve of the initial state
     del calls[:]
-    config = _readme_configs()["chain"]
+    configs = _readme_configs()
+    config = configs["chain"]
     (tmp_path / "chain.json").write_text(json.dumps(config))
     monkeypatch.setenv("ISOFLOW_OUT", str(tmp_path / "out"))
     assert cli.main(["chain", str(tmp_path / "chain.json")]) == 0
     c = config["chain"]
     chain = integrate_chain(ChainState(0.0, c["s"], c["r"]), c["g"], c["dt"], c["t_end"],
                             c["record_every"])
-    assert [ch["name"] for ch in config["checks"]][:2] == ["spectrum_sum", "orthogonality"]
-    assert len(chain) > 1 and calls == [True] * (2 * len(chain) + 2)
+    names = [ch["name"] for ch in config["checks"]]
+    assert names[:2] == ["spectrum_sum", "orthogonality"] and "isospectrality_drift" in names
+    assert len(chain) > 1 and calls == [True] * (len(chain) + 2)
+
+    # ``isoflow run`` too: one eigenvalue-only solve per recorded state, for
+    # spectrum.csv and the drift row alike; its other checks solve nothing
+    del calls[:]
+    config = configs["run"]
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert cli.main(["run", str(tmp_path / "run.json")]) == 0
+    f = config["flow"]
+    assert f["policy"] == {"type": "toda"} and config["algebra"] == {"class": "su2"}
+    traj = integrate(alg, FlowState(0.0, f["r0"], f["s0"]), 1.0, f["dt"], f["t_end"],
+                     record_every=f["record_every"])
+    names = [ch["name"] for ch in config["checks"]]
+    assert "isospectrality_drift" in names and "sign_conditions" in names
+    assert len(traj) > 1 and calls == [True] * len(traj)
 
     # a chain state's own spectrum (``chain.chain_spectrum``): one
     # eigenvalue-only solve for each of its callers

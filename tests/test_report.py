@@ -11,7 +11,7 @@ from isoflow import (GROUPS, SU2, ChainState, ConfigurationError, FlowState,
                      guarded, integrate, run_verify, spectral, spectrum_drift, su2,
                      write_spectrum_csv)
 from isoflow.config import ConfigError
-from isoflow.report import fmt
+from isoflow.report import fmt, write_columns_csv
 
 
 @pytest.mark.parametrize("direction,value,passed", [
@@ -126,3 +126,22 @@ def test_spectrum_csv_matches_row_writer(tmp_path):
         write_spectrum_csv(tmp_path / "new.csv", times, spectra)
         reference_spectrum_csv(tmp_path / "ref.csv", times, spectra)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("times, spectra", [
+    ([0.0, 0.5], [np.array([1.0, 2.0])]),
+    ([0.0], [np.array([1.0, 2.0]), np.array([1.0, 2.5])]),
+])
+def test_spectrum_csv_rejects_times_and_spectra_of_unequal_lengths(tmp_path, times, spectra):
+    with pytest.raises(ValueError, match="zip"):
+        write_spectrum_csv(tmp_path / "spectrum.csv", times, spectra)
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([0.0, 0.5]), np.array([1.0])],
+    [np.array([0.0]), np.array([1.0, 2.0]), np.array([3.0, 4.0])],
+])
+def test_columns_csv_rejects_columns_of_unequal_lengths(tmp_path, columns):
+    names = [f"c{i}" for i in range(len(columns))]
+    with pytest.raises(ValueError, match="zip"):
+        write_columns_csv(tmp_path / "columns.csv", names, columns)

@@ -280,15 +280,21 @@ def test_isospectrality_along_flow():
     alg = su2()
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
-    assert isospectrality_drift(traj, SU2(2.5)) <= 1e-9
+    assert isospectrality_drift(_spectra(traj, SU2(2.5)), SU2(2.5)) <= 1e-9
 
     alg = su11()
     traj = integrate(alg, FlowState(r=1.0, s=1.25, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     rep = DiscreteSeriesPlus(1.0, 60)
-    assert isospectrality_drift(traj, rep, mode="lowest", count=5) <= 1e-6
+    spectra = _spectra(traj, rep)
+    assert isospectrality_drift(spectra, rep, mode="lowest", count=5) <= 1e-6
     with pytest.raises(ValueError):
-        isospectrality_drift(traj, rep, mode="middle")
+        isospectrality_drift(spectra, rep, mode="middle")
+
+
+def _spectra(traj, rep):
+    """The ``path_eigenvalues`` of L on ``rep`` at the samples of ``traj``."""
+    return path_eigenvalues(*_path_bands(rep, traj.alg, traj.r, traj.s))
 
 
 def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
@@ -296,21 +302,26 @@ def test_isospectrality_mode_and_count_checked_before_solving(monkeypatch):
     traj = integrate(alg, FlowState(r=1.0, s=0.2, t=0.0), 1.0,
                      dt=1e-3, t_end=0.5, record_every=50)
     rep = SU2(6.0)  # 13 rows
-    full = isospectrality_drift(traj, rep)
+    spectra = _spectra(traj, rep)
+    full = isospectrality_drift(spectra, rep)
     # the whole window, counted from either end, is the full spectrum
-    assert isospectrality_drift(traj, rep, mode="lowest", count=13) == full
-    assert isospectrality_drift(traj, rep, mode="central", count=13) == full
+    assert isospectrality_drift(spectra, rep, mode="lowest", count=13) == full
+    assert isospectrality_drift(spectra, rep, mode="central", count=13) == full
 
+    # the drift reads the spectra it is handed and solves nothing; a bad
+    # mode or count is rejected before the first spectrum is read
     calls = []
     monkeypatch.setattr(spectral, "eigh_tridiagonal",
                         lambda *a, **k: calls.append(a))
+    unread = iter(())
     for mode, count in (("central", None), ("lowest", None), ("central", 20),
                         ("lowest", 14), ("lowest", 0), ("central", -1)):
         with pytest.raises(ConfigurationError,
                            match=rf"count <= 13 .*count={count}\b"):
-            isospectrality_drift(traj, rep, mode=mode, count=count)
+            isospectrality_drift(unread, rep, mode=mode, count=count)
     with pytest.raises(ConfigurationError, match="unknown isospectrality mode"):
-        isospectrality_drift(traj, rep, mode="middle", count=3)
+        isospectrality_drift(unread, rep, mode="middle", count=3)
+    assert isospectrality_drift(spectra, rep, mode="central", count=5) <= full
     assert calls == []
 
 
